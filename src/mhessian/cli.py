@@ -135,7 +135,7 @@ def rhs_from_config(cfg: dict, m: int, reference: GridFunction) -> RightHandSide
 # ---------------------------------------------------------------------------
 # commands
 
-def run_eigen(config: dict, out: Path, rng) -> None:
+def run_eigen(config: dict, out: Path, rng) -> dict:
     T = matrix_from_json(config["T"])
     omega = metric_from_config(config.get("omega"), T.dim)
     spec = relative_eigenvalues(T, omega)
@@ -147,7 +147,7 @@ def run_eigen(config: dict, out: Path, rng) -> None:
             "report.json": ["hermitian", "relative_eigenvalues"]}
 
 
-def run_cone(config: dict, out: Path, rng) -> None:
+def run_cone(config: dict, out: Path, rng) -> dict:
     T = matrix_from_json(config["T"])
     omega = metric_from_config(config.get("omega"), T.dim)
     m = int(config["m"])
@@ -163,7 +163,7 @@ def run_cone(config: dict, out: Path, rng) -> None:
             "cone.csv": ["cones", "strong_positivity_oracle"]}
 
 
-def run_fm(config: dict, out: Path, rng) -> None:
+def run_fm(config: dict, out: Path, rng) -> dict:
     T = matrix_from_json(config["T"])
     omega = metric_from_config(config.get("omega"), T.dim)
     m = int(config["m"])
@@ -177,7 +177,7 @@ def run_fm(config: dict, out: Path, rng) -> None:
     return {"report.json": ["fm", "fm_value"], "msums.csv": ["fm", "fm_value"]}
 
 
-def run_solve(config: dict, out: Path, rng) -> None:
+def run_solve(config: dict, out: Path, rng) -> dict:
     problem = config.get("problem", "dirichlet")
     domain = domain_from_config(config["grid"])
     m = int(config["m"])
@@ -215,7 +215,7 @@ def run_solve(config: dict, out: Path, rng) -> None:
             for name in ("report.json", "solution.csv", "solution.bin")}
 
 
-def run_regularize(config: dict, out: Path, rng) -> None:
+def run_regularize(config: dict, out: Path, rng) -> dict:
     mode = config.get("mode", "local")
     domain = domain_from_config(config["grid"])
     m = int(config["m"])
@@ -271,7 +271,7 @@ def run_regularize(config: dict, out: Path, rng) -> None:
     return artifacts
 
 
-def run_verify_suite(config: dict, out: Path, rng) -> None:
+def run_verify_suite(config: dict, out: Path, rng) -> dict:
     rows = []
 
     def record(name, cases, failures):

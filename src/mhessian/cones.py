@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeBoundaryError, DimensionMismatchError
-from .fm import CONE_TOL, fm_plus
+from .fm import CONE_TOL, _check_m, fm_plus
 from .hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
 from .multiindex import multi_indices, subset_sums
 
@@ -38,11 +38,6 @@ class ConeVerdict:
             "margin": float(self.margin),
             "witness": [int(i) for i in self.witness],
         }
-
-
-def _check_m(n: int, m: int):
-    if not 1 <= m <= n:
-        raise DimensionMismatchError(f"need 1 <= m <= n, got m={m}, n={n}")
 
 
 def is_m_semipositive(T: HermitianMatrix, omega: MetricMatrix, m: int,

@@ -248,69 +248,76 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Metric per node: a shared constant matrix or one matrix per node."""
+    """Constant metric shared by every node of a grid."""
 
     domain: GridDomain
     constant: MetricMatrix = None
-    per_node: np.ndarray = None  # (node_count, n, n) complex
 
     def __post_init__(self):
-        if (self.constant is None) == (self.per_node is None):
-            raise DimensionMismatchError(
-                "provide exactly one of a constant metric or a per-node array"
-            )
-        if self.constant is not None:
-            if self.constant.dim != self.domain.n:
-                raise DimensionMismatchError("metric dimension does not match grid")
-        else:
-            arr = np.asarray(self.per_node, dtype=complex)
-            n = self.domain.n
-            if arr.shape != (self.domain.node_count, n, n):
-                raise DimensionMismatchError("per-node metric array has wrong shape")
-            # validation through the scalar type, node by node
-            for k in range(arr.shape[0]):
-                MetricMatrix(HermitianMatrix(arr[k]))
-            object.__setattr__(self, "per_node", arr)
+        if self.constant is None:
+            raise DimensionMismatchError("a grid metric needs a constant metric")
+        if self.constant.dim != self.domain.n:
+            raise DimensionMismatchError("metric dimension does not match grid")
 
     @classmethod
     def flat(cls, domain: GridDomain) -> "MetricField":
         return cls(domain=domain, constant=MetricMatrix.identity(domain.n))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.constant is not None
 
-    def cholesky_inverse_at(self, flat_nodes: np.ndarray) -> np.ndarray:
-        """Inverse Cholesky factors C^{-1}, shape (K, n, n)."""
-        n = self.domain.n
-        if self.is_constant:
-            Cinv = np.linalg.inv(self.constant.cholesky)
-            return np.broadcast_to(Cinv, (flat_nodes.size, n, n))
-        C = np.linalg.cholesky(self.per_node[flat_nodes])
-        return np.linalg.inv(C)
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
+
+
+class NodalOperator:
+    """Discrete complex Hessians in the metric frame over a fixed node set.
+
+    The metric is folded into the stencil once: with C the Cholesky factor
+    of the metric, the weights are C^{-1} W_s C^{-H} / h^2 and the optional
+    background form is C^{-1} chi C^{-H}.  The ordinary Hermitian spectrum
+    of a folded Hessian is its spectrum relative to the metric, so
+    ``sigma`` returns the m-fold relative eigenvalue sums at every node.
+    The nodes default to the interior nodes.
+    """
+
+    def __init__(self, domain: GridDomain, g: MetricField, m: int,
+                 chi: HermitianMatrix = None, nodes: np.ndarray = None):
+        if g.domain != domain:
+            raise DimensionMismatchError("metric field lives on a different grid")
+        self.domain = domain
+        self.m = m
+        self.nodes = np.flatnonzero(domain.interior_mask) if nodes is None \
+            else nodes
+        self.neighbors = domain.neighbor_indices(self.nodes)  # (S, K)
+        Cinv = np.linalg.inv(g.constant.cholesky)
+        CinvH = Cinv.conj().T
+        _, weights = stencil(domain.n)
+        self.weights = Cinv @ (weights / domain.spacing ** 2) @ CinvH
+        self.chi = None if chi is None \
+            else _hermitian_part(Cinv @ chi.entries @ CinvH)
+
+    def hessians(self, u_flat: np.ndarray) -> np.ndarray:
+        """Folded Hessians (plus the folded background form), (K, n, n)."""
+        vals = u_flat[self.neighbors]  # (S, K)
+        H = _hermitian_part(np.tensordot(vals.T, self.weights, axes=(1, 0)))
+        if self.chi is not None:
+            H = H + self.chi
+        return H
+
+    def sigma(self, u_flat: np.ndarray) -> np.ndarray:
+        """All m-fold relative eigenvalue sums per node, (K, C(n, m))."""
+        return subset_sums(np.linalg.eigvalsh(self.hessians(u_flat)), self.m)
+
+    def eigh(self, u_flat: np.ndarray):
+        """Relative eigenvalues and metric-frame eigenvectors per node."""
+        return np.linalg.eigh(self.hessians(u_flat))
 
 
 def hessian_stack(u: GridFunction, flat_nodes: np.ndarray,
                   chi: HermitianMatrix = None) -> np.ndarray:
     """Discrete complex Hessians (plus an optional constant shift) at nodes."""
-    domain = u.domain
-    _, weights = stencil(domain.n)
-    neighbors = domain.neighbor_indices(flat_nodes)
-    vals = u.flat[neighbors]  # (S, K)
-    H = np.tensordot(vals.T, weights, axes=(1, 0)) / domain.spacing ** 2
-    H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
-    if chi is not None:
-        H = H + chi.entries
-    return H
-
-
-def relative_lambda_stack(H: np.ndarray, g: MetricField,
-                          flat_nodes: np.ndarray) -> np.ndarray:
-    """Relative eigenvalues of each Hessian against the metric, ascending."""
-    Cinv = g.cholesky_inverse_at(flat_nodes)
-    M = Cinv @ H @ np.conj(np.swapaxes(Cinv, -1, -2))
-    M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-    return np.linalg.eigvalsh(M)
+    g = MetricField.flat(u.domain)
+    # the order m plays no part in the Hessians themselves
+    return NodalOperator(u.domain, g, 1, chi, flat_nodes).hessians(u.flat)
 
 
 def fd_complex_hessian(u: GridFunction, node) -> HermitianMatrix:
@@ -347,14 +354,12 @@ def cone_field(u: GridFunction, g: MetricField, m: int,
                tol: float = CONE_TOL) -> ConeFieldReport:
     """Nodewise m-cone membership of (chi +) the discrete Hessian of u."""
     domain = u.domain
-    nodes = np.flatnonzero(domain.interior_mask)
-    H = hessian_stack(u, nodes, chi)
-    lam = relative_lambda_stack(H, g, nodes)
-    margin = subset_sums(lam, m).min(axis=-1)
+    op = NodalOperator(domain, g, m, chi)
+    margin = op.sigma(u.flat).min(axis=-1)
     member_flat = np.zeros(domain.node_count, dtype=bool)
     margin_flat = np.full(domain.node_count, np.nan)
-    member_flat[nodes] = margin >= -tol
-    margin_flat[nodes] = margin
+    member_flat[op.nodes] = margin >= -tol
+    margin_flat[op.nodes] = margin
     return ConeFieldReport(domain=domain,
                            member=member_flat.reshape(domain.shape),
                            margin=margin_flat.reshape(domain.shape),
@@ -372,10 +377,8 @@ def fm_field(u: GridFunction, g: MetricField, m: int,
     construction (they are boundary or exterior).
     """
     domain = u.domain
-    nodes = np.flatnonzero(domain.interior_mask)
-    H = hessian_stack(u, nodes, chi)
-    lam = relative_lambda_stack(H, g, nodes)
-    sums = subset_sums(lam, m)
+    op = NodalOperator(domain, g, m, chi)
+    sums = op.sigma(u.flat)
     margin = sums.min(axis=-1)
     values = np.where(
         margin >= -tol,
@@ -383,7 +386,7 @@ def fm_field(u: GridFunction, g: MetricField, m: int,
         margin,
     )
     out = np.full(domain.node_count, np.nan)
-    out[nodes] = values
+    out[op.nodes] = values
     if domain.kind == TORUS:
         return GridFunction(domain, out)
     return GridFunction._unchecked(domain, out)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ChiNotPositive,
     ConeEscape,
     DimensionMismatchError,
     DirichletFailure,
@@ -28,8 +27,8 @@ from .fm import fm_value
 from .grids import BALL, TORUS, GridDomain, GridFunction, MetricField, \
     cone_field, fm_field
 from .hermitian import HermitianMatrix
-from .solver import RightHandSide, SolverConfig, solve_dirichlet, solve_torus, \
-    subsolution_seed
+from .solver import RightHandSide, SolverConfig, check_chi_positive, \
+    solve_dirichlet, solve_torus
 
 # nodes at or below this value model negative infinity on the grid
 NEG_INFINITY_FLOOR = -1e6
@@ -363,17 +362,7 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
     domain = phi.domain
     if domain.kind != TORUS:
         raise DimensionMismatchError("global regularization runs on a torus grid")
-    if not g.is_constant:
-        raise DimensionMismatchError(
-            "the torus pipeline supports constant-coefficient metrics only"
-        )
-    chi_margin = cone_field(
-        GridFunction.constant(domain, 0.0), g, m, chi=chi
-    ).min_margin
-    if not chi_margin > 0:
-        raise ChiNotPositive(
-            f"background form has minimal m-sum {chi_margin:.3e} <= 0"
-        )
+    check_chi_positive(chi, g, m)
     _check_target(phi, g, m, chi=chi)
     _check_dominates(schedule, phi)
     fm_chi = fm_value(chi, g.constant, m).value

@@ -59,6 +59,8 @@ def gridfunction_to_binary(u: GridFunction, path) -> None:
 def gridfunction_from_binary(path) -> GridFunction:
     raw = Path(path).read_bytes()
     head_size = struct.calcsize("<4sIIIdI")
+    if len(raw) < head_size:
+        raise ConfigError("grid dump is shorter than its header")
     magic, version, n, kind_code, radius, ppa = struct.unpack(
         "<4sIIIdI", raw[:head_size]
     )
@@ -66,11 +68,16 @@ def gridfunction_from_binary(path) -> GridFunction:
         raise ConfigError(f"bad magic {magic!r} in grid dump")
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported dump version {version}")
-    domain = GridDomain(n=n, kind=_KIND_NAME[kind_code], points_per_axis=ppa,
-                        radius=radius)
-    values = np.frombuffer(raw[head_size:], dtype="<f8")
-    if values.size != domain.node_count:
+    if kind_code not in _KIND_NAME:
+        raise ConfigError(f"unknown grid kind code {kind_code} in grid dump")
+    try:
+        domain = GridDomain(n=n, kind=_KIND_NAME[kind_code],
+                            points_per_axis=ppa, radius=radius)
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"invalid grid header in dump: {exc}") from exc
+    if len(raw) - head_size != 8 * domain.node_count:
         raise ConfigError("grid dump payload size does not match its header")
+    values = np.frombuffer(raw[head_size:], dtype="<f8")
     return GridFunction._unchecked(domain, values.reshape(domain.shape))
 
 

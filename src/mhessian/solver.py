@@ -31,10 +31,9 @@ from .grids import (
     GridDomain,
     GridFunction,
     MetricField,
-    relative_lambda_stack,
-    stencil,
+    NodalOperator,
 )
-from .hermitian import HermitianMatrix
+from .hermitian import HermitianMatrix, relative_eigenvalues
 from .multiindex import subset_sums
 
 # exponent window for exponential right-hand sides; the upper clamp only
@@ -174,70 +173,35 @@ class SolveReport:
         }
 
 
-class _FmOperator:
+class _FmOperator(NodalOperator):
     """Vectorized residual/Jacobian assembly over the evaluation nodes."""
 
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
                  chi: HermitianMatrix = None):
-        if g.domain != domain:
-            raise DimensionMismatchError("metric field lives on a different grid")
-        self.domain = domain
-        self.g = g
-        self.m = m
-        self.n = domain.n
-        self.chi = chi
-        offsets, weights = stencil(domain.n)
-        self.weights = weights / domain.spacing ** 2
-        self.nodes = np.flatnonzero(domain.interior_mask)
-        self.neighbors = domain.neighbor_indices(self.nodes)  # (S, K)
+        super().__init__(domain, g, m, chi)
         self.coords = domain.coords[self.nodes]
         # unknowns: interior nodes (ball) or every node (torus)
         self.unknown_of_flat = np.full(domain.node_count, -1, dtype=np.int64)
         self.unknown_of_flat[self.nodes] = np.arange(self.nodes.size)
-        self.Cinv = g.cholesky_inverse_at(self.nodes)  # (K, n, n)
-        self.CinvH = np.conj(np.swapaxes(self.Cinv, -1, -2))
-        self._chi_arr = None if chi is None else chi.entries
 
-    # -- fields over the evaluation nodes ---------------------------------
-    def hessians(self, u_flat: np.ndarray) -> np.ndarray:
-        vals = u_flat[self.neighbors]  # (S, K)
-        H = np.tensordot(vals.T, self.weights, axes=(1, 0))
-        H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
-        if self._chi_arr is not None:
-            H = H + self._chi_arr
-        return H
-
-    def eigensystem(self, u_flat: np.ndarray):
-        H = self.hessians(u_flat)
-        M = self.Cinv @ H @ self.CinvH
-        M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-        return np.linalg.eigh(M)
-
-    def sigma(self, u_flat: np.ndarray) -> np.ndarray:
-        H = self.hessians(u_flat)
-        M = self.Cinv @ H @ self.CinvH
-        M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-        lam = np.linalg.eigvalsh(M)
-        return subset_sums(lam, self.m)
-
-    def min_margin(self, u_flat: np.ndarray) -> float:
-        return float(self.sigma(u_flat).min())
-
-    def fm_and_margin(self, u_flat: np.ndarray):
-        sums = self.sigma(u_flat)
+    def fm_and_margin(self, u_flat: np.ndarray, sums: np.ndarray = None):
+        """F_m per node and the minimal m-sum; ``sums`` are the m-sums of
+        ``u_flat`` when the caller already has them."""
+        if sums is None:
+            sums = self.sigma(u_flat)
         margin = float(sums.min())
         if margin <= 0.0:
             return None, margin
         values = geometric_mean_clamped(sums)
         return values, margin
 
-    def residual(self, u_flat, rhs: RightHandSide, homotopy=None):
+    def residual(self, u_flat, rhs: RightHandSide, homotopy=None, sums=None):
         """F_m[u] - G(z, u) at the evaluation nodes; None if out of cone.
 
         ``homotopy = (t, base_field)`` blends the right-hand side as
         t*G + (1-t)*base_field.
         """
-        fm, margin = self.fm_and_margin(u_flat)
+        fm, margin = self.fm_and_margin(u_flat, sums)
         if fm is None:
             return None, margin
         t_vals = u_flat[self.nodes]
@@ -249,10 +213,10 @@ class _FmOperator:
         return fm - G, margin
 
     def jacobian(self, u_flat, rhs: RightHandSide, homotopy=None):
-        lam, V = self.eigensystem(u_flat)
+        lam, V = self.eigh(u_flat)
         grad = fm_gradient_diagonal(lam, self.m)  # (K, n)
-        B = self.CinvH @ V  # pencil eigenbasis columns
-        M = np.einsum("kpi,ki,kqi->kpq", B, grad, np.conj(B))
+        # eigenvectors and folded weights share the metric frame
+        M = np.einsum("kpi,ki,kqi->kpq", V, grad, np.conj(V))
         t_vals = u_flat[self.nodes]
         _, dG = rhs(self.coords, t_vals, self.nodes,
                     strict=self.domain.kind == BALL)
@@ -325,12 +289,13 @@ def _linear_solve(J, r):
 def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
             cfg: SolverConfig, homotopy=None):
     u = u0_flat.copy()
-    margin0 = op.min_margin(u)
-    if margin0 <= cfg.cone_floor:
+    sums = op.sigma(u)
+    margin = float(sums.min())
+    if margin <= cfg.cone_floor:
         raise ConeEscape(
-            f"initial iterate has cone margin {margin0:.3e}, below the floor"
+            f"initial iterate has cone margin {margin:.3e}, below the floor"
         )
-    r, margin = op.residual(u, rhs, homotopy)
+    r, _ = op.residual(u, rhs, homotopy, sums)
     rnorm = float(np.abs(r).max())
     history = [rnorm]
     for it in range(cfg.max_iterations):
@@ -343,10 +308,11 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
         while step >= cfg.damping_min_step:
             trial = u.copy()
             trial[op.nodes] += step * delta_unknown
-            m_trial = op.min_margin(trial)
+            sums = op.sigma(trial)
+            m_trial = float(sums.min())
             if m_trial > cfg.cone_floor:
                 cone_blocked = False
-                r_trial, _ = op.residual(trial, rhs, homotopy)
+                r_trial, _ = op.residual(trial, rhs, homotopy, sums)
                 r_trial_norm = float(np.abs(r_trial).max())
                 if r_trial_norm < rnorm:
                     u, r, rnorm, margin = trial, r_trial, r_trial_norm, m_trial
@@ -383,11 +349,11 @@ def subsolution_seed(f: GridFunction, g: MetricField, m: int,
     domain = f.domain
     if domain.kind != BALL:
         raise DimensionMismatchError("the subsolution seed is a ball construction")
-    op = _FmOperator(domain, g, m)
+    op = NodalOperator(domain, g, m)
     bump = domain.norms_squared - domain.radius ** 2
     if C is not None:
         u = f.flat + C * bump
-        if op.min_margin(u) <= max(cone_floor, 1e-10):
+        if op.sigma(u).min() <= max(cone_floor, 1e-10):
             raise ConeEscape(
                 f"supplied subsolution constant {C} is not strictly admissible"
             )
@@ -395,7 +361,7 @@ def subsolution_seed(f: GridFunction, g: MetricField, m: int,
     C = 1.0
     while C < 2.0 ** 60:
         u = f.flat + C * bump
-        if op.min_margin(u) > max(cone_floor * 10.0, 1e-8):
+        if op.sigma(u).min() > max(cone_floor * 10.0, 1e-8):
             return GridFunction(domain, u), C
         C *= 2.0
     raise ConeEscape("no doubling of the subsolution constant entered the cone")
@@ -427,6 +393,16 @@ def solve_dirichlet(f: GridFunction, rhs: RightHandSide, g: MetricField,
     )
 
 
+def check_chi_positive(chi: HermitianMatrix, g: MetricField, m: int):
+    """Raise ChiNotPositive unless chi lies in the open m-cone of the metric."""
+    margin = float(subset_sums(relative_eigenvalues(chi, g.constant).lambdas,
+                               m).min())
+    if not margin > 0.0:
+        raise ChiNotPositive(
+            f"background form has minimal m-sum {margin:.3e} <= 0"
+        )
+
+
 def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
                 m: int, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Solve the periodic equation for the chi-shifted Hessian."""
@@ -435,18 +411,7 @@ def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
         raise DimensionMismatchError("solve_torus expects a torus grid")
     if chi.dim != domain.n:
         raise DimensionMismatchError("background form dimension mismatch")
-    # strict positivity of the background form (everywhere, for node metrics)
-    probe_nodes = np.array([0]) if g.is_constant \
-        else np.arange(domain.node_count)
-    chi_lam = relative_lambda_stack(
-        np.broadcast_to(chi.entries, (probe_nodes.size, chi.dim, chi.dim)),
-        g, probe_nodes,
-    )
-    chi_margin = float(subset_sums(chi_lam, m).min())
-    if chi_margin <= 0.0:
-        raise ChiNotPositive(
-            f"background form has minimal m-sum {chi_margin:.3e} <= 0"
-        )
+    check_chi_positive(chi, g, m)
     op = _FmOperator(domain, g, m, chi=chi)
     if cfg.initial is not None:
         u0 = cfg.initial.flat.copy()

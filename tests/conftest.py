@@ -33,3 +33,17 @@ def random_interior_spectrum(rng, n, m, floor=0.1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+# A constant metric with complex off-diagonal entries, a positive form A and
+# a background form chi.  The complex Hessian u_{j kbar} of z^H conj(A) z is
+# A itself (that of z^H A z is its transpose, whose spectrum relative to
+# OMEGA differs), so every metric-frame transform is pinned exactly.
+OMEGA = MetricMatrix(HermitianMatrix([[2.0, 0.6 + 0.5j], [0.6 - 0.5j, 1.0]]))
+FORM = HermitianMatrix([[1.2, 0.3 - 0.4j], [0.3 + 0.4j, 0.9]])
+CHI = HermitianMatrix([[0.5, 0.1j], [-0.1j, 0.4]])
+
+
+def hessian_is_form(coords):
+    z = coords[:, 0::2] + 1j * coords[:, 1::2]
+    return np.einsum("ki,ij,kj->k", z.conj(), FORM.entries.conj(), z).real

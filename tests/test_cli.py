@@ -1,10 +1,12 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mhessian.cli import main
+from mhessian.errors import ConfigError
 from mhessian.grids import GridDomain, GridFunction
 from mhessian.serialize import (
     gridfunction_from_binary,
@@ -13,6 +15,22 @@ from mhessian.serialize import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def grid_dump(kind=0, radius=1.0, points_per_axis=5, n=1):
+    """Header plus zero payload of a binary grid dump on a C^n grid."""
+    header = struct.pack("<4sIIIdI", b"MHGF", 1, n, kind, radius,
+                         points_per_axis)
+    return header + bytes(8 * points_per_axis ** (2 * n))
+
+
+MALFORMED_DUMPS = {
+    "bad_magic": b"NOPE" + bytes(64),
+    "truncated_header": grid_dump()[:20],
+    "unknown_kind": grid_dump(kind=7),
+    "even_points_per_axis": grid_dump(points_per_axis=6),
+    "nan_radius": grid_dump(radius=float("nan")),
+}
 
 
 def write_config(tmp_path, name, data):
@@ -31,11 +49,16 @@ class TestSerialization:
         assert v.domain == domain
         np.testing.assert_array_equal(v.values, u.values)
 
-    def test_binary_magic_guard(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + bytes(64))
-        from mhessian.errors import ConfigError
+    def test_binary_dump_helper_is_valid(self, tmp_path):
+        path = tmp_path / "ok.bin"
+        path.write_bytes(grid_dump())
+        v = gridfunction_from_binary(path)
+        assert v.domain == GridDomain.ball(1, radius=1.0, points_per_axis=5)
 
+    @pytest.mark.parametrize("name", list(MALFORMED_DUMPS))
+    def test_malformed_dump_raises_config_error(self, tmp_path, name):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(MALFORMED_DUMPS[name])
         with pytest.raises(ConfigError):
             gridfunction_from_binary(path)
 

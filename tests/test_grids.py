@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mhessian.cones import is_m_semipositive
 from mhessian.errors import DimensionMismatchError, StencilError
+from mhessian.fm import fm_value
 from mhessian.grids import (
     ConeFieldReport,
     GridDomain,
@@ -14,6 +16,8 @@ from mhessian.grids import (
     stencil,
 )
 from mhessian.hermitian import HermitianMatrix
+
+from conftest import CHI, FORM, OMEGA, hessian_is_form
 
 
 def squared_norm(coords):
@@ -258,3 +262,43 @@ class TestFields:
         d = GridDomain.torus(1, points_per_axis=9)
         with pytest.raises(DimensionMismatchError):
             MetricField(domain=d)
+
+
+class TestNonFlatMetric:
+    def test_form_is_not_its_transpose_for_this_metric(self):
+        transpose = HermitianMatrix(FORM.entries.T)
+        assert abs(fm_value(FORM, OMEGA, 2).value
+                   - fm_value(transpose, OMEGA, 2).value) > 0.1
+
+    def test_fm_field_on_ball(self):
+        d = GridDomain.ball(2, radius=1.0, points_per_axis=9)
+        g = MetricField(domain=d, constant=OMEGA)
+        u = GridFunction.from_callable(d, hessian_is_form)
+        for m in (1, 2):
+            vals = fm_field(u, g, m).flat[d.interior_mask]
+            expected = fm_value(FORM, OMEGA, m).value
+            assert np.abs(vals - expected).max() <= 1e-12
+
+    def test_cone_field_margin_is_minimal_msum(self):
+        d = GridDomain.ball(2, radius=1.0, points_per_axis=9)
+        g = MetricField(domain=d, constant=OMEGA)
+        u = GridFunction.from_callable(d, hessian_is_form)
+        for m in (1, 2):
+            rep = cone_field(u, g, m)
+            margins = rep.margin.ravel()[d.interior_mask]
+            expected = is_m_semipositive(FORM, OMEGA, m).margin
+            assert rep.all_member
+            assert np.abs(margins - expected).max() <= 1e-12
+
+    def test_fm_field_on_torus_with_chi(self):
+        # a quadratic is not periodic: compare where the stencil does not
+        # wrap around the torus
+        d = GridDomain.torus(2, points_per_axis=7)
+        g = MetricField(domain=d, constant=OMEGA)
+        u = GridFunction.from_callable(d, hessian_is_form)
+        idx = np.indices(d.shape).reshape(4, -1)
+        inner = ((idx >= 1) & (idx <= d.points_per_axis - 2)).all(axis=0)
+        for m in (1, 2):
+            vals = fm_field(u, g, m, chi=CHI).flat[inner]
+            expected = fm_value(FORM.plus(CHI), OMEGA, m).value
+            assert np.abs(vals - expected).max() <= 1e-12

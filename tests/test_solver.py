@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mhessian.errors import ChiNotPositive, ConeEscape, IllPosedRHS, NewtonDiverged
+from mhessian.fm import fm_value
 from mhessian.grids import GridDomain, GridFunction, MetricField, fm_field
 from mhessian.hermitian import HermitianMatrix
 from mhessian.solver import (
@@ -13,6 +14,8 @@ from mhessian.solver import (
     solve_torus,
     subsolution_seed,
 )
+
+from conftest import FORM, OMEGA, hessian_is_form
 
 
 def sqn(coords):
@@ -53,6 +56,19 @@ class TestManufacturedQuadratic:
             report.solution.flat[domain.boundary_mask],
             f.flat[domain.boundary_mask],
         )
+
+
+    def test_c2_exact_recovery_under_nonflat_metric(self):
+        domain = GridDomain.ball(2, radius=1.0, points_per_axis=9)
+        g = MetricField(domain=domain, constant=OMEGA)
+        f = GridFunction.from_callable(domain, hessian_is_form)
+        for m in (1, 2):
+            value = fm_value(FORM, OMEGA, m).value
+            rhs = RightHandSide.scaled_exponential(
+                lambda c, v=value: np.full(c.shape[0], v), hessian_is_form)
+            report = solve_dirichlet(f, rhs, g, m)
+            assert report.final_residual <= 1e-9
+            assert interior_error(report, f.flat) <= 1e-8
 
 
 class TestManufacturedNonQuadratic:
