@@ -4,7 +4,8 @@ Subcommands: ``eigen``, ``cone``, ``fm``, ``solve``, ``regularize`` and
 ``verify-suite``.  Every run reads one JSON config, writes its artifacts
 into the output directory together with a manifest carrying the resolved
 defaults and a content hash of the config, and exits with 0 on success,
-2 on config parse errors, 3 on validation errors, 4 on solver or pipeline
+2 on config parse errors and otherwise with the ``exit_code`` of the
+raised library error: 3 on validation errors, 4 on solver or pipeline
 failures and 5 on internal invariant violations.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +37,18 @@ from .solver import RightHandSide, SolverConfig, continuity_path, \
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_VALIDATION = 3
-EXIT_RUNTIME = 4
 EXIT_INVARIANT = 5
 
 
 # ---------------------------------------------------------------------------
 # config helpers
+
+class ConfigTable(dict):
+    """A JSON object of a config; looking up a missing key is a ConfigError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing config key {key!r}")
+
 
 FIELD_KINDS = {}
 
@@ -438,13 +445,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = {}
+    config = ConfigTable()
     config_hash = None
     if args.config:
         try:
             raw = Path(args.config).read_bytes()
             config_hash = hashlib.sha256(raw).hexdigest()
-            config = json.loads(raw)
+            config = json.loads(raw, object_hook=ConfigTable)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -467,29 +474,16 @@ def main(argv=None) -> int:
         write_json(manifest, out / "manifest.json")
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except KeyError as exc:
-        print(f"validation error: missing config key {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
     except MHessianError as exc:
         module = type(exc).__module__ + "." + type(exc).__name__
         report = {"error": str(exc), "type": module}
         write_json(report, out / "error.json")
         print(f"run failed: {exc}", file=sys.stderr)
-        from .errors import (ChiNotPositive, ConeBoundaryError, ConeEscape,
-                             DimensionMismatchError, DirichletFailure,
-                             HypothesisViolatedError, IllPosedRHS,
-                             NewtonDiverged, NotHermitianError,
-                             NotPositiveDefiniteError, ScheduleExhausted,
-                             TargetNotAdmissible)
-        if isinstance(exc, (ConfigError, DimensionMismatchError,
-                            NotHermitianError, NotPositiveDefiniteError,
-                            ConeBoundaryError, HypothesisViolatedError,
-                            ChiNotPositive, TargetNotAdmissible)):
-            return EXIT_VALIDATION
-        if isinstance(exc, (NewtonDiverged, ConeEscape, DirichletFailure,
-                            ScheduleExhausted, IllPosedRHS)):
-            return EXIT_RUNTIME
+        return exc.exit_code
+    except KeyError:
+        # config lookups raise ConfigError, so this is a library bug
+        traceback.print_exc()
         return EXIT_INVARIANT
     if not args.quiet:
         print(f"{args.command}: artifacts written to {out}")

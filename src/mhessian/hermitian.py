@@ -41,6 +41,8 @@ class HermitianMatrix:
 
     def __post_init__(self):
         a = _as_square_complex(self.entries)
+        if not np.isfinite(a).all():
+            raise NotHermitianError("matrix entries must be finite")
         scale = max(1.0, float(np.abs(a).max()))
         defect = float(np.abs(a - a.conj().T).max())
         if defect > HERMITIAN_TOL * scale:
@@ -125,6 +127,16 @@ class RelativeSpectrum:
         object.__setattr__(self, "lambdas", lam)
 
 
+def _triangular_solve(A: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
+    """A^{-1} B for triangular A by one BLAS trsm call.
+
+    Unlike ``scipy.linalg.solve_triangular`` this skips the LAPACK driver,
+    whose threaded OpenBLAS path costs milliseconds on tiny matrices.
+    """
+    trsm = scipy.linalg.get_blas_funcs("trsm", (A, B))
+    return trsm(1.0, A, B, lower=lower)
+
+
 def reduce_to_metric_frame(T_entries: np.ndarray, omega: MetricMatrix) -> np.ndarray:
     """Return C^{-1} T C^{-H} for the Cholesky factor C of the metric.
 
@@ -132,8 +144,8 @@ def reduce_to_metric_frame(T_entries: np.ndarray, omega: MetricMatrix) -> np.nda
     relative to the metric.
     """
     C = omega.cholesky
-    Y = scipy.linalg.solve_triangular(C, T_entries, lower=True)
-    M = scipy.linalg.solve_triangular(C, Y.conj().T, lower=True).conj().T
+    Y = _triangular_solve(C, T_entries, lower=True)
+    M = _triangular_solve(C, Y.conj().T, lower=True).conj().T
     return 0.5 * (M + M.conj().T)
 
 
@@ -145,7 +157,7 @@ def relative_eigenvalues(T: HermitianMatrix, omega: MetricMatrix) -> RelativeSpe
         )
     M = reduce_to_metric_frame(T.entries, omega)
     lam, V = np.linalg.eigh(M)
-    basis = scipy.linalg.solve_triangular(omega.cholesky.conj().T, V, lower=False)
+    basis = _triangular_solve(omega.cholesky.conj().T, V, lower=False)
     return RelativeSpectrum(lambdas=lam, basis=basis)
 
 

@@ -39,13 +39,10 @@ MONOTONE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ApproximationSchedule:
-    """Smooth upper approximants with penalty parameters and constants."""
+    """Smooth upper approximants with their penalty parameters."""
 
     f_sequence: tuple
     beta_schedule: tuple
-    c_constants: tuple = None
-    subsolution_constant: float = None
-    radius: float = None
 
     def __post_init__(self):
         fs = tuple(self.f_sequence)
@@ -78,11 +75,9 @@ class ApproximationSchedule:
 
     @classmethod
     def geometric(cls, f_sequence, beta_start: float = 10.0,
-                  growth: float = 2.0, radius: float = None,
-                  subsolution_constant: float = None):
+                  growth: float = 2.0):
         betas = [beta_start * growth ** k for k in range(len(f_sequence))]
-        return cls(f_sequence=tuple(f_sequence), beta_schedule=tuple(betas),
-                   radius=radius, subsolution_constant=subsolution_constant)
+        return cls(f_sequence=tuple(f_sequence), beta_schedule=tuple(betas))
 
 
 @dataclass(frozen=True)
@@ -238,25 +233,60 @@ def _bump_domination_constant(domain: GridDomain, g: MetricField, m: int) -> flo
     return C
 
 
-def _assemble(domain, target, solved, shifts, order, margins, diagnostics,
-              floor=NEG_INFINITY_FLOOR):
-    inside = _inside(domain)
-    seq = []
-    for j in order:
-        seq.append(GridFunction(domain, solved[j].flat + shifts[j]))
-    mono = -np.inf
-    for a, b in zip(seq, seq[1:]):
-        mono = max(mono, float((b.flat - a.flat)[inside].max()))
-    lower = max(
-        float((target.flat - u.flat)[inside].max()) for u in seq
-    )
-    finite = inside & (target.flat > floor)
-    deviations = tuple(
-        float(np.abs(u.flat - target.flat)[finite].max()) for u in seq
-    )
+def _sequence_gaps(seq, target: GridFunction, inside: np.ndarray):
+    """Differences of consecutive iterates with their worst value on
+    ``inside``, the worst excess of the target over an iterate, and each
+    iterate's sup deviation from the target where the target is finite."""
+    diffs = [b.flat - a.flat for a, b in zip(seq, seq[1:])]
+    worst = [float(d[inside].max()) for d in diffs]
+    lower = max(float((target.flat - u.flat)[inside].max()) for u in seq)
+    finite = inside & (target.flat > NEG_INFINITY_FLOOR)
+    deviations = tuple(float(np.abs(u.flat - target.flat)[finite].max())
+                       for u in seq)
+    return diffs, worst, lower, deviations
+
+
+def _greedy_schedule(length, iterates, inside, prepare, solve):
+    """Greedy index selection shared by both pipelines.
+
+    ``prepare(j)`` returns ``(admissible, envelope, data)`` for schedule
+    index j and runs at most once per index; ``solve(j, data)`` returns the
+    shifted solution of index j.  The first admissible index is solved,
+    then each further one is the first admissible index after the last
+    chosen one whose envelope stays below the current shifted solution on
+    ``inside``.  Returns the chosen indices and their shifted solutions.
+    """
+    prepared = {}
+    order, shifted = [], []
+    while len(order) < max(iterates, 1):
+        for j in range(order[-1] + 1 if order else 0, length):
+            if j not in prepared:
+                prepared[j] = prepare(j)
+            admissible, envelope, data = prepared[j]
+            if admissible and (not shifted or (
+                    envelope[inside]
+                    <= shifted[-1][inside] + MONOTONE_TOL).all()):
+                break
+        else:
+            if not order:
+                raise ScheduleExhausted(
+                    "no penalty parameter is large enough for its approximant"
+                )
+            raise ScheduleExhausted(
+                f"no admissible index after {order[-1]} for iterate "
+                f"{len(order) + 1}; extend the penalty schedule"
+            )
+        shifted.append(solve(j, data))
+        order.append(j)
+    return order, shifted
+
+
+def _assemble(domain, target, order, shifted, margins, diagnostics):
+    seq = [GridFunction(domain, values) for values in shifted]
+    _, worst, lower, deviations = _sequence_gaps(seq, target, _inside(domain))
     return RegularizationResult(
         u_sequence=tuple(seq),
-        monotone_gap=mono if len(seq) > 1 else 0.0,
+        monotone_gap=max(worst, default=0.0),
         lower_gap=lower,
         sup_deviation=deviations,
         indices=tuple(order),
@@ -274,24 +304,31 @@ def local_regularize(u: GridFunction, g: MetricField, m: int,
     Solves the penalized Dirichlet problem for selected schedule indices,
     shifts each solution by its correction terms, and selects indices
     greedily so the shifted solutions decrease nodewise while staying above
-    the target.
+    the target.  Every index is admissible, so the first one is index 0.
     """
     domain = u.domain
     if domain.kind != BALL:
         raise DimensionMismatchError("local regularization runs on a ball grid")
     _check_target(u, g, m)
     _check_dominates(schedule, u)
-    r = schedule.radius if schedule.radius is not None else domain.radius
-    C = schedule.subsolution_constant
-    if C is None:
-        C = _bump_domination_constant(domain, g, m)
+    r = domain.radius
+    C = _bump_domination_constant(domain, g, m)
     inside = _inside(domain)
     interior = domain.interior_mask
 
-    solved, shifts, margins = {}, {}, {}
+    margins = {}
     upper_bound_gaps, lower_bound_gaps, c_consts, mp_gaps = {}, {}, {}, {}
 
-    def solve_index(j):
+    def prepare(j):
+        f_j = schedule.f_sequence[j]
+        beta = schedule.beta_schedule[j]
+        plus = np.maximum(fm_field(f_j, g, m).flat[interior], 0.0)
+        c_j = max(float(plus.max()), math.e)
+        envelope = f_j.flat + (2.0 * C * r ** 2 + math.log(c_j)
+                               + math.log(2.0 * beta)) / beta
+        return True, envelope, c_j
+
+    def solve(j, c_j):
         f_j = schedule.f_sequence[j]
         beta = schedule.beta_schedule[j]
         rhs = RightHandSide.penalized_distance(beta, f_j)
@@ -299,12 +336,8 @@ def local_regularize(u: GridFunction, g: MetricField, m: int,
             report = solve_dirichlet(f_j, rhs, g, m, cfg)
         except (NewtonDiverged, ConeEscape) as exc:
             raise DirichletFailure(j, exc) from exc
-        plus = np.maximum(fm_field(f_j, g, m).flat[interior], 0.0)
-        c_j = max(float(plus.max()), math.e)
         sol = report.solution
         shift = 2.0 * C * r ** 2 / beta + math.log(2.0 * beta) / beta
-        solved[j] = sol
-        shifts[j] = shift
         margins[j] = report.min_cone_margin
         c_consts[j] = c_j
         mp_gaps[j] = report.max_principle_gap
@@ -315,50 +348,30 @@ def local_regularize(u: GridFunction, g: MetricField, m: int,
             (u.flat - sol.flat - C * r ** 2 / beta
              - math.log(2.0 * beta) / beta)[inside].max()
         )
-        return c_j
+        return sol.flat + shift
 
-    def envelope(j):
-        f_j = schedule.f_sequence[j]
-        beta = schedule.beta_schedule[j]
-        plus = np.maximum(fm_field(f_j, g, m).flat[interior], 0.0)
-        c_j = max(float(plus.max()), math.e)
-        return f_j.flat + (2.0 * C * r ** 2 + math.log(c_j)
-                           + math.log(2.0 * beta)) / beta
-
-    order = [0]
-    solve_index(0)
-    current = solved[0].flat + shifts[0]
-    while len(order) < iterates:
-        chosen = None
-        for j in range(order[-1] + 1, len(schedule)):
-            if (envelope(j)[inside] <= current[inside] + MONOTONE_TOL).all():
-                chosen = j
-                break
-        if chosen is None:
-            raise ScheduleExhausted(
-                f"no admissible index after {order[-1]} for iterate "
-                f"{len(order) + 1}; extend the penalty schedule"
-            )
-        solve_index(chosen)
-        order.append(chosen)
-        current = solved[chosen].flat + shifts[chosen]
-
+    order, shifted = _greedy_schedule(len(schedule), iterates, inside,
+                                      prepare, solve)
     diagnostics = {
-        "upper_bound_gaps": {j: upper_bound_gaps[j] for j in order},
-        "lower_bound_gaps": {j: lower_bound_gaps[j] for j in order},
-        "c_constants": {j: c_consts[j] for j in order},
-        "max_principle_gaps": {j: mp_gaps[j] for j in order},
+        "upper_bound_gaps": upper_bound_gaps,
+        "lower_bound_gaps": lower_bound_gaps,
+        "c_constants": c_consts,
+        "max_principle_gaps": mp_gaps,
         "subsolution_constant": C,
         "mode": "local",
     }
-    return _assemble(domain, u, solved, shifts, order, margins, diagnostics)
+    return _assemble(domain, u, order, shifted, margins, diagnostics)
 
 
 def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
                       m: int, schedule: ApproximationSchedule,
                       cfg: SolverConfig = SolverConfig(),
                       iterates: int = 3) -> RegularizationResult:
-    """Decreasing approximation on the torus for a chi-shifted target."""
+    """Decreasing approximation on the torus for a chi-shifted target.
+
+    An index is admissible when its penalty parameter beats the corridor
+    constant of its approximant; the selection skips the others.
+    """
     domain = phi.domain
     if domain.kind != TORUS:
         raise DimensionMismatchError("global regularization runs on a torus grid")
@@ -368,11 +381,9 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
     fm_chi = fm_value(chi, g.constant, m).value
     inside = _inside(domain)
 
-    solved, shifts, margins = {}, {}, {}
-    sandwich = {}
-    c_consts = {}
+    margins, sandwich, c_consts = {}, {}, {}
 
-    def beta_admissible(j):
+    def prepare(j):
         f_j = schedule.f_sequence[j]
         beta = schedule.beta_schedule[j]
         plus = np.maximum(fm_field(f_j, g, m, chi=chi).flat, 0.0)
@@ -381,12 +392,13 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
         )
         C_j = float(np.log(2.0 * corridor / fm_chi).max())
         needed = -float(f_j.flat.min()) + C_j
-        return math.log(beta) > needed, corridor, C_j
+        envelope = f_j.flat + 2.0 * math.log(beta) / beta
+        return math.log(beta) > needed, envelope, (corridor, C_j)
 
-    def solve_index(j):
+    def solve(j, data):
+        corridor, C_j = data
         f_j = schedule.f_sequence[j]
         beta = schedule.beta_schedule[j]
-        ok, corridor, C_j = beta_admissible(j)
         rhs = RightHandSide.penalized_corridor(
             beta, f_j, GridFunction(domain, corridor), fm_chi
         )
@@ -396,8 +408,6 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
             raise DirichletFailure(j, exc) from exc
         sol = report.solution
         shift = 2.0 * math.log(beta) / beta
-        solved[j] = sol
-        shifts[j] = shift
         margins[j] = report.min_cone_margin
         c_consts[j] = C_j
         scaled = (1.0 - 1.0 / beta) * phi.flat
@@ -406,46 +416,16 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
             "middle_slack": float((sol.flat + shift - scaled).min()),
             "third_gap": float((sol.flat - f_j.flat).max()),
         }
+        return sol.flat + shift
 
-    def envelope(j):
-        beta = schedule.beta_schedule[j]
-        return schedule.f_sequence[j].flat + 2.0 * math.log(beta) / beta
-
-    first = None
-    for j in range(len(schedule)):
-        if beta_admissible(j)[0]:
-            first = j
-            break
-    if first is None:
-        raise ScheduleExhausted(
-            "no penalty parameter is large enough for its approximant"
-        )
-    order = [first]
-    solve_index(first)
-    current = solved[first].flat + shifts[first]
-    while len(order) < iterates:
-        chosen = None
-        for j in range(order[-1] + 1, len(schedule)):
-            if not beta_admissible(j)[0]:
-                continue
-            if (envelope(j)[inside] <= current[inside] + MONOTONE_TOL).all():
-                chosen = j
-                break
-        if chosen is None:
-            raise ScheduleExhausted(
-                f"no admissible index after {order[-1]} for iterate "
-                f"{len(order) + 1}; extend the penalty schedule"
-            )
-        solve_index(chosen)
-        order.append(chosen)
-        current = solved[chosen].flat + shifts[chosen]
-
+    order, shifted = _greedy_schedule(len(schedule), iterates, inside,
+                                      prepare, solve)
     diagnostics = {
-        "sandwich": {j: sandwich[j] for j in order},
-        "corridor_constants": {j: c_consts[j] for j in order},
+        "sandwich": sandwich,
+        "corridor_constants": c_consts,
         "mode": "global",
     }
-    return _assemble(domain, phi, solved, shifts, order, margins, diagnostics)
+    return _assemble(domain, phi, order, shifted, margins, diagnostics)
 
 
 def verify_monotone_convergence(result: RegularizationResult,
@@ -455,22 +435,17 @@ def verify_monotone_convergence(result: RegularizationResult,
     """Check monotonicity, domination of the target, and shrinking deviation."""
     domain = target.domain
     inside = _inside(domain)
-    seq = result.u_sequence
+    diffs, worsts, lower, deviations = _sequence_gaps(result.u_sequence,
+                                                      target, inside)
     mono = 0.0
     violation = None
-    for a, b in zip(seq, seq[1:]):
-        diff = (b.flat - a.flat)
-        worst = float(diff[inside].max())
+    for diff, worst in zip(diffs, worsts):
         if worst > mono:
             mono = worst
             if worst > gap_tol:
                 flat = int(np.flatnonzero(inside & (diff >= worst - 1e-15))[0])
                 violation = tuple(int(i) for i
                                   in np.unravel_index(flat, domain.shape))
-    lower = max(float((target.flat - u.flat)[inside].max()) for u in seq)
-    finite = inside & (target.flat > NEG_INFINITY_FLOOR)
-    deviations = tuple(float(np.abs(u.flat - target.flat)[finite].max())
-                       for u in seq)
     nonincreasing = all(b <= a + gap_tol
                         for a, b in zip(deviations, deviations[1:]))
     passed = mono <= gap_tol and lower <= gap_tol and nonincreasing

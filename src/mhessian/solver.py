@@ -50,8 +50,6 @@ class SolverConfig:
     cone_floor: float = 1e-10
     damping_min_step: float = 2.0 ** -20
     initial: GridFunction = None
-    subsolution_constant: float = None  # auto-doubled when None
-    record_history: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -161,7 +159,6 @@ class SolveReport:
     final_residual: float
     min_cone_margin: float
     max_principle_gap: float
-    residual_history: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -297,10 +294,9 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
         )
     r, _ = op.residual(u, rhs, homotopy, sums)
     rnorm = float(np.abs(r).max())
-    history = [rnorm]
     for it in range(cfg.max_iterations):
         if rnorm <= cfg.tolerance:
-            return u, it, rnorm, margin, history
+            return u, it, rnorm, margin
         J = op.jacobian(u, rhs, homotopy)
         delta_unknown = _linear_solve(J, r)
         step = 1.0
@@ -326,9 +322,8 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
             raise NewtonDiverged(
                 f"no damped step reduced the residual below {rnorm:.3e}"
             )
-        history.append(rnorm)
     if rnorm <= cfg.tolerance:
-        return u, cfg.max_iterations, rnorm, margin, history
+        return u, cfg.max_iterations, rnorm, margin
     raise NewtonDiverged(
         f"residual {rnorm:.3e} above tolerance {cfg.tolerance:.1e} "
         f"after {cfg.max_iterations} iterations"
@@ -344,20 +339,13 @@ def _max_principle_gap(domain: GridDomain, u_flat, f: GridFunction) -> float:
 
 
 def subsolution_seed(f: GridFunction, g: MetricField, m: int,
-                     C: float = None, cone_floor: float = 1e-10):
+                     cone_floor: float = 1e-10):
     """Seed C(|z|^2 - r^2) + f, doubling C until strictly in the cone."""
     domain = f.domain
     if domain.kind != BALL:
         raise DimensionMismatchError("the subsolution seed is a ball construction")
     op = NodalOperator(domain, g, m)
     bump = domain.norms_squared - domain.radius ** 2
-    if C is not None:
-        u = f.flat + C * bump
-        if op.sigma(u).min() <= max(cone_floor, 1e-10):
-            raise ConeEscape(
-                f"supplied subsolution constant {C} is not strictly admissible"
-            )
-        return GridFunction(domain, u), C
     C = 1.0
     while C < 2.0 ** 60:
         u = f.flat + C * bump
@@ -377,11 +365,10 @@ def solve_dirichlet(f: GridFunction, rhs: RightHandSide, g: MetricField,
     if cfg.initial is not None:
         u0 = cfg.initial.flat.copy()
     else:
-        seed, _ = subsolution_seed(f, g, m, cfg.subsolution_constant,
-                                   cfg.cone_floor)
+        seed, _ = subsolution_seed(f, g, m, cfg.cone_floor)
         u0 = seed.flat.copy()
     u0[domain.boundary_mask] = f.flat[domain.boundary_mask]
-    u, iters, rnorm, margin, history = _newton(op, rhs, u0, cfg)
+    u, iters, rnorm, margin = _newton(op, rhs, u0, cfg)
     sol = GridFunction(domain, np.where(domain.exterior_mask, 0.0, u))
     return SolveReport(
         solution=sol,
@@ -389,7 +376,6 @@ def solve_dirichlet(f: GridFunction, rhs: RightHandSide, g: MetricField,
         final_residual=rnorm,
         min_cone_margin=margin,
         max_principle_gap=_max_principle_gap(domain, u, f),
-        residual_history=tuple(history) if cfg.record_history else (),
     )
 
 
@@ -419,14 +405,13 @@ def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
         u0 = np.full(domain.node_count, float(rhs.reference.flat.min()))
     else:
         u0 = np.zeros(domain.node_count)
-    u, iters, rnorm, margin, history = _newton(op, rhs, u0, cfg)
+    u, iters, rnorm, margin = _newton(op, rhs, u0, cfg)
     return SolveReport(
         solution=GridFunction(domain, u),
         iterations=iters,
         final_residual=rnorm,
         min_cone_margin=margin,
         max_principle_gap=float("nan"),
-        residual_history=tuple(history) if cfg.record_history else (),
     )
 
 
@@ -447,23 +432,21 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
     if t_steps < 1:
         raise DimensionMismatchError("need at least one homotopy step")
     op = _FmOperator(domain, g, m)
-    seed, C = subsolution_seed(f, g, m, cfg.subsolution_constant, cfg.cone_floor)
+    seed, _ = subsolution_seed(f, g, m, cfg.cone_floor)
     u = seed.flat.copy()
     u[domain.boundary_mask] = f.flat[domain.boundary_mask]
     base, margin = op.fm_and_margin(u)
     iters_total = 0
     rnorm = 0.0
-    history = []
     for t in np.linspace(0.0, 1.0, t_steps + 1)[1:]:
         try:
-            u, iters, rnorm, margin, h = _newton(op, rhs, u, cfg,
-                                                 homotopy=(float(t), base))
+            u, iters, rnorm, margin = _newton(op, rhs, u, cfg,
+                                              homotopy=(float(t), base))
         except (NewtonDiverged, ConeEscape) as exc:
             exc.t_failed = float(t)
             exc.args = (f"{exc.args[0]} (homotopy stage t={t:.3f})",)
             raise
         iters_total += iters
-        history.extend(h)
     sol = GridFunction(domain, np.where(domain.exterior_mask, 0.0, u))
     return SolveReport(
         solution=sol,
@@ -471,7 +454,6 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
         final_residual=rnorm,
         min_cone_margin=margin,
         max_principle_gap=_max_principle_gap(domain, u, f),
-        residual_history=tuple(history) if cfg.record_history else (),
     )
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mhessian import cli
 from mhessian.cli import main
 from mhessian.errors import ConfigError
 from mhessian.grids import GridDomain, GridFunction
@@ -146,6 +147,29 @@ class TestCommands:
         assert rc == 4
         error = json.loads((tmp_path / "z" / "error.json").read_text())
         assert "NewtonDiverged" in error["type"]
+
+    def test_missing_config_key_is_a_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "nogrid.json", {
+            "problem": "dirichlet",
+            "m": 1,
+            "boundary": {"kind": "squared_norm"},
+            "rhs": {"kind": "manufactured_quadratic"},
+        })
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+                   "--quiet"])
+        assert rc == 3
+        assert "missing config key 'grid'" in capsys.readouterr().err
+
+    def test_library_key_error_is_an_internal_error(self, tmp_path,
+                                                    monkeypatch):
+        def broken(config, out, rng):
+            return {}["artifact"]
+
+        monkeypatch.setitem(cli.COMMANDS, "eigen", broken)
+        cfg = write_config(tmp_path, "eigen.json", {"T": {"n": 1, "re": [[1]]}})
+        rc = main(["eigen", "--config", cfg, "--out", str(tmp_path / "e"),
+                   "--quiet"])
+        assert rc == 5
 
     def test_verify_suite_small(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "suite.json", {"corpus_size": 50})

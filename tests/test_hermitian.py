@@ -41,6 +41,14 @@ class TestConstruction:
         with pytest.raises(NotHermitianError):
             HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        entries = np.eye(2, dtype=complex)
+        entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(NotHermitianError):
+            HermitianMatrix(entries)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             HermitianMatrix(np.zeros((2, 3)))

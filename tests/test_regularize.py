@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from mhessian import regularize
 from mhessian.errors import (
     ChiNotPositive,
     DimensionMismatchError,
@@ -27,6 +30,20 @@ def sqn(c):
 
 def inside_mask(domain):
     return ~domain.exterior_mask
+
+
+@pytest.fixture
+def field_evaluations(monkeypatch):
+    """Count the pipelines' fm_field calls per evaluated grid function."""
+    counts = Counter()
+    real = regularize.fm_field
+
+    def counting(u, *args, **kwargs):
+        counts[id(u)] += 1
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(regularize, "fm_field", counting)
+    return counts
 
 
 class TestUpperSmoothSequence:
@@ -129,6 +146,13 @@ class TestLocalPipeline:
         gap_f = float((sched.f_sequence[j].flat - target.flat).max())
         assert devs[-1] <= budget + gap_f
 
+    def test_each_approximant_is_evaluated_once(self, field_evaluations):
+        domain, g, target, sched = self.smooth_setup(points=17)
+        res = local_regularize(target, g, 1, sched, SolverConfig(), iterates=3)
+        per_index = [field_evaluations[id(f)] for f in sched.f_sequence]
+        assert max(per_index) == 1
+        assert all(per_index[j] == 1 for j in res.indices)
+
     def test_greedy_selection_is_deterministic(self):
         domain, g, target, sched = self.smooth_setup(points=17)
         a = local_regularize(target, g, 1, sched, SolverConfig(), iterates=3)
@@ -206,6 +230,13 @@ class TestGlobalPipeline:
             assert gaps["first_gap"] >= -1e-12
             assert gaps["middle_slack"] > 0.0
             assert gaps["third_gap"] <= 1e-8
+
+    def test_each_approximant_is_evaluated_once(self, field_evaluations):
+        domain, g, chi, phi, sched = self.constants_setup()
+        res = global_regularize(phi, chi, g, 1, sched, SolverConfig(), iterates=3)
+        per_index = [field_evaluations[id(f)] for f in sched.f_sequence]
+        assert max(per_index) == 1
+        assert all(per_index[j] == 1 for j in res.indices)
 
     def test_wavy_target(self):
         domain = GridDomain.torus(1, points_per_axis=33)
