@@ -22,8 +22,8 @@ from . import __version__
 from .cones import is_m_semipositive, strong_positivity_oracle
 from .curvature import verify_bound_regime
 from .errors import ConfigError, MHessianError
-from .fm import concavity_probe, fm_gradient_diagonal, fm_product_bound, \
-    fm_value, fm_via_determinant
+from .fm import concavity_probe, fm_from_lambdas, fm_gradient_diagonal, \
+    fm_product_bound, fm_value, fm_via_determinant
 from .grids import GridDomain, GridFunction, MetricField
 from .hermitian import HermitianMatrix, MetricMatrix, matrix_from_json, \
     relative_eigenvalues
@@ -43,11 +43,38 @@ EXIT_INVARIANT = 5
 # ---------------------------------------------------------------------------
 # config helpers
 
+_REQUIRED = object()
+
+
 class ConfigTable(dict):
-    """A JSON object of a config; looking up a missing key is a ConfigError."""
+    """A JSON object of a config.
+
+    Looking up a missing key is a ConfigError, and so is a value that
+    ``number`` or ``table`` cannot read as the type asked for.
+    """
 
     def __missing__(self, key):
         raise ConfigError(f"missing config key {key!r}")
+
+    def _value(self, key, default):
+        return self[key] if default is _REQUIRED else self.get(key, default)
+
+    def number(self, key, kind, default=_REQUIRED):
+        """``kind(value)`` for ``kind`` int or float."""
+        value = self._value(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {key!r} must be {kind.__name__}, "
+                              f"got {value!r}") from exc
+
+    def table(self, key, default=_REQUIRED) -> "ConfigTable":
+        """The nested JSON object at ``key``."""
+        value = self._value(key, default)
+        if not isinstance(value, ConfigTable):
+            raise ConfigError(f"config key {key!r} must be a JSON object, "
+                              f"got {value!r}")
+        return value
 
 
 FIELD_KINDS = {}
@@ -62,20 +89,20 @@ def field_kind(name):
 
 @field_kind("constant")
 def _field_constant(cfg, coords):
-    return np.full(coords.shape[0], float(cfg.get("value", 0.0)))
+    return np.full(coords.shape[0], cfg.number("value", float, 0.0))
 
 
 @field_kind("squared_norm")
 def _field_squared_norm(cfg, coords):
-    scale = float(cfg.get("scale", 1.0))
-    offset = float(cfg.get("offset", 0.0))
+    scale = cfg.number("scale", float, 1.0)
+    offset = cfg.number("offset", float, 0.0)
     return scale * (coords ** 2).sum(axis=-1) + offset
 
 
 @field_kind("quadratic_plus_exp")
 def _field_quadratic_plus_exp(cfg, coords):
-    scale = float(cfg.get("scale", 0.05))
-    offset = float(cfg.get("offset", 0.0))
+    scale = cfg.number("scale", float, 0.05)
+    offset = cfg.number("offset", float, 0.0)
     return (coords ** 2).sum(axis=-1) + scale * np.exp(coords[:, 0]) + offset
 
 
@@ -83,68 +110,72 @@ def _field_quadratic_plus_exp(cfg, coords):
 def _field_max_re(cfg, coords):
     if coords.shape[1] < 4:
         raise ConfigError("max_re needs complex dimension >= 2")
-    offset = float(cfg.get("offset", 0.0))
+    offset = cfg.number("offset", float, 0.0)
     return np.maximum(coords[:, 0], coords[:, 2]) + offset
 
 
 @field_kind("cos_wave")
 def _field_cos_wave(cfg, coords):
-    amplitude = float(cfg.get("amplitude", 1.0))
-    offset = float(cfg.get("offset", 0.0))
-    axis = int(cfg.get("axis", 0))
+    amplitude = cfg.number("amplitude", float, 1.0)
+    offset = cfg.number("offset", float, 0.0)
+    axis = cfg.number("axis", int, 0)
+    if not 0 <= axis < coords.shape[1]:
+        raise ConfigError(f"cos_wave axis {axis} outside "
+                          f"0..{coords.shape[1] - 1}")
     return amplitude * np.cos(2.0 * np.pi * coords[:, axis]) + offset
 
 
-def field_from_config(cfg: dict):
+def field_from_config(cfg: ConfigTable):
     kind = cfg.get("kind")
-    if kind not in FIELD_KINDS:
+    if not isinstance(kind, str) or kind not in FIELD_KINDS:
         raise ConfigError(f"unknown field kind {kind!r}; "
                           f"expected one of {sorted(FIELD_KINDS)}")
     return lambda coords: FIELD_KINDS[kind](cfg, coords)
 
 
-def metric_from_config(cfg, n: int) -> MetricMatrix:
-    if cfg is None:
+def metric_from_config(config: ConfigTable, key: str, n: int) -> MetricMatrix:
+    if config.get(key) is None:
         return MetricMatrix.identity(n)
-    return MetricMatrix(matrix_from_json(cfg))
+    return MetricMatrix(matrix_from_json(config.table(key)))
 
 
-def solver_config_from(config: dict) -> SolverConfig:
+def solver_config_from(config: ConfigTable) -> SolverConfig:
     """Solver settings, read from a nested "solver" table or flat keys."""
-    config = config or {}
-    nested = config.get("solver", {})
+    nested = config.table("solver", ConfigTable())
 
-    def pick(key, default):
-        return nested.get(key, config.get(key, default))
+    def pick(key, kind, default):
+        return (nested if key in nested else config).number(key, kind, default)
 
     return SolverConfig(
-        tolerance=float(pick("tolerance", 1e-9)),
-        max_iterations=int(pick("max_iterations", 100)),
-        t_steps=int(pick("t_steps", 8)),
-        cone_floor=float(pick("cone_floor", 1e-10)),
-        damping_min_step=float(pick("damping_min_step", 2.0 ** -20)),
+        tolerance=pick("tolerance", float, 1e-9),
+        max_iterations=pick("max_iterations", int, 100),
+        t_steps=pick("t_steps", int, 8),
+        cone_floor=pick("cone_floor", float, 1e-10),
+        damping_min_step=pick("damping_min_step", float, 2.0 ** -20),
     )
 
 
-def rhs_from_config(cfg: dict, m: int, reference: GridFunction) -> RightHandSide:
+def rhs_from_config(cfg: ConfigTable, m: int,
+                    reference: GridFunction) -> RightHandSide:
     kind = cfg.get("kind")
     if kind == "manufactured_quadratic":
         return RightHandSide.manufactured_quadratic(m)
     if kind == "scaled_exponential":
-        amplitude = field_from_config(cfg["amplitude"])
-        shift = field_from_config(cfg["shift"])
+        amplitude = field_from_config(cfg.table("amplitude"))
+        shift = field_from_config(cfg.table("shift"))
         return RightHandSide.scaled_exponential(amplitude, shift)
     if kind == "penalized_distance":
-        return RightHandSide.penalized_distance(float(cfg["beta"]), reference)
+        return RightHandSide.penalized_distance(cfg.number("beta", float),
+                                                reference)
     raise ConfigError(f"unknown rhs kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def run_eigen(config: dict, out: Path, rng) -> dict:
-    T = matrix_from_json(config["T"])
-    omega = metric_from_config(config.get("omega"), T.dim)
+def run_eigen(config: ConfigTable, out: Path, rng) -> dict:
+    T = matrix_from_json(config.table("T"))
+    omega = metric_from_config(config, "omega", T.dim)
     spec = relative_eigenvalues(T, omega)
     write_csv_rows(out / "eigenvalues.csv", ["index", "lambda"],
                    [(k, v) for k, v in enumerate(spec.lambdas)])
@@ -154,10 +185,10 @@ def run_eigen(config: dict, out: Path, rng) -> dict:
             "report.json": ["hermitian", "relative_eigenvalues"]}
 
 
-def run_cone(config: dict, out: Path, rng) -> dict:
-    T = matrix_from_json(config["T"])
-    omega = metric_from_config(config.get("omega"), T.dim)
-    m = int(config["m"])
+def run_cone(config: ConfigTable, out: Path, rng) -> dict:
+    T = matrix_from_json(config.table("T"))
+    omega = metric_from_config(config, "omega", T.dim)
+    m = config.number("m", int)
     verdict = is_m_semipositive(T, omega, m)
     oracle = strong_positivity_oracle(T, omega, m)
     data = {"verdict": verdict.to_json(), "oracle": oracle.to_json(),
@@ -170,10 +201,10 @@ def run_cone(config: dict, out: Path, rng) -> dict:
             "cone.csv": ["cones", "strong_positivity_oracle"]}
 
 
-def run_fm(config: dict, out: Path, rng) -> dict:
-    T = matrix_from_json(config["T"])
-    omega = metric_from_config(config.get("omega"), T.dim)
-    m = int(config["m"])
+def run_fm(config: ConfigTable, out: Path, rng) -> dict:
+    T = matrix_from_json(config.table("T"))
+    omega = metric_from_config(config, "omega", T.dim)
+    m = config.number("m", int)
     fv = fm_value(T, omega, m)
     det_route = fm_via_determinant(T, omega, m) if fv.value > 0 else None
     write_json({"value": fv.value, "msums": fv.msums.tolist(),
@@ -184,29 +215,29 @@ def run_fm(config: dict, out: Path, rng) -> dict:
     return {"report.json": ["fm", "fm_value"], "msums.csv": ["fm", "fm_value"]}
 
 
-def run_solve(config: dict, out: Path, rng) -> dict:
+def run_solve(config: ConfigTable, out: Path, rng) -> dict:
     problem = config.get("problem", "dirichlet")
-    domain = domain_from_config(config["grid"])
-    m = int(config["m"])
+    domain = domain_from_config(config.table("grid"))
+    m = config.number("m", int)
     g = MetricField(domain=domain,
-                    constant=metric_from_config(config.get("metric"), domain.n))
+                    constant=metric_from_config(config, "metric", domain.n))
     cfg = solver_config_from(config)
     if problem == "dirichlet":
         boundary = GridFunction.from_callable(
-            domain, field_from_config(config["boundary"])
+            domain, field_from_config(config.table("boundary"))
         )
-        rhs = rhs_from_config(config["rhs"], m, boundary)
+        rhs = rhs_from_config(config.table("rhs"), m, boundary)
         if config.get("homotopy", True):
             report = continuity_path(boundary, rhs, g, m, cfg)
         else:
             report = solve_dirichlet(boundary, rhs, g, m, cfg)
         gap = max_principle_check(report, boundary)
     elif problem == "torus":
-        chi = matrix_from_json(config["chi"])
+        chi = matrix_from_json(config.table("chi"))
         reference = GridFunction.from_callable(
-            domain, field_from_config(config["reference"])
+            domain, field_from_config(config.table("reference"))
         )
-        rhs = rhs_from_config(config["rhs"], m, reference)
+        rhs = rhs_from_config(config.table("rhs"), m, reference)
         report = solve_torus(chi, rhs, g, m, cfg)
         gap = None
     else:
@@ -222,35 +253,35 @@ def run_solve(config: dict, out: Path, rng) -> dict:
             for name in ("report.json", "solution.csv", "solution.bin")}
 
 
-def run_regularize(config: dict, out: Path, rng) -> dict:
+def run_regularize(config: ConfigTable, out: Path, rng) -> dict:
     mode = config.get("mode", "local")
-    domain = domain_from_config(config["grid"])
-    m = int(config["m"])
+    domain = domain_from_config(config.table("grid"))
+    m = config.number("m", int)
     g = MetricField(domain=domain,
-                    constant=metric_from_config(config.get("metric"), domain.n))
+                    constant=metric_from_config(config, "metric", domain.n))
     target = GridFunction.from_callable(
-        domain, field_from_config(config["target"])
+        domain, field_from_config(config.table("target"))
     )
     cfg = solver_config_from(config)
-    sched_cfg = config.get("schedule", {})
-    count = int(sched_cfg.get("count", 6))
-    if "approximants" in sched_cfg and sched_cfg["approximants"] == "smooth":
+    sched_cfg = config.table("schedule", ConfigTable())
+    count = sched_cfg.number("count", int, 6)
+    if sched_cfg.get("approximants") == "smooth":
         fs = upper_smooth_sequence(target, count)
     else:
-        eta0 = float(sched_cfg.get("eta_start", 0.5))
-        decay = float(sched_cfg.get("eta_decay", 0.25))
+        eta0 = sched_cfg.number("eta_start", float, 0.5)
+        decay = sched_cfg.number("eta_decay", float, 0.25)
         fs = [GridFunction(domain, target.flat + eta0 * decay ** k)
               for k in range(count)]
     schedule = ApproximationSchedule.geometric(
         fs,
-        beta_start=float(sched_cfg.get("beta_start", 10.0)),
-        growth=float(sched_cfg.get("growth", 2.0)),
+        beta_start=sched_cfg.number("beta_start", float, 10.0),
+        growth=sched_cfg.number("growth", float, 2.0),
     )
-    iterates = int(config.get("iterates", 3))
+    iterates = config.number("iterates", int, 3)
     if mode == "local":
         result = local_regularize(target, g, m, schedule, cfg, iterates)
     elif mode == "global":
-        chi = matrix_from_json(config["chi"])
+        chi = matrix_from_json(config.table("chi"))
         result = global_regularize(target, chi, g, m, schedule, cfg, iterates)
     else:
         raise ConfigError(f"unknown regularization mode {mode!r}")
@@ -278,7 +309,7 @@ def run_regularize(config: dict, out: Path, rng) -> dict:
     return artifacts
 
 
-def run_verify_suite(config: dict, out: Path, rng) -> dict:
+def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
     rows = []
 
     def record(name, cases, failures):
@@ -303,7 +334,7 @@ def run_verify_suite(config: dict, out: Path, rng) -> dict:
 
     # oracle equivalence and monotonicity on one seeded corpus
     fails_eq = fails_mono = 0
-    n_cases = int(config.get("corpus_size", 1000))
+    n_cases = config.number("corpus_size", int, 1000)
     for _ in range(n_cases):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, n + 1))
@@ -329,7 +360,6 @@ def run_verify_suite(config: dict, out: Path, rng) -> dict:
             up, dn = lam.copy(), lam.copy()
             up[p] += h
             dn[p] -= h
-            from .fm import fm_from_lambdas
             fd = (fm_from_lambdas(up, m).value
                   - fm_from_lambdas(dn, m).value) / (2 * h)
             if abs(fd - grad[p]) > 1e-6 * max(1.0, abs(fd)):
@@ -455,20 +485,23 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    if args.grid_override is not None and "grid" in config:
-        config["grid"]["points_per_axis"] = args.grid_override
-    manifest = {
-        "command": args.command,
-        "config_path": args.config,
-        "output_dir": str(out),
-        "seed": args.seed,
-        "config_sha256": config_hash,
-        "resolved_config": config,
-        "package_version": __version__,
-    }
-    write_json(manifest, out / "manifest.json")
     rng = np.random.default_rng(args.seed)
     try:
+        if not isinstance(config, ConfigTable):
+            raise ConfigError("config must be a JSON object, got "
+                              f"{type(config).__name__}")
+        if args.grid_override is not None and "grid" in config:
+            config.table("grid")["points_per_axis"] = args.grid_override
+        manifest = {
+            "command": args.command,
+            "config_path": args.config,
+            "output_dir": str(out),
+            "seed": args.seed,
+            "config_sha256": config_hash,
+            "resolved_config": config,
+            "package_version": __version__,
+        }
+        write_json(manifest, out / "manifest.json")
         artifacts = COMMANDS[args.command](config, out, rng)
         manifest["artifacts"] = artifacts or {}
         write_json(manifest, out / "manifest.json")

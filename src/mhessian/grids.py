@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, StencilError
-from .fm import CONE_TOL, geometric_mean_clamped
+from .fm import CONE_TOL, _check_m, geometric_mean_clamped
 from .hermitian import HermitianMatrix, MetricMatrix
 from .multiindex import subset_sums
 
@@ -283,6 +283,7 @@ class NodalOperator:
                  chi: HermitianMatrix = None, nodes: np.ndarray = None):
         if g.domain != domain:
             raise DimensionMismatchError("metric field lives on a different grid")
+        _check_m(domain.n, m)
         self.domain = domain
         self.m = m
         self.nodes = np.flatnonzero(domain.interior_mask) if nodes is None \

@@ -15,7 +15,12 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, NotHermitianError, NotPositiveDefiniteError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NotHermitianError,
+    NotPositiveDefiniteError,
+)
 
 # Hermitian-symmetry defect tolerated on construction (relative to scale).
 HERMITIAN_TOL = 1e-14
@@ -191,9 +196,12 @@ def matrix_to_json(mat) -> dict:
 
 
 def matrix_from_json(data: dict) -> HermitianMatrix:
-    n = int(data["n"])
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros((n, n))), dtype=float)
+    try:
+        n = int(data["n"])
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data.get("im", np.zeros((n, n))), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed matrix payload: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise DimensionMismatchError("matrix payload shape does not match n")
     return HermitianMatrix(re + 1j * im)

@@ -103,9 +103,11 @@ def domain_from_config(cfg: dict) -> GridDomain:
         kind = cfg["kind"]
         n = int(cfg["n"])
         ppa = int(cfg["points_per_axis"])
+        radius = float(cfg.get("radius", 1.0))
     except KeyError as exc:
         raise ConfigError(f"grid config missing key {exc}") from exc
-    radius = float(cfg.get("radius", 1.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid grid config: {exc}") from exc
     try:
         return GridDomain(n=n, kind=kind, points_per_axis=ppa, radius=radius)
     except DimensionMismatchError as exc:

@@ -160,6 +160,27 @@ class TestCommands:
         assert rc == 3
         assert "missing config key 'grid'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        [1, 2],
+        {"problem": "dirichlet", "m": "x",
+         "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
+         "boundary": {"kind": "squared_norm"},
+         "rhs": {"kind": "manufactured_quadratic"}},
+        {"problem": "dirichlet", "m": 2,
+         "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
+         "boundary": {"kind": "squared_norm"},
+         "rhs": {"kind": "manufactured_quadratic"}},
+    ], ids=["top_level_list", "non_integer_m", "m_above_n"])
+    def test_malformed_config_is_a_validation_error(self, tmp_path, capsys,
+                                                    config):
+        cfg = write_config(tmp_path, "bad.json", config)
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+                   "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(("validation error:", "run failed:"))
+        assert "Traceback" not in err
+
     def test_library_key_error_is_an_internal_error(self, tmp_path,
                                                     monkeypatch):
         def broken(config, out, rng):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from mhessian import solver
 from mhessian.errors import ChiNotPositive, ConeEscape, IllPosedRHS, NewtonDiverged
 from mhessian.fm import fm_value
 from mhessian.grids import GridDomain, GridFunction, MetricField, fm_field
@@ -8,6 +10,8 @@ from mhessian.hermitian import HermitianMatrix
 from mhessian.solver import (
     RightHandSide,
     SolverConfig,
+    _FmOperator,
+    _linear_solve,
     continuity_path,
     max_principle_check,
     solve_dirichlet,
@@ -35,6 +39,88 @@ def quadratic_setup(n, points, m):
     return domain, g, f, rhs
 
 
+def seed_with_boundary(f, g, m=1):
+    """The solver's initial iterate: the subsolution seed with f on the
+    boundary."""
+    seed, _ = subsolution_seed(f, g, m)
+    u = seed.flat.copy()
+    u[f.domain.boundary_mask] = f.flat[f.domain.boundary_mask]
+    return u
+
+
+def ball_c2_system(points=9):
+    """First Newton Jacobian and residual of the C^2 quadratic ball solve."""
+    domain, g, f, rhs = quadratic_setup(2, points, 1)
+    op = _FmOperator(domain, g, 1)
+    u = seed_with_boundary(f, g)
+    r, _ = op.residual(u, rhs)
+    return op.jacobian(u, rhs), r
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts of the factorizing calls of scipy.sparse.linalg by name."""
+    counts = dict.fromkeys(("splu", "spsolve", "spilu"), 0)
+    for name in counts:
+        original = getattr(scipy.sparse.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, name, counted)
+    return counts
+
+
+def meets_contract(J, delta, r):
+    return np.abs(J @ delta + r).max() <= 1e-10 * np.abs(r).max()
+
+
+class TestLinearSolve:
+    def test_right_hand_side_scale_changes_nothing(self, factorizations):
+        # unscaled, BiCGSTAB's absolute breakdown test stops it (info -10)
+        # on this right-hand side, and a factorization takes over
+        J, r = ball_c2_system()
+        delta = _linear_solve(J, r)
+        small = _linear_solve(J, r * 2.0 ** -40)
+        assert np.array_equal(small, delta * 2.0 ** -40)
+        assert meets_contract(J, small, r * 2.0 ** -40)
+        assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0}
+
+    @pytest.mark.parametrize("fallback", ["splu", "spilu"])
+    def test_zero_diagonal_falls_back_to_a_factorization(
+            self, factorizations, monkeypatch, fallback):
+        # Jacobi needs a nonzero diagonal; the size picks the factorization
+        J, r = ball_c2_system()
+        J[0, 0] = 0.0
+        if fallback == "spilu":
+            monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", J.shape[0] - 1)
+        assert meets_contract(J, _linear_solve(J, r), r)
+        assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0,
+                                  fallback: 1}
+
+    def test_jacobian_matches_per_stencil_assembly(self):
+        domain, g, f, rhs = quadratic_setup(2, 7, 1)
+        op = _FmOperator(domain, g, 1)
+        u = seed_with_boundary(f, g)
+        lam, V = op.eigh(u)
+        grad = solver.fm_gradient_diagonal(lam, 1)
+        M = np.einsum("kpi,ki,kqi->kpq", V, grad, np.conj(V))
+        _, dG = rhs(op.coords, u[op.nodes], op.nodes)
+        unknown = np.full(domain.node_count, -1)
+        unknown[op.nodes] = np.arange(op.nodes.size)
+        expected = np.zeros((op.nodes.size,) * 2)
+        for s, W in enumerate(op.weights):
+            entry = np.einsum("kpq,qp->k", M, W).real
+            if s == op.center:
+                entry = entry - dG
+            for k, col in enumerate(unknown[op.neighbors[s]]):
+                if col >= 0:
+                    expected[k, col] += entry[k]
+        J = op.jacobian(u, rhs).toarray()
+        np.testing.assert_allclose(J, expected, rtol=0, atol=1e-13)
+
+
 class TestManufacturedQuadratic:
     def test_c1_exact_recovery(self):
         domain, g, f, rhs = quadratic_setup(1, 33, 1)
@@ -43,11 +129,12 @@ class TestManufacturedQuadratic:
         assert report.min_cone_margin > 0
         assert interior_error(report, f.flat) <= 1e-10
 
-    def test_c2_exact_recovery_both_orders(self):
+    def test_c2_exact_recovery_both_orders(self, factorizations):
         for m in (1, 2):
             domain, g, f, rhs = quadratic_setup(2, 9, m)
             report = solve_dirichlet(f, rhs, g, m)
             assert interior_error(report, f.flat) <= 1e-10
+        assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0}
 
     def test_boundary_values_exact(self):
         domain, g, f, rhs = quadratic_setup(1, 17, 1)
@@ -198,10 +285,8 @@ class TestContinuityPath:
         domain, g, f, rhs = quadratic_setup(1, 17, 1)
         from mhessian.solver import _FmOperator
 
-        seed, _ = subsolution_seed(f, g, 1)
         op = _FmOperator(domain, g, 1)
-        u = seed.flat.copy()
-        u[domain.boundary_mask] = f.flat[domain.boundary_mask]
+        u = seed_with_boundary(f, g)
         base, _ = op.fm_and_margin(u)
         res, _ = op.residual(u, rhs, homotopy=(0.0, base))
         assert np.abs(res).max() == 0.0
