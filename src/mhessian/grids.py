@@ -11,6 +11,7 @@ difference weights through the same algebra as `complex_hessian_point`,
 so quadratics are reproduced exactly.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -23,6 +24,13 @@ from .multiindex import subset_sums
 
 BALL = "ball"
 TORUS = "torus"
+
+# Largest grid a domain may have.  Every field evaluation holds, per node, a
+# float64 value, 2n coordinates, an int64 neighbour table of one entry per
+# stencil point (25 on C^2) and the n x n complex Hessians; at 2^20 nodes
+# that is already about 0.4 GB on C^2, and Newton solves on far smaller
+# grids take minutes.
+MAX_NODES = 2 ** 20
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +103,12 @@ class GridDomain:
             raise DimensionMismatchError("points_per_axis must be odd and >= 5")
         if self.n < 1:
             raise DimensionMismatchError("complex dimension must be >= 1")
+        # in logarithms, so that a huge n costs nothing to reject
+        if 2 * self.n * math.log(self.points_per_axis) > math.log(MAX_NODES):
+            raise DimensionMismatchError(
+                f"grid of {self.points_per_axis}^{2 * self.n} nodes exceeds "
+                f"the limit of {MAX_NODES} nodes"
+            )
         if self.kind == BALL and not self.radius > 0:
             raise DimensionMismatchError("ball radius must be positive")
 
@@ -177,6 +191,18 @@ class GridDomain:
     @property
     def exterior_mask(self) -> np.ndarray:
         return self._masks[2]
+
+    @cached_property
+    def interior_neighbors(self):
+        """Interior nodes and their neighbour table, both read-only.
+
+        Returns (nodes, table) with ``table = neighbor_indices(nodes)``.
+        """
+        nodes = np.flatnonzero(self.interior_mask)
+        table = self.neighbor_indices(nodes)
+        nodes.setflags(write=False)
+        table.setflags(write=False)
+        return nodes, table
 
     def neighbor_indices(self, flat_nodes: np.ndarray) -> np.ndarray:
         """Flat indices of every stencil neighbor, shape (S, len(flat_nodes))."""
@@ -268,6 +294,51 @@ def _hermitian_part(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
 
 
+def _eigh(H: np.ndarray, vectors: bool):
+    """Ascending eigenvalues of the Hermitian batch H, shape (K, n, n), and
+    with ``vectors`` the unitary eigenvector matrices, as ``np.linalg.eigh``
+    returns them.
+
+    LAPACK spends almost all its time on per-matrix overhead at n <= 2, so
+    those sizes are solved in closed form; at n = 1 the result is
+    bit-identical to LAPACK's.
+    """
+    n = H.shape[-1]
+    if n >= 3:
+        return np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
+    if n == 1:
+        lam = H[:, 0].real.copy()
+        return (lam, np.ones_like(H)) if vectors else lam
+    # H = [[a, b], [conj b, d]] has eigenvalues h -+ r
+    a = H[:, 0, 0].real
+    d = H[:, 1, 1].real
+    b = H[:, 0, 1]
+    delta = 0.5 * (a - d)
+    abs_b = np.abs(b)
+    r = np.hypot(delta, abs_b)
+    h = 0.5 * (a + d)
+    lam = np.stack([h - r, h + r], axis=-1)
+    if not vectors:
+        return lam
+    # the eigenvector (x, y) of h + r, read off the row of H - (h + r) I
+    # that has no cancellation: (delta + r, conj b) for delta >= 0, else
+    # (b, r - delta); the other eigenvector is its unitary complement
+    p = np.abs(delta) + r
+    norm = np.hypot(p, abs_b)
+    degenerate = norm == 0.0  # H = h I: every basis diagonalizes it
+    norm[degenerate] = 1.0
+    upper = delta >= 0.0
+    x = np.where(upper, p, b) / norm
+    y = np.where(upper, b.conj(), p) / norm
+    y[degenerate] = 1.0
+    V = np.empty_like(H)
+    V[:, 0, 0] = y.conj()
+    V[:, 1, 0] = -x.conj()
+    V[:, 0, 1] = x
+    V[:, 1, 1] = y
+    return lam, V
+
+
 class NodalOperator:
     """Discrete complex Hessians in the metric frame over a fixed node set.
 
@@ -276,7 +347,8 @@ class NodalOperator:
     background form is C^{-1} chi C^{-H}.  The ordinary Hermitian spectrum
     of a folded Hessian is its spectrum relative to the metric, so
     ``sigma`` returns the m-fold relative eigenvalue sums at every node.
-    The nodes default to the interior nodes.
+    The nodes default to the interior nodes, whose neighbour table the
+    domain builds once.
     """
 
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
@@ -286,9 +358,11 @@ class NodalOperator:
         _check_m(domain.n, m)
         self.domain = domain
         self.m = m
-        self.nodes = np.flatnonzero(domain.interior_mask) if nodes is None \
-            else nodes
-        self.neighbors = domain.neighbor_indices(self.nodes)  # (S, K)
+        if nodes is None:
+            self.nodes, self.neighbors = domain.interior_neighbors
+        else:
+            self.nodes = nodes
+            self.neighbors = domain.neighbor_indices(nodes)  # (S, K)
         Cinv = np.linalg.inv(g.constant.cholesky)
         CinvH = Cinv.conj().T
         _, weights = stencil(domain.n)
@@ -306,11 +380,12 @@ class NodalOperator:
 
     def sigma(self, u_flat: np.ndarray) -> np.ndarray:
         """All m-fold relative eigenvalue sums per node, (K, C(n, m))."""
-        return subset_sums(np.linalg.eigvalsh(self.hessians(u_flat)), self.m)
+        return subset_sums(_eigh(self.hessians(u_flat), vectors=False),
+                           self.m)
 
     def eigh(self, u_flat: np.ndarray):
         """Relative eigenvalues and metric-frame eigenvectors per node."""
-        return np.linalg.eigh(self.hessians(u_flat))
+        return _eigh(self.hessians(u_flat), vectors=True)
 
 
 def hessian_stack(u: GridFunction, flat_nodes: np.ndarray,

@@ -10,6 +10,7 @@ eigenvalue sum.  An optional homotopy interpolates from the exactly known
 subsolution ``C(|z|^2 - r^2) + f`` to the target equation.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ from .grids import (
 )
 from .hermitian import HermitianMatrix, relative_eigenvalues
 from .multiindex import subset_sums
+
+logger = logging.getLogger(__name__)
 
 # exponent window for exponential right-hand sides; the upper clamp only
 # affects transient Newton states, the lower one avoids spurious zero slopes
@@ -280,7 +283,14 @@ def _linear_solve(J, r):
         )
         if info == 0 and _check_linear_residual(J, delta, r, denom):
             return delta / scale
-    if J.shape[0] <= DIRECT_SOLVE_LIMIT:
+        failure = f"BiCGSTAB info={info}"
+    else:
+        failure = "zero on the diagonal, BiCGSTAB not run"
+    direct = J.shape[0] <= DIRECT_SOLVE_LIMIT
+    # INFO, not WARNING: Python's last-resort handler keeps it off stderr
+    logger.info("Jacobi-BiCGSTAB failed on %d unknowns (%s); falling back "
+                "to %s", J.shape[0], failure, "splu" if direct else "spilu")
+    if direct:
         try:
             lu = scipy.sparse.linalg.splu(J.tocsc(),
                                           permc_spec="MMD_AT_PLUS_A")

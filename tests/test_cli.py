@@ -170,7 +170,11 @@ class TestCommands:
          "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
          "boundary": {"kind": "squared_norm"},
          "rhs": {"kind": "manufactured_quadratic"}},
-    ], ids=["top_level_list", "non_integer_m", "m_above_n"])
+        {"problem": "dirichlet", "m": 1,
+         "grid": {"n": 99, "kind": "ball", "points_per_axis": 9},
+         "boundary": {"kind": "squared_norm"},
+         "rhs": {"kind": "manufactured_quadratic"}},
+    ], ids=["top_level_list", "non_integer_m", "m_above_n", "oversized_grid"])
     def test_malformed_config_is_a_validation_error(self, tmp_path, capsys,
                                                     config):
         cfg = write_config(tmp_path, "bad.json", config)

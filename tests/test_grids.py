@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhessian.cones import is_m_semipositive
 from mhessian.errors import DimensionMismatchError, StencilError
 from mhessian.fm import fm_value
 from mhessian.grids import (
+    MAX_NODES,
     ConeFieldReport,
     GridDomain,
     GridFunction,
     MetricField,
+    NodalOperator,
+    _eigh,
     cone_field,
     fd_complex_hessian,
     fm_field,
@@ -17,7 +22,16 @@ from mhessian.grids import (
 )
 from mhessian.hermitian import HermitianMatrix
 
-from conftest import CHI, FORM, OMEGA, hessian_is_form
+from conftest import (
+    CHI,
+    FORM,
+    OMEGA,
+    hessian_is_form,
+    random_hermitian,
+    random_metric,
+)
+
+EPS = np.finfo(float).eps
 
 
 def squared_norm(coords):
@@ -42,6 +56,22 @@ class TestDomain:
             GridDomain(n=1, kind="disc", points_per_axis=9)
         with pytest.raises(DimensionMismatchError):
             GridDomain(n=0, kind="ball", points_per_axis=9)
+
+    def test_node_count_limit(self):
+        assert 1023 ** 2 <= MAX_NODES < 1025 ** 2
+        GridDomain(n=1, kind="torus", points_per_axis=1023)
+        for n, points in ((1, 1025), (99, 9), (10 ** 9, 5)):
+            with pytest.raises(DimensionMismatchError, match="exceeds"):
+                GridDomain(n=n, kind="ball", points_per_axis=points)
+
+    def test_interior_neighbor_table_is_built_once(self):
+        d = GridDomain.ball(2, radius=1.0, points_per_axis=9)
+        g = MetricField.flat(d)
+        assert NodalOperator(d, g, 1).neighbors is NodalOperator(d, g, 2).neighbors
+        nodes, table = d.interior_neighbors
+        assert np.array_equal(nodes, np.flatnonzero(d.interior_mask))
+        assert np.array_equal(table, d.neighbor_indices(nodes))
+        assert not nodes.flags.writeable and not table.flags.writeable
 
     def test_ball_masks_partition(self):
         d = GridDomain.ball(1, radius=1.0, points_per_axis=17)
@@ -302,3 +332,100 @@ class TestNonFlatMetric:
             vals = fm_field(u, g, m, chi=CHI).flat[inner]
             expected = fm_value(FORM.plus(CHI), OMEGA, m).value
             assert np.abs(vals - expected).max() <= 1e-12
+
+
+def hermitian_2x2(a, d, b):
+    """Batch of [[a, b], [conj b, d]] from broadcastable entries."""
+    a, d, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                  np.asarray(d, dtype=float),
+                                  np.asarray(b, dtype=complex))
+    H = np.empty(a.shape + (2, 2), dtype=complex)
+    H[:, 0, 0] = a
+    H[:, 1, 1] = d
+    H[:, 0, 1] = b
+    H[:, 1, 0] = np.conj(b)
+    return H
+
+
+def assert_matches_lapack(H):
+    """Eigenvalues within 8 eps ||H|| of LAPACK's, unitary eigenvectors and
+    H V = V diag(lambda) to the same bound, per matrix."""
+    ref = np.linalg.eigvalsh(H)
+    bound = 8 * EPS * np.abs(ref).max(axis=-1)
+    lam = _eigh(H, False)
+    lam_v, V = _eigh(H, True)
+    assert np.array_equal(lam, lam_v)
+    assert (np.abs(lam - ref).max(axis=-1) <= bound).all()
+    gram = np.conj(np.swapaxes(V, -1, -2)) @ V
+    assert np.abs(gram - np.eye(2)).max() <= 8 * EPS
+    residual = np.abs(H @ V - V * lam[:, None, :]).max(axis=(-2, -1))
+    assert (residual <= bound).all()
+
+
+def _random_2x2(scale):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
+    return scale * 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
+
+
+_PHASES = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))
+_LEVELS = np.array([0.0, 1.0, -2.5, 1e-150, 1e150])
+EDGE_CASES = {
+    "multiples_of_identity": hermitian_2x2(_LEVELS, _LEVELS, 0.0),
+    "diagonal_a_above_d": hermitian_2x2([3.0, 1.0, 2e-150, 2e150],
+                                        [-1.0, 1.0 - EPS, 1e-150, -1e150],
+                                        0.0),
+    "diagonal_a_below_d": hermitian_2x2([-1.0, 1.0 - EPS, 1e-150, -1e150],
+                                        [3.0, 1.0, 2e-150, 2e150], 0.0),
+    "tiny_off_diagonal": np.concatenate([
+        hermitian_2x2(a, d, 1e-300 * _PHASES)
+        for a, d in ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.0, 0.0))]),
+    "scaled_down": _random_2x2(1e-150),
+    "scaled_up": _random_2x2(1e150),
+}
+
+_entry = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+class TestEigensolver:
+    @given(rows=st.lists(st.tuples(_entry, _entry, _entry, _entry),
+                         min_size=1, max_size=16),
+           scale=st.sampled_from([1e-150, 1.0, 1e150]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_2x2_batches_match_lapack(self, rows, scale):
+        a, d, re, im = (np.array(col) for col in zip(*rows))
+        assert_matches_lapack(scale * hermitian_2x2(a, d, re + 1j * im))
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_edge_cases_match_lapack(self, case):
+        assert_matches_lapack(EDGE_CASES[case])
+
+    def test_degenerate_matrices_keep_the_identity(self):
+        lam, V = _eigh(EDGE_CASES["multiples_of_identity"], True)
+        assert np.array_equal(lam, np.stack([_LEVELS, _LEVELS], axis=-1))
+        assert np.array_equal(V, np.broadcast_to(np.eye(2), V.shape))
+
+    def test_c1_operator_is_lapack_bit_for_bit(self, rng):
+        d = GridDomain.ball(1, radius=1.0, points_per_axis=17)
+        g = MetricField(domain=d, constant=random_metric(rng, 1))
+        u = rng.normal(size=d.node_count)
+        op = NodalOperator(d, g, 1, chi=HermitianMatrix([[0.3]]))
+        H = op.hessians(u)
+        assert np.array_equal(op.sigma(u), np.linalg.eigvalsh(H))
+        for mine, lapack in zip(op.eigh(u), np.linalg.eigh(H)):
+            assert mine.dtype == lapack.dtype
+            assert np.array_equal(mine, lapack)
+
+    def test_lapack_runs_from_n_3_only(self, rng, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            def counted(H, _name=name, _original=getattr(np.linalg, name)):
+                calls.append((_name, H.shape[-1]))
+                return _original(H)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        for n in (1, 2, 3):
+            H = np.stack([random_hermitian(rng, n).entries for _ in range(5)])
+            _eigh(H, False)
+            _eigh(H, True)
+        assert calls == [("eigvalsh", 3), ("eigh", 3)]

@@ -89,15 +89,46 @@ class TestLinearSolve:
 
     @pytest.mark.parametrize("fallback", ["splu", "spilu"])
     def test_zero_diagonal_falls_back_to_a_factorization(
-            self, factorizations, monkeypatch, fallback):
+            self, factorizations, monkeypatch, caplog, fallback):
         # Jacobi needs a nonzero diagonal; the size picks the factorization
         J, r = ball_c2_system()
         J[0, 0] = 0.0
         if fallback == "spilu":
             monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", J.shape[0] - 1)
-        assert meets_contract(J, _linear_solve(J, r), r)
+        with caplog.at_level("INFO", logger="mhessian.solver"):
+            assert meets_contract(J, _linear_solve(J, r), r)
         assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0,
                                   fallback: 1}
+        [record] = caplog.records
+        assert record.levelname == "INFO"
+        assert record.getMessage() == (
+            f"Jacobi-BiCGSTAB failed on {J.shape[0]} unknowns (zero on the "
+            f"diagonal, BiCGSTAB not run); falling back to {fallback}")
+
+    def test_breakdown_is_logged_with_its_info(self, factorizations,
+                                               monkeypatch, caplog):
+        J, r = ball_c2_system()
+        bicgstab = scipy.sparse.linalg.bicgstab
+        calls = []
+
+        def breaks_down_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return np.zeros_like(r), -10
+            return bicgstab(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", breaks_down_once)
+        with caplog.at_level("INFO", logger="mhessian.solver"):
+            assert meets_contract(J, _linear_solve(J, r), r)
+        assert factorizations["splu"] == 1
+        [record] = caplog.records
+        assert "(BiCGSTAB info=-10); falling back to splu" in record.getMessage()
+
+    def test_converged_solve_logs_nothing(self, caplog):
+        J, r = ball_c2_system()
+        with caplog.at_level("DEBUG", logger="mhessian.solver"):
+            _linear_solve(J, r)
+        assert caplog.records == []
 
     def test_jacobian_matches_per_stencil_assembly(self):
         domain, g, f, rhs = quadratic_setup(2, 7, 1)
