@@ -25,11 +25,11 @@ from .multiindex import subset_sums
 BALL = "ball"
 TORUS = "torus"
 
-# Largest grid a domain may have.  Every field evaluation holds, per node, a
-# float64 value, 2n coordinates, an int64 neighbour table of one entry per
-# stencil point (25 on C^2) and the n x n complex Hessians; at 2^20 nodes
-# that is already about 0.4 GB on C^2, and Newton solves on far smaller
-# grids take minutes.
+# Largest grid a domain may have.  Per node, a field evaluation holds a
+# float64 value, 2n coordinates, an int64 neighbour table entry per stencil
+# point (25 on C^2) and the n x n complex Hessian, and a solve the Jacobian
+# pattern, an int32 and an int64 index per stencil entry: at 2^20 nodes
+# about 0.7 GB on C^2, and Newton solves on far smaller grids take minutes.
 MAX_NODES = 2 ** 20
 
 
@@ -204,6 +204,27 @@ class GridDomain:
         table.setflags(write=False)
         return nodes, table
 
+    @cached_property
+    def jacobian_pattern(self):
+        """Read-only CSR pattern of a stencil Jacobian on the interior nodes:
+        int32 indices and indptr, the position s * K + k of the stencil
+        entry behind each CSR entry, and the zero offset's row s."""
+        nodes, table = self.interior_neighbors
+        K = nodes.size
+        # an interior node's unknown is its rank among the interior nodes
+        cols = (np.cumsum(self.interior_mask) - 1)[table].ravel()
+        src = np.flatnonzero(self.interior_mask[table].ravel())
+        src = src[np.lexsort((cols[src], src % K))]  # by row, then column
+        keys = src % K * K + cols[src]
+        # five or more points per axis keep a node's neighbours distinct
+        assert (np.diff(keys) > 0).all(), "two stencil entries share a slot"
+        indices = cols[src].astype(np.int32)
+        indptr = np.searchsorted(keys // K, np.arange(K + 1)).astype(np.int32)
+        for array in (indices, indptr, src):
+            array.setflags(write=False)
+        center = np.flatnonzero(~stencil(self.n)[0].any(axis=1))[0]
+        return indices, indptr, src, int(center)
+
     def neighbor_indices(self, flat_nodes: np.ndarray) -> np.ndarray:
         """Flat indices of every stencil neighbor, shape (S, len(flat_nodes))."""
         offsets, _ = stencil(self.n)
@@ -317,6 +338,13 @@ def _eigh(H: np.ndarray, vectors: bool):
     abs_b = np.abs(b)
     r = np.hypot(delta, abs_b)
     h = 0.5 * (a + d)
+    rho = np.abs(h) + r  # the spectral radius
+    tiny = (rho < 2.0 ** -958) & (rho > 0.0)
+    if tiny.any():  # solved scaled up by 2^1000, exactly: no subnormals
+        out = _eigh(np.where(tiny[:, None, None], H * 2.0 ** 1000, H),
+                    vectors)
+        (out[0] if vectors else out)[tiny] *= 2.0 ** -1000
+        return out
     lam = np.stack([h - r, h + r], axis=-1)
     if not vectors:
         return lam
@@ -325,7 +353,7 @@ def _eigh(H: np.ndarray, vectors: bool):
     # (b, r - delta); the other eigenvector is its unitary complement
     p = np.abs(delta) + r
     norm = np.hypot(p, abs_b)
-    degenerate = norm == 0.0  # H = h I: every basis diagonalizes it
+    degenerate = norm < 2.0 ** -1020  # H = h I within eps rho: any V fits
     norm[degenerate] = 1.0
     upper = delta >= 0.0
     x = np.where(upper, p, b) / norm
@@ -347,6 +375,8 @@ class NodalOperator:
     background form is C^{-1} chi C^{-H}.  The ordinary Hermitian spectrum
     of a folded Hessian is its spectrum relative to the metric, so
     ``sigma`` returns the m-fold relative eigenvalue sums at every node.
+    The folded weights are Hermitized once, so every Hessian is exactly
+    Hermitian: entries [p, q] and [q, p] are the same sums, conjugated.
     The nodes default to the interior nodes, whose neighbour table the
     domain builds once.
     """
@@ -364,16 +394,15 @@ class NodalOperator:
             self.nodes = nodes
             self.neighbors = domain.neighbor_indices(nodes)  # (S, K)
         Cinv = np.linalg.inv(g.constant.cholesky)
-        CinvH = Cinv.conj().T
-        _, weights = stencil(domain.n)
-        self.weights = Cinv @ (weights / domain.spacing ** 2) @ CinvH
-        self.chi = None if chi is None \
-            else _hermitian_part(Cinv @ chi.entries @ CinvH)
+        def fold(A):  # C^{-1} A C^{-H}, Hermitized
+            return _hermitian_part(Cinv @ A @ Cinv.conj().T)
+        self.weights = fold(stencil(domain.n)[1] / domain.spacing ** 2)
+        self.chi = None if chi is None else fold(chi.entries)
 
     def hessians(self, u_flat: np.ndarray) -> np.ndarray:
         """Folded Hessians (plus the folded background form), (K, n, n)."""
         vals = u_flat[self.neighbors]  # (S, K)
-        H = _hermitian_part(np.tensordot(vals.T, self.weights, axes=(1, 0)))
+        H = np.tensordot(vals.T, self.weights, axes=(1, 0))
         if self.chi is not None:
             H = H + self.chi
         return H

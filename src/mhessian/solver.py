@@ -181,24 +181,8 @@ class _FmOperator(NodalOperator):
         super().__init__(domain, g, m, chi)
         self.coords = domain.coords[self.nodes]
         # unknowns: interior nodes (ball) or every node (torus)
-        unknown_of_flat = np.full(domain.node_count, -1, dtype=np.int64)
-        unknown_of_flat[self.nodes] = np.arange(self.nodes.size)
-        # the Jacobian's sparsity pattern is fixed by the stencil: entry
-        # (s, k) couples unknown k to its neighbour s; the i-th entry that
-        # couples two unknowns is summed into CSR slot slot[i]
-        K = self.nodes.size
-        cols = unknown_of_flat[self.neighbors]
-        self.valid = cols >= 0
-        rows = np.broadcast_to(np.arange(K), cols.shape)[self.valid]
-        keys, self.slot = np.unique(rows * K + cols[self.valid],
-                                    return_inverse=True)
-        self.indices = keys % K
-        self.indptr = np.searchsorted(keys // K, np.arange(K + 1))
-        self.center = int(np.flatnonzero((self.neighbors == self.nodes)
-                                         .all(axis=1))[0])
-        # entry (s, k) is sum_pq M_k[p, q] W_s[q, p]
-        self.weights_t = self.weights.transpose(0, 2, 1).reshape(
-            len(self.weights), -1)
+        self.indices, self.indptr, self.src, self.center = \
+            domain.jacobian_pattern
 
     def fm_and_margin(self, u_flat: np.ndarray, sums: np.ndarray = None):
         """F_m per node and the minimal m-sum; ``sums`` are the m-sums of
@@ -231,20 +215,27 @@ class _FmOperator(NodalOperator):
     def jacobian(self, u_flat, rhs: RightHandSide, homotopy=None):
         lam, V = self.eigh(u_flat)
         grad = fm_gradient_diagonal(lam, self.m)  # (K, n)
-        # eigenvectors and folded weights share the metric frame
-        M = np.einsum("kpi,ki,kqi->kpq", V, grad, np.conj(V))
+        # eigenvectors and folded weights share the metric frame; V being
+        # unitary, M = V diag(grad) V^H = g_1 I + sum_{i>1} (g_i - g_1)
+        # v_i v_i^H, which takes at most one outer product at n <= 2
+        v = V[:, :, 1:]
+        M = np.einsum("kpi,kqi->kpq",
+                      v * (grad[:, 1:] - grad[:, :1])[:, None, :], v.conj())
+        M[:, range(self.domain.n), range(self.domain.n)] += grad[:, :1]
         t_vals = u_flat[self.nodes]
         _, dG = rhs(self.coords, t_vals, self.nodes,
                     strict=self.domain.kind == BALL)
         if homotopy is not None:
             dG = homotopy[0] * dG
         K = self.nodes.size
-        entries = (self.weights_t @ M.reshape(K, -1).T).real  # (S, K)
+        # entry (s, k) is Re sum_pq W_s[q, p] M_k[p, q], the real dot
+        # product of the Hermitian W_s with M_k: one real GEMM
+        entries = (self.weights.reshape(len(self.weights), -1).view(float)
+                   @ M.reshape(K, -1).view(float).T)  # (S, K)
         entries[self.center] -= dG
-        data = np.bincount(self.slot, weights=entries[self.valid],
-                           minlength=self.indices.size)
-        return scipy.sparse.csr_matrix((data, self.indices, self.indptr),
-                                       shape=(K, K))
+        return scipy.sparse.csr_matrix(
+            (entries.ravel()[self.src], self.indices, self.indptr),
+            shape=(K, K))
 
 
 # Every Jacobian tries Jacobi-preconditioned BiCGSTAB first; this limit only

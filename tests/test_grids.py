@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from mhessian.grids import (
     stencil,
 )
 from mhessian.hermitian import HermitianMatrix
+from mhessian.solver import _FmOperator
 
 from conftest import (
     CHI,
@@ -72,6 +74,36 @@ class TestDomain:
         assert np.array_equal(nodes, np.flatnonzero(d.interior_mask))
         assert np.array_equal(table, d.neighbor_indices(nodes))
         assert not nodes.flags.writeable and not table.flags.writeable
+
+    def test_jacobian_pattern_is_built_once(self):
+        for d in (GridDomain.ball(2, radius=1.0, points_per_axis=9),
+                  GridDomain.torus(2, points_per_axis=5)):
+            g = MetricField.flat(d)
+            one, two = _FmOperator(d, g, 1), _FmOperator(d, g, 2)
+            indices, indptr, src, center = d.jacobian_pattern
+            for name, array in (("indices", indices), ("indptr", indptr),
+                                ("src", src)):
+                assert getattr(one, name) is array
+                assert getattr(two, name) is array
+                assert not array.flags.writeable
+            assert indices.dtype == indptr.dtype == np.int32
+            offsets, _ = stencil(d.n)
+            assert one.center == center and not offsets[center].any()
+            # the stencil's couplings between unknowns, each carrying the
+            # flat (s, k) position it comes from, plus one
+            nodes, table = d.interior_neighbors
+            K = nodes.size
+            unknown = np.full(d.node_count, -1)
+            unknown[nodes] = np.arange(K)
+            cols = unknown[table].ravel()
+            keep = cols >= 0
+            flat = np.arange(cols.size)
+            expected = scipy.sparse.coo_matrix(
+                ((flat + 1.0)[keep], (flat[keep] % K, cols[keep])),
+                shape=(K, K)).tocsr()
+            assert np.array_equal(indices, expected.indices)
+            assert np.array_equal(indptr, expected.indptr)
+            assert np.array_equal(src + 1.0, expected.data)
 
     def test_ball_masks_partition(self):
         d = GridDomain.ball(1, radius=1.0, points_per_axis=17)
@@ -385,6 +417,22 @@ EDGE_CASES = {
 }
 
 _entry = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+class TestHermitianHessians:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hessians_are_exactly_hermitian(self, rng, n):
+        if n == 2:
+            d = GridDomain.ball(2, radius=1.0, points_per_axis=9)
+            g, chi = MetricField(domain=d, constant=OMEGA), None
+        else:
+            d = GridDomain.ball(3, radius=1.0, points_per_axis=7)
+            g = MetricField(domain=d, constant=random_metric(rng, 3))
+            chi = random_hermitian(rng, 3)
+        u = rng.normal(size=d.node_count)
+        H = NodalOperator(d, g, 1, chi).hessians(u)
+        assert np.abs(H.imag).max() > 0.0
+        assert np.array_equal(H, H.conj().swapaxes(-1, -2))
 
 
 class TestEigensolver:

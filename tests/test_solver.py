@@ -19,7 +19,7 @@ from mhessian.solver import (
     subsolution_seed,
 )
 
-from conftest import FORM, OMEGA, hessian_is_form
+from conftest import CHI, FORM, OMEGA, hessian_is_form
 
 
 def sqn(coords):
@@ -55,6 +55,35 @@ def ball_c2_system(points=9):
     u = seed_with_boundary(f, g)
     r, _ = op.residual(u, rhs)
     return op.jacobian(u, rhs), r
+
+
+# (n, points per axis, m, metric, chi): a ball grid when chi is None, else
+# a torus grid
+JACOBIAN_CASES = {
+    "c1_ball": (1, 9, 1, None, None),
+    "c2_ball_m1": (2, 7, 1, None, None),
+    "c2_ball_m2": (2, 7, 2, None, None),
+    "c2_ball_omega": (2, 7, 1, OMEGA, None),
+    "c3_ball_m2": (3, 7, 2, None, None),
+    "c2_torus_chi": (2, 5, 1, None, CHI),
+}
+
+
+def jacobian_case(n, points, m, metric, chi):
+    """An operator, an iterate strictly inside its cone and a right-hand
+    side."""
+    if chi is None:
+        domain = GridDomain.ball(n, radius=1.0, points_per_axis=points)
+    else:
+        domain = GridDomain.torus(n, points_per_axis=points)
+    g = MetricField(domain, metric) if metric else MetricField.flat(domain)
+    op = _FmOperator(domain, g, m, chi)
+    if chi is None:
+        u = seed_with_boundary(GridFunction.from_callable(domain, sqn), g, m)
+    else:
+        u = 1e-4 * np.random.default_rng(5).normal(size=domain.node_count)
+    assert op.sigma(u).min() > 0.0
+    return op, u, RightHandSide.manufactured_quadratic(m)
 
 
 @pytest.fixture
@@ -130,26 +159,26 @@ class TestLinearSolve:
             _linear_solve(J, r)
         assert caplog.records == []
 
-    def test_jacobian_matches_per_stencil_assembly(self):
-        domain, g, f, rhs = quadratic_setup(2, 7, 1)
-        op = _FmOperator(domain, g, 1)
-        u = seed_with_boundary(f, g)
+    @pytest.mark.parametrize("case", list(JACOBIAN_CASES))
+    def test_jacobian_matches_per_stencil_assembly(self, case):
+        op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
         lam, V = op.eigh(u)
-        grad = solver.fm_gradient_diagonal(lam, 1)
+        grad = solver.fm_gradient_diagonal(lam, op.m)
         M = np.einsum("kpi,ki,kqi->kpq", V, grad, np.conj(V))
-        _, dG = rhs(op.coords, u[op.nodes], op.nodes)
-        unknown = np.full(domain.node_count, -1)
+        _, dG = rhs(op.coords, u[op.nodes], op.nodes, strict=False)
+        unknown = np.full(op.domain.node_count, -1)
         unknown[op.nodes] = np.arange(op.nodes.size)
         expected = np.zeros((op.nodes.size,) * 2)
         for s, W in enumerate(op.weights):
             entry = np.einsum("kpq,qp->k", M, W).real
-            if s == op.center:
+            if (op.neighbors[s] == op.nodes).all():
                 entry = entry - dG
             for k, col in enumerate(unknown[op.neighbors[s]]):
                 if col >= 0:
                     expected[k, col] += entry[k]
         J = op.jacobian(u, rhs).toarray()
-        np.testing.assert_allclose(J, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(J, expected, rtol=0,
+                                   atol=1e-14 * np.abs(expected).max())
 
 
 class TestManufacturedQuadratic:
