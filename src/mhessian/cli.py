@@ -309,6 +309,37 @@ def run_regularize(config: ConfigTable, out: Path, rng) -> dict:
     return artifacts
 
 
+def _hypothesis_spectrum(rng, case, n, c, level):
+    """The first uniform draw on [-3, 3)^n that meets the hypothesis of
+    bound regime ``case`` at shift ``c`` and ``level``.
+
+    Rows are drawn and tested in blocks of 64 rows, doubling up to 4096.
+    The generator is then rewound to the block's start and the rows up to
+    the accepted one drawn again, so the spectrum and the generator state
+    are those of drawing and testing one row at a time.
+    """
+    k = n - level if case in ("p0", "0q") else level
+    if k == 0:
+        return rng.uniform(-3.0, 3.0, size=n)
+    rows = 64
+    while True:
+        state = rng.bit_generator.state
+        # shape (rows, 1, n): one vector-matrix product per row, so each
+        # row's sums are bit for bit those of a single-row draw
+        block = rng.uniform(-3.0, 3.0, size=(rows, 1, n))
+        if case in ("p0", "0q"):
+            passed = subset_sums(block + c, k).max(axis=-1) <= 0.0
+        else:
+            passed = subset_sums(block - c, k).min(axis=-1) >= 0.0
+        if passed.any():
+            j = int(passed.argmax())
+            # rewinding and drawing again, unlike bit_generator.advance,
+            # keeps the generator's buffered 32-bit half for rng.integers
+            rng.bit_generator.state = state
+            return rng.uniform(-3.0, 3.0, size=(j + 1, n))[j]
+        rows = min(2 * rows, 4096)
+
+
 def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
     rows = []
 
@@ -411,14 +442,7 @@ def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
                 level = int(rng.integers(1, n + 1))
             else:
                 level = int(rng.integers(0, n))
-            while True:
-                lam = rng.uniform(-3.0, 3.0, size=n)
-                k = n - level if case in ("p0", "0q") else level
-                if case in ("p0", "0q"):
-                    if k == 0 or subset_sums(lam + c, k).max() <= 0.0:
-                        break
-                elif k == 0 or subset_sums(lam - c, k).min() >= 0.0:
-                    break
+            lam = _hypothesis_spectrum(rng, case, n, c, level)
             if not verify_bound_regime(case, lam, c, level):
                 fails += 1
         record(f"bound_regime_{case}", 500, fails)

@@ -10,7 +10,7 @@ in coordinates ``x_1, y_1, ..., x_n, y_n`` to the complex Hessian
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -132,14 +132,20 @@ class RelativeSpectrum:
         object.__setattr__(self, "lambdas", lam)
 
 
+@lru_cache(maxsize=None)
+def _trsm(a_dtype: np.dtype, b_dtype: np.dtype):
+    """The BLAS trsm routine for operands of these dtypes."""
+    return scipy.linalg.get_blas_funcs(
+        "trsm", (np.empty(0, a_dtype), np.empty(0, b_dtype)))
+
+
 def _triangular_solve(A: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
     """A^{-1} B for triangular A by one BLAS trsm call.
 
     Unlike ``scipy.linalg.solve_triangular`` this skips the LAPACK driver,
     whose threaded OpenBLAS path costs milliseconds on tiny matrices.
     """
-    trsm = scipy.linalg.get_blas_funcs("trsm", (A, B))
-    return trsm(1.0, A, B, lower=lower)
+    return _trsm(A.dtype, B.dtype)(1.0, A, B, lower=lower)
 
 
 def reduce_to_metric_frame(T_entries: np.ndarray, omega: MetricMatrix) -> np.ndarray:

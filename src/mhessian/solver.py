@@ -213,6 +213,7 @@ class _FmOperator(NodalOperator):
         return fm - G, margin
 
     def jacobian(self, u_flat, rhs: RightHandSide, homotopy=None):
+        """The Jacobian in CSR form and its diagonal, the centre entries."""
         lam, V = self.eigh(u_flat)
         grad = fm_gradient_diagonal(lam, self.m)  # (K, n)
         # eigenvectors and folded weights share the metric frame; V being
@@ -233,9 +234,11 @@ class _FmOperator(NodalOperator):
         entries = (self.weights.reshape(len(self.weights), -1).view(float)
                    @ M.reshape(K, -1).view(float).T)  # (S, K)
         entries[self.center] -= dG
-        return scipy.sparse.csr_matrix(
+        J = scipy.sparse.csr_matrix(
             (entries.ravel()[self.src], self.indices, self.indptr),
             shape=(K, K))
+        # a copy: a view would keep every stencil row alive through the solve
+        return J, entries[self.center].copy()
 
 
 # Every Jacobian tries Jacobi-preconditioned BiCGSTAB first; this limit only
@@ -251,12 +254,13 @@ def _check_linear_residual(J, delta, r, denom):
     return float(np.abs(J @ delta + r).max()) <= 1e-10 * denom
 
 
-def _linear_solve(J, r):
+def _linear_solve(J, r, diag):
     """Newton step delta with |J delta + r| <= 1e-10 |r| in the max norm.
 
-    Jacobi-preconditioned BiCGSTAB runs first.  Only when it fails does a
-    factorization run: SuperLU up to DIRECT_SOLVE_LIMIT unknowns, ILU
-    preconditioned BiCGSTAB and then GMRES above it.
+    Jacobi-preconditioned BiCGSTAB, on ``diag``, the diagonal of J, runs
+    first.  Only when it fails does a factorization run: SuperLU up to
+    DIRECT_SOLVE_LIMIT unknowns, ILU preconditioned BiCGSTAB and then GMRES
+    above it.
     """
     denom = max(float(np.abs(r).max()), 1e-300)
     # BiCGSTAB's breakdown test is absolute, so every path solves for r
@@ -266,7 +270,6 @@ def _linear_solve(J, r):
     r = r * scale
     denom = denom * scale
     atol = 1e-14 * denom
-    diag = J.diagonal()
     if (diag != 0.0).all():
         jacobi = scipy.sparse.linalg.LinearOperator(J.shape, lambda x: x / diag)
         delta, info = scipy.sparse.linalg.bicgstab(
@@ -323,8 +326,8 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
     for it in range(cfg.max_iterations):
         if rnorm <= cfg.tolerance:
             return u, it, rnorm, margin
-        J = op.jacobian(u, rhs, homotopy)
-        delta_unknown = _linear_solve(J, r)
+        J, diag = op.jacobian(u, rhs, homotopy)
+        delta_unknown = _linear_solve(J, r, diag)
         step = 1.0
         cone_blocked = True
         while step >= cfg.damping_min_step:

@@ -9,6 +9,7 @@ from mhessian import cli
 from mhessian.cli import main
 from mhessian.errors import ConfigError
 from mhessian.grids import GridDomain, GridFunction
+from mhessian.multiindex import subset_sums
 from mhessian.serialize import (
     gridfunction_from_binary,
     gridfunction_to_binary,
@@ -32,6 +33,21 @@ MALFORMED_DUMPS = {
     "even_points_per_axis": grid_dump(points_per_axis=6),
     "nan_radius": grid_dump(radius=float("nan")),
 }
+
+
+def per_row_hypothesis_spectrum(rng, case, n, c, level):
+    """verify-suite's former per-row rejection loop, as the reference for
+    cli._hypothesis_spectrum, with the number of rows it drew."""
+    draws = 0
+    while True:
+        lam = rng.uniform(-3.0, 3.0, size=n)
+        draws += 1
+        k = n - level if case in ("p0", "0q") else level
+        if case in ("p0", "0q"):
+            if k == 0 or subset_sums(lam + c, k).max() <= 0.0:
+                return lam, draws
+        elif k == 0 or subset_sums(lam - c, k).min() >= 0.0:
+            return lam, draws
 
 
 def write_config(tmp_path, name, data):
@@ -71,6 +87,36 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,y1,value"
         assert len(lines) == 1 + domain.node_count
+
+
+class TestHypothesisSpectrum:
+    @staticmethod
+    def assert_matches_per_row_loop(seed, case, n, c, level):
+        """Same spectrum and generator state as the per-row loop; returns
+        the rows the loop drew."""
+        mine, ref = (np.random.default_rng(seed) for _ in range(2))
+        for rng in (mine, ref):
+            rng.integers(2, 6)  # leaves a buffered 32-bit half, as in the suite
+        lam = cli._hypothesis_spectrum(mine, case, n, c, level)
+        expected, draws = per_row_hypothesis_spectrum(ref, case, n, c, level)
+        assert np.array_equal(lam, expected)
+        assert mine.bit_generator.state == ref.bit_generator.state
+        return draws
+
+    @pytest.mark.parametrize("case", ["p0", "0q", "nq", "pn"])
+    def test_matches_per_row_loop(self, case):
+        # every level from 0 to n, so both k = 0 draws are covered
+        for n in range(2, 6):
+            for level in range(n + 1):
+                for seed, c in enumerate((0.2, 1.5)):
+                    self.assert_matches_per_row_loop(seed, case, n, c, level)
+
+    def test_acceptance_beyond_the_largest_block(self):
+        # one row in about 45000 passes; the blocks of 64, ..., 4096 rows
+        # hold 8128 rows, and this seed needs more than one more 4096-row
+        # block
+        draws = self.assert_matches_per_row_loop(0, "nq", 2, 2.98, 2)
+        assert draws > 8128 + 4096
 
 
 class TestCommands:

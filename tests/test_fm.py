@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mhessian import fm
 from mhessian.errors import ConeBoundaryError, DimensionMismatchError
 from mhessian.fm import (
     concavity_probe,
@@ -279,12 +280,44 @@ class TestConcavity:
             A = hermitian_from_spectrum(rng, random_interior_spectrum(rng, n, m), g)
             B = hermitian_from_spectrum(rng, random_interior_spectrum(rng, n, m), g)
             assert concavity_probe(A, B, g, m, steps=9)
+            # a negative slack puts the chord above every value: the probe
+            # compares the t-grid values and fails
+            assert not concavity_probe(A, B, g, m, steps=9, slack=-1.0)
+
+    def test_values_match_the_per_t_route(self, rng, monkeypatch):
+        batches = []
+        geometric_mean = fm.geometric_mean_clamped
+
+        def spy(sums, tol=fm.CONE_TOL):
+            batches.append(geometric_mean(sums, tol))
+            return batches[-1]
+
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            m = int(rng.integers(1, n + 1))
+            g = random_metric(rng, n)
+            A = hermitian_from_spectrum(rng, random_interior_spectrum(rng, n, m), g)
+            B = hermitian_from_spectrum(rng, random_interior_spectrum(rng, n, m), g)
+            steps = int(rng.integers(2, 12))
+            mids = [fm_value(HermitianMatrix(t * A.entries + (1.0 - t) * B.entries),
+                             g, m).value for t in np.linspace(0.0, 1.0, steps)]
+            with monkeypatch.context() as patch:
+                patch.setattr(fm, "geometric_mean_clamped", spy)
+                assert concavity_probe(A, B, g, m, steps=steps)
+            values = batches.pop().ravel()
+            # the endpoints take fm_value's arithmetic exactly; the t-grid
+            # reduces t*A + (1-t)*B by linearity, which moves round-off
+            assert values[0] == fm_value(A, g, m).value
+            assert values[1] == fm_value(B, g, m).value
+            np.testing.assert_allclose(values[2:], mids, rtol=1e-13, atol=0)
 
     def test_outside_cone_rejected(self):
         g = MetricMatrix.identity(2)
         A = HermitianMatrix.diagonal([-2.0, 1.0])
         with pytest.raises(ConeBoundaryError):
             concavity_probe(A, HermitianMatrix.identity(2), g, 1)
+        with pytest.raises(ConeBoundaryError):
+            concavity_probe(HermitianMatrix.identity(2), A, g, 1)
 
 
 class TestBatchedHelpers:

@@ -49,12 +49,13 @@ def seed_with_boundary(f, g, m=1):
 
 
 def ball_c2_system(points=9):
-    """First Newton Jacobian and residual of the C^2 quadratic ball solve."""
+    """First Newton Jacobian, its diagonal and the residual of the C^2
+    quadratic ball solve."""
     domain, g, f, rhs = quadratic_setup(2, points, 1)
     op = _FmOperator(domain, g, 1)
     u = seed_with_boundary(f, g)
     r, _ = op.residual(u, rhs)
-    return op.jacobian(u, rhs), r
+    return (*op.jacobian(u, rhs), r)
 
 
 # (n, points per axis, m, metric, chi): a ball grid when chi is None, else
@@ -109,9 +110,9 @@ class TestLinearSolve:
     def test_right_hand_side_scale_changes_nothing(self, factorizations):
         # unscaled, BiCGSTAB's absolute breakdown test stops it (info -10)
         # on this right-hand side, and a factorization takes over
-        J, r = ball_c2_system()
-        delta = _linear_solve(J, r)
-        small = _linear_solve(J, r * 2.0 ** -40)
+        J, diag, r = ball_c2_system()
+        delta = _linear_solve(J, r, diag)
+        small = _linear_solve(J, r * 2.0 ** -40, diag)
         assert np.array_equal(small, delta * 2.0 ** -40)
         assert meets_contract(J, small, r * 2.0 ** -40)
         assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0}
@@ -120,12 +121,12 @@ class TestLinearSolve:
     def test_zero_diagonal_falls_back_to_a_factorization(
             self, factorizations, monkeypatch, caplog, fallback):
         # Jacobi needs a nonzero diagonal; the size picks the factorization
-        J, r = ball_c2_system()
+        J, _, r = ball_c2_system()
         J[0, 0] = 0.0
         if fallback == "spilu":
             monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", J.shape[0] - 1)
         with caplog.at_level("INFO", logger="mhessian.solver"):
-            assert meets_contract(J, _linear_solve(J, r), r)
+            assert meets_contract(J, _linear_solve(J, r, J.diagonal()), r)
         assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0,
                                   fallback: 1}
         [record] = caplog.records
@@ -136,7 +137,7 @@ class TestLinearSolve:
 
     def test_breakdown_is_logged_with_its_info(self, factorizations,
                                                monkeypatch, caplog):
-        J, r = ball_c2_system()
+        J, diag, r = ball_c2_system()
         bicgstab = scipy.sparse.linalg.bicgstab
         calls = []
 
@@ -148,15 +149,15 @@ class TestLinearSolve:
 
         monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", breaks_down_once)
         with caplog.at_level("INFO", logger="mhessian.solver"):
-            assert meets_contract(J, _linear_solve(J, r), r)
+            assert meets_contract(J, _linear_solve(J, r, diag), r)
         assert factorizations["splu"] == 1
         [record] = caplog.records
         assert "(BiCGSTAB info=-10); falling back to splu" in record.getMessage()
 
     def test_converged_solve_logs_nothing(self, caplog):
-        J, r = ball_c2_system()
+        J, diag, r = ball_c2_system()
         with caplog.at_level("DEBUG", logger="mhessian.solver"):
-            _linear_solve(J, r)
+            _linear_solve(J, r, diag)
         assert caplog.records == []
 
     @pytest.mark.parametrize("case", list(JACOBIAN_CASES))
@@ -176,8 +177,9 @@ class TestLinearSolve:
             for k, col in enumerate(unknown[op.neighbors[s]]):
                 if col >= 0:
                     expected[k, col] += entry[k]
-        J = op.jacobian(u, rhs).toarray()
-        np.testing.assert_allclose(J, expected, rtol=0,
+        J, diag = op.jacobian(u, rhs)
+        assert np.array_equal(diag, J.diagonal())
+        np.testing.assert_allclose(J.toarray(), expected, rtol=0,
                                    atol=1e-14 * np.abs(expected).max())
 
 
