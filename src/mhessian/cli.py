@@ -10,7 +10,9 @@ failures and 5 on internal invariant violations.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import traceback
@@ -491,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized suites")
     parser.add_argument("--grid-override", type=int, default=None,
                         help="override points_per_axis in the config grid")
-    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--quiet", action="store_true",
+                        help="print nothing on stdout")
     return parser
 
 
@@ -526,7 +529,11 @@ def main(argv=None) -> int:
             "package_version": __version__,
         }
         write_json(manifest, out / "manifest.json")
-        artifacts = COMMANDS[args.command](config, out, rng)
+        # --quiet keeps a command's own report (verify-suite's table) off
+        # stdout too, not only the closing line below
+        with (contextlib.redirect_stdout(io.StringIO()) if args.quiet
+              else contextlib.nullcontext()):
+            artifacts = COMMANDS[args.command](config, out, rng)
         manifest["artifacts"] = artifacts or {}
         write_json(manifest, out / "manifest.json")
     except ConfigError as exc:

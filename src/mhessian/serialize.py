@@ -30,14 +30,12 @@ def coordinate_headers(n: int) -> list:
 
 def gridfunction_to_csv(u: GridFunction, path) -> None:
     domain = u.domain
-    headers = coordinate_headers(domain.n) + ["value"]
-    coords = domain.coords
-    flat = u.flat
+    lines = [",".join(coordinate_headers(domain.n) + ["value"])]
+    # tolist() yields Python floats, whose repr is that of float(x)
+    rows = np.column_stack([domain.coords, u.flat]).tolist()
+    lines.extend(",".join(map(repr, row)) for row in rows)
     with open(path, "w") as fh:
-        fh.write(",".join(headers) + "\n")
-        for k in range(domain.node_count):
-            row = [repr(float(c)) for c in coords[k]] + [repr(float(flat[k]))]
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def gridfunction_to_binary(u: GridFunction, path) -> None:

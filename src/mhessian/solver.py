@@ -250,6 +250,64 @@ class _FmOperator(NodalOperator):
 DIRECT_SOLVE_LIMIT = 8000
 
 
+def _bicgstab(J, b, psolve, rtol, atol, maxiter):
+    """Right-preconditioned BiCGSTAB (van der Vorst 1992) for J x = b.
+
+    Statement by statement the arithmetic of scipy 1.17's
+    ``scipy.sparse.linalg.bicgstab`` from a zero initial guess, so ``(x,
+    info)`` are bit-identical to it, without its LinearOperator wrapping:
+    on the small Jacobians of C^1 grids that dispatch, not ``J @ x``, took
+    most of the solve.  ``psolve`` applies the preconditioner.  ``info``
+    is 0 on convergence, -10 on rho breakdown, -11 on omega breakdown and
+    ``maxiter`` when the iterations run out.
+    """
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b, 0
+    # scipy's tolerance for both breakdowns (eps squared, as in the
+    # original Fortran)
+    rhotol = omegatol = np.finfo(b.dtype).eps ** 2
+    x = np.zeros_like(b)
+    r = b.copy()
+    rtilde = r.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < rhotol:
+            return x, -10
+        if iteration > 0:
+            if np.abs(omega) < omegatol:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        phat = psolve(p)
+        v = J @ phat
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        # scipy copies r into a vector s here; r itself holds the same
+        # values until the last update below
+        if np.linalg.norm(r) < atol:
+            x += alpha * phat
+            return x, 0
+        shat = psolve(r)
+        t = J @ shat
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter
+
+
 def _check_linear_residual(J, delta, r, denom):
     return float(np.abs(J @ delta + r).max()) <= 1e-10 * denom
 
@@ -271,10 +329,10 @@ def _linear_solve(J, r, diag):
     denom = denom * scale
     atol = 1e-14 * denom
     if (diag != 0.0).all():
-        jacobi = scipy.sparse.linalg.LinearOperator(J.shape, lambda x: x / diag)
-        delta, info = scipy.sparse.linalg.bicgstab(
-            J, -r, M=jacobi, rtol=1e-13, atol=atol, maxiter=1000
-        )
+        # a division: multiplying by a cached reciprocal rounds differently
+        # and would lose bit identity with scipy's bicgstab
+        delta, info = _bicgstab(J, -r, lambda x: x / diag, rtol=1e-13,
+                                atol=atol, maxiter=1000)
         if info == 0 and _check_linear_residual(J, delta, r, denom):
             return delta / scale
         failure = f"BiCGSTAB info={info}"
@@ -298,14 +356,13 @@ def _linear_solve(J, r, diag):
             return delta / scale
         raise NewtonDiverged("direct linear solve residual exceeds contract")
     ilu = scipy.sparse.linalg.spilu(J.tocsc(), drop_tol=1e-5, fill_factor=12.0)
-    prec = scipy.sparse.linalg.LinearOperator(J.shape, ilu.solve)
-    delta, info = scipy.sparse.linalg.bicgstab(
-        J, -r, M=prec, rtol=1e-12, atol=atol, maxiter=400
-    )
+    delta, info = _bicgstab(J, -r, ilu.solve, rtol=1e-12, atol=atol,
+                            maxiter=400)
     if info == 0 and _check_linear_residual(J, delta, r, denom):
         return delta / scale
     delta, info = scipy.sparse.linalg.gmres(
-        J, -r, M=prec, rtol=1e-12, atol=atol, restart=80, maxiter=400
+        J, -r, M=scipy.sparse.linalg.LinearOperator(J.shape, ilu.solve),
+        rtol=1e-12, atol=atol, restart=80, maxiter=400
     )
     if info == 0 and _check_linear_residual(J, delta, r, denom):
         return delta / scale

@@ -88,6 +88,20 @@ class TestSerialization:
         assert lines[0] == "x1,y1,value"
         assert len(lines) == 1 + domain.node_count
 
+    def test_csv_matches_per_row_repr(self, tmp_path, rng):
+        domain = GridDomain.torus(2, points_per_axis=5)
+        values = rng.normal(size=domain.node_count)
+        values[:4] = [-0.0, 5e-324, 1.0 / 3.0, 1e300]
+        u = GridFunction(domain, values.reshape(domain.shape))
+        path = tmp_path / "u.csv"
+        gridfunction_to_csv(u, path)
+        # the writer's former per-row loop, as the reference
+        expected = "x1,y1,x2,y2,value\n"
+        for k in range(domain.node_count):
+            row = [repr(float(c)) for c in domain.coords[k]]
+            expected += ",".join(row + [repr(float(values[k]))]) + "\n"
+        assert path.read_bytes() == expected.encode()
+
 
 class TestHypothesisSpectrum:
     @staticmethod
@@ -250,6 +264,21 @@ class TestCommands:
         summary = (tmp_path / "v" / "suite_summary.csv").read_text()
         assert "oracle_equivalence" in summary
         assert "FAIL" not in summary
+        assert capsys.readouterr().out == ""
+
+    def test_verify_suite_prints_its_table_unless_quiet(self, tmp_path,
+                                                        capsys):
+        cfg = write_config(tmp_path, "suite.json", {"corpus_size": 25})
+        assert main(["verify-suite", "--config", cfg, "--seed", "11",
+                     "--out", str(tmp_path / "v")]) == 0
+        *table, last = capsys.readouterr().out.splitlines()
+        csv = (tmp_path / "v" / "suite_summary.csv").read_text()
+        rows = [row.split(",") for row in csv.splitlines()[1:]]
+        width = max(len(name) for name, *_ in rows)
+        assert table == [
+            f"{name:<{width}}  {float(cases):>6.0f}  {float(fails):>3.0f}  "
+            f"{status}" for name, cases, fails, status in rows]
+        assert last == f"verify-suite: artifacts written to {tmp_path / 'v'}"
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path, "suite.json", {"corpus_size": 25})

@@ -108,8 +108,8 @@ def meets_contract(J, delta, r):
 
 class TestLinearSolve:
     def test_right_hand_side_scale_changes_nothing(self, factorizations):
-        # unscaled, BiCGSTAB's absolute breakdown test stops it (info -10)
-        # on this right-hand side, and a factorization takes over
+        # unscaled, the absolute breakdown test of solver._bicgstab stops it
+        # (info -10) on this right-hand side, and a factorization takes over
         J, diag, r = ball_c2_system()
         delta = _linear_solve(J, r, diag)
         small = _linear_solve(J, r * 2.0 ** -40, diag)
@@ -138,7 +138,7 @@ class TestLinearSolve:
     def test_breakdown_is_logged_with_its_info(self, factorizations,
                                                monkeypatch, caplog):
         J, diag, r = ball_c2_system()
-        bicgstab = scipy.sparse.linalg.bicgstab
+        bicgstab = solver._bicgstab
         calls = []
 
         def breaks_down_once(*args, **kwargs):
@@ -147,7 +147,7 @@ class TestLinearSolve:
                 return np.zeros_like(r), -10
             return bicgstab(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", breaks_down_once)
+        monkeypatch.setattr(solver, "_bicgstab", breaks_down_once)
         with caplog.at_level("INFO", logger="mhessian.solver"):
             assert meets_contract(J, _linear_solve(J, r, diag), r)
         assert factorizations["splu"] == 1
@@ -159,6 +159,49 @@ class TestLinearSolve:
         with caplog.at_level("DEBUG", logger="mhessian.solver"):
             _linear_solve(J, r, diag)
         assert caplog.records == []
+
+    def test_bicgstab_matches_scipy(self):
+        # scipy's bicgstab behind a LinearOperator preconditioner is the
+        # reference: equal bits and equal info on every path of the loop
+        def check(J, b, psolve, info, rtol=1e-13, atol=None, maxiter=1000):
+            if atol is None:
+                atol = 1e-14 * np.abs(b).max()  # as _linear_solve sets it
+            x, got = solver._bicgstab(J, b, psolve, rtol, atol, maxiter)
+            x_ref, info_ref = scipy.sparse.linalg.bicgstab(
+                J, b, M=scipy.sparse.linalg.LinearOperator(J.shape, psolve),
+                rtol=rtol, atol=atol, maxiter=maxiter)
+            assert got == info_ref == info
+            assert np.array_equal(x, x_ref)
+            return x_ref
+
+        for case in JACOBIAN_CASES.values():
+            op, u, rhs = jacobian_case(*case)
+            J, diag = op.jacobian(u, rhs)
+            r, _ = op.residual(u, rhs)
+            # the power of two _linear_solve scales r by
+            scale = 2.0 ** (1 - np.frexp(np.abs(r).max())[1])
+            x_ref = check(J, -r * scale, lambda x: x / diag, 0)
+            assert np.array_equal(_linear_solve(J, r, diag), x_ref / scale)
+        J, diag, r = ball_c2_system()
+        b = -r / np.abs(r).max()
+        ilu = scipy.sparse.linalg.spilu(J.tocsc(), drop_tol=1e-5,
+                                        fill_factor=12.0)
+        check(J, b, ilu.solve, 0, rtol=1e-12, maxiter=400)
+        # unscaled r * 2^-40: rho breakdown
+        check(J, -r * 2.0 ** -40, lambda x: x / diag, -10)
+        check(J, b, lambda x: x / diag, 3, maxiter=3)
+        check(J, np.zeros_like(r), lambda x: x / diag, 0)
+        # J p = 0 on the first search direction: rv breakdown
+        nilpotent = scipy.sparse.csr_matrix([[0.0, 1.0], [0.0, 0.0]])
+        check(nilpotent, np.array([1.0, 0.0]), np.copy, -11)
+        # both stopping tests are strict: a residual norm equal to atol,
+        # before the first step (rtol = 1) or after its first half, goes on
+        J = scipy.sparse.csr_matrix(np.diag([1.0, 2.0]))
+        b = np.array([1.0, 1.0])
+        check(J, b, np.copy, 0, rtol=1.0)
+        v = J @ b
+        half = np.linalg.norm(b - np.dot(b, b) / np.dot(b, v) * v)
+        check(J, b, np.copy, 0, rtol=0.0, atol=half)
 
     @pytest.mark.parametrize("case", list(JACOBIAN_CASES))
     def test_jacobian_matches_per_stencil_assembly(self, case):
