@@ -6,6 +6,7 @@ all little-endian.  Float text formatting uses ``repr`` so identical runs
 produce byte-identical artifacts.
 """
 
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -30,12 +31,16 @@ def coordinate_headers(n: int) -> list:
 
 def gridfunction_to_csv(u: GridFunction, path) -> None:
     domain = u.domain
-    lines = [",".join(coordinate_headers(domain.n) + ["value"])]
-    # tolist() yields Python floats, whose repr is that of float(x)
-    rows = np.column_stack([domain.coords, u.flat]).tolist()
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    header = ",".join(coordinate_headers(domain.n) + ["value"])
+    # every coordinate is an axis value (coords is a C-order meshgrid of
+    # the axis), so each axis value is formatted once and product() joins
+    # them in the same order; tolist() yields Python floats, whose repr is
+    # that of float(x)
+    axis_text = [repr(a) + "," for a in domain.axis.tolist()]
+    prefixes = map("".join, itertools.product(axis_text, repeat=2 * domain.n))
+    rows = map(str.__add__, prefixes, map(repr, u.flat.tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
 
 
 def gridfunction_to_binary(u: GridFunction, path) -> None:

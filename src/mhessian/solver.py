@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import (
     ChiNotPositive,
@@ -250,60 +251,81 @@ class _FmOperator(NodalOperator):
 DIRECT_SOLVE_LIMIT = 8000
 
 
+def _matvec(J, x):
+    """``J @ x`` for a CSR matrix J: the compiled kernel that scipy's
+    ``__matmul__`` runs after its dispatch, called directly."""
+    y = np.zeros(J.shape[0])
+    csr_matvec(J.shape[0], J.shape[1], J.indptr, J.indices, J.data, x, y)
+    return y
+
+
 def _bicgstab(J, b, psolve, rtol, atol, maxiter):
     """Right-preconditioned BiCGSTAB (van der Vorst 1992) for J x = b.
 
     Statement by statement the arithmetic of scipy 1.17's
     ``scipy.sparse.linalg.bicgstab`` from a zero initial guess, so ``(x,
-    info)`` are bit-identical to it, without its LinearOperator wrapping:
-    on the small Jacobians of C^1 grids that dispatch, not ``J @ x``, took
-    most of the solve.  ``psolve`` applies the preconditioner.  ``info``
-    is 0 on convergence, -10 on rho breakdown, -11 on omega breakdown and
-    ``maxiter`` when the iterations run out.
+    info)`` are bit-identical to it.  On the small Jacobians of C^1 grids
+    the Python overhead around the arithmetic took most of the solve, so
+    the loop skips all of it: no LinearOperator, products through scipy's
+    ``csr_matvec`` kernel with no ``__matmul__`` dispatch, norms as
+    ``sqrt(v.dot(v))`` (what ``np.linalg.norm`` computes for a real
+    vector), scalars as Python floats and every ``a -= s * b`` through one
+    work vector.  J must be CSR: the kernel would read a CSC matrix's
+    arrays as its transpose.  ``psolve`` applies the preconditioner.
+    ``info`` is 0 on convergence, -10 on rho breakdown, -11 on omega
+    breakdown and ``maxiter`` when the iterations run out.
     """
-    bnrm2 = np.linalg.norm(b)
-    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if J.format != "csr":
+        raise ValueError(f"_bicgstab needs a CSR matrix, got {J.format}")
+    # the kernel checks no lengths
+    if J.shape != b.shape * 2:
+        raise ValueError(f"_bicgstab got a {J.shape} matrix and a "
+                         f"right-hand side of shape {b.shape}")
+    bnrm2 = math.sqrt(b.dot(b))
+    atol = max(float(atol), float(rtol) * bnrm2)
     if bnrm2 == 0:
         return b, 0
     # scipy's tolerance for both breakdowns (eps squared, as in the
     # original Fortran)
-    rhotol = omegatol = np.finfo(b.dtype).eps ** 2
+    rhotol = omegatol = float(np.finfo(b.dtype).eps) ** 2
     x = np.zeros_like(b)
     r = b.copy()
     rtilde = r.copy()
+    work = np.empty_like(b)
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(r.dot(r)) < atol:
             return x, 0
-        rho = np.dot(rtilde, r)
-        if np.abs(rho) < rhotol:
+        rho = float(rtilde.dot(r))
+        if abs(rho) < rhotol:
             return x, -10
         if iteration > 0:
-            if np.abs(omega) < omegatol:
+            if abs(omega) < omegatol:
                 return x, -11
             beta = (rho / rho_prev) * (alpha / omega)
-            p -= omega * v
+            p -= np.multiply(v, omega, out=work)
             p *= beta
             p += r
         else:
             p = r.copy()
         phat = psolve(p)
-        v = J @ phat
-        rv = np.dot(rtilde, v)
+        v = _matvec(J, phat)
+        rv = float(rtilde.dot(v))
         if rv == 0:
             return x, -11
         alpha = rho / rv
-        r -= alpha * v
+        r -= np.multiply(v, alpha, out=work)
         # scipy copies r into a vector s here; r itself holds the same
         # values until the last update below
-        if np.linalg.norm(r) < atol:
-            x += alpha * phat
+        if math.sqrt(r.dot(r)) < atol:
+            x += np.multiply(phat, alpha, out=work)
             return x, 0
         shat = psolve(r)
-        t = J @ shat
-        omega = np.dot(t, r) / np.dot(t, t)
-        x += alpha * phat
-        x += omega * shat
-        r -= omega * t
+        t = _matvec(J, shat)
+        # numpy scalars divide as scipy's do: t = 0 gives nan, not an error
+        omega = float(t.dot(r) / t.dot(t))
+        x += np.multiply(phat, alpha, out=work)
+        x += np.multiply(shat, omega, out=work)
+        r -= np.multiply(t, omega, out=work)
         rho_prev = rho
     return x, maxiter
 

@@ -11,6 +11,7 @@ from mhessian.errors import ConfigError
 from mhessian.grids import GridDomain, GridFunction
 from mhessian.multiindex import subset_sums
 from mhessian.serialize import (
+    coordinate_headers,
     gridfunction_from_binary,
     gridfunction_to_binary,
     gridfunction_to_csv,
@@ -101,6 +102,26 @@ class TestSerialization:
             row = [repr(float(c)) for c in domain.coords[k]]
             expected += ",".join(row + [repr(float(values[k]))]) + "\n"
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("domain", [
+        GridDomain.ball(1, radius=0.7, points_per_axis=33),
+        GridDomain.ball(2, radius=0.7, points_per_axis=7),
+        GridDomain.torus(2, points_per_axis=5),
+    ], ids=["c1_ball", "c2_ball", "c2_torus"])
+    def test_csv_from_axis_text_matches_per_row_repr(self, tmp_path, rng,
+                                                      domain):
+        # the writer formats each axis value once; the reference formats
+        # every coordinate of every row
+        values = rng.normal(size=domain.node_count)
+        values[:4] = [-0.0, 5e-324, 1.0 / 3.0, 1e300]
+        u = GridFunction(domain, values.reshape(domain.shape))
+        path = tmp_path / "u.csv"
+        gridfunction_to_csv(u, path)
+        lines = [",".join(coordinate_headers(domain.n) + ["value"])]
+        for coords, value in zip(domain.coords, values):
+            lines.append(",".join([repr(float(c)) for c in coords]
+                                  + [repr(float(value))]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestHypothesisSpectrum:
@@ -299,6 +320,23 @@ class TestCommands:
         a = (tmp_path / "a" / "solution.csv").read_bytes()
         b = (tmp_path / "b" / "solution.csv").read_bytes()
         assert a == b
+
+    def test_configs_rerun_byte_identical(self, tmp_path):
+        # a second run in the same process sees whatever state the first
+        # left behind; manifest.json alone records run-specific data
+        artifacts = {}
+        for sub in ("a", "b"):
+            for config in sorted(CONFIGS.glob("*.json")):
+                rc = main([config.stem.split("_")[0], "--config", str(config),
+                           "--out", str(tmp_path / sub / config.stem),
+                           "--quiet"])
+                assert rc == 0
+            artifacts[sub] = {
+                path.relative_to(tmp_path / sub): path.read_bytes()
+                for path in (tmp_path / sub).rglob("*")
+                if path.is_file() and path.name != "manifest.json"}
+        assert len(artifacts["a"]) == 19
+        assert artifacts["a"] == artifacts["b"]
 
     def test_manifest_traces_artifacts(self, tmp_path):
         rc = main(["cone", "--config", str(CONFIGS / "cone_example.json"),

@@ -203,6 +203,29 @@ class TestLinearSolve:
         half = np.linalg.norm(b - np.dot(b, b) / np.dot(b, v) * v)
         check(J, b, np.copy, 0, rtol=0.0, atol=half)
 
+    def test_bicgstab_refuses_non_csr(self):
+        # csr_matvec on a CSC matrix's arrays would compute J^T x
+        J, diag, r = ball_c2_system()
+        with pytest.raises(ValueError, match="CSR"):
+            solver._bicgstab(J.tocsc(), -r, lambda x: x / diag, rtol=1e-13,
+                             atol=0.0, maxiter=10)
+        with pytest.raises(ValueError, match="right-hand side"):
+            solver._bicgstab(J, -r[1:], lambda x: x / diag[1:], rtol=1e-13,
+                             atol=0.0, maxiter=10)
+
+    def test_raw_matvec_matches_matmul(self, rng):
+        # the loop's kernel call against scipy's public product, on the
+        # shared int32 pattern of every operator Jacobian; two products
+        # per matrix, so that an output buffer left over from the first
+        # would show in the second
+        systems = [op.jacobian(u, rhs)[0] for op, u, rhs in
+                   (jacobian_case(*case) for case in JACOBIAN_CASES.values())]
+        systems.append(ball_c2_system()[0])
+        for J in systems:
+            assert J.indices.dtype == J.indptr.dtype == np.int32
+            for x in rng.normal(size=(2, J.shape[0])):
+                assert np.array_equal(solver._matvec(J, x), J @ x)
+
     @pytest.mark.parametrize("case", list(JACOBIAN_CASES))
     def test_jacobian_matches_per_stencil_assembly(self, case):
         op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
