@@ -401,20 +401,18 @@ class NodalOperator:
 
     def hessians(self, u_flat: np.ndarray) -> np.ndarray:
         """Folded Hessians (plus the folded background form), (K, n, n)."""
-        vals = u_flat[self.neighbors]  # (S, K)
+        # gathered from a complex copy of u: the matrix product would
+        # otherwise cast the (S, K) gather, S times larger, to complex
+        vals = u_flat.astype(complex)[self.neighbors]  # (S, K)
         H = np.tensordot(vals.T, self.weights, axes=(1, 0))
         if self.chi is not None:
-            H = H + self.chi
+            H += self.chi
         return H
 
     def sigma(self, u_flat: np.ndarray) -> np.ndarray:
         """All m-fold relative eigenvalue sums per node, (K, C(n, m))."""
         return subset_sums(_eigh(self.hessians(u_flat), vectors=False),
                            self.m)
-
-    def eigh(self, u_flat: np.ndarray):
-        """Relative eigenvalues and metric-frame eigenvectors per node."""
-        return _eigh(self.hessians(u_flat), vectors=True)
 
 
 def hessian_stack(u: GridFunction, flat_nodes: np.ndarray,

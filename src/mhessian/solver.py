@@ -13,6 +13,7 @@ subsolution ``C(|z|^2 - r^2) + f`` to the target equation.
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -34,6 +35,7 @@ from .grids import (
     GridFunction,
     MetricField,
     NodalOperator,
+    _eigh,
 )
 from .hermitian import HermitianMatrix, relative_eigenvalues
 from .multiindex import subset_sums
@@ -174,6 +176,14 @@ class SolveReport:
         }
 
 
+class _Nodal(NamedTuple):
+    """The nodal quantities of one iterate at the evaluation nodes."""
+
+    H: np.ndarray      # folded Hessians, (K, n, n)
+    margin: float      # the least m-fold relative eigenvalue sum
+    fm: np.ndarray     # F_m per node; None unless the margin is positive
+
+
 class _FmOperator(NodalOperator):
     """Vectorized residual/Jacobian assembly over the evaluation nodes."""
 
@@ -184,38 +194,87 @@ class _FmOperator(NodalOperator):
         # unknowns: interior nodes (ball) or every node (torus)
         self.indices, self.indptr, self.src, self.center = \
             domain.jacobian_pattern
+        # the trace of a Hessian takes only the stencil rows whose folded
+        # weight has a nonzero trace: 9 of 25 at n = 2 with a diagonal metric
+        traces = np.einsum("spp->s", self.weights).real
+        rows = np.flatnonzero(traces)
+        self.trace_weights = traces[rows]
+        self.trace_neighbors = self.neighbors[rows]
+        self.chi_trace = (0.0 if self.chi is None
+                          else float(np.einsum("pp->", self.chi).real))
+        # every value a Hessian gathers lies on these nodes
+        self.support = np.flatnonzero(~domain.exterior_mask)
+        self.weight_norm = float(np.linalg.norm(self.weights,
+                                                axis=(1, 2)).sum())
+        self.chi_norm = (0.0 if self.chi is None
+                         else float(np.linalg.norm(self.chi)))
 
-    def fm_and_margin(self, u_flat: np.ndarray, sums: np.ndarray = None):
-        """F_m per node and the minimal m-sum; ``sums`` are the m-sums of
-        ``u_flat`` when the caller already has them."""
-        if sums is None:
-            sums = self.sigma(u_flat)
+    def evaluate(self, u_flat: np.ndarray) -> _Nodal:
+        """Hessians, cone margin and F_m of ``u_flat``, from one gather and
+        one eigensolve."""
+        H = self.hessians(u_flat)
+        sums = subset_sums(_eigh(H, vectors=False), self.m)
         margin = float(sums.min())
-        if margin <= 0.0:
-            return None, margin
-        values = geometric_mean_clamped(sums)
-        return values, margin
+        fm = geometric_mean_clamped(sums) if margin > 0.0 else None
+        return _Nodal(H, margin, fm)
 
-    def residual(self, u_flat, rhs: RightHandSide, homotopy=None, sums=None):
-        """F_m[u] - G(z, u) at the evaluation nodes; None if out of cone.
+    def rhs_values(self, u_flat, rhs: RightHandSide, homotopy=None):
+        """G(z, u) and its slope in u at the evaluation nodes.
 
         ``homotopy = (t, base_field)`` blends the right-hand side as
-        t*G + (1-t)*base_field.
+        t*G + (1-t)*base_field, and its slope as t*dG.
         """
-        fm, margin = self.fm_and_margin(u_flat, sums)
-        if fm is None:
-            return None, margin
-        t_vals = u_flat[self.nodes]
-        G, _ = rhs(self.coords, t_vals, self.nodes,
-                   strict=self.domain.kind == BALL)
+        G, dG = rhs(self.coords, u_flat[self.nodes], self.nodes,
+                    strict=self.domain.kind == BALL)
         if homotopy is not None:
             t, base = homotopy
             G = t * G + (1.0 - t) * base
-        return fm - G, margin
+            dG = t * dG
+        return G, dG
 
-    def jacobian(self, u_flat, rhs: RightHandSide, homotopy=None):
-        """The Jacobian in CSR form and its diagonal, the centre entries."""
-        lam, V = self.eigh(u_flat)
+    def residual_lower_bound(self, u_flat, G) -> float:
+        """A number that the residual max |F_m - G| of ``u_flat``, as
+        ``_newton`` computes it, reaches whenever every computed m-sum is
+        positive; it needs no Hessian.
+
+        By AM-GM on the m-sums, F_m <= (m/n) tr H on the cone, and the
+        trace is linear in u.  The slack covers the rounding.  With U the
+        largest |u| a Hessian gathers and B = U sum_s |W_s|_F + |chi|_F,
+        every Hessian has |H|_F <= B; eps = 2^-53, n <= 4 (MAX_NODES), so
+        at most 113 stencil rows and C(n, m) <= 6 sums:
+        - the gathered Hessian is within sqrt(2) gamma_115 B <= 2^8 eps B
+          of H in the Frobenius norm;
+        - each computed eigenvalue is within 2^6 eps |H| of one of the
+          gathered Hessian (backward stability; the closed forms at n <= 2
+          are within a few ulps of the spectral radius), so the eigenvalues
+          sum to tr H within 2^10 eps B, and the mean of their m-sums is
+          (m/n) times that sum within 2^4 eps B;
+        - the geometric mean exp(mean(log)) is within a factor
+          1 + 2^13.1 eps of the exact one: every |log| of a positive double
+          is below 745, and log, the mean and exp round it by at most
+          11 eps (4-ulp log and exp); by AM-GM the mean of the sums, at
+          most 2.1 B, bounds it, so this adds 2^14.2 eps B;
+        - the trace here is within 2^8 eps B of tr H, (m/n) rounds it by
+          2^2.1 eps B, and G - (m/n) tr and F_m - G round by eps each.
+        Together the computed |F_m - G| at the node of the largest excess
+        is at least excess (1 - 2 eps) - 2^14.3 eps B.  2^16 eps B covers
+        that with room for the rounding of B, and 2^-50 of the excess the
+        relative part with the rounding of the bound itself.
+        """
+        trace = (self.trace_weights @ u_flat[self.trace_neighbors]
+                 + self.chi_trace)
+        excess = float((G - self.m / self.domain.n * trace).max())
+        scale = (float(np.abs(u_flat[self.support]).max()) * self.weight_norm
+                 + self.chi_norm)
+        return excess * (1.0 - 2.0 ** -50) - 2.0 ** -37 * scale
+
+    def jacobian(self, H, dG):
+        """The Jacobian in CSR form and its diagonal, the centre entries, at
+        the iterate whose folded Hessians are ``H`` and whose right-hand side
+        slope is ``dG``."""
+        # eigh, not the eigenvalues behind the iterate's m-sums: at n >= 3
+        # LAPACK's eigh and eigvalsh may differ in the last bit
+        lam, V = _eigh(H, vectors=True)
         grad = fm_gradient_diagonal(lam, self.m)  # (K, n)
         # eigenvectors and folded weights share the metric frame; V being
         # unitary, M = V diag(grad) V^H = g_1 I + sum_{i>1} (g_i - g_1)
@@ -224,11 +283,6 @@ class _FmOperator(NodalOperator):
         M = np.einsum("kpi,kqi->kpq",
                       v * (grad[:, 1:] - grad[:, :1])[:, None, :], v.conj())
         M[:, range(self.domain.n), range(self.domain.n)] += grad[:, :1]
-        t_vals = u_flat[self.nodes]
-        _, dG = rhs(self.coords, t_vals, self.nodes,
-                    strict=self.domain.kind == BALL)
-        if homotopy is not None:
-            dG = homotopy[0] * dG
         K = self.nodes.size
         # entry (s, k) is Re sum_pq W_s[q, p] M_k[p, q], the real dot
         # product of the Hermitian W_s with M_k: one real GEMM
@@ -391,50 +445,80 @@ def _linear_solve(J, r, diag):
     raise NewtonDiverged("Krylov linear solve failed the residual contract")
 
 
+def _damped(u, nodes, step, delta):
+    """The trial iterate u + step * delta, delta given at ``nodes``."""
+    trial = u.copy()
+    trial[nodes] += step * delta
+    return trial
+
+
 def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
             cfg: SolverConfig, homotopy=None):
+    """Damped Newton from ``u0_flat``: (u, iterations, residual, margin).
+
+    Each Newton iteration evaluates every nodal quantity once.  A trial
+    step evaluates G first; a trial whose trace bound already shows that
+    its residual cannot drop is halved without forming its Hessians.  The
+    accepted trial's Hessians and right-hand side slope give the next
+    Jacobian.
+    """
     u = u0_flat.copy()
-    sums = op.sigma(u)
-    margin = float(sums.min())
-    if margin <= cfg.cone_floor:
+    # the cone test comes before the right-hand side, which may be
+    # undefined outside the cone
+    nodal = op.evaluate(u)
+    if nodal.margin <= cfg.cone_floor:
         raise ConeEscape(
-            f"initial iterate has cone margin {margin:.3e}, below the floor"
+            f"initial iterate has cone margin {nodal.margin:.3e}, below the "
+            f"floor {cfg.cone_floor:.1e}"
         )
-    r, _ = op.residual(u, rhs, homotopy, sums)
+    G, dG = op.rhs_values(u, rhs, homotopy)
+    r = nodal.fm - G
     rnorm = float(np.abs(r).max())
     for it in range(cfg.max_iterations):
         if rnorm <= cfg.tolerance:
-            return u, it, rnorm, margin
-        J, diag = op.jacobian(u, rhs, homotopy)
+            return u, it, rnorm, nodal.margin
+        J, diag = op.jacobian(nodal.H, dG)
         delta_unknown = _linear_solve(J, r, diag)
+        del J, diag  # not needed through the line search
         step = 1.0
         cone_blocked = True
+        skipped = []  # steps the trace bound rejected
         while step >= cfg.damping_min_step:
-            trial = u.copy()
-            trial[op.nodes] += step * delta_unknown
-            sums = op.sigma(trial)
-            m_trial = float(sums.min())
-            if m_trial > cfg.cone_floor:
-                cone_blocked = False
-                r_trial, _ = op.residual(trial, rhs, homotopy, sums)
-                r_trial_norm = float(np.abs(r_trial).max())
-                if r_trial_norm < rnorm:
-                    u, r, rnorm, margin = trial, r_trial, r_trial_norm, m_trial
-                    break
+            trial = _damped(u, op.nodes, step, delta_unknown)
+            G_trial, dG_trial = op.rhs_values(trial, rhs, homotopy)
+            if op.residual_lower_bound(trial, G_trial) >= rnorm:
+                skipped.append(step)
+            else:
+                trial_nodal = op.evaluate(trial)
+                if trial_nodal.margin > cfg.cone_floor:
+                    cone_blocked = False
+                    r_trial = trial_nodal.fm - G_trial
+                    r_trial_norm = float(np.abs(r_trial).max())
+                    if r_trial_norm < rnorm:
+                        u, nodal, dG = trial, trial_nodal, dG_trial
+                        r, rnorm = r_trial, r_trial_norm
+                        break
             step *= 0.5
         else:
-            if cone_blocked:
+            where = (f"at Newton iteration {it} (residual {rnorm:.3e}, "
+                     f"cone margin {nodal.margin:.3e})")
+            # the skipped trials decide the failure as the cone test would
+            # have: ConeEscape only if none of them is inside the cone
+            if cone_blocked and not any(
+                    op.sigma(_damped(u, op.nodes, s, delta_unknown)).min()
+                    > cfg.cone_floor for s in skipped):
                 raise ConeEscape(
-                    "no damping step keeps the iterate strictly inside the cone"
+                    "no damping step keeps the iterate strictly inside the "
+                    f"cone {where}"
                 )
             raise NewtonDiverged(
-                f"no damped step reduced the residual below {rnorm:.3e}"
+                f"no damped step reduced the residual {where}"
             )
     if rnorm <= cfg.tolerance:
-        return u, cfg.max_iterations, rnorm, margin
+        return u, cfg.max_iterations, rnorm, nodal.margin
     raise NewtonDiverged(
-        f"residual {rnorm:.3e} above tolerance {cfg.tolerance:.1e} "
-        f"after {cfg.max_iterations} iterations"
+        f"residual {rnorm:.3e} above tolerance {cfg.tolerance:.1e} after "
+        f"{cfg.max_iterations} iterations (cone margin {nodal.margin:.3e})"
     )
 
 
@@ -448,7 +532,15 @@ def _max_principle_gap(domain: GridDomain, u_flat, f: GridFunction) -> float:
 
 def subsolution_seed(f: GridFunction, g: MetricField, m: int,
                      cone_floor: float = 1e-10):
-    """Seed C(|z|^2 - r^2) + f, doubling C until strictly in the cone."""
+    """Seed C(|z|^2 - r^2) + f, doubling C until strictly in the cone.
+
+    The cone test sees the seed as built, before ``solve_dirichlet`` and
+    ``continuity_path`` write f back onto the boundary layer.  Writing it
+    back changes the Hessians of the interior nodes next to that layer, by
+    an amount that grows with C, so the iterate those solvers start from
+    can still leave the cone: on the C^2 unit ball with f = |z|^2 it does
+    from 17 points per axis, and the solve raises ConeEscape.
+    """
     domain = f.domain
     if domain.kind != BALL:
         raise DimensionMismatchError("the subsolution seed is a ball construction")
@@ -543,9 +635,8 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
     seed, _ = subsolution_seed(f, g, m, cfg.cone_floor)
     u = seed.flat.copy()
     u[domain.boundary_mask] = f.flat[domain.boundary_mask]
-    base, margin = op.fm_and_margin(u)
+    base = op.evaluate(u).fm
     iters_total = 0
-    rnorm = 0.0
     for t in np.linspace(0.0, 1.0, t_steps + 1)[1:]:
         try:
             u, iters, rnorm, margin = _newton(op, rhs, u, cfg,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhessian import fm
 from mhessian.errors import ConeBoundaryError, DimensionMismatchError
@@ -93,6 +95,48 @@ class TestFmValue:
             a = fm_value(T, omega, m).value
             b = fm_value(T.plus(S), omega, m).value
             assert b >= a - 1e-9
+
+
+@st.composite
+def cone_member(draw, kinds=("interior", "boundary", "equal")):
+    """(T, omega, m): a random form whose spectrum relative to a random
+    metric lies in the closed m-cone: inside it with every m-sum at least
+    0.1, on its boundary, or with every eigenvalue equal, where AM-GM is an
+    equality."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "equal":
+        lam = np.full(n, rng.uniform(0.1, 2.0))
+    else:
+        lam = random_interior_spectrum(
+            rng, n, m, floor=0.0 if kind == "boundary" else 0.1)
+    omega = random_metric(rng, n)
+    return hermitian_from_spectrum(rng, lam, omega), omega, m
+
+
+class TestFmProperties:
+    @given(cone_member())
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_by_the_trace(self, case):
+        # AM-GM on the m-sums: F_m <= (m/n) sum of the relative eigenvalues,
+        # the bound the Newton line search rejects trial steps with
+        T, omega, m = case
+        lam = relative_eigenvalues(T, omega).lambdas
+        bound = m / T.dim * lam.sum()
+        assert fm_value(T, omega, m).value <= bound + 1e-13 * np.abs(lam).sum()
+
+    # off the boundary: the cone tolerance is absolute, so a scaled-up
+    # boundary spectrum can fall outside it
+    @given(cone_member(kinds=("interior", "equal")), st.floats(-30.0, 30.0))
+    @settings(max_examples=200, deadline=None)
+    def test_degree_one_homogeneous(self, case, log10_scale):
+        T, omega, m = case
+        s = 10.0 ** log10_scale
+        expected = s * fm_value(T, omega, m).value
+        got = fm_value(HermitianMatrix(s * T.entries), omega, m).value
+        assert abs(got - expected) <= 1e-12 * expected
 
 
 class TestGradient:

@@ -464,7 +464,7 @@ class TestEigensolver:
         op = NodalOperator(d, g, 1, chi=HermitianMatrix([[0.3]]))
         H = op.hessians(u)
         assert np.array_equal(op.sigma(u), np.linalg.eigvalsh(H))
-        for mine, lapack in zip(op.eigh(u), np.linalg.eigh(H)):
+        for mine, lapack in zip(_eigh(H, True), np.linalg.eigh(H)):
             assert mine.dtype == lapack.dtype
             assert np.array_equal(mine, lapack)
 

@@ -1,6 +1,11 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhessian import solver
 from mhessian.errors import ChiNotPositive, ConeEscape, IllPosedRHS, NewtonDiverged
@@ -48,14 +53,20 @@ def seed_with_boundary(f, g, m=1):
     return u
 
 
+def newton_system(op, u, rhs):
+    """The Jacobian at u, its diagonal and the residual, as _newton forms
+    them."""
+    nodal = op.evaluate(u)
+    G, dG = op.rhs_values(u, rhs)
+    return (*op.jacobian(nodal.H, dG), nodal.fm - G)
+
+
 def ball_c2_system(points=9):
     """First Newton Jacobian, its diagonal and the residual of the C^2
     quadratic ball solve."""
     domain, g, f, rhs = quadratic_setup(2, points, 1)
-    op = _FmOperator(domain, g, 1)
-    u = seed_with_boundary(f, g)
-    r, _ = op.residual(u, rhs)
-    return (*op.jacobian(u, rhs), r)
+    return newton_system(_FmOperator(domain, g, 1), seed_with_boundary(f, g),
+                         rhs)
 
 
 # (n, points per axis, m, metric, chi): a ball grid when chi is None, else
@@ -104,6 +115,22 @@ def factorizations(monkeypatch):
 
 def meets_contract(J, delta, r):
     return np.abs(J @ delta + r).max() <= 1e-10 * np.abs(r).max()
+
+
+# a failure of the line search, and where it happened
+WHERE = re.compile(r"^(.*) at Newton iteration \d+ \(residual \S+, "
+                   r"cone margin \S+\)$")
+
+
+def penalized_torus(beta):
+    """chi, G and the metric of a C^1 torus problem whose full Newton steps
+    overshoot: G grows like exp(beta u)."""
+    domain = GridDomain.torus(1, points_per_axis=9)
+    f = GridFunction(domain,
+                     -2.0 + 0.05 * np.cos(2 * np.pi * domain.coords[:, 0]))
+    return (HermitianMatrix.identity(1),
+            RightHandSide.penalized_distance(beta, f),
+            MetricField.flat(domain))
 
 
 class TestLinearSolve:
@@ -175,9 +202,7 @@ class TestLinearSolve:
             return x_ref
 
         for case in JACOBIAN_CASES.values():
-            op, u, rhs = jacobian_case(*case)
-            J, diag = op.jacobian(u, rhs)
-            r, _ = op.residual(u, rhs)
+            J, diag, r = newton_system(*jacobian_case(*case))
             # the power of two _linear_solve scales r by
             scale = 2.0 ** (1 - np.frexp(np.abs(r).max())[1])
             x_ref = check(J, -r * scale, lambda x: x / diag, 0)
@@ -218,8 +243,8 @@ class TestLinearSolve:
         # shared int32 pattern of every operator Jacobian; two products
         # per matrix, so that an output buffer left over from the first
         # would show in the second
-        systems = [op.jacobian(u, rhs)[0] for op, u, rhs in
-                   (jacobian_case(*case) for case in JACOBIAN_CASES.values())]
+        systems = [newton_system(*jacobian_case(*case))[0]
+                   for case in JACOBIAN_CASES.values()]
         systems.append(ball_c2_system()[0])
         for J in systems:
             assert J.indices.dtype == J.indptr.dtype == np.int32
@@ -229,7 +254,7 @@ class TestLinearSolve:
     @pytest.mark.parametrize("case", list(JACOBIAN_CASES))
     def test_jacobian_matches_per_stencil_assembly(self, case):
         op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
-        lam, V = op.eigh(u)
+        lam, V = np.linalg.eigh(op.hessians(u))
         grad = solver.fm_gradient_diagonal(lam, op.m)
         M = np.einsum("kpi,ki,kqi->kpq", V, grad, np.conj(V))
         _, dG = rhs(op.coords, u[op.nodes], op.nodes, strict=False)
@@ -243,7 +268,7 @@ class TestLinearSolve:
             for k, col in enumerate(unknown[op.neighbors[s]]):
                 if col >= 0:
                     expected[k, col] += entry[k]
-        J, diag = op.jacobian(u, rhs)
+        J, diag, _ = newton_system(op, u, rhs)
         assert np.array_equal(diag, J.diagonal())
         np.testing.assert_allclose(J.toarray(), expected, rtol=0,
                                    atol=1e-14 * np.abs(expected).max())
@@ -415,9 +440,9 @@ class TestContinuityPath:
 
         op = _FmOperator(domain, g, 1)
         u = seed_with_boundary(f, g)
-        base, _ = op.fm_and_margin(u)
-        res, _ = op.residual(u, rhs, homotopy=(0.0, base))
-        assert np.abs(res).max() == 0.0
+        base = op.evaluate(u).fm
+        G, _ = op.rhs_values(u, rhs, homotopy=(0.0, base))
+        assert np.abs(op.evaluate(u).fm - G).max() == 0.0
 
     def test_path_matches_direct(self):
         domain, g, f, rhs, ustar = TestManufacturedNonQuadratic.setup(17)
@@ -513,7 +538,9 @@ class TestFailureModes:
 
     def test_newton_diverges_on_budget(self):
         domain, g, f, rhs = quadratic_setup(1, 17, 1)
-        with pytest.raises(NewtonDiverged):
+        with pytest.raises(NewtonDiverged, match=(
+                r"^residual \S+ above tolerance 1\.0e-14 after 1 iterations "
+                r"\(cone margin \S+\)$")):
             solve_dirichlet(f, rhs, g, 1,
                             SolverConfig(max_iterations=1, tolerance=1e-14))
 
@@ -522,3 +549,200 @@ class TestFailureModes:
         bad = GridFunction.from_callable(domain, lambda c: -sqn(c))
         with pytest.raises(ConeEscape):
             solve_dirichlet(f, rhs, g, 1, SolverConfig(initial=bad))
+
+    # the two damping-exhaustion branches of _newton, each reached once with
+    # the trials evaluated and once with the trace bound skipping them;
+    # their messages say where the solve stopped
+
+    @staticmethod
+    def exhaust(monkeypatch, solve, bound=True):
+        """The exception ``solve`` raises and the number of trials it
+        evaluated in full; without ``bound`` no trial is skipped."""
+        evaluated = []
+        evaluate = _FmOperator.evaluate
+
+        def counted(op, u):
+            evaluated.append(1)
+            return evaluate(op, u)
+
+        monkeypatch.setattr(_FmOperator, "evaluate", counted)
+        if not bound:
+            monkeypatch.setattr(_FmOperator, "residual_lower_bound",
+                                lambda op, u, G: -np.inf)
+        with pytest.raises((ConeEscape, NewtonDiverged)) as info:
+            solve()
+        # the first evaluation is the initial iterate's
+        return info.value, len(evaluated) - 1
+
+    def same_without_bound(self, monkeypatch, solve):
+        exc, trials = self.exhaust(monkeypatch, solve)
+        with monkeypatch.context() as patch:
+            plain, plain_trials = self.exhaust(patch, solve, bound=False)
+        assert type(plain) is type(exc)
+        assert plain.args == exc.args
+        return exc, trials, plain_trials
+
+    def test_every_step_leaving_the_cone_is_a_cone_escape(self, monkeypatch):
+        # a floor just below the initial margin of 1 (chi = I, u constant):
+        # every damped Newton step bends u and leaves the cone
+        chi, rhs, g = penalized_torus(10.0)
+        cfg = SolverConfig(cone_floor=1.0 - 1e-6)
+        exc, trials, plain_trials = self.same_without_bound(
+            monkeypatch, lambda: solve_torus(chi, rhs, g, 1, cfg))
+        assert isinstance(exc, ConeEscape)
+        assert WHERE.match(exc.args[0]).group(1) == (
+            "no damping step keeps the iterate strictly inside the cone")
+        assert trials == plain_trials > 0
+
+    def test_cone_escape_through_skipped_trials(self, monkeypatch):
+        # the only step, the full one, is skipped by the trace bound; its
+        # cone test alone makes the failure a ConeEscape
+        chi, rhs, g = penalized_torus(40.0)
+        cfg = SolverConfig(cone_floor=1.0 - 1e-6, damping_min_step=1.0)
+        exc, trials, plain_trials = self.same_without_bound(
+            monkeypatch, lambda: solve_torus(chi, rhs, g, 1, cfg))
+        assert isinstance(exc, ConeEscape)
+        assert (trials, plain_trials) == (0, 1)
+
+    def test_steps_that_never_lower_the_residual_diverge(self, monkeypatch):
+        # with a zero tolerance Newton reaches the rounding floor, where
+        # every damped step stays in the cone and none lowers the residual
+        domain, g, f, rhs = quadratic_setup(2, 7, 1)
+        exc, trials, plain_trials = self.same_without_bound(
+            monkeypatch,
+            lambda: solve_dirichlet(f, rhs, g, 1, SolverConfig(tolerance=0.0)))
+        assert isinstance(exc, NewtonDiverged)
+        assert WHERE.match(exc.args[0]).group(1) == (
+            "no damped step reduced the residual")
+        assert trials == plain_trials > 21
+
+    def test_divergence_through_skipped_trials(self, monkeypatch):
+        # the full step inside the cone raises the residual ninetyfold:
+        # the bound skips it, and the cone test of the skipped trial makes
+        # the failure NewtonDiverged
+        chi, rhs, g = penalized_torus(40.0)
+        cfg = SolverConfig(damping_min_step=1.0)
+        exc, trials, plain_trials = self.same_without_bound(
+            monkeypatch, lambda: solve_torus(chi, rhs, g, 1, cfg))
+        assert isinstance(exc, NewtonDiverged)
+        assert (trials, plain_trials) == (0, 1)
+
+
+# (n, points per axis, m, metric, chi, iterate): a ball grid when chi is
+# None, else a torus grid; the iterate is |z|^2 or a small random field
+BOUND_CASES = {
+    "c1_ball": (1, 9, 1, None, None, "quadratic"),
+    "c1_torus": (1, 9, 1, None, HermitianMatrix.identity(1), "random"),
+    "c2_ball_m1": (2, 7, 1, None, None, "quadratic"),
+    "c2_ball_m2_omega": (2, 7, 2, OMEGA, None, "quadratic"),
+    "c2_torus_m1": (2, 5, 1, None, CHI, "random"),
+    "c2_torus_m2": (2, 5, 2, OMEGA, CHI, "random"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def bound_case(name):
+    n, points, m, metric, chi, iterate = BOUND_CASES[name]
+    if chi is None:
+        domain = GridDomain.ball(n, radius=1.0, points_per_axis=points)
+    else:
+        domain = GridDomain.torus(n, points_per_axis=points)
+    g = MetricField(domain, metric) if metric else MetricField.flat(domain)
+    if iterate == "quadratic":
+        u = sqn(domain.coords)
+    else:
+        u = 1e-3 * np.random.default_rng(3).normal(size=domain.node_count)
+    return _FmOperator(domain, g, m, chi), u
+
+
+class TestTraceBound:
+    @given(case=st.sampled_from(list(BOUND_CASES)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           log_size=st.floats(-8.0, 0.0),
+           log_gap=st.floats(-16.0, 1.0),
+           step=st.sampled_from([2.0 ** -k for k in range(0, 21, 4)]))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_rejects_only_what_the_evaluation_rejects(
+            self, case, seed, log_size, log_gap, step):
+        # every trial in the cone has a residual at least its bound: then
+        # for every residual norm the bound rejects a trial at, so does the
+        # full evaluation.  G is drawn close to (m/n) tr H, where AM-GM is
+        # tight for the quadratic iterates, so the slack carries the test
+        op, u = bound_case(case)
+        rng = np.random.default_rng(seed)
+        delta = 10.0 ** log_size * rng.normal(size=op.nodes.size)
+        trial = solver._damped(u, op.nodes, step, delta)
+        nodal = op.evaluate(trial)
+        trace = np.einsum("kpp->k", nodal.H).real
+        G = (op.m / op.domain.n * np.abs(trace)
+             * (1.0 + 10.0 ** log_gap * rng.uniform(-1.0, 1.0, trace.size)))
+        bound = op.residual_lower_bound(trial, G)
+        if nodal.margin > 0.0:
+            assert float(np.abs(nodal.fm - G).max()) >= bound
+
+    def test_bound_skips_trials(self):
+        # not vacuous: on a torus problem with a large penalty the bound of
+        # the full step is ninety times the current residual, and within
+        # 3e-11 relative of the trial's own
+        chi, rhs, g = penalized_torus(40.0)
+        op = _FmOperator(g.domain, g, 1, chi)
+        u = np.full(g.domain.node_count, float(rhs.reference.flat.min()))
+        J, diag, r = newton_system(op, u, rhs)
+        trial = solver._damped(u, op.nodes, 1.0, _linear_solve(J, r, diag))
+        G, _ = op.rhs_values(trial, rhs)
+        rnorm = float(np.abs(r).max())
+        bound = op.residual_lower_bound(trial, G)
+        assert bound > 50.0 * rnorm
+        residual = float(np.abs(op.evaluate(trial).fm - G).max())
+        assert bound <= residual <= bound * (1.0 + 1e-10)
+
+    def test_each_iterate_is_gathered_once(self, monkeypatch):
+        # every trial calls G once; the Jacobian reuses the accepted
+        # trial's Hessians and slope, so it neither gathers nor calls G
+        counts = dict.fromkeys(
+            ("rhs", "bound", "evaluate", "hessians", "jacobian"), 0)
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for cls, attr, name in (
+                (RightHandSide, "__call__", "rhs"),
+                (_FmOperator, "residual_lower_bound", "bound"),
+                (_FmOperator, "evaluate", "evaluate"),
+                (_FmOperator, "hessians", "hessians"),
+                (_FmOperator, "jacobian", "jacobian")):
+            monkeypatch.setattr(cls, attr, counted(name, getattr(cls, attr)))
+        chi, rhs, g = penalized_torus(40.0)
+        report = solve_torus(chi, rhs, g, 1)
+        assert counts["jacobian"] == report.iterations
+        assert counts["rhs"] == counts["bound"] + 1
+        assert counts["hessians"] == counts["evaluate"]
+        # each accepted trial was evaluated, and some trials were skipped
+        assert report.iterations <= counts["evaluate"] - 1 < counts["bound"]
+
+    def test_jacobian_takes_the_accepted_trial(self, monkeypatch):
+        # each Jacobian gets the Hessians of an evaluated iterate and the
+        # slope of G at that same iterate
+        evaluated, jacobians = [], []
+        evaluate, jacobian = _FmOperator.evaluate, _FmOperator.jacobian
+
+        def recorded_evaluate(op, u):
+            nodal = evaluate(op, u)
+            evaluated.append((u.copy(), nodal.H))
+            return nodal
+
+        def recorded_jacobian(op, H, dG):
+            jacobians.append((op, H, dG.copy()))
+            return jacobian(op, H, dG)
+
+        monkeypatch.setattr(_FmOperator, "evaluate", recorded_evaluate)
+        monkeypatch.setattr(_FmOperator, "jacobian", recorded_jacobian)
+        chi, rhs, g = penalized_torus(40.0)
+        solve_torus(chi, rhs, g, 1)
+        assert len(jacobians) > 1
+        for op, H, dG in jacobians:
+            [u] = [u for u, H_u in evaluated if H_u is H]
+            assert np.array_equal(dG, op.rhs_values(u, rhs)[1])
