@@ -35,7 +35,7 @@ from .regularize import ApproximationSchedule, global_regularize, \
 from .serialize import domain_from_config, gridfunction_to_binary, \
     gridfunction_to_csv, write_csv_rows, write_json
 from .solver import RightHandSide, SolverConfig, continuity_path, \
-    max_principle_check, solve_dirichlet, solve_torus
+    solve_dirichlet, solve_torus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -233,7 +233,6 @@ def run_solve(config: ConfigTable, out: Path, rng) -> dict:
             report = continuity_path(boundary, rhs, g, m, cfg)
         else:
             report = solve_dirichlet(boundary, rhs, g, m, cfg)
-        gap = max_principle_check(report, boundary)
     elif problem == "torus":
         chi = matrix_from_json(config.table("chi"))
         reference = GridFunction.from_callable(
@@ -241,12 +240,9 @@ def run_solve(config: ConfigTable, out: Path, rng) -> dict:
         )
         rhs = rhs_from_config(config.table("rhs"), m, reference)
         report = solve_torus(chi, rhs, g, m, cfg)
-        gap = None
     else:
         raise ConfigError(f"unknown problem {problem!r}")
-    payload = report.to_json()
-    payload["max_principle_gap"] = gap
-    write_json(payload, out / "report.json")
+    write_json(report.to_json(), out / "report.json")
     gridfunction_to_csv(report.solution, out / "solution.csv")
     gridfunction_to_binary(report.solution, out / "solution.bin")
     op = "solve_torus" if problem == "torus" else (

@@ -54,10 +54,6 @@ class BidegreeForm:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2) * self.weight)
-
 
 def curvature_factors(lambdas, p: int, q: int) -> np.ndarray:
     """Diagonal action factors, shape (C(n,p), C(n,q)).

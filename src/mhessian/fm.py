@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConeBoundaryError, DimensionMismatchError
 from .hermitian import HermitianMatrix, MetricMatrix, reduce_to_metric_frame, \
     relative_eigenvalues
-from .multiindex import multi_indices, subset_sums
+from .multiindex import multi_indices, subset_sum_matrix, subset_sums
 
 # Absolute tolerance on eigenvalue sums of order-1-normalized inputs; sums
 # in [-CONE_TOL, 0) are treated as 0, sums below -CONE_TOL are rejected.
@@ -81,8 +81,7 @@ def fm_value(T: HermitianMatrix, omega: MetricMatrix, m: int,
     return fm_from_lambdas(spec.lambdas, m, tol)
 
 
-def fm_gradient_diagonal(lambdas, m: int,
-                         boundary_tol: float = GRADIENT_BOUNDARY_TOL) -> np.ndarray:
+def fm_gradient_diagonal(lambdas, m: int) -> np.ndarray:
     """Diagonal first derivatives of F_m at a diagonal matrix.
 
     For eigenvalues lambda_p the p-th diagonal derivative is
@@ -99,7 +98,7 @@ def fm_gradient_diagonal(lambdas, m: int,
     _check_m(n, m)
     sums = subset_sums(lambdas, m)
     low = sums.min(initial=np.inf)
-    if low <= boundary_tol:
+    if low <= GRADIENT_BOUNDARY_TOL:
         raise ConeBoundaryError(
             f"eigenvalue sum {low:.6e} is on or outside the cone boundary; "
             f"the gradient requires the open cone"
@@ -107,7 +106,6 @@ def fm_gradient_diagonal(lambdas, m: int,
     N = comb(n, m)
     value = np.exp(np.mean(np.log(sums), axis=-1))
     # membership[J, p] = 1 iff p in J, reusing the subset-sum indicator.
-    from .multiindex import subset_sum_matrix
     member = subset_sum_matrix(n, m)
     inv_sum_per_p = (1.0 / sums) @ member
     return value[..., None] / N * inv_sum_per_p

@@ -6,9 +6,9 @@ closed ball), boundary (inside the ball but without full stencil margin;
 Dirichlet data lives here) or exterior (unused).  Torus grids wrap.
 
 Complex Hessians are assembled from second-order central differences of
-the real Hessian; the stencil weights are obtained by pushing the real
-difference weights through the same algebra as `complex_hessian_point`,
-so quadratics are reproduced exactly.
+the real Hessian; each stencil weight is `complex_hessian_point` of the
+real difference weights at its offset, so quadratics are reproduced
+exactly.
 """
 
 import math
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, StencilError
 from .fm import CONE_TOL, _check_m, geometric_mean_clamped
-from .hermitian import HermitianMatrix, MetricMatrix
+from .hermitian import HermitianMatrix, MetricMatrix, complex_hessian_point
 from .multiindex import subset_sums
 
 BALL = "ball"
@@ -72,11 +72,7 @@ def stencil(n: int):
 
     offsets, weights = [], []
     for off, S in entries.items():
-        xx = S[0::2, 0::2]
-        yy = S[1::2, 1::2]
-        xy = S[0::2, 1::2]
-        yx = S[1::2, 0::2]
-        W = 0.25 * (xx + yy + 1j * (xy - yx))
+        W = complex_hessian_point(S).entries
         if np.abs(W).max() > 0.0:
             offsets.append(off)
             weights.append(W)

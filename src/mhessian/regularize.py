@@ -149,18 +149,16 @@ def _sup_convolve(values: np.ndarray, domain: GridDomain,
     return out.ravel()
 
 
-def upper_smooth_sequence(target: GridFunction, count: int,
-                          eps_start: float = None,
-                          smoothing_passes: int = 2,
-                          clip_start: float = None,
-                          gap_start: float = 0.5) -> list:
+def upper_smooth_sequence(target: GridFunction, count: int) -> list:
     """Nodewise nonincreasing smooth upper approximants of a sampled target.
 
-    Built by quadratic sup-convolution with shrinking radius followed by a
-    fixed number of grid smoothing passes and a shrinking strict offset.
-    Nodes at or below the negative-infinity floor are clipped at a growing
-    cutoff.  Both mechanisms are monotone, so the sequence decreases by
-    construction; a final nodewise clamp guards rounding.
+    Approximant j is a quadratic sup-convolution of radius parameter
+    (4h)^2 / 2^j on grid spacing h, followed by two grid smoothing passes
+    and a strict offset 2^-(j+1).  Nodes at or below the negative-infinity
+    floor are clipped at a cutoff that starts at twice the largest |target|
+    (at least 2) and doubles with j.  Both mechanisms are monotone, so the
+    sequence decreases by construction; a final nodewise clamp guards
+    rounding.
     """
     domain = target.domain
     inside = _inside(domain)
@@ -168,10 +166,8 @@ def upper_smooth_sequence(target: GridFunction, count: int,
     real_vals = finite_vals[finite_vals > NEG_INFINITY_FLOOR]
     if real_vals.size == 0:
         raise TargetNotAdmissible("target is identically negative infinity")
-    if eps_start is None:
-        eps_start = (4.0 * domain.spacing) ** 2
-    if clip_start is None:
-        clip_start = 2.0 * max(1.0, float(np.abs(real_vals).max()))
+    eps_start = (4.0 * domain.spacing) ** 2
+    clip_start = 2.0 * max(1.0, float(np.abs(real_vals).max()))
     base = target.flat.copy()
     if domain.kind == BALL:
         base[~inside] = -1e18  # exterior never wins a sup-convolution
@@ -182,11 +178,11 @@ def upper_smooth_sequence(target: GridFunction, count: int,
         eps = eps_start * 0.5 ** j
         vals = np.maximum(base, -clip)
         vals = _sup_convolve(vals, domain, eps)
-        for _ in range(smoothing_passes):
+        for _ in range(2):
             vals = _smooth_pass(vals, domain)
         defect = float(np.max((np.maximum(base, -clip) - vals)[inside],
                               initial=0.0))
-        vals = vals + max(0.0, defect) + gap_start * 0.5 ** j
+        vals = vals + max(0.0, defect) + 0.5 ** (j + 1)
         if prev is not None:
             vals = np.minimum(vals, prev)  # rounding guard, usually inactive
         if domain.kind == BALL:

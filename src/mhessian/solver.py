@@ -57,30 +57,18 @@ class SolverConfig:
     damping_min_step: float = 2.0 ** -20
     initial: GridFunction = None
 
-    def to_json(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "t_steps": self.t_steps,
-            "cone_floor": self.cone_floor,
-            "damping_min_step": self.damping_min_step,
-        }
-
 
 @dataclass(frozen=True)
 class RightHandSide:
     """Positive right-hand side G(z, t) increasing in t.
 
     ``evaluator(coords, t, flat_idx)`` returns (G, dG/dt) as arrays; ball
-    solves require dG/dt strictly positive, torus solves may relax to
-    non-negative by setting ``allow_flat_slope`` (caller supplies the
-    well-posedness argument).
+    solves (``strict``) require dG/dt strictly positive, torus solves only
+    non-negative.
     """
 
     evaluator: callable
     reference: GridFunction = None
-    beta: float = None
-    allow_flat_slope: bool = False
 
     def __call__(self, coords, t, flat_idx, strict=True):
         G, dG = self.evaluator(coords, np.asarray(t, dtype=float), flat_idx)
@@ -90,7 +78,7 @@ class RightHandSide:
             raise IllPosedRHS("right-hand side returned non-finite values")
         if (G <= 0.0).any():
             raise IllPosedRHS("right-hand side must be strictly positive")
-        if strict and not self.allow_flat_slope:
+        if strict:
             if (dG <= 0.0).any():
                 raise IllPosedRHS("right-hand side must be increasing in t")
         elif (dG < 0.0).any():
@@ -121,9 +109,9 @@ class RightHandSide:
         )
 
     @classmethod
-    def penalized_distance(cls, beta: float, reference: GridFunction,
-                           floor_scale: float = 1.0) -> "RightHandSide":
-        """G(z, t) = exp(beta (t - f(z))) + floor_scale / (2 beta)."""
+    def penalized_distance(cls, beta: float,
+                           reference: GridFunction) -> "RightHandSide":
+        """G(z, t) = exp(beta (t - f(z))) + 1 / (2 beta)."""
         if not beta > math.e:
             raise IllPosedRHS(f"penalty parameter must exceed e, got {beta}")
         ref_flat = reference.flat
@@ -131,9 +119,9 @@ class RightHandSide:
         def evaluator(coords, t, idx):
             e = np.exp(np.clip(beta * (t - ref_flat[idx]),
                                EXP_CLAMP_LO, EXP_CLAMP_HI))
-            return e + floor_scale / (2.0 * beta), beta * e
+            return e + 1.0 / (2.0 * beta), beta * e
 
-        return cls(evaluator=evaluator, reference=reference, beta=beta)
+        return cls(evaluator=evaluator, reference=reference)
 
     @classmethod
     def penalized_corridor(cls, beta: float, reference: GridFunction,
@@ -155,7 +143,7 @@ class RightHandSide:
             c = cor_flat[idx]
             return e * c + background_value / (2.0 * beta), beta * e * c
 
-        return cls(evaluator=evaluator, reference=reference, beta=beta)
+        return cls(evaluator=evaluator, reference=reference)
 
 
 @dataclass(frozen=True)
@@ -298,7 +286,7 @@ class _FmOperator(NodalOperator):
 
 # Every Jacobian tries Jacobi-preconditioned BiCGSTAB first; this limit only
 # picks the factorization behind it.  Up to the limit SuperLU factorizes
-# directly; above it fill-in makes that far slower than ILU + Krylov.  On an
+# directly; above it fill-in makes that far slower than ILU + BiCGSTAB.  On an
 # 11^4 torus Jacobian (14641 unknowns, 25-point stencil; 2-vCPU Xeon, one
 # BLAS thread) SuperLU with MMD ordering took 40 s and 4.8e7 fill entries,
 # ILU + BiCGSTAB 9.2-9.7 s and Jacobi-BiCGSTAB 0.03-0.06 s.
@@ -393,8 +381,9 @@ def _linear_solve(J, r, diag):
 
     Jacobi-preconditioned BiCGSTAB, on ``diag``, the diagonal of J, runs
     first.  Only when it fails does a factorization run: SuperLU up to
-    DIRECT_SOLVE_LIMIT unknowns, ILU preconditioned BiCGSTAB and then GMRES
-    above it.
+    DIRECT_SOLVE_LIMIT unknowns, ILU preconditioned BiCGSTAB above it.  A
+    failure of that one fallback, a singular factorization included, is a
+    NewtonDiverged.
     """
     denom = max(float(np.abs(r).max()), 1e-300)
     # BiCGSTAB's breakdown test is absolute, so every path solves for r
@@ -423,26 +412,26 @@ def _linear_solve(J, r, diag):
             lu = scipy.sparse.linalg.splu(J.tocsc(),
                                           permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # exactly singular
-            raise NewtonDiverged(f"direct linear solve failed: {exc}") from exc
+            raise NewtonDiverged(f"splu factorization failed: {exc}") from exc
         delta = lu.solve(-r)
         if not _check_linear_residual(J, delta, r, denom):
             # one step of iterative refinement before giving up
             delta = delta + lu.solve(-(J @ delta + r))
         if _check_linear_residual(J, delta, r, denom):
             return delta / scale
-        raise NewtonDiverged("direct linear solve residual exceeds contract")
-    ilu = scipy.sparse.linalg.spilu(J.tocsc(), drop_tol=1e-5, fill_factor=12.0)
+        raise NewtonDiverged(
+            "splu solve failed the residual contract after refinement")
+    try:
+        ilu = scipy.sparse.linalg.spilu(J.tocsc(), drop_tol=1e-5,
+                                        fill_factor=12.0)
+    except RuntimeError as exc:  # exactly singular
+        raise NewtonDiverged(f"spilu factorization failed: {exc}") from exc
     delta, info = _bicgstab(J, -r, ilu.solve, rtol=1e-12, atol=atol,
                             maxiter=400)
     if info == 0 and _check_linear_residual(J, delta, r, denom):
         return delta / scale
-    delta, info = scipy.sparse.linalg.gmres(
-        J, -r, M=scipy.sparse.linalg.LinearOperator(J.shape, ilu.solve),
-        rtol=1e-12, atol=atol, restart=80, maxiter=400
-    )
-    if info == 0 and _check_linear_residual(J, delta, r, denom):
-        return delta / scale
-    raise NewtonDiverged("Krylov linear solve failed the residual contract")
+    raise NewtonDiverged(
+        f"ILU-BiCGSTAB failed the residual contract (BiCGSTAB info={info})")
 
 
 def _damped(u, nodes, step, delta):

@@ -162,6 +162,47 @@ class TestLinearSolve:
             f"Jacobi-BiCGSTAB failed on {J.shape[0]} unknowns (zero on the "
             f"diagonal, BiCGSTAB not run); falling back to {fallback}")
 
+    # each failure of the fallback is a NewtonDiverged that names its path
+    @pytest.mark.parametrize("fallback", ["splu", "spilu"])
+    def test_singular_jacobian_diverges(self, monkeypatch, fallback):
+        # an empty first row: exactly singular, and zero on the diagonal, so
+        # Jacobi-BiCGSTAB does not run
+        J, _, r = ball_c2_system()
+        J = J.tolil()
+        J[0, :] = 0.0
+        J = J.tocsr()
+        diag = J.diagonal()
+        if fallback == "spilu":
+            monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", J.shape[0] - 1)
+        with pytest.raises(NewtonDiverged, match=(
+                rf"^{fallback} factorization failed: Factor is exactly "
+                r"singular$")):
+            _linear_solve(J, r, diag)
+
+    def test_splu_residual_over_contract_diverges(self, factorizations,
+                                                  monkeypatch):
+        J, diag, r = ball_c2_system()
+        monkeypatch.setattr(solver, "_check_linear_residual",
+                            lambda *args: False)
+        with pytest.raises(NewtonDiverged, match=(
+                r"^splu solve failed the residual contract after "
+                r"refinement$")):
+            _linear_solve(J, r, diag)
+        assert factorizations["splu"] == 1
+
+    def test_ilu_bicgstab_failure_diverges_with_its_info(
+            self, factorizations, monkeypatch):
+        J, diag, r = ball_c2_system()
+        monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", J.shape[0] - 1)
+        monkeypatch.setattr(solver, "_bicgstab",
+                            lambda J, b, *args, **kwargs: (np.zeros_like(b),
+                                                           -10))
+        with pytest.raises(NewtonDiverged, match=(
+                r"^ILU-BiCGSTAB failed the residual contract \(BiCGSTAB "
+                r"info=-10\)$")):
+            _linear_solve(J, r, diag)
+        assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 1}
+
     def test_breakdown_is_logged_with_its_info(self, factorizations,
                                                monkeypatch, caplog):
         J, diag, r = ball_c2_system()
@@ -527,14 +568,17 @@ class TestFailureModes:
         with pytest.raises(IllPosedRHS):
             solve_dirichlet(f, RightHandSide(evaluator=bad), g, 1)
 
-    def test_decreasing_rhs_rejected(self):
+    # a ball solve needs dG > 0: a flat slope is as ill-posed as a falling one
+    @pytest.mark.parametrize("slope", [-1.0, 0.0], ids=["falling", "flat"])
+    def test_decreasing_rhs_rejected(self, slope):
         domain, g, f, _ = quadratic_setup(1, 9, 1)
 
-        def decreasing(coords, t, idx):
-            return np.exp(-t), -np.exp(-t)
+        def evaluator(coords, t, idx):
+            return np.exp(slope * t), slope * np.exp(slope * t)
 
-        with pytest.raises(IllPosedRHS):
-            solve_dirichlet(f, RightHandSide(evaluator=decreasing), g, 1)
+        with pytest.raises(IllPosedRHS,
+                           match="right-hand side must be increasing in t"):
+            solve_dirichlet(f, RightHandSide(evaluator=evaluator), g, 1)
 
     def test_newton_diverges_on_budget(self):
         domain, g, f, rhs = quadratic_setup(1, 17, 1)
