@@ -78,6 +78,11 @@ class ConfigTable(dict):
                               f"got {value!r}")
         return value
 
+    def numbers(self, kinds: dict) -> dict:
+        """``number(key, kind)`` for each key of ``kinds`` the table sets."""
+        return {key: self.number(key, kind) for key, kind in kinds.items()
+                if key in self}
+
 
 FIELD_KINDS = {}
 
@@ -141,20 +146,19 @@ def metric_from_config(config: ConfigTable, key: str, n: int) -> MetricMatrix:
     return MetricMatrix(matrix_from_json(config.table(key)))
 
 
+def solver_settings(config: ConfigTable, kinds: dict) -> dict:
+    """The keys of ``kinds`` the config sets, in its nested "solver" table
+    or else flat; keys it leaves out keep the library's defaults."""
+    nested = config.table("solver", ConfigTable())
+    flat = {key: kind for key, kind in kinds.items() if key not in nested}
+    return {**config.numbers(flat), **nested.numbers(kinds)}
+
+
 def solver_config_from(config: ConfigTable) -> SolverConfig:
     """Solver settings, read from a nested "solver" table or flat keys."""
-    nested = config.table("solver", ConfigTable())
-
-    def pick(key, kind, default):
-        return (nested if key in nested else config).number(key, kind, default)
-
-    return SolverConfig(
-        tolerance=pick("tolerance", float, 1e-9),
-        max_iterations=pick("max_iterations", int, 100),
-        t_steps=pick("t_steps", int, 8),
-        cone_floor=pick("cone_floor", float, 1e-10),
-        damping_min_step=pick("damping_min_step", float, 2.0 ** -20),
-    )
+    return SolverConfig(**solver_settings(config, {
+        "tolerance": float, "max_iterations": int,
+        "cone_floor": float, "damping_min_step": float}))
 
 
 def rhs_from_config(cfg: ConfigTable, m: int,
@@ -230,7 +234,9 @@ def run_solve(config: ConfigTable, out: Path, rng) -> dict:
         )
         rhs = rhs_from_config(config.table("rhs"), m, boundary)
         if config.get("homotopy", True):
-            report = continuity_path(boundary, rhs, g, m, cfg)
+            report = continuity_path(
+                boundary, rhs, g, m, cfg,
+                **solver_settings(config, {"t_steps": int}))
         else:
             report = solve_dirichlet(boundary, rhs, g, m, cfg)
     elif problem == "torus":
@@ -271,16 +277,14 @@ def run_regularize(config: ConfigTable, out: Path, rng) -> dict:
         fs = [GridFunction(domain, target.flat + eta0 * decay ** k)
               for k in range(count)]
     schedule = ApproximationSchedule.geometric(
-        fs,
-        beta_start=sched_cfg.number("beta_start", float, 10.0),
-        growth=sched_cfg.number("growth", float, 2.0),
-    )
-    iterates = config.number("iterates", int, 3)
+        fs, **sched_cfg.numbers({"beta_start": float, "growth": float}))
+    iterates = config.numbers({"iterates": int})
     if mode == "local":
-        result = local_regularize(target, g, m, schedule, cfg, iterates)
+        result = local_regularize(target, g, m, schedule, cfg, **iterates)
     elif mode == "global":
         chi = matrix_from_json(config.table("chi"))
-        result = global_regularize(target, chi, g, m, schedule, cfg, iterates)
+        result = global_regularize(target, chi, g, m, schedule, cfg,
+                                   **iterates)
     else:
         raise ConfigError(f"unknown regularization mode {mode!r}")
     report = verify_monotone_convergence(result, target)
@@ -361,6 +365,14 @@ def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
             lam = lam + (0.1 - smallest) / m
         return lam
 
+    def interior_form(g, n, m):
+        """A form whose spectrum relative to g is interior_spectrum(n, m)."""
+        lam = interior_spectrum(n, m)
+        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        Q, _ = np.linalg.qr(Z)
+        B = g.cholesky @ Q
+        return HermitianMatrix(B @ np.diag(lam) @ B.conj().T)
+
     # oracle equivalence and monotonicity on one seeded corpus
     fails_eq = fails_mono = 0
     n_cases = config.number("corpus_size", int, 1000)
@@ -401,11 +413,7 @@ def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, n + 1))
         g = random_metric(n)
-        lam = interior_spectrum(n, m)
-        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Q, _ = np.linalg.qr(Z)
-        B = g.cholesky @ Q
-        T = HermitianMatrix(B @ np.diag(lam) @ B.conj().T)
+        T = interior_form(g, n, m)
         a = fm_via_determinant(T, g, m)
         b = fm_value(T, g, m).value
         if abs(a - b) > 1e-9 * abs(b):
@@ -418,15 +426,8 @@ def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, n + 1))
         g = random_metric(n)
-
-        def sample():
-            lam = interior_spectrum(n, m)
-            Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            Q, _ = np.linalg.qr(Z)
-            B = g.cholesky @ Q
-            return HermitianMatrix(B @ np.diag(lam) @ B.conj().T)
-
-        if not concavity_probe(sample(), sample(), g, m, steps=7):
+        if not concavity_probe(interior_form(g, n, m), interior_form(g, n, m),
+                               g, m, steps=7):
             fails += 1
     record("concavity_probe", 500, fails)
 

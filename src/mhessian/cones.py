@@ -11,13 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeBoundaryError, DimensionMismatchError
+from .errors import ConeBoundaryError
 from .fm import CONE_TOL, _check_m, fm_plus
 from .hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
 from .multiindex import multi_indices, subset_sums
-
-# Alias: membership decisions share the global eigenvalue-sum tolerance.
-MEMBERSHIP_TOL = CONE_TOL
 
 
 @dataclass(frozen=True)
@@ -40,18 +37,18 @@ class ConeVerdict:
         }
 
 
-def is_m_semipositive(T: HermitianMatrix, omega: MetricMatrix, m: int,
-                      tol: float = MEMBERSHIP_TOL) -> ConeVerdict:
+def is_m_semipositive(T: HermitianMatrix, omega: MetricMatrix,
+                      m: int) -> ConeVerdict:
     """Membership via the sum of the m smallest relative eigenvalues."""
     _check_m(T.dim, m)
     spec = relative_eigenvalues(T, omega)
     margin = float(np.sum(spec.lambdas[:m]))
-    return ConeVerdict(member=margin >= -tol, margin=margin,
+    return ConeVerdict(member=margin >= -CONE_TOL, margin=margin,
                        witness=tuple(range(1, m + 1)))
 
 
-def strong_positivity_oracle(T: HermitianMatrix, omega: MetricMatrix, m: int,
-                             tol: float = MEMBERSHIP_TOL) -> ConeVerdict:
+def strong_positivity_oracle(T: HermitianMatrix, omega: MetricMatrix,
+                             m: int) -> ConeVerdict:
     """Membership by enumerating every coefficient of T wedge omega^{m-1}.
 
     In a frame simultaneously diagonalizing T and omega those coefficients
@@ -63,11 +60,12 @@ def strong_positivity_oracle(T: HermitianMatrix, omega: MetricMatrix, m: int,
     k = int(np.argmin(sums))
     witness = tuple(i + 1 for i in multi_indices(T.dim, m)[k])
     margin = float(sums[k])
-    return ConeVerdict(member=margin >= -tol, margin=margin, witness=witness)
+    return ConeVerdict(member=margin >= -CONE_TOL, margin=margin,
+                       witness=witness)
 
 
-def cone_Pmk_membership(A_tilde: HermitianMatrix, g: MetricMatrix, m: int,
-                        tol: float = MEMBERSHIP_TOL) -> ConeVerdict:
+def cone_Pmk_membership(A_tilde: HermitianMatrix, g: MetricMatrix,
+                        m: int) -> ConeVerdict:
     """Membership of the g-Hermitian matrix g^{-1} A_tilde in the k = dim cone.
 
     The matrix is passed through its Hermitian factor A_tilde; eigenvalues
@@ -76,17 +74,14 @@ def cone_Pmk_membership(A_tilde: HermitianMatrix, g: MetricMatrix, m: int,
     the sum of the m smallest eigenvalues, so the eigenvalue route decides
     the subspace-trace condition exactly.
     """
-    if A_tilde.dim != g.dim:
-        raise DimensionMismatchError("matrix and metric dimensions differ")
-    return is_m_semipositive(A_tilde, g, m, tol)
+    return is_m_semipositive(A_tilde, g, m)
 
 
 def cone_PmnB_membership(A_tilde: HermitianMatrix, B_tilde: HermitianMatrix,
-                         g: MetricMatrix, m: int,
-                         tol: float = MEMBERSHIP_TOL) -> bool:
+                         g: MetricMatrix, m: int) -> bool:
     """Membership in the sublevel cone: A in the m-cone with F_m[A] >= F_m[B]."""
-    if not cone_Pmk_membership(B_tilde, g, m, tol).member:
+    if not cone_Pmk_membership(B_tilde, g, m).member:
         raise ConeBoundaryError("reference matrix B is not in the cone")
-    if not cone_Pmk_membership(A_tilde, g, m, tol).member:
+    if not cone_Pmk_membership(A_tilde, g, m).member:
         return False
-    return fm_plus(A_tilde, g, m) >= fm_plus(B_tilde, g, m) - tol
+    return fm_plus(A_tilde, g, m) >= fm_plus(B_tilde, g, m) - CONE_TOL

@@ -85,28 +85,27 @@ def inner_product(u: BidegreeForm, v: BidegreeForm) -> complex:
     return complex(np.sum(u.coeffs * v.coeffs.conj()) * u.weight)
 
 
-def _check_hypothesis(case: str, lam: np.ndarray, c: float, level: int,
-                      tol: float) -> None:
+def _check_hypothesis(case: str, lam: np.ndarray, c: float,
+                      level: int) -> None:
     n = lam.size
     if case in ("p0", "0q"):
         # The form is (n-level)-semi-negative shifted by -c: every
         # (n-level)-fold sum of (lambda + c) must be <= 0.
         k = n - level
-        if k > 0 and subset_sums(lam + c, k).max() > tol:
+        if k > 0 and subset_sums(lam + c, k).max() > BOUND_TOL:
             raise HypothesisViolatedError(
                 f"case {case}: some {k}-fold sum of (lambda + c) is positive"
             )
     else:
         # The form dominates c times the metric at order `level`: every
         # level-fold sum of (lambda - c) must be >= 0.
-        if level > 0 and subset_sums(lam - c, level).min() < -tol:
+        if level > 0 and subset_sums(lam - c, level).min() < -BOUND_TOL:
             raise HypothesisViolatedError(
                 f"case {case}: some {level}-fold sum of (lambda - c) is negative"
             )
 
 
-def verify_bound_regime(case: str, lambdas, c: float, level: int,
-                        tol: float = BOUND_TOL) -> bool:
+def verify_bound_regime(case: str, lambdas, c: float, level: int) -> bool:
     """Check the operator lower bound on every basis form of the case's bidegree.
 
     Cases: ``p0`` acts on (level, 0), ``0q`` on (0, level) with bound
@@ -121,7 +120,7 @@ def verify_bound_regime(case: str, lambdas, c: float, level: int,
         raise DimensionMismatchError(f"level {level} out of range for n={n}")
     if not c > 0:
         raise HypothesisViolatedError("the constant c must be positive")
-    _check_hypothesis(case, lam, c, level, tol)
+    _check_hypothesis(case, lam, c, level)
     p, q = {
         "p0": (level, 0),
         "0q": (0, level),
@@ -130,7 +129,7 @@ def verify_bound_regime(case: str, lambdas, c: float, level: int,
     }[case]
     bound = c * (n - level) if case in ("p0", "0q") else c * level
     factors = curvature_factors(lam, p, q)
-    return bool(factors.min() >= bound - tol)
+    return bool(factors.min() >= bound - BOUND_TOL)
 
 
 def l2_constant(case: str, c: float, n: int, l: int) -> float:

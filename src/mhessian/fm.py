@@ -40,18 +40,18 @@ class FmValue:
         object.__setattr__(self, "msums", s)
 
 
-def geometric_mean_clamped(sums: np.ndarray, tol: float = CONE_TOL) -> np.ndarray:
-    """C(n,m)-th root of the product of m-sums, clamping slack above -tol to 0.
+def geometric_mean_clamped(sums: np.ndarray) -> np.ndarray:
+    """C(n,m)-th root of the product of m-sums, reading [-CONE_TOL, 0) as 0.
 
     Accepts shape (..., N) and returns shape (...).  Raises when any sum is
-    below -tol (spectrum outside the closed cone beyond tolerance).
+    below -CONE_TOL (spectrum outside the closed cone beyond tolerance).
     """
     sums = np.asarray(sums, dtype=float)
     low = sums.min(initial=np.inf)
-    if low < -tol:
+    if low < -CONE_TOL:
         raise ConeBoundaryError(
             f"eigenvalue sum {low:.6e} lies outside the closed cone "
-            f"(tolerance {tol:.1e})"
+            f"(tolerance {CONE_TOL:.1e})"
         )
     clamped = np.maximum(sums, 0.0)
     # exp-mean-log for overflow safety; zero factors force a zero value.
@@ -61,11 +61,11 @@ def geometric_mean_clamped(sums: np.ndarray, tol: float = CONE_TOL) -> np.ndarra
     return np.where(any_zero, 0.0, values)
 
 
-def fm_from_lambdas(lambdas, m: int, tol: float = CONE_TOL) -> FmValue:
+def fm_from_lambdas(lambdas, m: int) -> FmValue:
     """F_m of a spectrum given directly as eigenvalues relative to the metric."""
     lambdas = np.asarray(lambdas, dtype=float)
     sums = subset_sums(lambdas, m)
-    return FmValue(value=float(geometric_mean_clamped(sums, tol)), msums=sums)
+    return FmValue(value=float(geometric_mean_clamped(sums)), msums=sums)
 
 
 def _check_m(n: int, m: int):
@@ -73,12 +73,11 @@ def _check_m(n: int, m: int):
         raise DimensionMismatchError(f"need 1 <= m <= n, got m={m}, n={n}")
 
 
-def fm_value(T: HermitianMatrix, omega: MetricMatrix, m: int,
-             tol: float = CONE_TOL) -> FmValue:
+def fm_value(T: HermitianMatrix, omega: MetricMatrix, m: int) -> FmValue:
     """Geometric mean of all m-fold relative eigenvalue sums of T against omega."""
     _check_m(T.dim, m)
     spec = relative_eigenvalues(T, omega)
-    return fm_from_lambdas(spec.lambdas, m, tol)
+    return fm_from_lambdas(spec.lambdas, m)
 
 
 def fm_gradient_diagonal(lambdas, m: int) -> np.ndarray:
@@ -179,15 +178,14 @@ def fm_via_determinant(u_hessian: HermitianMatrix, g: MetricMatrix, m: int) -> f
     return float(det.real ** (1.0 / comb(n, m)))
 
 
-def fm_plus(T: HermitianMatrix, omega: MetricMatrix, m: int,
-            tol: float = CONE_TOL) -> float:
+def fm_plus(T: HermitianMatrix, omega: MetricMatrix, m: int) -> float:
     """F_m where T is m-semipositive against omega, 0 outside that cone."""
     _check_m(T.dim, m)
     spec = relative_eigenvalues(T, omega)
     sums = subset_sums(spec.lambdas, m)
-    if sums.min() < -tol:
+    if sums.min() < -CONE_TOL:
         return 0.0
-    return float(geometric_mean_clamped(sums, tol))
+    return float(geometric_mean_clamped(sums))
 
 
 def concavity_probe(A: HermitianMatrix, B: HermitianMatrix, g: MetricMatrix,

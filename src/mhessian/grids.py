@@ -466,8 +466,7 @@ def cone_field(u: GridFunction, g: MetricField, m: int,
 
 
 def fm_field(u: GridFunction, g: MetricField, m: int,
-             chi: HermitianMatrix = None,
-             tol: float = CONE_TOL) -> GridFunction:
+             chi: HermitianMatrix = None) -> GridFunction:
     """Nodewise F_m of (chi +) the discrete Hessian of u.
 
     Nodes where the Hessian exits the m-cone carry the (negative) cone
@@ -480,8 +479,8 @@ def fm_field(u: GridFunction, g: MetricField, m: int,
     sums = op.sigma(u.flat)
     margin = sums.min(axis=-1)
     values = np.where(
-        margin >= -tol,
-        geometric_mean_clamped(np.maximum(sums, -tol), tol),
+        margin >= -CONE_TOL,
+        geometric_mean_clamped(np.maximum(sums, -CONE_TOL)),
         margin,
     )
     out = np.full(domain.node_count, np.nan)

@@ -35,6 +35,8 @@ NEG_INFINITY_FLOOR = -1e6
 # admissibility tolerance for sampled cone membership of targets
 TARGET_CONE_TOL = 1e-6
 MONOTONE_TOL = 1e-12
+# slack of the convergence report on monotone, lower and deviation gaps
+GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -426,8 +428,8 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
 
 def verify_monotone_convergence(result: RegularizationResult,
                                 target: GridFunction,
-                                convergence_target: float = None,
-                                gap_tol: float = 1e-8) -> ConvergenceReport:
+                                convergence_target: float = None
+                                ) -> ConvergenceReport:
     """Check monotonicity, domination of the target, and shrinking deviation."""
     domain = target.domain
     inside = _inside(domain)
@@ -438,13 +440,13 @@ def verify_monotone_convergence(result: RegularizationResult,
     for diff, worst in zip(diffs, worsts):
         if worst > mono:
             mono = worst
-            if worst > gap_tol:
+            if worst > GAP_TOL:
                 flat = int(np.flatnonzero(inside & (diff >= worst - 1e-15))[0])
                 violation = tuple(int(i) for i
                                   in np.unravel_index(flat, domain.shape))
-    nonincreasing = all(b <= a + gap_tol
+    nonincreasing = all(b <= a + GAP_TOL
                         for a, b in zip(deviations, deviations[1:]))
-    passed = mono <= gap_tol and lower <= gap_tol and nonincreasing
+    passed = mono <= GAP_TOL and lower <= GAP_TOL and nonincreasing
     if convergence_target is not None:
         passed = passed and deviations[-1] <= convergence_target
     return ConvergenceReport(

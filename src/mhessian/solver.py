@@ -52,7 +52,6 @@ EXP_CLAMP_HI = 40.0
 class SolverConfig:
     tolerance: float = 1e-9
     max_iterations: int = 100
-    t_steps: int = 8
     cone_floor: float = 1e-10
     damping_min_step: float = 2.0 ** -20
     initial: GridFunction = None
@@ -520,7 +519,7 @@ def _max_principle_gap(domain: GridDomain, u_flat, f: GridFunction) -> float:
 
 
 def subsolution_seed(f: GridFunction, g: MetricField, m: int,
-                     cone_floor: float = 1e-10):
+                     cone_floor: float = SolverConfig.cone_floor):
     """Seed C(|z|^2 - r^2) + f, doubling C until strictly in the cone.
 
     The cone test sees the seed as built, before ``solve_dirichlet`` and
@@ -606,7 +605,7 @@ def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
 
 def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
                     m: int, cfg: SolverConfig = SolverConfig(),
-                    t_steps: int = None) -> SolveReport:
+                    t_steps: int = 8) -> SolveReport:
     """Homotopy from the exact subsolution seed to the target equation.
 
     Solves the blend ``F_m = t G + (1 - t) F_m[seed]`` on a uniform t-grid,
@@ -616,8 +615,6 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
     domain = f.domain
     if domain.kind != BALL:
         raise DimensionMismatchError("continuity_path expects a ball grid")
-    if t_steps is None:
-        t_steps = cfg.t_steps
     if t_steps < 1:
         raise DimensionMismatchError("need at least one homotopy step")
     op = _FmOperator(domain, g, m)

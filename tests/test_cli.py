@@ -1,3 +1,4 @@
+import inspect
 import json
 import struct
 from pathlib import Path
@@ -16,6 +17,7 @@ from mhessian.serialize import (
     gridfunction_to_binary,
     gridfunction_to_csv,
 )
+from mhessian.solver import SolverConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -374,3 +376,69 @@ class TestCommands:
         assert summary["passed"] is True
         assert summary["monotone_gap"] <= 1e-8
         assert (tmp_path / "r" / "iterate_00.csv").exists()
+
+
+# SolverConfig's defaults as the CLI has always resolved them, and one
+# non-default value per key
+SOLVER_DEFAULTS = {"tolerance": 1e-9, "max_iterations": 100,
+                   "cone_floor": 1e-10, "damping_min_step": 2.0 ** -20}
+SOLVER_VALUES = {"tolerance": 1e-11, "max_iterations": 7,
+                 "cone_floor": 1e-12, "damping_min_step": 2.0 ** -12}
+
+
+def config_table(data):
+    return json.loads(json.dumps(data), object_hook=cli.ConfigTable)
+
+
+def solver_keys_at(where, keys):
+    """A config setting ``keys`` flat, nested under "solver", or not at all."""
+    if where == "flat":
+        return dict(keys)
+    if where == "nested":
+        return {"solver": dict(keys)}
+    return {}
+
+
+class TestSolverConfigResolution:
+    @pytest.mark.parametrize("where", ["flat", "nested", "absent"])
+    @pytest.mark.parametrize("key", sorted(SOLVER_VALUES))
+    def test_each_key(self, key, where):
+        config = config_table(solver_keys_at(where, {key: SOLVER_VALUES[key]}))
+        expected = dict(SOLVER_DEFAULTS)
+        if where != "absent":
+            expected[key] = SOLVER_VALUES[key]
+        assert cli.solver_config_from(config) == SolverConfig(**expected)
+
+    def test_nested_key_wins_over_flat(self):
+        config = config_table({**SOLVER_VALUES,
+                               "solver": {"max_iterations": 3}})
+        resolved = cli.solver_config_from(config)
+        assert resolved == SolverConfig(**{**SOLVER_VALUES,
+                                           "max_iterations": 3})
+
+    @pytest.mark.parametrize("where, t_steps", [("flat", 3), ("nested", 2),
+                                                ("absent", 8)])
+    def test_t_steps_reaches_continuity_path(self, tmp_path, monkeypatch,
+                                             where, t_steps):
+        seen = []
+        path = cli.continuity_path
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(path).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["t_steps"])
+            return path(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "continuity_path", spy)
+        cfg = write_config(tmp_path, "t.json", {
+            "problem": "dirichlet",
+            "m": 1,
+            "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
+            "boundary": {"kind": "squared_norm"},
+            "rhs": {"kind": "manufactured_quadratic"},
+            **solver_keys_at(where, {"t_steps": t_steps}),
+        })
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+                   "--quiet"])
+        assert rc == 0
+        assert seen == [t_steps]

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from mhessian.cones import (
-    MEMBERSHIP_TOL,
     cone_Pmk_membership,
     cone_PmnB_membership,
     is_m_semipositive,
     strong_positivity_oracle,
 )
 from mhessian.errors import ConeBoundaryError, DimensionMismatchError
+from mhessian.fm import CONE_TOL
 from mhessian.hermitian import HermitianMatrix, MetricMatrix
 
 from conftest import random_hermitian, random_metric
@@ -96,7 +96,7 @@ class TestStrongPositivityOracle:
             v = is_m_semipositive(
                 HermitianMatrix.diagonal(d), MetricMatrix.diagonal(w), 1
             )
-            assert v.member == ((d / w).min() >= -MEMBERSHIP_TOL)
+            assert v.member == ((d / w).min() >= -CONE_TOL)
 
 
 class TestConeConvexity:
@@ -150,6 +150,13 @@ class TestPmkCone:
             assert best <= v.margin + 1.5  # calibrated sampling slack
             if abs(v.margin) > 1.5:
                 assert v.member == (best >= 0.0)
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("form_dim, metric_dim", [(3, 2), (2, 3)])
+    def test_dimension_mismatch_rejected(self, form_dim, metric_dim, m):
+        with pytest.raises(DimensionMismatchError):
+            cone_Pmk_membership(HermitianMatrix.identity(form_dim),
+                                MetricMatrix.identity(metric_dim), m)
 
 
 class TestPmnBCone:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhessian import fm
+from mhessian.cones import is_m_semipositive, strong_positivity_oracle
 from mhessian.errors import ConeBoundaryError, DimensionMismatchError
 from mhessian.fm import (
     concavity_probe,
@@ -16,6 +17,8 @@ from mhessian.fm import (
     fm_value,
     fm_via_determinant,
 )
+from mhessian.grids import GridDomain, GridFunction, MetricField, cone_field, \
+    fm_field
 from mhessian.hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
 from mhessian.multiindex import subset_sums
 
@@ -298,6 +301,40 @@ class TestFmPlus:
             assert 0.0 < v < 2.1 * eps ** (1.0 / 3.0)
 
 
+class TestToleranceBand:
+    """T = diag(-delta, 1) against the identity at m = 1, on both sides of
+    CONE_TOL: the pointwise verdicts, F_m, F_m^+ and the grid fields (the
+    flat C^2 torus with u = 0 and chi = T) draw the boundary at one place."""
+
+    @staticmethod
+    def routes(delta):
+        T = HermitianMatrix.diagonal([-delta, 1.0])
+        omega = MetricMatrix.identity(2)
+        domain = GridDomain.torus(2, points_per_axis=5)
+        u = GridFunction.constant(domain, 0.0)
+        g = MetricField.flat(domain)
+        return T, omega, cone_field(u, g, 1, chi=T), fm_field(u, g, 1, chi=T)
+
+    def test_slack_inside_tolerance_is_on_the_cone(self):
+        T, omega, cones, field = self.routes(fm.CONE_TOL / 2)
+        assert is_m_semipositive(T, omega, 1).member
+        assert strong_positivity_oracle(T, omega, 1).member
+        assert fm_value(T, omega, 1).value == 0.0
+        assert fm_plus(T, omega, 1) == 0.0
+        assert cones.all_member
+        assert (field.flat == 0.0).all()
+
+    def test_slack_beyond_tolerance_is_outside(self):
+        T, omega, cones, field = self.routes(2 * fm.CONE_TOL)
+        assert not is_m_semipositive(T, omega, 1).member
+        assert not strong_positivity_oracle(T, omega, 1).member
+        with pytest.raises(ConeBoundaryError):
+            fm_value(T, omega, 1)
+        assert fm_plus(T, omega, 1) == 0.0
+        assert not cones.member.any()
+        np.testing.assert_allclose(field.flat, -2 * fm.CONE_TOL, rtol=1e-6)
+
+
 class TestConcavity:
     def test_equal_arguments(self, rng):
         g = random_metric(rng, 3)
@@ -332,8 +369,8 @@ class TestConcavity:
         batches = []
         geometric_mean = fm.geometric_mean_clamped
 
-        def spy(sums, tol=fm.CONE_TOL):
-            batches.append(geometric_mean(sums, tol))
+        def spy(sums):
+            batches.append(geometric_mean(sums))
             return batches[-1]
 
         for _ in range(100):
