@@ -35,7 +35,7 @@ from .regularize import ApproximationSchedule, global_regularize, \
 from .serialize import domain_from_config, gridfunction_to_binary, \
     gridfunction_to_csv, write_csv_rows, write_json
 from .solver import RightHandSide, SolverConfig, continuity_path, \
-    solve_dirichlet, solve_torus
+    solve_torus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,6 +222,10 @@ def run_fm(config: ConfigTable, out: Path, rng) -> dict:
 
 
 def run_solve(config: ConfigTable, out: Path, rng) -> dict:
+    if "homotopy" in config:
+        raise ConfigError("config key 'homotopy' is gone: every Dirichlet "
+                          "solve is the homotopy path, and solver.t_steps: 1 "
+                          "is the direct solve")
     problem = config.get("problem", "dirichlet")
     domain = domain_from_config(config.table("grid"))
     m = config.number("m", int)
@@ -233,12 +237,8 @@ def run_solve(config: ConfigTable, out: Path, rng) -> dict:
             domain, field_from_config(config.table("boundary"))
         )
         rhs = rhs_from_config(config.table("rhs"), m, boundary)
-        if config.get("homotopy", True):
-            report = continuity_path(
-                boundary, rhs, g, m, cfg,
-                **solver_settings(config, {"t_steps": int}))
-        else:
-            report = solve_dirichlet(boundary, rhs, g, m, cfg)
+        report = continuity_path(boundary, rhs, g, m, cfg,
+                                 **solver_settings(config, {"t_steps": int}))
     elif problem == "torus":
         chi = matrix_from_json(config.table("chi"))
         reference = GridFunction.from_callable(
@@ -251,8 +251,7 @@ def run_solve(config: ConfigTable, out: Path, rng) -> dict:
     write_json(report.to_json(), out / "report.json")
     gridfunction_to_csv(report.solution, out / "solution.csv")
     gridfunction_to_binary(report.solution, out / "solution.bin")
-    op = "solve_torus" if problem == "torus" else (
-        "continuity_path" if config.get("homotopy", True) else "solve_dirichlet")
+    op = "solve_torus" if problem == "torus" else "continuity_path"
     return {name: ["solver", op]
             for name in ("report.json", "solution.csv", "solution.bin")}
 

@@ -6,8 +6,9 @@ G(z, u)`` on torus grids.  The Newton linearization at a node combines the
 diagonal derivative formula of the operator, transported through the nodal
 eigenbasis, with the finite-difference stencil weights; steps are damped by
 halving until every node's Hessian keeps a strictly positive minimal m-fold
-eigenvalue sum.  An optional homotopy interpolates from the exactly known
-subsolution ``C(|z|^2 - r^2) + f`` to the target equation.
+eigenvalue sum.  A Dirichlet solve is a homotopy from its start, a given
+iterate or the subsolution ``C(|z|^2 - r^2) + f``, to the target equation;
+with one stage it is Newton on the target equation itself.
 """
 
 import logging
@@ -27,7 +28,7 @@ from .errors import (
     IllPosedRHS,
     NewtonDiverged,
 )
-from .fm import fm_gradient_diagonal, geometric_mean_clamped
+from .fm import _check_m, fm_gradient_diagonal, geometric_mean_clamped
 from .grids import (
     BALL,
     TORUS,
@@ -518,16 +519,30 @@ def _max_principle_gap(domain: GridDomain, u_flat, f: GridFunction) -> float:
     return sup_interior - sup_boundary
 
 
+def _report(domain: GridDomain, u_flat, iterations, rnorm, margin,
+            f: GridFunction = None) -> SolveReport:
+    """The report of a solve that ended at ``u_flat``, zero on the
+    exterior; a ball solve passes its boundary data f."""
+    return SolveReport(
+        solution=GridFunction(domain,
+                              np.where(domain.exterior_mask, 0.0, u_flat)),
+        iterations=iterations,
+        final_residual=rnorm,
+        min_cone_margin=margin,
+        max_principle_gap=_max_principle_gap(domain, u_flat, f),
+    )
+
+
 def subsolution_seed(f: GridFunction, g: MetricField, m: int,
                      cone_floor: float = SolverConfig.cone_floor):
     """Seed C(|z|^2 - r^2) + f, doubling C until strictly in the cone.
 
-    The cone test sees the seed as built, before ``solve_dirichlet`` and
-    ``continuity_path`` write f back onto the boundary layer.  Writing it
-    back changes the Hessians of the interior nodes next to that layer, by
-    an amount that grows with C, so the iterate those solvers start from
-    can still leave the cone: on the C^2 unit ball with f = |z|^2 it does
-    from 17 points per axis, and the solve raises ConeEscape.
+    The cone test sees the seed as built, before ``continuity_path`` writes
+    f back onto the boundary layer.  Writing it back changes the Hessians
+    of the interior nodes next to that layer, by an amount that grows with
+    C, so the iterate the solve starts from can still leave the cone: on
+    the C^2 unit ball with f = |z|^2 it does from 17 points per axis, and
+    the solve raises ConeEscape.
     """
     domain = f.domain
     if domain.kind != BALL:
@@ -545,30 +560,14 @@ def subsolution_seed(f: GridFunction, g: MetricField, m: int,
 
 def solve_dirichlet(f: GridFunction, rhs: RightHandSide, g: MetricField,
                     m: int, cfg: SolverConfig = SolverConfig()) -> SolveReport:
-    """Solve the nodewise equation on a ball with boundary values from f."""
-    domain = f.domain
-    if domain.kind != BALL:
-        raise DimensionMismatchError("solve_dirichlet expects a ball grid")
-    op = _FmOperator(domain, g, m)
-    if cfg.initial is not None:
-        u0 = cfg.initial.flat.copy()
-    else:
-        seed, _ = subsolution_seed(f, g, m, cfg.cone_floor)
-        u0 = seed.flat.copy()
-    u0[domain.boundary_mask] = f.flat[domain.boundary_mask]
-    u, iters, rnorm, margin = _newton(op, rhs, u0, cfg)
-    sol = GridFunction(domain, np.where(domain.exterior_mask, 0.0, u))
-    return SolveReport(
-        solution=sol,
-        iterations=iters,
-        final_residual=rnorm,
-        min_cone_margin=margin,
-        max_principle_gap=_max_principle_gap(domain, u, f),
-    )
+    """Solve the nodewise equation on a ball with boundary values from f:
+    damped Newton from the start, the one-stage ``continuity_path``."""
+    return continuity_path(f, rhs, g, m, cfg, t_steps=1)
 
 
 def check_chi_positive(chi: HermitianMatrix, g: MetricField, m: int):
     """Raise ChiNotPositive unless chi lies in the open m-cone of the metric."""
+    _check_m(g.domain.n, m)
     margin = float(subset_sums(relative_eigenvalues(chi, g.constant).lambdas,
                                m).min())
     if not margin > 0.0:
@@ -583,8 +582,6 @@ def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
     domain = g.domain
     if domain.kind != TORUS:
         raise DimensionMismatchError("solve_torus expects a torus grid")
-    if chi.dim != domain.n:
-        raise DimensionMismatchError("background form dimension mismatch")
     check_chi_positive(chi, g, m)
     op = _FmOperator(domain, g, m, chi=chi)
     if cfg.initial is not None:
@@ -593,53 +590,47 @@ def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
         u0 = np.full(domain.node_count, float(rhs.reference.flat.min()))
     else:
         u0 = np.zeros(domain.node_count)
-    u, iters, rnorm, margin = _newton(op, rhs, u0, cfg)
-    return SolveReport(
-        solution=GridFunction(domain, u),
-        iterations=iters,
-        final_residual=rnorm,
-        min_cone_margin=margin,
-        max_principle_gap=float("nan"),
-    )
+    return _report(domain, *_newton(op, rhs, u0, cfg))
 
 
 def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
                     m: int, cfg: SolverConfig = SolverConfig(),
                     t_steps: int = 8) -> SolveReport:
-    """Homotopy from the exact subsolution seed to the target equation.
+    """Homotopy from the start to the target equation on a ball.
 
-    Solves the blend ``F_m = t G + (1 - t) F_m[seed]`` on a uniform t-grid,
-    warm-starting each stage; the t = 0 stage is exact by construction and
-    ``t_steps = 1`` degenerates to direct Newton from the seed.
+    The start is ``cfg.initial``, or else the subsolution seed, with f
+    written onto the boundary layer.  Solves the blend ``F_m = t G +
+    (1 - t) F_m[start]`` on a uniform t-grid, warm-starting each stage; the
+    t = 0 stage is exact by construction.  ``t_steps = 1`` is damped Newton
+    on the target equation itself, with no blend.
     """
     domain = f.domain
     if domain.kind != BALL:
-        raise DimensionMismatchError("continuity_path expects a ball grid")
+        raise DimensionMismatchError("a Dirichlet solve expects a ball grid")
     if t_steps < 1:
         raise DimensionMismatchError("need at least one homotopy step")
     op = _FmOperator(domain, g, m)
-    seed, _ = subsolution_seed(f, g, m, cfg.cone_floor)
-    u = seed.flat.copy()
+    if cfg.initial is not None:
+        u = cfg.initial.flat.copy()
+    else:
+        u = subsolution_seed(f, g, m, cfg.cone_floor)[0].flat.copy()
     u[domain.boundary_mask] = f.flat[domain.boundary_mask]
-    base = op.evaluate(u).fm
+    stages = [None]
+    if t_steps > 1:
+        base = op.evaluate(u).fm
+        stages = [(float(t), base)
+                  for t in np.linspace(0.0, 1.0, t_steps + 1)[1:]]
     iters_total = 0
-    for t in np.linspace(0.0, 1.0, t_steps + 1)[1:]:
+    for homotopy in stages:
         try:
-            u, iters, rnorm, margin = _newton(op, rhs, u, cfg,
-                                              homotopy=(float(t), base))
+            u, iters, rnorm, margin = _newton(op, rhs, u, cfg, homotopy)
         except (NewtonDiverged, ConeEscape) as exc:
-            exc.t_failed = float(t)
-            exc.args = (f"{exc.args[0]} (homotopy stage t={t:.3f})",)
+            if homotopy is not None:
+                exc.args = (f"{exc.args[0]} (homotopy stage "
+                            f"t={homotopy[0]:.3f})",)
             raise
         iters_total += iters
-    sol = GridFunction(domain, np.where(domain.exterior_mask, 0.0, u))
-    return SolveReport(
-        solution=sol,
-        iterations=iters_total,
-        final_residual=rnorm,
-        min_cone_margin=margin,
-        max_principle_gap=_max_principle_gap(domain, u, f),
-    )
+    return _report(domain, u, iters_total, rnorm, margin, f)
 
 
 def max_principle_check(report: SolveReport, f: GridFunction) -> float:

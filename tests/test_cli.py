@@ -257,7 +257,14 @@ class TestCommands:
          "grid": {"n": 99, "kind": "ball", "points_per_axis": 9},
          "boundary": {"kind": "squared_norm"},
          "rhs": {"kind": "manufactured_quadratic"}},
-    ], ids=["top_level_list", "non_integer_m", "m_above_n", "oversized_grid"])
+        *({"problem": "torus", "m": m,
+           "grid": {"n": 1, "kind": "torus", "points_per_axis": 9},
+           "chi": {"n": 1, "re": [[1.0]], "im": [[0.0]]},
+           "reference": {"kind": "constant", "value": -2.0},
+           "rhs": {"kind": "penalized_distance", "beta": 10.0}}
+          for m in (0, 2)),
+    ], ids=["top_level_list", "non_integer_m", "m_above_n", "oversized_grid",
+            "torus_m_zero", "torus_m_above_n"])
     def test_malformed_config_is_a_validation_error(self, tmp_path, capsys,
                                                     config):
         cfg = write_config(tmp_path, "bad.json", config)
@@ -266,6 +273,37 @@ class TestCommands:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith(("validation error:", "run failed:"))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("homotopy", [True, False, "false"])
+    def test_homotopy_key_is_rejected(self, tmp_path, capsys, homotopy):
+        cfg = write_config(tmp_path, "h.json", {
+            "problem": "dirichlet", "m": 1, "homotopy": homotopy,
+            "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
+            "boundary": {"kind": "squared_norm"},
+            "rhs": {"kind": "manufactured_quadratic"},
+        })
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+                   "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: config key 'homotopy'")
+        assert "solver.t_steps: 1 is the direct solve" in err
+        assert not (tmp_path / "s" / "report.json").exists()
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_global_regularize_m_outside_one_to_n(self, tmp_path, capsys, m):
+        cfg = write_config(tmp_path, "m.json", {
+            "mode": "global", "m": m,
+            "grid": {"n": 1, "kind": "torus", "points_per_axis": 9},
+            "chi": {"n": 1, "re": [[1.0]], "im": [[0.0]]},
+            "target": {"kind": "cos_wave", "amplitude": 0.05, "offset": -2.5},
+        })
+        rc = main(["regularize", "--config", cfg, "--out",
+                   str(tmp_path / "r"), "--quiet"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed: need 1 <= m <= n, got m={m}")
         assert "Traceback" not in err
 
     def test_library_key_error_is_an_internal_error(self, tmp_path,

@@ -261,6 +261,23 @@ class TestGlobalPipeline:
         with pytest.raises(ChiNotPositive):
             global_regularize(phi, bad, g, 1, sched, SolverConfig())
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_m_outside_one_to_n(self, m):
+        domain, g, chi, phi, sched = self.constants_setup(points=9)
+        with pytest.raises(DimensionMismatchError, match="need 1 <= m <= n"):
+            global_regularize(phi, chi, g, m, sched, SolverConfig())
+
+    def test_chi_dimension_mismatch(self):
+        domain = GridDomain.torus(2, points_per_axis=5)
+        phi = GridFunction.constant(domain, -2.5)
+        sched = ApproximationSchedule.geometric(
+            [GridFunction(domain, phi.flat + 0.5)], beta_start=50.0,
+            growth=2.0)
+        with pytest.raises(DimensionMismatchError):
+            global_regularize(phi, HermitianMatrix.identity(1),
+                              MetricField.flat(domain), 1, sched,
+                              SolverConfig())
+
     def test_inadmissible_target(self):
         domain, g, chi, phi, sched = self.constants_setup(points=9)
         c = domain.coords

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhessian import solver
-from mhessian.errors import ChiNotPositive, ConeEscape, IllPosedRHS, NewtonDiverged
+from mhessian.errors import (
+    ChiNotPositive,
+    ConeEscape,
+    DimensionMismatchError,
+    IllPosedRHS,
+    NewtonDiverged,
+)
 from mhessian.fm import fm_value
 from mhessian.grids import GridDomain, GridFunction, MetricField, fm_field
 from mhessian.hermitian import HermitianMatrix
@@ -429,17 +435,22 @@ class TestMaxPrinciple:
         assert max_principle_check(report, f) <= 1e-8
 
 
+def perturbed_seed(f, g):
+    """The subsolution seed lowered and bent: another start in the cone."""
+    seed, _ = subsolution_seed(f, g, 1)
+    c = f.domain.coords
+    bump = 0.02 * np.cos(np.pi * c[:, 0] / 2) * np.cos(np.pi * c[:, 1] / 2)
+    return GridFunction(f.domain, seed.flat + bump - 0.05)
+
+
 class TestSeedsAndUniqueness:
     def test_two_seeds_agree(self):
         domain, g, f, rhs = quadratic_setup(1, 33, 1)
         cfg = SolverConfig()
         a = continuity_path(f, rhs, g, 1, cfg)
         # direct Newton from a perturbed subsolution
-        seed, _ = subsolution_seed(f, g, 1)
-        c = domain.coords
-        bump = 0.02 * np.cos(np.pi * c[:, 0] / 2) * np.cos(np.pi * c[:, 1] / 2)
-        perturbed = GridFunction(domain, seed.flat + bump - 0.05)
-        b = solve_dirichlet(f, rhs, g, 1, SolverConfig(initial=perturbed))
+        b = solve_dirichlet(f, rhs, g, 1,
+                            SolverConfig(initial=perturbed_seed(f, g)))
         mask = domain.interior_mask
         agree = np.abs(a.solution.flat[mask] - b.solution.flat[mask]).max()
         assert agree <= 1e-8
@@ -493,11 +504,30 @@ class TestContinuityPath:
         assert np.abs(a.solution.flat[mask] - b.solution.flat[mask]).max() <= 1e-8
 
     def test_single_step_is_direct_newton(self):
-        domain, g, f, rhs = quadratic_setup(1, 17, 1)
-        a = continuity_path(f, rhs, g, 1, t_steps=1)
-        b = solve_dirichlet(f, rhs, g, 1)
+        # C^1 at 17 points, C^2 at 13 points for m = 1 and m = 2
+        for n, points, m in [(1, 17, 1), (2, 13, 1), (2, 13, 2)]:
+            domain, g, f, rhs = quadratic_setup(n, points, m)
+            a = continuity_path(f, rhs, g, m, t_steps=1)
+            b = solve_dirichlet(f, rhs, g, m)
+            assert np.array_equal(a.solution.flat, b.solution.flat)
+            assert (a.iterations, a.final_residual, a.min_cone_margin) == (
+                b.iterations, b.final_residual, b.min_cone_margin)
+
+    def test_path_starts_from_the_given_iterate(self):
+        domain, g, f, rhs = quadratic_setup(1, 33, 1)
+        seeded = continuity_path(f, rhs, g, 1)
+        outside = GridFunction.from_callable(domain, lambda c: -sqn(c))
+        with pytest.raises(ConeEscape, match=(
+                r"^initial iterate has cone margin \S+, below the floor "
+                r"1\.0e-10 \(homotopy stage t=0\.125\)$")):
+            continuity_path(f, rhs, g, 1, SolverConfig(initial=outside))
+        perturbed = continuity_path(
+            f, rhs, g, 1, SolverConfig(initial=perturbed_seed(f, g)))
+        assert not np.array_equal(perturbed.solution.flat,
+                                  seeded.solution.flat)
         mask = domain.interior_mask
-        assert np.abs(a.solution.flat[mask] - b.solution.flat[mask]).max() <= 1e-9
+        assert np.abs(perturbed.solution.flat[mask]
+                      - seeded.solution.flat[mask]).max() <= 1e-8
 
 
 class TestTorus:
@@ -556,6 +586,23 @@ class TestTorus:
         )
         with pytest.raises(ChiNotPositive):
             solve_torus(chi, rhs, g, 1)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_m_outside_one_to_n(self, m):
+        domain = GridDomain.torus(1, points_per_axis=9)
+        rhs = RightHandSide.penalized_distance(
+            10.0, GridFunction.constant(domain, 0.0))
+        with pytest.raises(DimensionMismatchError, match="need 1 <= m <= n"):
+            solve_torus(HermitianMatrix.identity(1), rhs,
+                        MetricField.flat(domain), m)
+
+    def test_chi_dimension_mismatch(self):
+        domain = GridDomain.torus(2, points_per_axis=5)
+        rhs = RightHandSide.penalized_distance(
+            10.0, GridFunction.constant(domain, 0.0))
+        with pytest.raises(DimensionMismatchError):
+            solve_torus(HermitianMatrix.identity(1), rhs,
+                        MetricField.flat(domain), 1)
 
 
 class TestFailureModes:
