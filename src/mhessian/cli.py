@@ -22,20 +22,18 @@ import numpy as np
 
 from . import __version__
 from .cones import is_m_semipositive, strong_positivity_oracle
-from .curvature import verify_bound_regime
 from .errors import ConfigError, MHessianError
-from .fm import concavity_probe, fm_from_lambdas, fm_gradient_diagonal, \
-    fm_product_bound, fm_value, fm_via_determinant
-from .grids import GridDomain, GridFunction, MetricField
-from .hermitian import HermitianMatrix, MetricMatrix, matrix_from_json, \
-    relative_eigenvalues
-from .multiindex import multi_indices, subset_sums
+from .fm import fm_value, fm_via_determinant
+from .grids import GridFunction, MetricField
+from .hermitian import MetricMatrix, matrix_from_json, relative_eigenvalues
+from .multiindex import multi_indices
 from .regularize import ApproximationSchedule, global_regularize, \
     local_regularize, upper_smooth_sequence, verify_monotone_convergence
 from .serialize import domain_from_config, gridfunction_to_binary, \
     gridfunction_to_csv, write_csv_rows, write_json
 from .solver import RightHandSide, SolverConfig, continuity_path, \
     solve_torus
+from .suite import verify_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,11 +60,20 @@ class ConfigTable(dict):
         return self[key] if default is _REQUIRED else self.get(key, default)
 
     def number(self, key, kind, default=_REQUIRED):
-        """``kind(value)`` for ``kind`` int or float."""
+        """``kind(value)`` for ``kind`` int or float.
+
+        The value must be a JSON number, not a bool, and for int an
+        integral one (2 or 2.0): int() would truncate 1.9 to 1.
+        """
         value = self._value(key, default)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or kind is int and isinstance(value, float)
+                and not value.is_integer()):
+            raise ConfigError(f"config key {key!r} must be {kind.__name__}, "
+                              f"got {value!r}")
         try:
             return kind(value)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise ConfigError(f"config key {key!r} must be {kind.__name__}, "
                               f"got {value!r}") from exc
 
@@ -310,152 +317,12 @@ def run_regularize(config: ConfigTable, out: Path, rng) -> dict:
     return artifacts
 
 
-def _hypothesis_spectrum(rng, case, n, c, level):
-    """The first uniform draw on [-3, 3)^n that meets the hypothesis of
-    bound regime ``case`` at shift ``c`` and ``level``.
-
-    Rows are drawn and tested in blocks of 64 rows, doubling up to 4096.
-    The generator is then rewound to the block's start and the rows up to
-    the accepted one drawn again, so the spectrum and the generator state
-    are those of drawing and testing one row at a time.
-    """
-    k = n - level if case in ("p0", "0q") else level
-    if k == 0:
-        return rng.uniform(-3.0, 3.0, size=n)
-    rows = 64
-    while True:
-        state = rng.bit_generator.state
-        # shape (rows, 1, n): one vector-matrix product per row, so each
-        # row's sums are bit for bit those of a single-row draw
-        block = rng.uniform(-3.0, 3.0, size=(rows, 1, n))
-        if case in ("p0", "0q"):
-            passed = subset_sums(block + c, k).max(axis=-1) <= 0.0
-        else:
-            passed = subset_sums(block - c, k).min(axis=-1) >= 0.0
-        if passed.any():
-            j = int(passed.argmax())
-            # rewinding and drawing again, unlike bit_generator.advance,
-            # keeps the generator's buffered 32-bit half for rng.integers
-            rng.bit_generator.state = state
-            return rng.uniform(-3.0, 3.0, size=(j + 1, n))[j]
-        rows = min(2 * rows, 4096)
-
-
 def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
-    rows = []
-
-    def record(name, cases, failures):
-        rows.append((name, cases, failures, "pass" if failures == 0 else "FAIL"))
-
-    def random_hermitian(n, scale=1.0):
-        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        return HermitianMatrix(scale * 0.5 * (X + X.conj().T))
-
-    def random_metric(n):
-        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Q, _ = np.linalg.qr(Z)
-        vals = rng.uniform(0.5, 2.0, size=n)
-        return MetricMatrix(HermitianMatrix(Q @ np.diag(vals) @ Q.conj().T))
-
-    def interior_spectrum(n, m):
-        lam = np.sort(rng.uniform(-1.0, 2.0, size=n))
-        smallest = lam[:m].sum()
-        if smallest < 0.1:
-            lam = lam + (0.1 - smallest) / m
-        return lam
-
-    def interior_form(g, n, m):
-        """A form whose spectrum relative to g is interior_spectrum(n, m)."""
-        lam = interior_spectrum(n, m)
-        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Q, _ = np.linalg.qr(Z)
-        B = g.cholesky @ Q
-        return HermitianMatrix(B @ np.diag(lam) @ B.conj().T)
-
-    # oracle equivalence and monotonicity on one seeded corpus
-    fails_eq = fails_mono = 0
-    n_cases = config.number("corpus_size", int, 1000)
-    for _ in range(n_cases):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, n + 1))
-        T, omega = random_hermitian(n), random_metric(n)
-        a = is_m_semipositive(T, omega, m)
-        b = strong_positivity_oracle(T, omega, m)
-        if a.member != b.member or abs(a.margin - b.margin) > 1e-12:
-            fails_eq += 1
-        if m < n and a.member and not is_m_semipositive(T, omega, m + 1).member:
-            fails_mono += 1
-    record("oracle_equivalence", n_cases, fails_eq)
-    record("membership_monotonicity", n_cases, fails_mono)
-
-    # gradient versus finite differences
-    fails = 0
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, n + 1))
-        lam = interior_spectrum(n, m)
-        grad = fm_gradient_diagonal(lam, m)
-        h = 1e-5
-        for p in range(n):
-            up, dn = lam.copy(), lam.copy()
-            up[p] += h
-            dn[p] -= h
-            fd = (fm_from_lambdas(up, m).value
-                  - fm_from_lambdas(dn, m).value) / (2 * h)
-            if abs(fd - grad[p]) > 1e-6 * max(1.0, abs(fd)):
-                fails += 1
-    record("gradient_finite_differences", 200, fails)
-
-    # determinant route equivalence
-    fails = 0
-    for _ in range(500):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, n + 1))
-        g = random_metric(n)
-        T = interior_form(g, n, m)
-        a = fm_via_determinant(T, g, m)
-        b = fm_value(T, g, m).value
-        if abs(a - b) > 1e-9 * abs(b):
-            fails += 1
-    record("determinant_route", 500, fails)
-
-    # concavity probe
-    fails = 0
-    for _ in range(500):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, n + 1))
-        g = random_metric(n)
-        if not concavity_probe(interior_form(g, n, m), interior_form(g, n, m),
-                               g, m, steps=7):
-            fails += 1
-    record("concavity_probe", 500, fails)
-
-    # curvature bound regimes
-    for case in ("p0", "0q", "nq", "pn"):
-        fails = 0
-        for _ in range(500):
-            n = int(rng.integers(2, 6))
-            c = float(rng.uniform(0.2, 1.5))
-            if case in ("nq", "pn"):
-                level = int(rng.integers(1, n + 1))
-            else:
-                level = int(rng.integers(0, n))
-            lam = _hypothesis_spectrum(rng, case, n, c, level)
-            if not verify_bound_regime(case, lam, c, level):
-                fails += 1
-        record(f"bound_regime_{case}", 500, fails)
-
-    # product lower bound
-    fails = 0
-    for n in (2, 3, 4):
-        for m in range(1, n + 1):
-            lam = np.sort(rng.uniform(-1.0, 2.0, size=(10000, n)), axis=-1)
-            smallest = lam[:, :m].sum(axis=-1)
-            lam += (np.maximum(0.0, 1e-3 - smallest) / m)[:, None]
-            prods = np.prod(fm_gradient_diagonal(lam, m), axis=-1)
-            fails += int((prods < fm_product_bound(n, m) - 1e-12).sum())
-    record("gradient_product_bound", 90000, fails)
-
+    corpus_size = config.number("corpus_size", int, 1000)
+    if corpus_size < 0:
+        raise ConfigError(f"config key 'corpus_size' must be >= 0, "
+                          f"got {corpus_size}")
+    rows = verify_suite(rng, corpus_size)
     write_csv_rows(out / "suite_summary.csv",
                    ["suite", "cases", "failures", "status"], rows)
     width = max(len(r[0]) for r in rows)

@@ -37,12 +37,31 @@ class ConeVerdict:
         }
 
 
+def semipositive_margins(lambdas: np.ndarray, m: int) -> np.ndarray:
+    """The sum of the m smallest entries of each ascending spectrum of a
+    stack (..., n): the margin of ``is_m_semipositive``."""
+    _check_m(lambdas.shape[-1], m)
+    return lambdas[..., :m].sum(axis=-1)
+
+
+def oracle_margins(lambdas: np.ndarray, m: int) -> tuple:
+    """The smallest m-fold sum of each spectrum of a stack (..., n) and the
+    position of its multi-index in lexicographic order: the margin and the
+    witness of ``strong_positivity_oracle``."""
+    _check_m(lambdas.shape[-1], m)
+    # shape (..., 1, n): one vector-matrix product per spectrum, so each
+    # spectrum's sums are bit for bit those of a lone spectrum
+    sums = subset_sums(lambdas[..., None, :], m)[..., 0, :]
+    k = sums.argmin(axis=-1)
+    return np.take_along_axis(sums, k[..., None], axis=-1)[..., 0], k
+
+
 def is_m_semipositive(T: HermitianMatrix, omega: MetricMatrix,
                       m: int) -> ConeVerdict:
     """Membership via the sum of the m smallest relative eigenvalues."""
     _check_m(T.dim, m)
     spec = relative_eigenvalues(T, omega)
-    margin = float(np.sum(spec.lambdas[:m]))
+    margin = float(semipositive_margins(spec.lambdas, m))
     return ConeVerdict(member=margin >= -CONE_TOL, margin=margin,
                        witness=tuple(range(1, m + 1)))
 
@@ -56,10 +75,9 @@ def strong_positivity_oracle(T: HermitianMatrix, omega: MetricMatrix,
     """
     _check_m(T.dim, m)
     spec = relative_eigenvalues(T, omega)
-    sums = subset_sums(spec.lambdas, m)
-    k = int(np.argmin(sums))
-    witness = tuple(i + 1 for i in multi_indices(T.dim, m)[k])
-    margin = float(sums[k])
+    margins, k = oracle_margins(spec.lambdas, m)
+    witness = tuple(i + 1 for i in multi_indices(T.dim, m)[int(k)])
+    margin = float(margins)
     return ConeVerdict(member=margin >= -CONE_TOL, margin=margin,
                        witness=witness)
 

@@ -56,14 +56,21 @@ class BidegreeForm:
 
 
 def curvature_factors(lambdas, p: int, q: int) -> np.ndarray:
-    """Diagonal action factors, shape (C(n,p), C(n,q)).
+    """Diagonal action factors, shape (..., C(n,p), C(n,q)).
 
-    Entry (J, K) is sum_J lambda + sum_K lambda - sum of all lambdas.
+    Entry (J, K) is sum_J lambda + sum_K lambda - sum of all lambdas, for
+    one spectrum (n,) or each spectrum of a stack (..., n).
     """
     lam = np.asarray(lambdas, dtype=float)
-    sj = subset_sums(lam, p)
-    sk = subset_sums(lam, q)
-    return sj[:, None] + sk[None, :] - lam.sum()
+    sj = _sums(lam, p)
+    sk = _sums(lam, q)
+    return sj[..., :, None] + sk[..., None, :] - lam.sum(axis=-1)[..., None, None]
+
+
+def _sums(lam: np.ndarray, k: int) -> np.ndarray:
+    # shape (..., 1, n): one vector-matrix product per spectrum, so each
+    # spectrum's sums are bit for bit those of a lone spectrum
+    return subset_sums(lam[..., None, :], k)[..., 0, :]
 
 
 def apply_curvature_operator(u: BidegreeForm, lambdas) -> BidegreeForm:
@@ -85,24 +92,49 @@ def inner_product(u: BidegreeForm, v: BidegreeForm) -> complex:
     return complex(np.sum(u.coeffs * v.coeffs.conj()) * u.weight)
 
 
-def _check_hypothesis(case: str, lam: np.ndarray, c: float,
+def _check_hypothesis(case: str, lam: np.ndarray, c: np.ndarray,
                       level: int) -> None:
-    n = lam.size
+    n = lam.shape[-1]
     if case in ("p0", "0q"):
         # The form is (n-level)-semi-negative shifted by -c: every
         # (n-level)-fold sum of (lambda + c) must be <= 0.
         k = n - level
-        if k > 0 and subset_sums(lam + c, k).max() > BOUND_TOL:
+        if k > 0 and _sums(lam + c, k).max() > BOUND_TOL:
             raise HypothesisViolatedError(
                 f"case {case}: some {k}-fold sum of (lambda + c) is positive"
             )
     else:
         # The form dominates c times the metric at order `level`: every
         # level-fold sum of (lambda - c) must be >= 0.
-        if level > 0 and subset_sums(lam - c, level).min() < -BOUND_TOL:
+        if level > 0 and _sums(lam - c, level).min() < -BOUND_TOL:
             raise HypothesisViolatedError(
                 f"case {case}: some {level}-fold sum of (lambda - c) is negative"
             )
+
+
+def bound_regime_holds(case: str, lambdas, c, level: int) -> np.ndarray:
+    """``verify_bound_regime`` for a stack of spectra (..., n) and their
+    constants c, of shape (...) or one for all; the first member that
+    violates the case hypothesis raises."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+    lam = np.asarray(lambdas, dtype=float)
+    c = np.asarray(c, dtype=float)
+    n = lam.shape[-1]
+    if not 0 <= level <= n:
+        raise DimensionMismatchError(f"level {level} out of range for n={n}")
+    if not (c > 0).all():
+        raise HypothesisViolatedError("the constant c must be positive")
+    _check_hypothesis(case, lam, c[..., None], level)
+    p, q = {
+        "p0": (level, 0),
+        "0q": (0, level),
+        "nq": (n, level),
+        "pn": (level, n),
+    }[case]
+    bound = c * (n - level) if case in ("p0", "0q") else c * level
+    factors = curvature_factors(lam, p, q)
+    return factors.min(axis=(-2, -1)) >= bound - BOUND_TOL
 
 
 def verify_bound_regime(case: str, lambdas, c: float, level: int) -> bool:
@@ -112,24 +144,7 @@ def verify_bound_regime(case: str, lambdas, c: float, level: int) -> bool:
     c(n-level); ``nq`` acts on (n, level), ``pn`` on (level, n) with bound
     c*level.  The case hypothesis on the spectrum is enforced strictly.
     """
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    lam = np.asarray(lambdas, dtype=float)
-    n = lam.size
-    if not 0 <= level <= n:
-        raise DimensionMismatchError(f"level {level} out of range for n={n}")
-    if not c > 0:
-        raise HypothesisViolatedError("the constant c must be positive")
-    _check_hypothesis(case, lam, c, level)
-    p, q = {
-        "p0": (level, 0),
-        "0q": (0, level),
-        "nq": (n, level),
-        "pn": (level, n),
-    }[case]
-    bound = c * (n - level) if case in ("p0", "0q") else c * level
-    factors = curvature_factors(lam, p, q)
-    return bool(factors.min() >= bound - BOUND_TOL)
+    return bool(bound_regime_holds(case, lambdas, c, level))
 
 
 def l2_constant(case: str, c: float, n: int, l: int) -> float:

@@ -10,12 +10,13 @@ and a segment probe for concavity.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .errors import ConeBoundaryError, DimensionMismatchError
-from .hermitian import HermitianMatrix, MetricMatrix, reduce_to_metric_frame, \
+from .hermitian import HermitianMatrix, MetricMatrix, metric_frame, \
     relative_eigenvalues
 from .multiindex import multi_indices, subset_sum_matrix, subset_sums
 
@@ -68,6 +69,16 @@ def fm_from_lambdas(lambdas, m: int) -> FmValue:
     return FmValue(value=float(geometric_mean_clamped(sums)), msums=sums)
 
 
+def fm_values(lambdas, m: int) -> np.ndarray:
+    """F_m of each spectrum of a stack (..., n) given as eigenvalues relative
+    to the metric: ``fm_from_lambdas(...).value`` member by member."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    _check_m(lambdas.shape[-1], m)
+    # shape (..., 1, n): one vector-matrix product per spectrum, as
+    # fm_from_lambdas takes, keeps each spectrum's sums bit for bit
+    return geometric_mean_clamped(subset_sums(lambdas[..., None, :], m))[..., 0]
+
+
 def _check_m(n: int, m: int):
     if not 1 <= m <= n:
         raise DimensionMismatchError(f"need 1 <= m <= n, got m={m}, n={n}")
@@ -116,22 +127,19 @@ def fm_product_bound(n: int, m: int) -> float:
     return (m / n) ** n
 
 
-def derivation_entries(A: np.ndarray, m: int) -> np.ndarray:
-    """Matrix of the derivation induced by A on the m-th exterior power.
+@lru_cache(maxsize=None)
+def _derivation_pattern(n: int, m: int) -> tuple:
+    """Where ``derivation_entries`` puts the entries of an n x n matrix.
 
-    In the lexicographic wedge basis, the (I, J) entry is the sum of the
-    diagonal of A over I when I == J, ``(-1)^(s+t) A[i, j]`` when I and J
-    differ in exactly one index (i at position s of I, j at position t of
-    J), and 0 otherwise.
+    Returns the multi-indices as rows of an (N, m) array, whose diagonal
+    entries sum to the diagonal of D, and the flat positions in D, flat
+    positions in A and signs of D's off-diagonal entries.
     """
-    A = np.asarray(A)
-    n = A.shape[0]
     idx = multi_indices(n, m)
     N = len(idx)
-    D = np.zeros((N, N), dtype=A.dtype)
     sets = [frozenset(J) for J in idx]
+    pos, src, sign = [], [], []
     for a, I in enumerate(idx):
-        D[a, a] = sum(A[i, i] for i in I)
         for b, J in enumerate(idx):
             if a == b:
                 continue
@@ -140,10 +148,40 @@ def derivation_entries(A: np.ndarray, m: int) -> np.ndarray:
                 continue
             i = next(iter(diff_IJ))
             j = next(iter(sets[b] - sets[a]))
-            s = I.index(i)
-            t = idx[b].index(j)
-            D[a, b] = (-1) ** (s + t) * A[i, j]
-    return D
+            pos.append(a * N + b)
+            src.append(i * n + j)
+            sign.append((-1) ** (I.index(i) + J.index(j)))
+    pattern = (np.array(idx, dtype=np.intp).reshape(N, m),
+               np.array(pos, dtype=np.intp), np.array(src, dtype=np.intp),
+               np.array(sign, dtype=float))
+    for array in pattern:
+        array.setflags(write=False)
+    return pattern
+
+
+def derivation_entries(A: np.ndarray, m: int) -> np.ndarray:
+    """Matrix of the derivation induced by A on the m-th exterior power.
+
+    In the lexicographic wedge basis, the (I, J) entry is the sum of the
+    diagonal of A over I when I == J, ``(-1)^(s+t) A[i, j]`` when I and J
+    differ in exactly one index (i at position s of I, j at position t of
+    J), and 0 otherwise.  Accepts one matrix (n, n) or a stack (..., n, n).
+    """
+    A = np.asarray(A)
+    n = A.shape[-1]
+    lead = A.shape[:-2]
+    multi, pos, src, sign = _derivation_pattern(n, m)
+    N = multi.shape[0]
+    D = np.zeros(lead + (N * N,), dtype=A.dtype)
+    diag = np.diagonal(A, axis1=-2, axis2=-1)
+    # summed from zero in index order, as Python's sum does: a -0.0
+    # diagonal sum comes out +0.0
+    sums = np.zeros(lead + (N,), dtype=A.dtype)
+    for t in range(m):
+        sums = sums + diag[..., multi[:, t]]
+    D[..., ::N + 1] = sums
+    D[..., pos] = sign * A.reshape(lead + (n * n,))[..., src]
+    return D.reshape(lead + (N, N))
 
 
 @dataclass(frozen=True)
@@ -161,21 +199,32 @@ def derivation_matrix(A: HermitianMatrix, m: int) -> DerivationMatrix:
     return DerivationMatrix(n=A.dim, m=m, entries=derivation_entries(A.entries, m))
 
 
+def determinant_fm_values(u_entries: np.ndarray, g_entries: np.ndarray,
+                          m: int) -> np.ndarray:
+    """``fm_via_determinant`` for stacks (..., n, n) of Hessians and of
+    metrics; the first member outside the open cone raises."""
+    n = u_entries.shape[-1]
+    _check_m(n, m)
+    if g_entries.shape[-1] != n:
+        raise DimensionMismatchError("metric dimension does not match the Hessian")
+    A = np.linalg.solve(g_entries, u_entries)
+    det = np.linalg.det(derivation_entries(A, m))
+    bad = ((np.abs(det.imag) > 1e-8 * np.maximum(1.0, np.abs(det.real)))
+           | (det.real <= 0.0))
+    if bad.any():
+        raise ConeBoundaryError(
+            f"derivation determinant {det[bad][0]:.6e} is not positive; "
+            f"spectrum outside the open cone"
+        )
+    # one scalar power per member: numpy's array power may take a SIMD
+    # routine whose last bit differs from the scalar pow
+    exponent = 1.0 / comb(n, m)
+    return np.array([d ** exponent for d in det.real.flat]).reshape(det.shape)
+
+
 def fm_via_determinant(u_hessian: HermitianMatrix, g: MetricMatrix, m: int) -> float:
     """F_m as the C(n,m)-th root of det of the derivation of g^{-1} u_hessian."""
-    n = u_hessian.dim
-    _check_m(n, m)
-    if g.dim != n:
-        raise DimensionMismatchError("metric dimension does not match the Hessian")
-    A = np.linalg.solve(g.entries, u_hessian.entries)
-    D = derivation_entries(A, m)
-    det = np.linalg.det(D)
-    if abs(det.imag) > 1e-8 * max(1.0, abs(det.real)) or det.real <= 0.0:
-        raise ConeBoundaryError(
-            f"derivation determinant {det:.6e} is not positive; spectrum "
-            f"outside the open cone"
-        )
-    return float(det.real ** (1.0 / comb(n, m)))
+    return float(determinant_fm_values(u_hessian.entries, g.entries, m))
 
 
 def fm_plus(T: HermitianMatrix, omega: MetricMatrix, m: int) -> float:
@@ -188,25 +237,32 @@ def fm_plus(T: HermitianMatrix, omega: MetricMatrix, m: int) -> float:
     return float(geometric_mean_clamped(sums))
 
 
-def concavity_probe(A: HermitianMatrix, B: HermitianMatrix, g: MetricMatrix,
-                    m: int, steps: int = 11, slack: float = 1e-10) -> bool:
-    """Check F_m[tA + (1-t)B] >= t F_m[A] + (1-t) F_m[B] - slack on a t-grid.
+def concavity_holds(a: np.ndarray, b: np.ndarray, m: int, steps: int = 11,
+                    slack: float = 1e-10) -> np.ndarray:
+    """``concavity_probe`` for stacks (..., n, n) of endpoint pairs already
+    reduced to the metric frame.
 
-    The reduction to the metric frame is linear, so every tA + (1-t)B
-    reduces to the same combination of the reduced endpoints, and the
-    endpoints and all t-grid points share one batched eigensolve.
+    The reduction is linear, so every tA + (1-t)B reduces to the same
+    combination of the reduced endpoints, and the endpoints and all t-grid
+    points of a pair share one batched eigensolve.
     """
-    if A.dim != B.dim or A.dim != g.dim:
-        raise DimensionMismatchError("operands must share one dimension")
-    _check_m(A.dim, m)
-    a = reduce_to_metric_frame(A.entries, g)
-    b = reduce_to_metric_frame(B.entries, g)
+    _check_m(a.shape[-1], m)
+    a, b = a[..., None, :, :], b[..., None, :, :]
     t = np.linspace(0.0, 1.0, steps)
     mids = t[:, None, None] * a + (1.0 - t)[:, None, None] * b
     # eigh, not eigvalsh: the LAPACK job of relative_eigenvalues
-    lam, _ = np.linalg.eigh(np.concatenate([[a, b], mids]))
-    # shape (steps + 2, 1, n): one vector-matrix product per spectrum, as
-    # fm_value takes, keeps the endpoint sums bit for bit
-    values = geometric_mean_clamped(subset_sums(lam[:, None, :], m))[:, 0]
-    fa, fb = values[0], values[1]
-    return not (values[2:] < t * fa + (1.0 - t) * fb - slack).any()
+    lam, _ = np.linalg.eigh(np.concatenate([a, b, mids], axis=-3))
+    values = fm_values(lam, m)
+    fa, fb = values[..., :1], values[..., 1:2]
+    return ~(values[..., 2:] < t * fa + (1.0 - t) * fb - slack).any(axis=-1)
+
+
+def concavity_probe(A: HermitianMatrix, B: HermitianMatrix, g: MetricMatrix,
+                    m: int, steps: int = 11, slack: float = 1e-10) -> bool:
+    """Check F_m[tA + (1-t)B] >= t F_m[A] + (1-t) F_m[B] - slack on a t-grid."""
+    if A.dim != B.dim or A.dim != g.dim:
+        raise DimensionMismatchError("operands must share one dimension")
+    _check_m(A.dim, m)
+    a = metric_frame(A.entries, g.cholesky)
+    b = metric_frame(B.entries, g.cholesky)
+    return bool(concavity_holds(a, b, m, steps, slack))

@@ -38,6 +38,46 @@ def _as_square_complex(entries) -> np.ndarray:
     return a
 
 
+def conj_transpose(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack (..., n, n)."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def hermitian_entries(a: np.ndarray) -> np.ndarray:
+    """The symmetrized entries of a stack (..., n, n) of complex matrices.
+
+    Each member must be finite with a Hermitian symmetry defect of at most
+    ``HERMITIAN_TOL`` times its scale; the first member that is not raises
+    NotHermitianError.  ``HermitianMatrix`` validates its one matrix here.
+    """
+    if not np.isfinite(a).all():
+        raise NotHermitianError("matrix entries must be finite")
+    ah = conj_transpose(a)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    defect = np.abs(a - ah).max(axis=(-2, -1))
+    bad = defect > HERMITIAN_TOL * scale
+    if bad.any():
+        raise NotHermitianError(
+            f"Hermitian symmetry defect {defect[bad][0]:.3e} exceeds tolerance"
+        )
+    return 0.5 * (a + ah)
+
+
+def check_positive_definite(entries: np.ndarray) -> None:
+    """Raise NotPositiveDefiniteError unless every member of a Hermitian
+    stack (..., n, n) has its smallest eigenvalue above ``POSDEF_TOL``
+    times its largest, which must be positive.  ``MetricMatrix``
+    validates its one matrix here."""
+    w = np.linalg.eigvalsh(entries)
+    bad = (w[..., -1] <= 0) | (w[..., 0] <= POSDEF_TOL * w[..., -1])
+    if bad.any():
+        low, high = w[bad][0][[0, -1]]
+        raise NotPositiveDefiniteError(
+            f"metric eigenvalues [{low:.3e}, {high:.3e}] fail the "
+            f"positive definiteness threshold"
+        )
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Coefficient matrix of a real (1,1)-form in a fixed frame."""
@@ -45,16 +85,7 @@ class HermitianMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = _as_square_complex(self.entries)
-        if not np.isfinite(a).all():
-            raise NotHermitianError("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(a).max()))
-        defect = float(np.abs(a - a.conj().T).max())
-        if defect > HERMITIAN_TOL * scale:
-            raise NotHermitianError(
-                f"Hermitian symmetry defect {defect:.3e} exceeds tolerance"
-            )
-        a = 0.5 * (a + a.conj().T)
+        a = hermitian_entries(_as_square_complex(self.entries))
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -86,12 +117,7 @@ class MetricMatrix:
     base: HermitianMatrix
 
     def __post_init__(self):
-        w = np.linalg.eigvalsh(self.base.entries)
-        if w[-1] <= 0 or w[0] <= POSDEF_TOL * w[-1]:
-            raise NotPositiveDefiniteError(
-                f"metric eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] fail the "
-                f"positive definiteness threshold"
-            )
+        check_positive_definite(self.base.entries)
 
     @property
     def dim(self) -> int:
@@ -148,16 +174,31 @@ def _triangular_solve(A: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
     return _trsm(A.dtype, B.dtype)(1.0, A, B, lower=lower)
 
 
-def reduce_to_metric_frame(T_entries: np.ndarray, omega: MetricMatrix) -> np.ndarray:
-    """Return C^{-1} T C^{-H} for the Cholesky factor C of the metric.
+def metric_frame(T_entries: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """C^{-1} T C^{-H}, symmetrized, for stacks (..., n, n) of forms T and
+    of lower Cholesky factors C of metrics, broadcast against each other.
 
-    The ordinary Hermitian spectrum of the result equals the spectrum of T
-    relative to the metric.
+    The ordinary Hermitian spectrum of each member equals the spectrum of
+    its form relative to its metric.  The triangular solves run one BLAS
+    trsm call per member: a numpy substitution does not give trsm's bits.
     """
-    C = omega.cholesky
-    Y = _triangular_solve(C, T_entries, lower=True)
-    M = _triangular_solve(C, Y.conj().T, lower=True).conj().T
-    return 0.5 * (M + M.conj().T)
+    shape = np.broadcast_shapes(T_entries.shape, C.shape)
+    T_entries = np.broadcast_to(T_entries, shape)
+    C = np.broadcast_to(C, shape)
+    M = np.empty(shape, dtype=complex)
+    for i in np.ndindex(shape[:-2]):
+        Y = _triangular_solve(C[i], T_entries[i], lower=True)
+        M[i] = _triangular_solve(C[i], Y.conj().T, lower=True).conj().T
+    return 0.5 * (M + conj_transpose(M))
+
+
+def relative_lambdas(T_entries: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Ascending spectra of stacked forms relative to stacked metrics given
+    by their lower Cholesky factors: the ``lambdas`` of
+    ``relative_eigenvalues`` member by member, without the basis."""
+    # eigh, not eigvalsh: the LAPACK job of relative_eigenvalues, whose
+    # bits eigvalsh does not reproduce
+    return np.linalg.eigh(metric_frame(T_entries, C))[0]
 
 
 def relative_eigenvalues(T: HermitianMatrix, omega: MetricMatrix) -> RelativeSpectrum:
@@ -166,7 +207,7 @@ def relative_eigenvalues(T: HermitianMatrix, omega: MetricMatrix) -> RelativeSpe
         raise DimensionMismatchError(
             f"form has dimension {T.dim}, metric has dimension {omega.dim}"
         )
-    M = reduce_to_metric_frame(T.entries, omega)
+    M = metric_frame(T.entries, omega.cholesky)
     lam, V = np.linalg.eigh(M)
     basis = _triangular_solve(omega.cholesky.conj().T, V, lower=False)
     return RelativeSpectrum(lambdas=lam, basis=basis)

@@ -1,15 +1,20 @@
 import inspect
 import json
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mhessian import cli
+from mhessian import cli, curvature, fm, hermitian, suite
 from mhessian.cli import main
+from mhessian.cones import is_m_semipositive, strong_positivity_oracle
 from mhessian.errors import ConfigError
+from mhessian.fm import concavity_probe, fm_from_lambdas, fm_product_bound, \
+    fm_value, fm_via_determinant
 from mhessian.grids import GridDomain, GridFunction
+from mhessian.hermitian import HermitianMatrix, MetricMatrix
 from mhessian.multiindex import subset_sums
 from mhessian.serialize import (
     coordinate_headers,
@@ -40,7 +45,7 @@ MALFORMED_DUMPS = {
 
 def per_row_hypothesis_spectrum(rng, case, n, c, level):
     """verify-suite's former per-row rejection loop, as the reference for
-    cli._hypothesis_spectrum, with the number of rows it drew."""
+    suite._hypothesis_spectrum, with the number of rows it drew."""
     draws = 0
     while True:
         lam = rng.uniform(-3.0, 3.0, size=n)
@@ -51,6 +56,179 @@ def per_row_hypothesis_spectrum(rng, case, n, c, level):
                 return lam, draws
         elif k == 0 or subset_sums(lam - c, k).min() >= 0.0:
             return lam, draws
+
+
+def per_case_suite_sections(corpus_size):
+    """verify-suite's former case-at-a-time sections, as the reference for
+    mhessian.suite: each a callable rng -> rows, in run order.
+
+    ``fm.fm_gradient_diagonal`` is looked up on its module, so that a spy
+    set there sees the reference's calls too.
+    """
+    def row(name, cases, failures):
+        return (name, cases, failures, "pass" if failures == 0 else "FAIL")
+
+    def random_hermitian(rng, n, scale=1.0):
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return HermitianMatrix(scale * 0.5 * (X + X.conj().T))
+
+    def random_metric(rng, n):
+        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        Q, _ = np.linalg.qr(Z)
+        vals = rng.uniform(0.5, 2.0, size=n)
+        return MetricMatrix(HermitianMatrix(Q @ np.diag(vals) @ Q.conj().T))
+
+    def interior_spectrum(rng, n, m):
+        lam = np.sort(rng.uniform(-1.0, 2.0, size=n))
+        smallest = lam[:m].sum()
+        if smallest < 0.1:
+            lam = lam + (0.1 - smallest) / m
+        return lam
+
+    def interior_form(rng, g, n, m):
+        lam = interior_spectrum(rng, n, m)
+        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        Q, _ = np.linalg.qr(Z)
+        B = g.cholesky @ Q
+        return HermitianMatrix(B @ np.diag(lam) @ B.conj().T)
+
+    def oracle(rng):
+        fails_eq = fails_mono = 0
+        for _ in range(corpus_size):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, n + 1))
+            T, omega = random_hermitian(rng, n), random_metric(rng, n)
+            a = is_m_semipositive(T, omega, m)
+            b = strong_positivity_oracle(T, omega, m)
+            if a.member != b.member or abs(a.margin - b.margin) > 1e-12:
+                fails_eq += 1
+            if (m < n and a.member
+                    and not is_m_semipositive(T, omega, m + 1).member):
+                fails_mono += 1
+        return [row("oracle_equivalence", corpus_size, fails_eq),
+                row("membership_monotonicity", corpus_size, fails_mono)]
+
+    def gradient(rng):
+        fails = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, n + 1))
+            lam = interior_spectrum(rng, n, m)
+            grad = fm.fm_gradient_diagonal(lam, m)
+            h = 1e-5
+            for p in range(n):
+                up, dn = lam.copy(), lam.copy()
+                up[p] += h
+                dn[p] -= h
+                fd = (fm_from_lambdas(up, m).value
+                      - fm_from_lambdas(dn, m).value) / (2 * h)
+                if abs(fd - grad[p]) > 1e-6 * max(1.0, abs(fd)):
+                    fails += 1
+        return [row("gradient_finite_differences", 200, fails)]
+
+    def determinant(rng):
+        fails = 0
+        for _ in range(500):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(1, n + 1))
+            g = random_metric(rng, n)
+            T = interior_form(rng, g, n, m)
+            a = fm_via_determinant(T, g, m)
+            b = fm_value(T, g, m).value
+            if abs(a - b) > 1e-9 * abs(b):
+                fails += 1
+        return [row("determinant_route", 500, fails)]
+
+    def concavity(rng):
+        fails = 0
+        for _ in range(500):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(1, n + 1))
+            g = random_metric(rng, n)
+            if not concavity_probe(interior_form(rng, g, n, m),
+                                   interior_form(rng, g, n, m), g, m, steps=7):
+                fails += 1
+        return [row("concavity_probe", 500, fails)]
+
+    def bound_regimes(rng):
+        rows = []
+        for case in ("p0", "0q", "nq", "pn"):
+            fails = 0
+            for _ in range(500):
+                n = int(rng.integers(2, 6))
+                c = float(rng.uniform(0.2, 1.5))
+                if case in ("nq", "pn"):
+                    level = int(rng.integers(1, n + 1))
+                else:
+                    level = int(rng.integers(0, n))
+                lam, _ = per_row_hypothesis_spectrum(rng, case, n, c, level)
+                if not curvature.verify_bound_regime(case, lam, c, level):
+                    fails += 1
+            rows.append(row(f"bound_regime_{case}", 500, fails))
+        return rows
+
+    def product_bound(rng):
+        fails = 0
+        for n in (2, 3, 4):
+            for m in range(1, n + 1):
+                lam = np.sort(rng.uniform(-1.0, 2.0, size=(10000, n)), axis=-1)
+                smallest = lam[:, :m].sum(axis=-1)
+                lam += (np.maximum(0.0, 1e-3 - smallest) / m)[:, None]
+                prods = np.prod(fm.fm_gradient_diagonal(lam, m), axis=-1)
+                fails += int((prods < fm_product_bound(n, m) - 1e-12).sum())
+        return [row("gradient_product_bound", 90000, fails)]
+
+    return (oracle, gradient, determinant, concavity, bound_regimes,
+            product_bound)
+
+
+def spy_on_corpus(monkeypatch):
+    """A list that collects, as bytes, every matrix validated by
+    ``hermitian_entries``, every spectrum given to ``fm_gradient_diagonal``
+    and every input of ``bound_regime_holds``, from the per-matrix
+    functions and from the suite alike."""
+    seen = []
+    entries = hermitian.hermitian_entries
+    gradient = fm.fm_gradient_diagonal
+    regime = curvature.bound_regime_holds
+
+    def rows(array):
+        array = np.asarray(array)
+        return array.reshape(-1, array.shape[-1])
+
+    def entries_spy(a):
+        out = entries(a)
+        seen.extend(("matrix", m.tobytes())
+                    for m in out.reshape(-1, *out.shape[-2:]))
+        return out
+
+    def gradient_spy(lambdas, m):
+        seen.extend(("gradient", m, lam.tobytes()) for lam in rows(lambdas))
+        return gradient(lambdas, m)
+
+    def regime_spy(case, lambdas, c, level):
+        lam = rows(lambdas)
+        cs = np.broadcast_to(c, lam.shape[:-1])
+        seen.extend(("regime", case, level, float(ci), row.tobytes())
+                    for ci, row in zip(cs, lam))
+        return regime(case, lambdas, c, level)
+
+    for module in (hermitian, suite):
+        monkeypatch.setattr(module, "hermitian_entries", entries_spy)
+    for module in (fm, suite):
+        monkeypatch.setattr(module, "fm_gradient_diagonal", gradient_spy)
+    for module in (curvature, suite):
+        monkeypatch.setattr(module, "bound_regime_holds", regime_spy)
+    return seen
+
+
+# a C^1 Dirichlet solve and configs/cone_example.json, for malformed
+# variants of their keys
+DIRICHLET_C1 = {"problem": "dirichlet", "m": 1,
+                "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
+                "boundary": {"kind": "squared_norm"},
+                "rhs": {"kind": "manufactured_quadratic"}}
+CONE_EXAMPLE = json.loads((CONFIGS / "cone_example.json").read_text())
 
 
 def write_config(tmp_path, name, data):
@@ -134,7 +312,7 @@ class TestHypothesisSpectrum:
         mine, ref = (np.random.default_rng(seed) for _ in range(2))
         for rng in (mine, ref):
             rng.integers(2, 6)  # leaves a buffered 32-bit half, as in the suite
-        lam = cli._hypothesis_spectrum(mine, case, n, c, level)
+        lam = suite._hypothesis_spectrum(mine, case, n, c, level)
         expected, draws = per_row_hypothesis_spectrum(ref, case, n, c, level)
         assert np.array_equal(lam, expected)
         assert mine.bit_generator.state == ref.bit_generator.state
@@ -154,6 +332,36 @@ class TestHypothesisSpectrum:
         # block
         draws = self.assert_matches_per_row_loop(0, "nq", 2, 2.98, 2)
         assert draws > 8128 + 4096
+
+
+class TestSuiteAgainstPerCaseReference:
+    @pytest.mark.parametrize("seed", [0, 5841, 20240811])
+    def test_rows_state_and_corpus_match_every_section(self, monkeypatch,
+                                                        seed):
+        seen = spy_on_corpus(monkeypatch)
+        mine, ref = (np.random.default_rng(seed) for _ in range(2))
+        for section, reference in zip(suite.sections(1000),
+                                      per_case_suite_sections(1000),
+                                      strict=True):
+            rows = section(mine)
+            corpus = Counter(seen)
+            seen.clear()
+            assert rows == reference(ref)
+            assert mine.bit_generator.state == ref.bit_generator.state
+            assert corpus == Counter(seen)
+            seen.clear()
+
+    def test_blocks_do_not_change_the_corpus(self, monkeypatch):
+        # a corpus that spans several blocks, the last one partial
+        monkeypatch.setattr(suite, "BLOCK", 7)
+        seen = spy_on_corpus(monkeypatch)
+        mine, ref = (np.random.default_rng(3) for _ in range(2))
+        rows = suite.oracle_section(mine, cases=40)
+        corpus = Counter(seen)
+        seen.clear()
+        assert rows == per_case_suite_sections(40)[0](ref)
+        assert mine.bit_generator.state == ref.bit_generator.state
+        assert corpus == Counter(seen)
 
 
 class TestCommands:
@@ -243,37 +451,51 @@ class TestCommands:
         assert rc == 3
         assert "missing config key 'grid'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [
-        [1, 2],
-        {"problem": "dirichlet", "m": "x",
-         "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
-         "boundary": {"kind": "squared_norm"},
-         "rhs": {"kind": "manufactured_quadratic"}},
-        {"problem": "dirichlet", "m": 2,
-         "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
-         "boundary": {"kind": "squared_norm"},
-         "rhs": {"kind": "manufactured_quadratic"}},
-        {"problem": "dirichlet", "m": 1,
-         "grid": {"n": 99, "kind": "ball", "points_per_axis": 9},
-         "boundary": {"kind": "squared_norm"},
-         "rhs": {"kind": "manufactured_quadratic"}},
-        *({"problem": "torus", "m": m,
-           "grid": {"n": 1, "kind": "torus", "points_per_axis": 9},
-           "chi": {"n": 1, "re": [[1.0]], "im": [[0.0]]},
-           "reference": {"kind": "constant", "value": -2.0},
-           "rhs": {"kind": "penalized_distance", "beta": 10.0}}
+    @pytest.mark.parametrize("command, config", [
+        ("solve", [1, 2]),
+        ("solve", {**DIRICHLET_C1, "m": "x"}),
+        ("solve", {**DIRICHLET_C1, "m": 2}),
+        ("solve", {**DIRICHLET_C1,
+                   "grid": {"n": 99, "kind": "ball", "points_per_axis": 9}}),
+        *(("solve", {"problem": "torus", "m": m,
+                     "grid": {"n": 1, "kind": "torus", "points_per_axis": 9},
+                     "chi": {"n": 1, "re": [[1.0]], "im": [[0.0]]},
+                     "reference": {"kind": "constant", "value": -2.0},
+                     "rhs": {"kind": "penalized_distance", "beta": 10.0}})
           for m in (0, 2)),
+        ("solve", {**DIRICHLET_C1, "m": 1.9}),
+        ("solve", {**DIRICHLET_C1, "m": True}),
+        ("solve", {**DIRICHLET_C1, "tolerance": True}),
+        ("cone", {**CONE_EXAMPLE, "m": 1.9}),
+        ("cone", {**CONE_EXAMPLE, "m": True}),
+        ("verify-suite", {"corpus_size": 3.7}),
+        ("verify-suite", {"corpus_size": -5}),
     ], ids=["top_level_list", "non_integer_m", "m_above_n", "oversized_grid",
-            "torus_m_zero", "torus_m_above_n"])
+            "torus_m_zero", "torus_m_above_n", "fractional_m", "bool_m",
+            "bool_tolerance", "cone_fractional_m", "cone_bool_m",
+            "fractional_corpus_size", "negative_corpus_size"])
     def test_malformed_config_is_a_validation_error(self, tmp_path, capsys,
-                                                    config):
+                                                    command, config):
         cfg = write_config(tmp_path, "bad.json", config)
-        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "s"),
                    "--quiet"])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith(("validation error:", "run failed:"))
         assert "Traceback" not in err
+        written = {p.name for p in (tmp_path / "s").iterdir()}
+        assert written <= {"manifest.json", "error.json"}
+
+    def test_integral_float_reads_as_int(self, tmp_path):
+        reports = []
+        for m in (2, 2.0):
+            cfg = write_config(tmp_path, "cone.json", {**CONE_EXAMPLE, "m": m})
+            out = tmp_path / f"cone_{m!r}"
+            assert main(["cone", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["verdict"]["witness"] == [1, 2]
 
     @pytest.mark.parametrize("homotopy", [True, False, "false"])
     def test_homotopy_key_is_rejected(self, tmp_path, capsys, homotopy):
