@@ -330,7 +330,7 @@ def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
         print(f"{name:<{width}}  {cases:>6}  {failures:>3}  {status}")
     if any(r[2] for r in rows):
         raise MHessianError("verify-suite found property violations")
-    return {"suite_summary.csv": ["cli", "verify_suite"]}
+    return {"suite_summary.csv": ["suite", "verify_suite"]}
 
 
 COMMANDS = {

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConeBoundaryError
 from .fm import CONE_TOL, _check_m, fm_plus
 from .hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
-from .multiindex import multi_indices, subset_sums
+from .multiindex import multi_indices, spectrum_sums
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ def oracle_margins(lambdas: np.ndarray, m: int) -> tuple:
     position of its multi-index in lexicographic order: the margin and the
     witness of ``strong_positivity_oracle``."""
     _check_m(lambdas.shape[-1], m)
-    # shape (..., 1, n): one vector-matrix product per spectrum, so each
-    # spectrum's sums are bit for bit those of a lone spectrum
-    sums = subset_sums(lambdas[..., None, :], m)[..., 0, :]
+    sums = spectrum_sums(lambdas, m)
     k = sums.argmin(axis=-1)
     return np.take_along_axis(sums, k[..., None], axis=-1)[..., 0], k
 

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatchError, HypothesisViolatedError
-from .multiindex import subset_sums
+from .multiindex import spectrum_sums
 
 BOUND_TOL = 1e-12
 
@@ -62,15 +62,9 @@ def curvature_factors(lambdas, p: int, q: int) -> np.ndarray:
     one spectrum (n,) or each spectrum of a stack (..., n).
     """
     lam = np.asarray(lambdas, dtype=float)
-    sj = _sums(lam, p)
-    sk = _sums(lam, q)
+    sj = spectrum_sums(lam, p)
+    sk = spectrum_sums(lam, q)
     return sj[..., :, None] + sk[..., None, :] - lam.sum(axis=-1)[..., None, None]
-
-
-def _sums(lam: np.ndarray, k: int) -> np.ndarray:
-    # shape (..., 1, n): one vector-matrix product per spectrum, so each
-    # spectrum's sums are bit for bit those of a lone spectrum
-    return subset_sums(lam[..., None, :], k)[..., 0, :]
 
 
 def apply_curvature_operator(u: BidegreeForm, lambdas) -> BidegreeForm:
@@ -99,14 +93,14 @@ def _check_hypothesis(case: str, lam: np.ndarray, c: np.ndarray,
         # The form is (n-level)-semi-negative shifted by -c: every
         # (n-level)-fold sum of (lambda + c) must be <= 0.
         k = n - level
-        if k > 0 and _sums(lam + c, k).max() > BOUND_TOL:
+        if k > 0 and spectrum_sums(lam + c, k).max() > BOUND_TOL:
             raise HypothesisViolatedError(
                 f"case {case}: some {k}-fold sum of (lambda + c) is positive"
             )
     else:
         # The form dominates c times the metric at order `level`: every
         # level-fold sum of (lambda - c) must be >= 0.
-        if level > 0 and _sums(lam - c, level).min() < -BOUND_TOL:
+        if level > 0 and spectrum_sums(lam - c, level).min() < -BOUND_TOL:
             raise HypothesisViolatedError(
                 f"case {case}: some {level}-fold sum of (lambda - c) is negative"
             )

@@ -10,7 +10,6 @@ and a segment probe for concavity.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -18,7 +17,8 @@ import numpy as np
 from .errors import ConeBoundaryError, DimensionMismatchError
 from .hermitian import HermitianMatrix, MetricMatrix, metric_frame, \
     relative_eigenvalues
-from .multiindex import multi_indices, subset_sum_matrix, subset_sums
+from .multiindex import multi_indices, spectrum_sums, subset_sum_matrix, \
+    subset_sums
 
 # Absolute tolerance on eigenvalue sums of order-1-normalized inputs; sums
 # in [-CONE_TOL, 0) are treated as 0, sums below -CONE_TOL are rejected.
@@ -26,6 +26,10 @@ CONE_TOL = 1e-9
 # Gradient evaluation refuses spectra whose smallest m-sum is this close
 # to the cone boundary (the formula divides by the sums).
 GRADIENT_BOUNDARY_TOL = 1e-12
+# The concavity probe's t-grid size and the amount by which F_m on the
+# segment may fall below the chord.
+CONCAVITY_STEPS = 11
+CONCAVITY_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,7 @@ def geometric_mean_clamped(sums: np.ndarray) -> np.ndarray:
 
 def fm_from_lambdas(lambdas, m: int) -> FmValue:
     """F_m of a spectrum given directly as eigenvalues relative to the metric."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    sums = subset_sums(lambdas, m)
+    sums = spectrum_sums(lambdas, m)
     return FmValue(value=float(geometric_mean_clamped(sums)), msums=sums)
 
 
@@ -74,9 +77,7 @@ def fm_values(lambdas, m: int) -> np.ndarray:
     to the metric: ``fm_from_lambdas(...).value`` member by member."""
     lambdas = np.asarray(lambdas, dtype=float)
     _check_m(lambdas.shape[-1], m)
-    # shape (..., 1, n): one vector-matrix product per spectrum, as
-    # fm_from_lambdas takes, keeps each spectrum's sums bit for bit
-    return geometric_mean_clamped(subset_sums(lambdas[..., None, :], m))[..., 0]
+    return geometric_mean_clamped(spectrum_sums(lambdas, m))
 
 
 def _check_m(n: int, m: int):
@@ -127,38 +128,6 @@ def fm_product_bound(n: int, m: int) -> float:
     return (m / n) ** n
 
 
-@lru_cache(maxsize=None)
-def _derivation_pattern(n: int, m: int) -> tuple:
-    """Where ``derivation_entries`` puts the entries of an n x n matrix.
-
-    Returns the multi-indices as rows of an (N, m) array, whose diagonal
-    entries sum to the diagonal of D, and the flat positions in D, flat
-    positions in A and signs of D's off-diagonal entries.
-    """
-    idx = multi_indices(n, m)
-    N = len(idx)
-    sets = [frozenset(J) for J in idx]
-    pos, src, sign = [], [], []
-    for a, I in enumerate(idx):
-        for b, J in enumerate(idx):
-            if a == b:
-                continue
-            diff_IJ = sets[a] - sets[b]
-            if len(diff_IJ) != 1:
-                continue
-            i = next(iter(diff_IJ))
-            j = next(iter(sets[b] - sets[a]))
-            pos.append(a * N + b)
-            src.append(i * n + j)
-            sign.append((-1) ** (I.index(i) + J.index(j)))
-    pattern = (np.array(idx, dtype=np.intp).reshape(N, m),
-               np.array(pos, dtype=np.intp), np.array(src, dtype=np.intp),
-               np.array(sign, dtype=float))
-    for array in pattern:
-        array.setflags(write=False)
-    return pattern
-
-
 def derivation_entries(A: np.ndarray, m: int) -> np.ndarray:
     """Matrix of the derivation induced by A on the m-th exterior power.
 
@@ -169,19 +138,24 @@ def derivation_entries(A: np.ndarray, m: int) -> np.ndarray:
     """
     A = np.asarray(A)
     n = A.shape[-1]
-    lead = A.shape[:-2]
-    multi, pos, src, sign = _derivation_pattern(n, m)
-    N = multi.shape[0]
-    D = np.zeros(lead + (N * N,), dtype=A.dtype)
-    diag = np.diagonal(A, axis1=-2, axis2=-1)
-    # summed from zero in index order, as Python's sum does: a -0.0
-    # diagonal sum comes out +0.0
-    sums = np.zeros(lead + (N,), dtype=A.dtype)
-    for t in range(m):
-        sums = sums + diag[..., multi[:, t]]
-    D[..., ::N + 1] = sums
-    D[..., pos] = sign * A.reshape(lead + (n * n,))[..., src]
-    return D.reshape(lead + (N, N))
+    idx = multi_indices(n, m)
+    N = len(idx)
+    D = np.zeros(A.shape[:-2] + (N, N), dtype=A.dtype)
+    sets = [frozenset(J) for J in idx]
+    for a, I in enumerate(idx):
+        D[..., a, a] = sum(A[..., i, i] for i in I)
+        for b, J in enumerate(idx):
+            if a == b:
+                continue
+            diff_IJ = sets[a] - sets[b]
+            if len(diff_IJ) != 1:
+                continue
+            i = next(iter(diff_IJ))
+            j = next(iter(sets[b] - sets[a]))
+            s = I.index(i)
+            t = idx[b].index(j)
+            D[..., a, b] = (-1) ** (s + t) * A[..., i, j]
+    return D
 
 
 @dataclass(frozen=True)
@@ -231,14 +205,15 @@ def fm_plus(T: HermitianMatrix, omega: MetricMatrix, m: int) -> float:
     """F_m where T is m-semipositive against omega, 0 outside that cone."""
     _check_m(T.dim, m)
     spec = relative_eigenvalues(T, omega)
-    sums = subset_sums(spec.lambdas, m)
+    sums = spectrum_sums(spec.lambdas, m)
     if sums.min() < -CONE_TOL:
         return 0.0
     return float(geometric_mean_clamped(sums))
 
 
-def concavity_holds(a: np.ndarray, b: np.ndarray, m: int, steps: int = 11,
-                    slack: float = 1e-10) -> np.ndarray:
+def concavity_holds(a: np.ndarray, b: np.ndarray, m: int,
+                    steps: int = CONCAVITY_STEPS,
+                    slack: float = CONCAVITY_SLACK) -> np.ndarray:
     """``concavity_probe`` for stacks (..., n, n) of endpoint pairs already
     reduced to the metric frame.
 
@@ -258,7 +233,8 @@ def concavity_holds(a: np.ndarray, b: np.ndarray, m: int, steps: int = 11,
 
 
 def concavity_probe(A: HermitianMatrix, B: HermitianMatrix, g: MetricMatrix,
-                    m: int, steps: int = 11, slack: float = 1e-10) -> bool:
+                    m: int, steps: int = CONCAVITY_STEPS,
+                    slack: float = CONCAVITY_SLACK) -> bool:
     """Check F_m[tA + (1-t)B] >= t F_m[A] + (1-t) F_m[B] - slack on a t-grid."""
     if A.dim != B.dim or A.dim != g.dim:
         raise DimensionMismatchError("operands must share one dimension")

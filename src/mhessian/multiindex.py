@@ -43,3 +43,13 @@ def subset_sums(lambdas: np.ndarray, k: int) -> np.ndarray:
     lambdas = np.asarray(lambdas, dtype=float)
     n = lambdas.shape[-1]
     return lambdas @ subset_sum_matrix(n, k).T
+
+
+def spectrum_sums(lambdas: np.ndarray, k: int) -> np.ndarray:
+    """``subset_sums`` of each spectrum of a stack (..., n), shape
+    (..., C(n,k)), with the bits of ``subset_sums`` of that spectrum alone.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    # shape (..., 1, n): one vector-matrix product per spectrum, as a lone
+    # spectrum takes; one product for the whole stack may round otherwise
+    return subset_sums(lambdas[..., None, :], k)[..., 0, :]

@@ -27,7 +27,7 @@ from .fm import CONE_TOL, concavity_holds, determinant_fm_values, \
     fm_gradient_diagonal, fm_product_bound, fm_values
 from .hermitian import check_positive_definite, conj_transpose, \
     hermitian_entries, metric_frame, relative_lambdas
-from .multiindex import subset_sums
+from .multiindex import spectrum_sums
 
 # cases per block: each pass holds one block's draws and stacks
 BLOCK = 250
@@ -93,13 +93,11 @@ def _hypothesis_spectrum(rng, case, n, c, level):
     rows = 64
     while True:
         state = rng.bit_generator.state
-        # shape (rows, 1, n): one vector-matrix product per row, so each
-        # row's sums are bit for bit those of a single-row draw
-        block = rng.uniform(-3.0, 3.0, size=(rows, 1, n))
+        block = rng.uniform(-3.0, 3.0, size=(rows, n))
         if case in ("p0", "0q"):
-            passed = subset_sums(block + c, k).max(axis=-1) <= 0.0
+            passed = spectrum_sums(block + c, k).max(axis=-1) <= 0.0
         else:
-            passed = subset_sums(block - c, k).min(axis=-1) >= 0.0
+            passed = spectrum_sums(block - c, k).min(axis=-1) >= 0.0
         if passed.any():
             j = int(passed.argmax())
             # rewinding and drawing again, unlike bit_generator.advance,
@@ -200,7 +198,7 @@ def gradient_section(rng, cases=200):
     for block in _blocks(rng, cases, draw):
         for (n, m), (raw,) in _stacks(block):
             lam = _interior_spectra(raw, m)
-            # shape (k, 1, n): one vector-matrix product per spectrum
+            # shape (k, 1, n): each spectrum alone, as for spectrum_sums
             grad = fm_gradient_diagonal(lam[:, None, :], m)[:, 0, :]
             # row p of up[i] (dn[i]) is lam[i] with h added to (taken
             # from) its entry p
