@@ -2,11 +2,11 @@
 
 Subcommands: ``eigen``, ``cone``, ``fm``, ``solve``, ``regularize`` and
 ``verify-suite``.  Every run reads one JSON config, writes its artifacts
-into the output directory together with a manifest carrying the resolved
-defaults and a content hash of the config, and exits with 0 on success,
-2 on config parse errors and otherwise with the ``exit_code`` of the
-raised library error: 3 on validation errors, 4 on solver or pipeline
-failures and 5 on internal invariant violations.
+into the output directory together with a manifest carrying the config
+and a content hash of it, and exits with 0 on success, 2 on config parse
+and output errors and otherwise with the ``exit_code`` of the raised
+library error: 3 on validation errors (an unread key among them), 4 on
+solver or pipeline failures and 5 on internal invariant violations.
 """
 
 import argparse
@@ -22,15 +22,15 @@ import numpy as np
 
 from . import __version__
 from .cones import is_m_semipositive, strong_positivity_oracle
-from .errors import ConfigError, MHessianError
+from .errors import ConfigError, DimensionMismatchError, MHessianError
 from .fm import fm_value, fm_via_determinant
-from .grids import GridFunction, MetricField
-from .hermitian import MetricMatrix, matrix_from_json, relative_eigenvalues
+from .grids import BALL, TORUS, GridDomain, GridFunction, MetricField
+from .hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
 from .multiindex import multi_indices
 from .regularize import ApproximationSchedule, global_regularize, \
     local_regularize, upper_smooth_sequence, verify_monotone_convergence
-from .serialize import domain_from_config, gridfunction_to_binary, \
-    gridfunction_to_csv, write_csv_rows, write_json
+from .serialize import gridfunction_to_binary, gridfunction_to_csv, \
+    write_csv_rows, write_json
 from .solver import RightHandSide, SolverConfig, continuity_path, \
     solve_torus
 from .suite import verify_suite
@@ -41,154 +41,182 @@ EXIT_INVARIANT = 5
 
 
 # ---------------------------------------------------------------------------
-# config helpers
+# config format
 
 _REQUIRED = object()
 
 
-class ConfigTable(dict):
-    """A JSON object of a config.
+def _is_number(value, kind=float) -> bool:
+    """Whether ``kind(value)`` reads a JSON value exactly: a finite number
+    (not NaN), not a bool, and for int an integral one, not 1.9."""
+    return (type(value) in (int, float) and abs(value) <= sys.float_info.max
+            and (kind is float or value % 1 == 0))
 
-    Looking up a missing key is a ConfigError, and so is a value that
-    ``number`` or ``table`` cannot read as the type asked for.
+
+class ConfigTable(dict):
+    """A JSON object of a config, read through its typed accessors.
+
+    Each accessor marks its key as read.  A repeated, missing, mistyped or
+    unread (see ``reject_unread``) key is a ConfigError naming its path.
     """
 
-    def __missing__(self, key):
-        raise ConfigError(f"missing config key {key!r}")
+    def __init__(self, pairs=()):
+        # also json.loads' object_pairs_hook: dict() keeps a repeated key
+        super().__init__(pairs)
+        if len(self) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise ConfigError("duplicate config key "
+                              f"{next(k for k in keys if keys.count(k) > 1)!r}")
+        self._path = ""
+        self._read = set()
 
-    def _value(self, key, default):
-        return self[key] if default is _REQUIRED else self.get(key, default)
+    def _get(self, key, default, expected, valid):
+        """The value at ``key``, or ``default`` when the key is left out and
+        not required; a value ``valid`` rejects is a ConfigError."""
+        self._read.add(key)
+        if key not in self:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing config key {self._path + key!r}")
+            return default
+        value = self[key]
+        if not valid(value):
+            raise ConfigError(f"config key {self._path + key!r} must be "
+                              f"{expected}, got {value!r}")
+        return value
 
     def number(self, key, kind, default=_REQUIRED):
-        """``kind(value)`` for ``kind`` int or float.
-
-        The value must be a JSON number, not a bool, and for int an
-        integral one (2 or 2.0): int() would truncate 1.9 to 1.
-        """
-        value = self._value(key, default)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or kind is int and isinstance(value, float)
-                and not value.is_integer()):
-            raise ConfigError(f"config key {key!r} must be {kind.__name__}, "
-                              f"got {value!r}")
-        try:
-            return kind(value)
-        except OverflowError as exc:
-            raise ConfigError(f"config key {key!r} must be {kind.__name__}, "
-                              f"got {value!r}") from exc
-
-    def table(self, key, default=_REQUIRED) -> "ConfigTable":
-        """The nested JSON object at ``key``."""
-        value = self._value(key, default)
-        if not isinstance(value, ConfigTable):
-            raise ConfigError(f"config key {key!r} must be a JSON object, "
-                              f"got {value!r}")
-        return value
+        """``kind(value)`` for ``kind`` int or float (see ``_is_number``)."""
+        return kind(self._get(key, default, kind.__name__,
+                              lambda value: _is_number(value, kind)))
 
     def numbers(self, kinds: dict) -> dict:
         """``number(key, kind)`` for each key of ``kinds`` the table sets."""
         return {key: self.number(key, kind) for key, kind in kinds.items()
                 if key in self}
 
+    def choice(self, key, options, default=_REQUIRED):
+        """The string at ``key``, one of ``options``."""
+        return self._get(key, default, f"one of {list(options)}",
+                         lambda value: isinstance(value, str)
+                         and value in options)
 
-FIELD_KINDS = {}
+    def table(self, key, default=_REQUIRED) -> "ConfigTable":
+        """The nested JSON object at ``key``."""
+        value = self._get(key, default, "a JSON object",
+                          lambda value: isinstance(value, ConfigTable))
+        value._path = f"{self._path}{key}."
+        return value
+
+    def matrix(self, key) -> HermitianMatrix:
+        """The matrix of the table ``{"n": int, "re": rows, "im": rows}`` at
+        ``key``, each of n rows of n numbers; "im" is zero when left out."""
+        table = self.table(key)
+        n = table.number("n", int)
+
+        def rows(part):
+            return np.asarray(table._get(
+                part, _REQUIRED, f"{n} rows of {n} finite numbers",
+                lambda value: isinstance(value, list) and len(value) == n >= 1
+                and all(isinstance(row, list) and len(row) == n
+                        and all(map(_is_number, row)) for row in value)),
+                dtype=float)
+
+        re = rows("re")
+        im = rows("im") if "im" in table else np.zeros((n, n))
+        return HermitianMatrix(re + 1j * im)
+
+    def grid(self, key) -> GridDomain:
+        """The grid of the table at ``key``; its radius is optional."""
+        table = self.table(key)
+        try:
+            return GridDomain(
+                kind=table.choice("kind", (BALL, TORUS)),
+                n=table.number("n", int),
+                points_per_axis=table.number("points_per_axis", int),
+                **table.numbers({"radius": float}))
+        except DimensionMismatchError as exc:
+            raise ConfigError(f"invalid grid config: {exc}") from exc
+
+    def reject_unread(self) -> None:
+        """A ConfigError naming a key that no accessor read, here or in a
+        nested table read; a command calls this after its last read."""
+        for key, value in self.items():
+            if key not in self._read:
+                raise ConfigError(f"unknown config key {self._path + key!r}")
+            if isinstance(value, ConfigTable):
+                value.reject_unread()
 
 
-def field_kind(name):
-    def wrap(fn):
-        FIELD_KINDS[name] = fn
-        return fn
-    return wrap
-
-
-@field_kind("constant")
-def _field_constant(cfg, coords):
-    return np.full(coords.shape[0], cfg.number("value", float, 0.0))
-
-
-@field_kind("squared_norm")
-def _field_squared_norm(cfg, coords):
-    scale = cfg.number("scale", float, 1.0)
-    offset = cfg.number("offset", float, 0.0)
-    return scale * (coords ** 2).sum(axis=-1) + offset
-
-
-@field_kind("quadratic_plus_exp")
-def _field_quadratic_plus_exp(cfg, coords):
-    scale = cfg.number("scale", float, 0.05)
-    offset = cfg.number("offset", float, 0.0)
-    return (coords ** 2).sum(axis=-1) + scale * np.exp(coords[:, 0]) + offset
-
-
-@field_kind("max_re")
-def _field_max_re(cfg, coords):
+def _field_max_re(coords, *, offset=0.0):
     if coords.shape[1] < 4:
         raise ConfigError("max_re needs complex dimension >= 2")
-    offset = cfg.number("offset", float, 0.0)
     return np.maximum(coords[:, 0], coords[:, 2]) + offset
 
 
-@field_kind("cos_wave")
-def _field_cos_wave(cfg, coords):
-    amplitude = cfg.number("amplitude", float, 1.0)
-    offset = cfg.number("offset", float, 0.0)
-    axis = cfg.number("axis", int, 0)
+def _field_cos_wave(coords, *, amplitude=1.0, offset=0.0, axis=0):
     if not 0 <= axis < coords.shape[1]:
         raise ConfigError(f"cos_wave axis {axis} outside "
                           f"0..{coords.shape[1] - 1}")
     return amplitude * np.cos(2.0 * np.pi * coords[:, axis]) + offset
 
 
+# each field maps node coordinates (K, 2n) to values; its keyword-only
+# parameters are its config keys, each of the type of its default
+FIELD_KINDS = {
+    "constant": lambda coords, *, value=0.0: np.full(coords.shape[0], value),
+    "squared_norm": lambda coords, *, scale=1.0, offset=0.0: (
+        scale * (coords ** 2).sum(axis=-1) + offset),
+    "quadratic_plus_exp": lambda coords, *, scale=0.05, offset=0.0: (
+        (coords ** 2).sum(axis=-1) + scale * np.exp(coords[:, 0]) + offset),
+    "max_re": _field_max_re,
+    "cos_wave": _field_cos_wave,
+}
+
+
 def field_from_config(cfg: ConfigTable):
-    kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in FIELD_KINDS:
-        raise ConfigError(f"unknown field kind {kind!r}; "
-                          f"expected one of {sorted(FIELD_KINDS)}")
-    return lambda coords: FIELD_KINDS[kind](cfg, coords)
+    """The field of the table ``cfg``, over values read once."""
+    field = FIELD_KINDS[cfg.choice("kind", FIELD_KINDS)]
+    values = {key: cfg.number(key, type(default), default)
+              for key, default in field.__kwdefaults__.items()}
+    return lambda coords: field(coords, **values)
 
 
 def metric_from_config(config: ConfigTable, key: str, n: int) -> MetricMatrix:
-    if config.get(key) is None:
-        return MetricMatrix.identity(n)
-    return MetricMatrix(matrix_from_json(config.table(key)))
-
-
-def solver_settings(config: ConfigTable, kinds: dict) -> dict:
-    """The keys of ``kinds`` the config sets, in its nested "solver" table
-    or else flat; keys it leaves out keep the library's defaults."""
-    nested = config.table("solver", ConfigTable())
-    flat = {key: kind for key, kind in kinds.items() if key not in nested}
-    return {**config.numbers(flat), **nested.numbers(kinds)}
+    return MetricMatrix(config.matrix(key) if key in config
+                        else HermitianMatrix.identity(n))
 
 
 def solver_config_from(config: ConfigTable) -> SolverConfig:
-    """Solver settings, read from a nested "solver" table or flat keys."""
-    return SolverConfig(**solver_settings(config, {
+    """The "solver" table's settings, SolverConfig's defaults elsewhere."""
+    return SolverConfig(**config.table("solver", ConfigTable()).numbers({
         "tolerance": float, "max_iterations": int,
         "cone_floor": float, "damping_min_step": float}))
 
 
-def rhs_from_config(cfg: ConfigTable, m: int,
-                    reference: GridFunction) -> RightHandSide:
-    kind = cfg.get("kind")
-    if kind == "manufactured_quadratic":
-        return RightHandSide.manufactured_quadratic(m)
-    if kind == "scaled_exponential":
-        amplitude = field_from_config(cfg.table("amplitude"))
-        shift = field_from_config(cfg.table("shift"))
-        return RightHandSide.scaled_exponential(amplitude, shift)
+def rhs_from_config(cfg: ConfigTable, m: int):
+    """The right-hand side of the table ``cfg``, as a function of the
+    reference grid function that ``penalized_distance`` penalizes."""
+    kind = cfg.choice("kind", ("manufactured_quadratic", "scaled_exponential",
+                               "penalized_distance"))
     if kind == "penalized_distance":
-        return RightHandSide.penalized_distance(cfg.number("beta", float),
-                                                reference)
-    raise ConfigError(f"unknown rhs kind {kind!r}")
+        beta = cfg.number("beta", float)
+        return lambda ref: RightHandSide.penalized_distance(beta, ref)
+    rhs = (RightHandSide.manufactured_quadratic(m)
+           if kind == "manufactured_quadratic"
+           else RightHandSide.scaled_exponential(
+               field_from_config(cfg.table("amplitude")),
+               field_from_config(cfg.table("shift"))))
+    return lambda ref: rhs
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each reads its whole config, then rejects the keys it did not
+# read, before it computes or writes anything
 
 def run_eigen(config: ConfigTable, out: Path, rng) -> dict:
-    T = matrix_from_json(config.table("T"))
+    T = config.matrix("T")
     omega = metric_from_config(config, "omega", T.dim)
+    config.reject_unread()
     spec = relative_eigenvalues(T, omega)
     write_csv_rows(out / "eigenvalues.csv", ["index", "lambda"],
                    [(k, v) for k, v in enumerate(spec.lambdas)])
@@ -199,9 +227,10 @@ def run_eigen(config: ConfigTable, out: Path, rng) -> dict:
 
 
 def run_cone(config: ConfigTable, out: Path, rng) -> dict:
-    T = matrix_from_json(config.table("T"))
+    T = config.matrix("T")
     omega = metric_from_config(config, "omega", T.dim)
     m = config.number("m", int)
+    config.reject_unread()
     verdict = is_m_semipositive(T, omega, m)
     oracle = strong_positivity_oracle(T, omega, m)
     data = {"verdict": verdict.to_json(), "oracle": oracle.to_json(),
@@ -215,9 +244,10 @@ def run_cone(config: ConfigTable, out: Path, rng) -> dict:
 
 
 def run_fm(config: ConfigTable, out: Path, rng) -> dict:
-    T = matrix_from_json(config.table("T"))
+    T = config.matrix("T")
     omega = metric_from_config(config, "omega", T.dim)
     m = config.number("m", int)
+    config.reject_unread()
     fv = fm_value(T, omega, m)
     det_route = fm_via_determinant(T, omega, m) if fv.value > 0 else None
     write_json({"value": fv.value, "msums": fv.msums.tolist(),
@@ -233,28 +263,26 @@ def run_solve(config: ConfigTable, out: Path, rng) -> dict:
         raise ConfigError("config key 'homotopy' is gone: every Dirichlet "
                           "solve is the homotopy path, and solver.t_steps: 1 "
                           "is the direct solve")
-    problem = config.get("problem", "dirichlet")
-    domain = domain_from_config(config.table("grid"))
+    problem = config.choice("problem", ("dirichlet", "torus"), "dirichlet")
+    domain = config.grid("grid")
     m = config.number("m", int)
-    g = MetricField(domain=domain,
-                    constant=metric_from_config(config, "metric", domain.n))
+    omega = metric_from_config(config, "metric", domain.n)
     cfg = solver_config_from(config)
+    rhs = rhs_from_config(config.table("rhs"), m)
     if problem == "dirichlet":
-        boundary = GridFunction.from_callable(
-            domain, field_from_config(config.table("boundary"))
-        )
-        rhs = rhs_from_config(config.table("rhs"), m, boundary)
-        report = continuity_path(boundary, rhs, g, m, cfg,
-                                 **solver_settings(config, {"t_steps": int}))
-    elif problem == "torus":
-        chi = matrix_from_json(config.table("chi"))
-        reference = GridFunction.from_callable(
-            domain, field_from_config(config.table("reference"))
-        )
-        rhs = rhs_from_config(config.table("rhs"), m, reference)
-        report = solve_torus(chi, rhs, g, m, cfg)
+        field = field_from_config(config.table("boundary"))
+        t_steps = config.table("solver", ConfigTable()).numbers(
+            {"t_steps": int})
     else:
-        raise ConfigError(f"unknown problem {problem!r}")
+        chi = config.matrix("chi")
+        field = field_from_config(config.table("reference"))
+    config.reject_unread()
+    g = MetricField(domain=domain, constant=omega)
+    f = GridFunction.from_callable(domain, field)
+    if problem == "dirichlet":
+        report = continuity_path(f, rhs(f), g, m, cfg, **t_steps)
+    else:
+        report = solve_torus(chi, rhs(f), g, m, cfg)
     write_json(report.to_json(), out / "report.json")
     gridfunction_to_csv(report.solution, out / "solution.csv")
     gridfunction_to_binary(report.solution, out / "solution.bin")
@@ -264,35 +292,35 @@ def run_solve(config: ConfigTable, out: Path, rng) -> dict:
 
 
 def run_regularize(config: ConfigTable, out: Path, rng) -> dict:
-    mode = config.get("mode", "local")
-    domain = domain_from_config(config.table("grid"))
+    mode = config.choice("mode", ("local", "global"), "local")
+    domain = config.grid("grid")
     m = config.number("m", int)
-    g = MetricField(domain=domain,
-                    constant=metric_from_config(config, "metric", domain.n))
-    target = GridFunction.from_callable(
-        domain, field_from_config(config.table("target"))
-    )
+    omega = metric_from_config(config, "metric", domain.n)
+    field = field_from_config(config.table("target"))
     cfg = solver_config_from(config)
     sched_cfg = config.table("schedule", ConfigTable())
     count = sched_cfg.number("count", int, 6)
-    if sched_cfg.get("approximants") == "smooth":
-        fs = upper_smooth_sequence(target, count)
-    else:
+    smooth = sched_cfg.choice("approximants", ("smooth",), None) == "smooth"
+    if not smooth:
         eta0 = sched_cfg.number("eta_start", float, 0.5)
         decay = sched_cfg.number("eta_decay", float, 0.25)
+    betas = sched_cfg.numbers({"beta_start": float, "growth": float})
+    iterates = config.numbers({"iterates": int})
+    chi = config.matrix("chi") if mode == "global" else None
+    config.reject_unread()
+    g = MetricField(domain=domain, constant=omega)
+    target = GridFunction.from_callable(domain, field)
+    if smooth:
+        fs = upper_smooth_sequence(target, count)
+    else:
         fs = [GridFunction(domain, target.flat + eta0 * decay ** k)
               for k in range(count)]
-    schedule = ApproximationSchedule.geometric(
-        fs, **sched_cfg.numbers({"beta_start": float, "growth": float}))
-    iterates = config.numbers({"iterates": int})
+    schedule = ApproximationSchedule.geometric(fs, **betas)
     if mode == "local":
         result = local_regularize(target, g, m, schedule, cfg, **iterates)
-    elif mode == "global":
-        chi = matrix_from_json(config.table("chi"))
+    else:
         result = global_regularize(target, chi, g, m, schedule, cfg,
                                    **iterates)
-    else:
-        raise ConfigError(f"unknown regularization mode {mode!r}")
     report = verify_monotone_convergence(result, target)
     summary = {
         "mode": mode,
@@ -322,6 +350,7 @@ def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
     if corpus_size < 0:
         raise ConfigError(f"config key 'corpus_size' must be >= 0, "
                           f"got {corpus_size}")
+    config.reject_unread()
     rows = verify_suite(rng, corpus_size)
     write_csv_rows(out / "suite_summary.csv",
                    ["suite", "cases", "failures", "status"], rows)
@@ -364,24 +393,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    config = ConfigTable()
-    config_hash = None
-    if args.config:
-        try:
-            raw = Path(args.config).read_bytes()
-            config_hash = hashlib.sha256(raw).hexdigest()
-            config = json.loads(raw, object_hook=ConfigTable)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     rng = np.random.default_rng(args.seed)
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        config, config_hash = ConfigTable(), None
+        if args.config:
+            try:
+                raw = Path(args.config).read_bytes()
+                config = json.loads(raw, object_pairs_hook=ConfigTable)
+            except (OSError, RecursionError, UnicodeDecodeError,
+                    json.JSONDecodeError) as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+            config_hash = hashlib.sha256(raw).hexdigest()
         if not isinstance(config, ConfigTable):
             raise ConfigError("config must be a JSON object, got "
                               f"{type(config).__name__}")
-        if args.grid_override is not None and "grid" in config:
-            config.table("grid")["points_per_axis"] = args.grid_override
+        grid = config.get("grid")  # not table(): some commands read no grid
+        if args.grid_override is not None and isinstance(grid, ConfigTable):
+            grid["points_per_axis"] = args.grid_override
         manifest = {
             "command": args.command,
             "config_path": args.config,
@@ -408,6 +438,9 @@ def main(argv=None) -> int:
         write_json(report, out / "error.json")
         print(f"run failed: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except KeyError:
         # config lookups raise ConfigError, so this is a library bug
         traceback.print_exc()

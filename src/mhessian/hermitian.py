@@ -16,7 +16,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    ConfigError,
     DimensionMismatchError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -235,20 +234,3 @@ def complex_hessian_point(second_derivs) -> HermitianMatrix:
     H = 0.25 * (xx + yy + 1j * (xy - yx))
     return HermitianMatrix(0.5 * (H + H.conj().T))
 
-
-def matrix_to_json(mat) -> dict:
-    """Structured-text form of a (Hermitian or metric) matrix."""
-    e = mat.entries
-    return {"n": int(e.shape[0]), "re": e.real.tolist(), "im": e.imag.tolist()}
-
-
-def matrix_from_json(data: dict) -> HermitianMatrix:
-    try:
-        n = int(data["n"])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros((n, n))), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed matrix payload: {exc}") from exc
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise DimensionMismatchError("matrix payload shape does not match n")
-    return HermitianMatrix(re + 1j * im)

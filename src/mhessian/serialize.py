@@ -1,4 +1,4 @@
-"""Artifact formats: matrix JSON, grid-function CSV, and binary dumps.
+"""Artifact formats: JSON reports, grid-function CSV, and binary dumps.
 
 CSV rows carry node coordinates followed by the value; the binary dump is
 a 4-byte magic, a format version, the grid header, and row-major doubles,
@@ -100,18 +100,3 @@ def write_csv_rows(path, headers, rows) -> None:
                 for v in row
             ) + "\n")
 
-
-def domain_from_config(cfg: dict) -> GridDomain:
-    try:
-        kind = cfg["kind"]
-        n = int(cfg["n"])
-        ppa = int(cfg["points_per_axis"])
-        radius = float(cfg.get("radius", 1.0))
-    except KeyError as exc:
-        raise ConfigError(f"grid config missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid grid config: {exc}") from exc
-    try:
-        return GridDomain(n=n, kind=kind, points_per_axis=ppa, radius=radius)
-    except DimensionMismatchError as exc:
-        raise ConfigError(f"invalid grid config: {exc}") from exc

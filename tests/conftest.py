@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mhessian.hermitian import HermitianMatrix, MetricMatrix
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and a failure
+# prints the blob that replays it
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_hermitian(rng, n, scale=1.0):

@@ -1,11 +1,16 @@
+import contextlib
 import inspect
+import io
 import json
 import struct
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mhessian import cli, curvature, fm, hermitian, suite
 from mhessian.cli import main
@@ -24,7 +29,11 @@ from mhessian.serialize import (
 )
 from mhessian.solver import SolverConfig
 
+from conftest import random_hermitian
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_CONFIGS = {path.stem: json.loads(path.read_text())
+                   for path in sorted(CONFIGS.glob("*.json"))}
 
 
 def grid_dump(kind=0, radius=1.0, points_per_axis=5, n=1):
@@ -33,6 +42,9 @@ def grid_dump(kind=0, radius=1.0, points_per_axis=5, n=1):
                          points_per_axis)
     return header + bytes(8 * points_per_axis ** (2 * n))
 
+
+VALID_DUMP = grid_dump()
+DUMP_PREFIXES = [b"", b"MHGF", b"MHGF" + struct.pack("<I", 1), VALID_DUMP[:32]]
 
 MALFORMED_DUMPS = {
     "bad_magic": b"NOPE" + bytes(64),
@@ -222,19 +234,155 @@ def spy_on_corpus(monkeypatch):
     return seen
 
 
-# a C^1 Dirichlet solve and configs/cone_example.json, for malformed
-# variants of their keys
+# a C^1 Dirichlet solve and two shipped configs, for malformed variants of
+# their keys
 DIRICHLET_C1 = {"problem": "dirichlet", "m": 1,
                 "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
                 "boundary": {"kind": "squared_norm"},
                 "rhs": {"kind": "manufactured_quadratic"}}
-CONE_EXAMPLE = json.loads((CONFIGS / "cone_example.json").read_text())
+CONE_EXAMPLE = SHIPPED_CONFIGS["cone_example"]
+LOCAL_C1 = SHIPPED_CONFIGS["regularize_local_c1"]
 
 
 def write_config(tmp_path, name, data):
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
+
+
+def with_value(tree, path, value):
+    """A copy of a JSON tree with the node at ``path`` (its keys and list
+    indices) set to ``value``."""
+    tree = json.loads(json.dumps(tree))
+    *parents, last = path
+    node = tree
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return tree
+
+
+def json_nodes(node, path=()):
+    """(path, node) for every node of a JSON tree, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from json_nodes(child, path + (key,))
+
+
+# each config reproduces a way a malformed key used to run on, crash or
+# read as something else; the message names the key
+REJECTED_CONFIGS = {
+    "fractional_grid_n": ("solve", with_value(DIRICHLET_C1, ("grid", "n"),
+                                              1.9), "grid.n"),
+    "fractional_points_per_axis": (
+        "solve", with_value(DIRICHLET_C1, ("grid", "points_per_axis"), 9.6),
+        "grid.points_per_axis"),
+    "bool_radius": ("solve", with_value(DIRICHLET_C1, ("grid", "radius"),
+                                        True), "grid.radius"),
+    "bool_matrix_n": ("cone", with_value(CONE_EXAMPLE, ("T", "n"), True),
+                      "T.n"),
+    "fractional_matrix_n": ("cone", with_value(CONE_EXAMPLE, ("T", "n"), 2.5),
+                            "T.n"),
+    "huge_matrix_n": ("cone", with_value(CONE_EXAMPLE, ("T", "n"), 10 ** 7),
+                      "T.re"),
+    "string_matrix_entry": ("eigen", {"T": {"n": 1, "re": [["1"]]}}, "T.re"),
+    "null_metric": ("cone", {**CONE_EXAMPLE, "omega": None}, "omega"),
+    "misspelt_metric": ("cone", {"T": CONE_EXAMPLE["T"], "m": 2,
+                                 "omgea": CONE_EXAMPLE["omega"]}, "omgea"),
+    "misspelt_approximants": (
+        "regularize", with_value(LOCAL_C1, ("schedule", "approximants"),
+                                 "smoth"), "schedule.approximants"),
+    "misspelt_schedule_key": (
+        "regularize", with_value(LOCAL_C1, ("schedule", "aproximants"),
+                                 "smooth"), "schedule.aproximants"),
+    "eta_beside_smooth": (
+        "regularize", with_value(LOCAL_C1, ("schedule", "approximants"),
+                                 "smooth"), "schedule.eta_start"),
+    "nan_tolerance": ("solve", {**DIRICHLET_C1,
+                                "solver": {"tolerance": float("nan")}},
+                      "solver.tolerance"),
+    "infinite_m": ("cone", {**CONE_EXAMPLE, "m": float("inf")}, "m"),
+    "beyond_float_corpus_size": ("verify-suite",
+                                 '{"corpus_size": 1%s}' % ("0" * 400),
+                                 "corpus_size"),
+    "unknown_problem": ("solve", {**DIRICHLET_C1, "problem": "heat"},
+                        "problem"),
+    "t_steps_on_the_torus": (
+        "solve", {"problem": "torus", "m": 1,
+                  "grid": {"n": 1, "kind": "torus", "points_per_axis": 9},
+                  "chi": {"n": 1, "re": [[1.0]]},
+                  "reference": {"kind": "constant", "value": -2.0},
+                  "rhs": {"kind": "penalized_distance", "beta": 10.0},
+                  "solver": {"t_steps": 2}}, "solver.t_steps"),
+    "duplicate_key": ("cone", '{"m": 1, "m": 2}', "m"),
+    "nested_duplicate_key": (
+        "solve", json.dumps(DIRICHLET_C1).replace('"n": 1', '"n": 1, "n": 2'),
+        "n"),
+}
+
+
+def run_quietly(argv):
+    """``main(argv)`` with stderr captured: the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def run_shipped_variant(base, name, config):
+    """Exit code, stderr and written file names of ``config`` run as the
+    shipped config ``name`` is, with --grid-override 9, in a new directory
+    under ``base``."""
+    work = Path(tempfile.mkdtemp(dir=base))
+    rc, err = run_quietly([name.split("_")[0],
+                           "--config", write_config(work, "c.json", config),
+                           "--out", str(work / "out"), "--quiet",
+                           "--grid-override", "9"])
+    return rc, err, sorted(p.name for p in (work / "out").iterdir())
+
+
+# the values that replace a leaf of a shipped config; a string replaces a
+# number and a number a string
+WRONG_TYPED = [True, False, None, [], [1.0], {}, {"value": 1.0},
+               float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def wrong_typed_leaf(draw):
+    """A shipped config's name and the config with one leaf replaced by a
+    value of the wrong type."""
+    name = draw(st.sampled_from(sorted(SHIPPED_CONFIGS)))
+    config = SHIPPED_CONFIGS[name]
+    # --grid-override sets grid.points_per_axis, so no value of it shows
+    leaves = [(path, node) for path, node in json_nodes(config)
+              if not isinstance(node, (dict, list))
+              and path != ("grid", "points_per_axis")]
+    path, value = draw(st.sampled_from(leaves))
+    wrong = WRONG_TYPED + [1.0 if isinstance(value, str) else "1.0"]
+    # in the shipped configs the int keys are the integer leaves outside a
+    # list (matrix entries are float keys)
+    if isinstance(value, int) and not isinstance(path[-1], int):
+        wrong.append(value + 0.5)
+    return name, with_value(config, path, draw(st.sampled_from(wrong)))
+
+
+@st.composite
+def misspelt_sibling(draw):
+    """A shipped config's name and the config with a key added beside one
+    of its keys, spelt with one letter dropped or inserted."""
+    name = draw(st.sampled_from(sorted(SHIPPED_CONFIGS)))
+    config = SHIPPED_CONFIGS[name]
+    tables = [(path, node) for path, node in json_nodes(config)
+              if isinstance(node, dict)]
+    path, table = draw(st.sampled_from(tables))
+    key = draw(st.sampled_from(sorted(table)))
+    i = draw(st.integers(0, len(key)))
+    typo = draw(st.sampled_from([key[:i] + key[i + 1:]]
+                                + [key[:i] + c + key[i:] for c in "aeist_"]))
+    assume(typo not in table)
+    return name, with_value(config, path + (typo,), table[key])
 
 
 class TestSerialization:
@@ -377,17 +525,17 @@ class TestCommands:
         assert manifest["config_sha256"]
 
     def test_eigen_and_fm(self, tmp_path):
-        cfg = write_config(tmp_path, "fm.json", {
-            "T": {"n": 3, "re": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
-                  "im": [[0] * 3] * 3},
-            "m": 2,
-        })
+        T = {"n": 3, "re": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+             "im": [[0] * 3] * 3}
+        cfg = write_config(tmp_path, "fm.json", {"T": T, "m": 2})
         rc = main(["fm", "--config", cfg, "--out", str(tmp_path / "fm"),
                    "--quiet"])
         assert rc == 0
         report = json.loads((tmp_path / "fm" / "report.json").read_text())
         assert abs(report["value"] - 60.0 ** (1.0 / 3.0)) < 1e-12
         assert abs(report["determinant_route"] - report["value"]) < 1e-9
+        # eigen reads no m
+        cfg = write_config(tmp_path, "eigen.json", {"T": T})
         rc = main(["eigen", "--config", cfg, "--out", str(tmp_path / "e"),
                    "--quiet"])
         assert rc == 0
@@ -485,6 +633,44 @@ class TestCommands:
         assert "Traceback" not in err
         written = {p.name for p in (tmp_path / "s").iterdir()}
         assert written <= {"manifest.json", "error.json"}
+
+    @pytest.mark.parametrize("name", list(REJECTED_CONFIGS))
+    def test_rejected_config_names_its_key(self, tmp_path, name):
+        command, config, key = REJECTED_CONFIGS[name]
+        rc, err = run_quietly([command, "--config",
+                               write_config(tmp_path, "bad.json", config),
+                               "--out", str(tmp_path / "s"), "--quiet"])
+        assert rc == 3
+        assert err.startswith("validation error:")
+        assert repr(key) in err
+        assert "Traceback" not in err
+        written = {p.name for p in (tmp_path / "s").iterdir()}
+        assert written <= {"manifest.json"}
+
+    @pytest.mark.parametrize("raw", [b'{"m": "\xff"}',
+                                     b"[" * 10 ** 5 + b"]" * 10 ** 5],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_unparsable_config_is_a_parse_error(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        rc, err = run_quietly(["cone", "--config", str(path),
+                               "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("blocked", ["out_dir", "manifest"])
+    def test_unusable_output_is_an_output_error(self, tmp_path, blocked):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        if blocked == "manifest":
+            out = tmp_path / "o"
+            (out / "manifest.json").mkdir(parents=True)
+        rc, err = run_quietly(["cone", "--config",
+                               str(CONFIGS / "cone_example.json"),
+                               "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert err.startswith("output error:")
+        assert "Traceback" not in err
 
     def test_integral_float_reads_as_int(self, tmp_path):
         reports = []
@@ -611,21 +797,17 @@ class TestCommands:
         for name in manifest["artifacts"]:
             assert (tmp_path / "o" / name).exists()
 
-    def test_flat_solver_config_keys(self, tmp_path):
+    def test_flat_solver_config_keys(self, tmp_path, capsys):
+        # solver settings are read from the "solver" table only
         cfg = write_config(tmp_path, "flat.json", {
-            "problem": "dirichlet",
-            "m": 1,
-            "tolerance": 1e-10,
-            "t_steps": 2,
-            "grid": {"n": 1, "kind": "ball", "points_per_axis": 17},
-            "boundary": {"kind": "squared_norm"},
-            "rhs": {"kind": "manufactured_quadratic"},
-        })
+            **DIRICHLET_C1, "tolerance": 1e-10, "t_steps": 2})
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
                    "--quiet"])
-        assert rc == 0
-        report = json.loads((tmp_path / "s" / "report.json").read_text())
-        assert report["final_residual"] <= 1e-10
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "validation error: unknown config key 'tolerance'\n")
+        assert [p.name for p in (tmp_path / "s").iterdir()] == [
+            "manifest.json"]
 
     def test_regularize_local_cli(self, tmp_path):
         rc = main(["regularize", "--config",
@@ -647,7 +829,7 @@ SOLVER_VALUES = {"tolerance": 1e-11, "max_iterations": 7,
 
 
 def config_table(data):
-    return json.loads(json.dumps(data), object_hook=cli.ConfigTable)
+    return json.loads(json.dumps(data), object_pairs_hook=cli.ConfigTable)
 
 
 def solver_keys_at(where, keys):
@@ -663,21 +845,28 @@ class TestSolverConfigResolution:
     @pytest.mark.parametrize("where", ["flat", "nested", "absent"])
     @pytest.mark.parametrize("key", sorted(SOLVER_VALUES))
     def test_each_key(self, key, where):
+        # a flat key is not a solver setting: it stays unread, and so
+        # unknown
         config = config_table(solver_keys_at(where, {key: SOLVER_VALUES[key]}))
         expected = dict(SOLVER_DEFAULTS)
-        if where != "absent":
+        if where == "nested":
             expected[key] = SOLVER_VALUES[key]
         assert cli.solver_config_from(config) == SolverConfig(**expected)
+        if where == "flat":
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                config.reject_unread()
+        else:
+            config.reject_unread()
 
-    def test_nested_key_wins_over_flat(self):
-        config = config_table({**SOLVER_VALUES,
-                               "solver": {"max_iterations": 3}})
-        resolved = cli.solver_config_from(config)
-        assert resolved == SolverConfig(**{**SOLVER_VALUES,
-                                           "max_iterations": 3})
+    def test_flat_key_beside_nested_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "both.json", {
+            **DIRICHLET_C1, "tolerance": 1e-12, "solver": {"tolerance": 1e-6}})
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "s"),
+                   "--quiet"])
+        assert rc == 3
+        assert "unknown config key 'tolerance'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where, t_steps", [("flat", 3), ("nested", 2),
-                                                ("absent", 8)])
+    @pytest.mark.parametrize("where, t_steps", [("nested", 2), ("absent", 8)])
     def test_t_steps_reaches_continuity_path(self, tmp_path, monkeypatch,
                                              where, t_steps):
         seen = []
@@ -702,3 +891,62 @@ class TestSolverConfigResolution:
                    "--quiet"])
         assert rc == 0
         assert seen == [t_steps]
+
+
+class TestConfigTable:
+    def test_matrix_reads_its_entries(self, rng):
+        entries = random_hermitian(rng, 3).entries
+        config = config_table({"A": {"n": 3, "re": entries.real.tolist(),
+                                     "im": entries.imag.tolist()},
+                               "B": {"n": 1, "re": [[2]]}})
+        np.testing.assert_array_equal(config.matrix("A").entries, entries)
+        np.testing.assert_array_equal(config.matrix("B").entries, [[2.0]])
+        config.reject_unread()
+
+
+class TestFuzz:
+    """Each malformed input fails with its typed error and nothing else."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutation=wrong_typed_leaf())
+    def test_wrong_typed_leaf_is_a_validation_error(self, tmp_path_factory,
+                                                    mutation):
+        rc, err, written = run_shipped_variant(
+            tmp_path_factory.getbasetemp(), *mutation)
+        assert (rc, written) == (3, ["manifest.json"]), err
+        assert err.startswith("validation error:")
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutation=misspelt_sibling())
+    def test_misspelt_sibling_key_is_a_validation_error(self,
+                                                        tmp_path_factory,
+                                                        mutation):
+        rc, err, written = run_shipped_variant(
+            tmp_path_factory.getbasetemp(), *mutation)
+        assert (rc, written) == (3, ["manifest.json"]), err
+        assert err.startswith("validation error: unknown config key")
+
+    @staticmethod
+    def read_dump(tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(raw)
+        try:
+            assert isinstance(gridfunction_from_binary(path), GridFunction)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=st.sampled_from(DUMP_PREFIXES), tail=st.binary(max_size=64))
+    def test_random_dump_reads_or_is_a_config_error(self, tmp_path_factory,
+                                                    prefix, tail):
+        self.read_dump(tmp_path_factory, prefix + tail)
+
+    @settings(max_examples=200, deadline=None)
+    @given(index=st.integers(0, len(VALID_DUMP) - 1),
+           byte=st.integers(0, 255))
+    def test_corrupt_dump_reads_or_is_a_config_error(self, tmp_path_factory,
+                                                     index, byte):
+        raw = bytearray(VALID_DUMP)
+        raw[index] = byte
+        self.read_dump(tmp_path_factory, bytes(raw))

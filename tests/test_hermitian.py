@@ -13,8 +13,6 @@ from mhessian.hermitian import (
     HermitianMatrix,
     MetricMatrix,
     complex_hessian_point,
-    matrix_from_json,
-    matrix_to_json,
     relative_eigenvalues,
 )
 
@@ -60,11 +58,6 @@ class TestConstruction:
     def test_metric_rejects_near_degenerate(self):
         with pytest.raises(NotPositiveDefiniteError):
             MetricMatrix(HermitianMatrix.diagonal([1.0, 1e-14]))
-
-    def test_json_round_trip(self, rng):
-        A = random_hermitian(rng, 3)
-        B = matrix_from_json(matrix_to_json(A))
-        np.testing.assert_allclose(B.entries, A.entries, atol=1e-15)
 
 
 class TestRelativeEigenvalues:
