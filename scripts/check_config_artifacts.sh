@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# Check that the configs/ artifacts of the working tree are byte-identical
+# to those of a base commit.
+#
+# Usage: scripts/check_config_artifacts.sh BASE_REF
+#
+# Each tree, the base commit (extracted with git archive) and the working
+# tree, runs its own configs/*.json through mhessian.cli.main from its own
+# src/, at seeds 0 and 7 with one BLAS thread.  Both runs write to the
+# same --out paths, since the manifest records them.  The two output trees
+# are then compared with diff -r, manifest.json excepted.  Exits 0 when
+# every artifact matches, 1 when one differs or a run fails.
+set -euo pipefail
+
+base=${1:?usage: $0 BASE_REF}
+repo=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+export OPENBLAS_NUM_THREADS=1
+
+mkdir "$work/base-tree"
+git -C "$repo" archive "$base" src configs | tar -x -C "$work/base-tree"
+
+# run TREE LABEL: every config of TREE at both seeds, outputs to $work/LABEL
+run() {
+    local config name seed
+    for config in "$1"/configs/*.json; do
+        name=$(basename "$config" .json)
+        for seed in 0 7; do
+            # the subcommand is the first word of each config's name
+            if ! PYTHONPATH="$1/src" python -m mhessian.cli "${name%%_*}" \
+                    --config "$config" --seed "$seed" \
+                    --out "$work/out/$name-$seed" --quiet; then
+                echo "$2: $name at seed $seed failed" >&2
+                return 1
+            fi
+        done
+    done
+    mv "$work/out" "$work/$2"
+}
+
+run "$work/base-tree" base
+run "$repo" head
+if diff -r --exclude=manifest.json "$work/base" "$work/head"; then
+    echo "configs/ artifacts match $base at seeds 0 and 7"
+else
+    echo "configs/ artifacts differ from $base" >&2
+    exit 1
+fi

@@ -39,6 +39,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 5
 
+# The most work a config may ask for: at about 46 us an oracle case, the
+# largest corpus runs in under a minute; past about 53 approximants the
+# strict offset 2^-(j+1) is below one ulp of values <= -1.
+MAX_CORPUS_SIZE = 10 ** 6
+MAX_SCHEDULE_COUNT = 64
+
 
 # ---------------------------------------------------------------------------
 # config format
@@ -300,6 +306,9 @@ def run_regularize(config: ConfigTable, out: Path, rng) -> dict:
     cfg = solver_config_from(config)
     sched_cfg = config.table("schedule", ConfigTable())
     count = sched_cfg.number("count", int, 6)
+    if not 1 <= count <= MAX_SCHEDULE_COUNT:
+        raise ConfigError(f"config key 'schedule.count' must be in "
+                          f"[1, {MAX_SCHEDULE_COUNT}], got {count}")
     smooth = sched_cfg.choice("approximants", ("smooth",), None) == "smooth"
     if not smooth:
         eta0 = sched_cfg.number("eta_start", float, 0.5)
@@ -347,9 +356,9 @@ def run_regularize(config: ConfigTable, out: Path, rng) -> dict:
 
 def run_verify_suite(config: ConfigTable, out: Path, rng) -> dict:
     corpus_size = config.number("corpus_size", int, 1000)
-    if corpus_size < 0:
-        raise ConfigError(f"config key 'corpus_size' must be >= 0, "
-                          f"got {corpus_size}")
+    if not 0 <= corpus_size <= MAX_CORPUS_SIZE:
+        raise ConfigError(f"config key 'corpus_size' must be in "
+                          f"[0, {MAX_CORPUS_SIZE}], got {corpus_size}")
     config.reject_unread()
     rows = verify_suite(rng, corpus_size)
     write_csv_rows(out / "suite_summary.csv",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeBoundaryError
-from .fm import CONE_TOL, _check_m, fm_plus
+from .fm import CONE_TOL, _check_m, cone_member, fm_plus
 from .hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
 from .multiindex import multi_indices, spectrum_sums
 
@@ -60,7 +60,7 @@ def is_m_semipositive(T: HermitianMatrix, omega: MetricMatrix,
     _check_m(T.dim, m)
     spec = relative_eigenvalues(T, omega)
     margin = float(semipositive_margins(spec.lambdas, m))
-    return ConeVerdict(member=margin >= -CONE_TOL, margin=margin,
+    return ConeVerdict(member=cone_member(margin), margin=margin,
                        witness=tuple(range(1, m + 1)))
 
 
@@ -76,7 +76,7 @@ def strong_positivity_oracle(T: HermitianMatrix, omega: MetricMatrix,
     margins, k = oracle_margins(spec.lambdas, m)
     witness = tuple(i + 1 for i in multi_indices(T.dim, m)[int(k)])
     margin = float(margins)
-    return ConeVerdict(member=margin >= -CONE_TOL, margin=margin,
+    return ConeVerdict(member=cone_member(margin), margin=margin,
                        witness=witness)
 
 

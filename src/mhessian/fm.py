@@ -66,6 +66,21 @@ def geometric_mean_clamped(sums: np.ndarray) -> np.ndarray:
     return np.where(any_zero, 0.0, values)
 
 
+def cone_member(margins):
+    """The closed-cone rule behind every m-cone verdict: a least m-sum is a
+    member when it is at least -CONE_TOL (a NaN one is not)."""
+    return margins >= -CONE_TOL
+
+
+def fm_plus_from_sums(sums: np.ndarray) -> np.ndarray:
+    """F_m^+ of each row of m-sums (..., N): F_m on the closed cone and 0
+    outside it; a row whose least sum is NaN gives NaN."""
+    margins = sums.min(axis=-1)
+    # the clamp keeps rows outside the cone from raising
+    values = geometric_mean_clamped(np.maximum(sums, -CONE_TOL))
+    return np.where(cone_member(margins), values, np.maximum(margins, 0.0))
+
+
 def fm_from_lambdas(lambdas, m: int) -> FmValue:
     """F_m of a spectrum given directly as eigenvalues relative to the metric."""
     sums = spectrum_sums(lambdas, m)
@@ -205,10 +220,7 @@ def fm_plus(T: HermitianMatrix, omega: MetricMatrix, m: int) -> float:
     """F_m where T is m-semipositive against omega, 0 outside that cone."""
     _check_m(T.dim, m)
     spec = relative_eigenvalues(T, omega)
-    sums = spectrum_sums(spec.lambdas, m)
-    if sums.min() < -CONE_TOL:
-        return 0.0
-    return float(geometric_mean_clamped(sums))
+    return float(fm_plus_from_sums(spectrum_sums(spec.lambdas, m)))
 
 
 def concavity_holds(a: np.ndarray, b: np.ndarray, m: int,

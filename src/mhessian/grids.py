@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, StencilError
-from .fm import CONE_TOL, _check_m, geometric_mean_clamped
+from .fm import _check_m, cone_member, fm_plus_from_sums
 from .hermitian import HermitianMatrix, MetricMatrix, complex_hessian_point
 from .multiindex import subset_sums
 
@@ -190,12 +190,14 @@ class GridDomain:
 
     @cached_property
     def interior_neighbors(self):
-        """Interior nodes and their neighbour table, both read-only.
-
-        Returns (nodes, table) with ``table = neighbor_indices(nodes)``.
-        """
+        """Interior nodes and the flat indices of every stencil neighbour of
+        each, shape (S, len(nodes)), both read-only."""
         nodes = np.flatnonzero(self.interior_mask)
-        table = self.neighbor_indices(nodes)
+        multi = np.array(np.unravel_index(nodes, self.shape))
+        # wraps on a torus; an interior ball node's stencil stays in the box
+        table = np.array([np.ravel_multi_index(multi + d[:, None], self.shape,
+                                               mode="wrap")
+                          for d in stencil(self.n)[0]], dtype=np.int64)
         nodes.setflags(write=False)
         table.setflags(write=False)
         return nodes, table
@@ -220,21 +222,6 @@ class GridDomain:
             array.setflags(write=False)
         center = np.flatnonzero(~stencil(self.n)[0].any(axis=1))[0]
         return indices, indptr, src, int(center)
-
-    def neighbor_indices(self, flat_nodes: np.ndarray) -> np.ndarray:
-        """Flat indices of every stencil neighbor, shape (S, len(flat_nodes))."""
-        offsets, _ = stencil(self.n)
-        multi = np.array(np.unravel_index(flat_nodes, self.shape))
-        out = np.empty((offsets.shape[0], flat_nodes.size), dtype=np.int64)
-        pp = self.points_per_axis
-        for s, d in enumerate(offsets):
-            shifted = multi + d[:, None]
-            if self.kind == TORUS:
-                shifted %= pp
-            elif (shifted < 0).any() or (shifted >= pp).any():
-                raise StencilError("stencil leaves the grid box")
-            out[s] = np.ravel_multi_index(shifted, self.shape)
-        return out
 
 
 @dataclass(frozen=True)
@@ -373,22 +360,18 @@ class NodalOperator:
     ``sigma`` returns the m-fold relative eigenvalue sums at every node.
     The folded weights are Hermitized once, so every Hessian is exactly
     Hermitian: entries [p, q] and [q, p] are the same sums, conjugated.
-    The nodes default to the interior nodes, whose neighbour table the
-    domain builds once.
+    The nodes are the interior nodes, whose neighbour table the domain
+    builds once.
     """
 
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
-                 chi: HermitianMatrix = None, nodes: np.ndarray = None):
+                 chi: HermitianMatrix = None):
         if g.domain != domain:
             raise DimensionMismatchError("metric field lives on a different grid")
         _check_m(domain.n, m)
         self.domain = domain
         self.m = m
-        if nodes is None:
-            self.nodes, self.neighbors = domain.interior_neighbors
-        else:
-            self.nodes = nodes
-            self.neighbors = domain.neighbor_indices(nodes)  # (S, K)
+        self.nodes, self.neighbors = domain.interior_neighbors  # (K,), (S, K)
         Cinv = np.linalg.inv(g.constant.cholesky)
         def fold(A):  # C^{-1} A C^{-H}, Hermitized
             return _hermitian_part(Cinv @ A @ Cinv.conj().T)
@@ -413,78 +396,72 @@ class NodalOperator:
 
 def hessian_stack(u: GridFunction, flat_nodes: np.ndarray,
                   chi: HermitianMatrix = None) -> np.ndarray:
-    """Discrete complex Hessians (plus an optional constant shift) at nodes."""
-    g = MetricField.flat(u.domain)
+    """Discrete complex Hessians (plus an optional constant shift) at
+    interior nodes, given by flat index; any other node raises."""
     # the order m plays no part in the Hessians themselves
-    return NodalOperator(u.domain, g, 1, chi, flat_nodes).hessians(u.flat)
+    op = NodalOperator(u.domain, MetricField.flat(u.domain), 1, chi)
+    # a node's row is its rank among the (sorted) interior nodes
+    rank = np.minimum(np.searchsorted(op.nodes, flat_nodes), op.nodes.size - 1)
+    missing = op.nodes[rank] != flat_nodes
+    if missing.any():
+        raise StencilError(f"node {np.asarray(flat_nodes)[missing][0]} "
+                           f"lacks the one-cell stencil margin")
+    return op.hessians(u.flat)[rank]
 
 
 def fd_complex_hessian(u: GridFunction, node) -> HermitianMatrix:
     """Second-order discrete complex Hessian at one grid node."""
-    domain = u.domain
-    flat = int(np.ravel_multi_index(tuple(node), domain.shape))
-    if domain.kind == BALL and not domain.interior_mask[flat]:
-        raise StencilError(f"node {tuple(node)} lacks the one-cell stencil margin")
-    H = hessian_stack(u, np.array([flat]))[0]
-    return HermitianMatrix(H)
+    flat = np.ravel_multi_index(tuple(node), u.domain.shape)
+    return HermitianMatrix(hessian_stack(u, np.array([flat]))[0])
 
 
 @dataclass(frozen=True)
 class ConeFieldReport:
-    """Per-node cone verdicts for a sampled function."""
+    """Per-node cone margins of a sampled function: the least m-fold
+    relative eigenvalue sum, grid shaped, and NaN off the interior nodes,
+    which alone are evaluated."""
 
     domain: GridDomain
-    member: np.ndarray   # bool, grid shaped; False at non-evaluable nodes
-    margin: np.ndarray   # float, grid shaped; NaN at non-evaluable nodes
-    evaluable: np.ndarray
+    margin: np.ndarray
 
     @property
-    def all_member(self) -> bool:
-        return bool(self.member[self.evaluable.reshape(self.domain.shape)].all())
+    def member(self) -> np.ndarray:
+        """Closed-cone membership per node; False off the interior."""
+        return cone_member(self.margin)
 
     @property
     def min_margin(self) -> float:
-        vals = self.margin[self.evaluable.reshape(self.domain.shape)]
+        vals = self.margin.ravel()[self.domain.interior_mask]
         return float(vals.min()) if vals.size else np.nan
+
+    @property
+    def all_member(self) -> bool:
+        return bool(cone_member(self.min_margin))
 
 
 def cone_field(u: GridFunction, g: MetricField, m: int,
-               chi: HermitianMatrix = None,
-               tol: float = CONE_TOL) -> ConeFieldReport:
-    """Nodewise m-cone membership of (chi +) the discrete Hessian of u."""
+               chi: HermitianMatrix = None) -> ConeFieldReport:
+    """Nodewise m-cone margins of (chi +) the discrete Hessian of u."""
     domain = u.domain
     op = NodalOperator(domain, g, m, chi)
-    margin = op.sigma(u.flat).min(axis=-1)
-    member_flat = np.zeros(domain.node_count, dtype=bool)
-    margin_flat = np.full(domain.node_count, np.nan)
-    member_flat[op.nodes] = margin >= -tol
-    margin_flat[op.nodes] = margin
-    return ConeFieldReport(domain=domain,
-                           member=member_flat.reshape(domain.shape),
-                           margin=margin_flat.reshape(domain.shape),
-                           evaluable=domain.interior_mask.copy())
+    margin = np.full(domain.node_count, np.nan)
+    margin[op.nodes] = op.sigma(u.flat).min(axis=-1)
+    return ConeFieldReport(domain=domain, margin=margin.reshape(domain.shape))
 
 
 def fm_field(u: GridFunction, g: MetricField, m: int,
              chi: HermitianMatrix = None) -> GridFunction:
-    """Nodewise F_m of (chi +) the discrete Hessian of u.
+    """Nodewise F_m^+ of (chi +) the discrete Hessian of u.
 
-    Nodes where the Hessian exits the m-cone carry the (negative) cone
-    margin instead of an operator value; nodes without stencil margin
-    carry NaN and are excluded from the grid-function finiteness check by
+    Nodes where the Hessian exits the closed m-cone carry 0 (the signed
+    margins are ``cone_field``'s); nodes without stencil margin carry NaN
+    and are excluded from the grid-function finiteness check by
     construction (they are boundary or exterior).
     """
     domain = u.domain
     op = NodalOperator(domain, g, m, chi)
-    sums = op.sigma(u.flat)
-    margin = sums.min(axis=-1)
-    values = np.where(
-        margin >= -CONE_TOL,
-        geometric_mean_clamped(np.maximum(sums, -CONE_TOL)),
-        margin,
-    )
     out = np.full(domain.node_count, np.nan)
-    out[op.nodes] = values
+    out[op.nodes] = fm_plus_from_sums(op.sigma(u.flat))
     if domain.kind == TORUS:
         return GridFunction(domain, out)
     return GridFunction._unchecked(domain, out)

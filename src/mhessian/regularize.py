@@ -35,6 +35,8 @@ NEG_INFINITY_FLOOR = -1e6
 # admissibility tolerance for sampled cone membership of targets
 TARGET_CONE_TOL = 1e-6
 MONOTONE_TOL = 1e-12
+# slack of the sup <= -1 (approximants) and sup <= -2 (targets) checks
+NORMALIZATION_TOL = 1e-9
 # slack of the convergence report on monotone, lower and deviation gaps
 GAP_TOL = 1e-8
 
@@ -60,7 +62,7 @@ class ApproximationSchedule:
                 )
         usable = ~fs[0].domain.exterior_mask
         for k, f in enumerate(fs):
-            if float(f.flat[usable].max()) > -1.0 + 1e-9:
+            if float(f.flat[usable].max()) > -1.0 + NORMALIZATION_TOL:
                 raise DimensionMismatchError(
                     f"approximant {k} violates the sup <= -1 normalization"
                 )
@@ -198,13 +200,12 @@ def _check_target(target: GridFunction, g: MetricField, m: int,
                   chi: HermitianMatrix = None):
     domain = target.domain
     inside = _inside(domain)
-    if float(target.flat[inside].max()) > -2.0 + 1e-9:
+    if float(target.flat[inside].max()) > -2.0 + NORMALIZATION_TOL:
         raise TargetNotAdmissible("target violates the sup <= -2 normalization")
-    rep = cone_field(target, g, m, chi=chi, tol=TARGET_CONE_TOL)
-    if not rep.all_member:
+    worst = cone_field(target, g, m, chi=chi).min_margin
+    if not worst >= -TARGET_CONE_TOL:  # so that a NaN margin fails
         raise TargetNotAdmissible(
-            f"target fails the sampled cone test (worst margin "
-            f"{rep.min_margin:.3e})"
+            f"target fails the sampled cone test (worst margin {worst:.3e})"
         )
 
 
@@ -320,7 +321,7 @@ def local_regularize(u: GridFunction, g: MetricField, m: int,
     def prepare(j):
         f_j = schedule.f_sequence[j]
         beta = schedule.beta_schedule[j]
-        plus = np.maximum(fm_field(f_j, g, m).flat[interior], 0.0)
+        plus = fm_field(f_j, g, m).flat[interior]
         c_j = max(float(plus.max()), math.e)
         envelope = f_j.flat + (2.0 * C * r ** 2 + math.log(c_j)
                                + math.log(2.0 * beta)) / beta
@@ -384,7 +385,7 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
     def prepare(j):
         f_j = schedule.f_sequence[j]
         beta = schedule.beta_schedule[j]
-        plus = np.maximum(fm_field(f_j, g, m, chi=chi).flat, 0.0)
+        plus = fm_field(f_j, g, m, chi=chi).flat
         corridor = np.clip(
             _smooth_pass(plus + 0.75, domain), plus + 0.5, plus + 1.0
         )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cones import oracle_margins, semipositive_margins
 from .curvature import CASES, bound_regime_holds
-from .fm import CONE_TOL, concavity_holds, determinant_fm_values, \
+from .fm import concavity_holds, cone_member, determinant_fm_values, \
     fm_gradient_diagonal, fm_product_bound, fm_values
 from .hermitian import check_positive_definite, conj_transpose, \
     hermitian_entries, metric_frame, relative_lambdas
@@ -177,11 +177,11 @@ def oracle_section(rng, cases=1000):
             lam = relative_lambdas(T, np.linalg.cholesky(_metrics(*metric)))
             a = semipositive_margins(lam, m)
             b = oracle_margins(lam, m)[0]
-            member = a >= -CONE_TOL
-            fails_eq += np.sum((member != (b >= -CONE_TOL))
+            member = cone_member(a)
+            fails_eq += np.sum((member != cone_member(b))
                                | (np.abs(a - b) > 1e-12))
             if m < n:
-                next_member = semipositive_margins(lam, m + 1) >= -CONE_TOL
+                next_member = cone_member(semipositive_margins(lam, m + 1))
                 fails_mono += np.sum(member & ~next_member)
     return [_row("oracle_equivalence", cases, fails_eq),
             _row("membership_monotonicity", cases, fails_mono)]

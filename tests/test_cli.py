@@ -307,6 +307,12 @@ REJECTED_CONFIGS = {
     "beyond_float_corpus_size": ("verify-suite",
                                  '{"corpus_size": 1%s}' % ("0" * 400),
                                  "corpus_size"),
+    # valid numbers that ask for more work than a run may do
+    "huge_corpus_size": ("verify-suite", {"corpus_size": 1e300},
+                         "corpus_size"),
+    "huge_schedule_count": ("regularize",
+                            with_value(LOCAL_C1, ("schedule", "count"), 65),
+                            "schedule.count"),
     "unknown_problem": ("solve", {**DIRICHLET_C1, "problem": "heat"},
                         "problem"),
     "t_steps_on_the_torus": (

@@ -344,7 +344,23 @@ class TestToleranceBand:
             fm_value(T, omega, 1)
         assert fm_plus(T, omega, 1) == 0.0
         assert not cones.member.any()
-        np.testing.assert_allclose(field.flat, -2 * fm.CONE_TOL, rtol=1e-6)
+        assert (field.flat == 0.0).all()  # F_m^+, not the signed margin
+        np.testing.assert_allclose(cones.margin, -2 * fm.CONE_TOL, rtol=1e-6)
+
+    @pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)],
+                             ids=["inside", "outside"])
+    def test_rule_has_one_home(self, monkeypatch, factor, inside):
+        # every route takes the closed-cone rule from fm, so patching
+        # fm.CONE_TOL alone moves each one's boundary.  F_m^+ is 0 on both
+        # sides of it; fm_plus and fm_field show the rule by not raising.
+        monkeypatch.setattr(fm, "CONE_TOL", 1e-3)
+        T, omega, cones, field = self.routes(factor * 1e-3)
+        assert is_m_semipositive(T, omega, 1).member == inside
+        assert strong_positivity_oracle(T, omega, 1).member == inside
+        assert fm_plus(T, omega, 1) == 0.0
+        assert (cones.member == inside).all()
+        assert cones.all_member == inside
+        assert (field.flat == 0.0).all()
 
 
 class TestConcavity:

@@ -72,7 +72,11 @@ class TestDomain:
         assert NodalOperator(d, g, 1).neighbors is NodalOperator(d, g, 2).neighbors
         nodes, table = d.interior_neighbors
         assert np.array_equal(nodes, np.flatnonzero(d.interior_mask))
-        assert np.array_equal(table, d.neighbor_indices(nodes))
+        # row s holds each node shifted by stencil offset s
+        shifts = (np.array(np.unravel_index(table, d.shape))
+                  - np.array(np.unravel_index(nodes, d.shape))[:, None, :])
+        assert np.array_equal(shifts, np.broadcast_to(
+            stencil(d.n)[0].T[:, :, None], shifts.shape))
         assert not nodes.flags.writeable and not table.flags.writeable
 
     def test_jacobian_pattern_is_built_once(self):
@@ -119,8 +123,7 @@ class TestDomain:
         # interior nodes have all their stencil neighbors inside the ball
         offs, _ = stencil(d.n)
         norms = np.sqrt(d.norms_squared)
-        for flat in np.flatnonzero(d.interior_mask)[::7]:
-            nb = d.neighbor_indices(np.array([flat]))[:, 0]
+        for nb in d.interior_neighbors[1].T[::7]:
             assert (norms[nb] <= d.radius + 1e-12).all()
 
     def test_torus_all_interior(self):
@@ -227,6 +230,20 @@ class TestDiscreteHessian:
         with pytest.raises(StencilError):
             fd_complex_hessian(u, node)
 
+    def test_stack_rejects_non_interior_nodes(self):
+        # the stack is gathered on the interior nodes only: a boundary or
+        # exterior node, or an index past the grid, has no Hessian there
+        d = GridDomain.ball(2, points_per_axis=9)
+        u = GridFunction.from_callable(d, squared_norm)
+        inner = np.flatnonzero(d.interior_mask)[[0, -1]]
+        for bad in (np.flatnonzero(d.boundary_mask)[0],
+                    np.flatnonzero(d.exterior_mask)[-1], d.node_count):
+            with pytest.raises(StencilError, match=f"node {bad} "):
+                hessian_stack(u, np.array([inner[0], bad, inner[1]]))
+        H = hessian_stack(u, inner[::-1])
+        np.testing.assert_allclose(H, np.broadcast_to(np.eye(2), H.shape),
+                                   atol=1e-12)
+
     def test_torus_wraps(self):
         d = GridDomain.torus(1, points_per_axis=9)
         u = GridFunction.from_callable(
@@ -281,9 +298,9 @@ class TestFields:
         g = MetricField.flat(d)
         u = GridFunction.from_callable(d, lambda c: -squared_norm(c))
         field = fm_field(u, g, 1)
-        vals = field.flat[d.interior_mask]
-        assert (vals < 0).all()  # signed margins, not values
-        np.testing.assert_allclose(vals, -1.0, atol=1e-11)
+        assert (field.flat[d.interior_mask] == 0.0).all()  # F_m^+ vanishes
+        margins = cone_field(u, g, 1).margin.ravel()[d.interior_mask]
+        np.testing.assert_allclose(margins, -1.0, atol=1e-11)
 
     def test_cone_field_membership(self):
         d = GridDomain.ball(2, radius=1.0, points_per_axis=9)
@@ -295,7 +312,8 @@ class TestFields:
             assert rep.all_member
             assert abs(rep.min_margin - m) < 1e-11
             rep = cone_field(down, g, m)
-            assert not rep.member[rep.evaluable.reshape(d.shape)].any()
+            assert not rep.member.any()
+            assert np.isnan(rep.margin.ravel()[~d.interior_mask]).all()
 
     def test_smoothed_max_is_psh(self):
         # max(Re z1, Re z2) after one averaging pass stays 2-psh within
@@ -308,8 +326,7 @@ class TestFields:
             smooth = (np.roll(smooth, 1, axis) + np.roll(smooth, -1, axis)
                       + 2 * smooth) / 4.0
         u = GridFunction(d, smooth)
-        rep = cone_field(u, g, 2, tol=1e-6)
-        assert rep.min_margin >= -1e-6
+        assert cone_field(u, g, 2).min_margin >= -1e-6
 
     def test_torus_constant_with_chi(self):
         # constant function on the torus: the field reduces to F_m of chi
