@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Check that the configs/ artifacts of the working tree are byte-identical
-# to those of a base commit.
+# Check that the configs/ artifacts and the verify-suite outputs of the
+# working tree are byte-identical to those of a base commit.
 #
 # Usage: scripts/check_config_artifacts.sh BASE_REF
 #
 # Each tree, the base commit (extracted with git archive) and the working
-# tree, runs its own configs/*.json through mhessian.cli.main from its own
-# src/, at seeds 0 and 7 with one BLAS thread.  Both runs write to the
+# tree, runs from its own src/ with one BLAS thread: its own configs/*.json
+# through mhessian.cli.main at seeds 0 and 7, and verify-suite at seeds 0
+# to 20, whose printed table is kept as table.txt.  Both runs write to the
 # same --out paths, since the manifest records them.  The two output trees
 # are then compared with diff -r, manifest.json excepted.  Exits 0 when
 # every artifact matches, 1 when one differs or a run fails.
@@ -36,14 +37,24 @@ run() {
             fi
         done
     done
+    for seed in $(seq 0 20); do
+        mkdir -p "$work/out/suite-$seed"
+        if ! PYTHONPATH="$1/src" python -m mhessian.cli verify-suite \
+                --seed "$seed" --out "$work/out/suite-$seed" \
+                > "$work/out/suite-$seed/table.txt"; then
+            echo "$2: verify-suite at seed $seed failed" >&2
+            return 1
+        fi
+    done
     mv "$work/out" "$work/$2"
 }
 
 run "$work/base-tree" base
 run "$repo" head
 if diff -r --exclude=manifest.json "$work/base" "$work/head"; then
-    echo "configs/ artifacts match $base at seeds 0 and 7"
+    echo "configs/ artifacts match $base at seeds 0 and 7, verify-suite" \
+        "outputs at seeds 0 to 20"
 else
-    echo "configs/ artifacts differ from $base" >&2
+    echo "configs/ artifacts or verify-suite outputs differ from $base" >&2
     exit 1
 fi

@@ -39,7 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 5
 
-# The most work a config may ask for: at about 46 us an oracle case, the
+# The most work a config may ask for: at about 20 us an oracle case, the
 # largest corpus runs in under a minute; past about 53 approximants the
 # strict offset 2^-(j+1) is below one ulp of values <= -1.
 MAX_CORPUS_SIZE = 10 ** 6

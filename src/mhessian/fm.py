@@ -48,22 +48,22 @@ class FmValue:
 def geometric_mean_clamped(sums: np.ndarray) -> np.ndarray:
     """C(n,m)-th root of the product of m-sums, reading [-CONE_TOL, 0) as 0.
 
-    Accepts shape (..., N) and returns shape (...).  Raises when any sum is
-    below -CONE_TOL (spectrum outside the closed cone beyond tolerance).
+    Accepts shape (..., N) and returns shape (...); a row with a NaN sum
+    gives NaN.  Raises when any sum is below -CONE_TOL (spectrum outside
+    the closed cone beyond tolerance), NaN sums or not.
     """
     sums = np.asarray(sums, dtype=float)
-    low = sums.min(initial=np.inf)
+    # fmin skips NaN, so a NaN elsewhere cannot hide a sum outside the cone
+    low = np.fmin.reduce(sums, axis=None, initial=np.inf)
     if low < -CONE_TOL:
         raise ConeBoundaryError(
             f"eigenvalue sum {low:.6e} lies outside the closed cone "
             f"(tolerance {CONE_TOL:.1e})"
         )
-    clamped = np.maximum(sums, 0.0)
-    # exp-mean-log for overflow safety; zero factors force a zero value.
-    any_zero = (clamped == 0.0).any(axis=-1)
-    safe = np.where(clamped > 0.0, clamped, 1.0)
-    values = np.exp(np.mean(np.log(safe), axis=-1))
-    return np.where(any_zero, 0.0, values)
+    # exp-mean-log for overflow safety: a zero factor's log is -inf, which
+    # makes the value 0; a NaN factor's makes it NaN
+    with np.errstate(divide="ignore"):
+        return np.exp(np.mean(np.log(np.maximum(sums, 0.0)), axis=-1))
 
 
 def cone_member(margins):

@@ -441,9 +441,24 @@ def _damped(u, nodes, step, delta):
     return trial
 
 
+def _start(op: _FmOperator, u_flat: np.ndarray, cfg: SolverConfig,
+           where: str = "") -> _Nodal:
+    """The nodal quantities of a solve's start, which must lie strictly
+    inside the cone: the right-hand side may be undefined outside it."""
+    nodal = op.evaluate(u_flat)
+    if nodal.margin <= cfg.cone_floor:
+        raise ConeEscape(
+            f"initial iterate has cone margin {nodal.margin:.3e}, below the "
+            f"floor {cfg.cone_floor:.1e}{where}"
+        )
+    return nodal
+
+
 def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
-            cfg: SolverConfig, homotopy=None):
-    """Damped Newton from ``u0_flat``: (u, iterations, residual, margin).
+            nodal: _Nodal, cfg: SolverConfig, homotopy=None):
+    """Damped Newton from ``u0_flat`` and its nodal quantities ``nodal``,
+    strictly inside the cone: (u, iterations, residual, nodal quantities
+    of u).
 
     Each Newton iteration evaluates every nodal quantity once.  A trial
     step evaluates G first; a trial whose trace bound already shows that
@@ -452,20 +467,12 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
     Jacobian.
     """
     u = u0_flat.copy()
-    # the cone test comes before the right-hand side, which may be
-    # undefined outside the cone
-    nodal = op.evaluate(u)
-    if nodal.margin <= cfg.cone_floor:
-        raise ConeEscape(
-            f"initial iterate has cone margin {nodal.margin:.3e}, below the "
-            f"floor {cfg.cone_floor:.1e}"
-        )
     G, dG = op.rhs_values(u, rhs, homotopy)
     r = nodal.fm - G
     rnorm = float(np.abs(r).max())
     for it in range(cfg.max_iterations):
         if rnorm <= cfg.tolerance:
-            return u, it, rnorm, nodal.margin
+            return u, it, rnorm, nodal
         J, diag = op.jacobian(nodal.H, dG)
         delta_unknown = _linear_solve(J, r, diag)
         del J, diag  # not needed through the line search
@@ -504,7 +511,7 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
                 f"no damped step reduced the residual {where}"
             )
     if rnorm <= cfg.tolerance:
-        return u, cfg.max_iterations, rnorm, nodal.margin
+        return u, cfg.max_iterations, rnorm, nodal
     raise NewtonDiverged(
         f"residual {rnorm:.3e} above tolerance {cfg.tolerance:.1e} after "
         f"{cfg.max_iterations} iterations (cone margin {nodal.margin:.3e})"
@@ -590,7 +597,8 @@ def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
         u0 = np.full(domain.node_count, float(rhs.reference.flat.min()))
     else:
         u0 = np.zeros(domain.node_count)
-    return _report(domain, *_newton(op, rhs, u0, cfg))
+    u, iters, rnorm, nodal = _newton(op, rhs, u0, _start(op, u0, cfg), cfg)
+    return _report(domain, u, iters, rnorm, nodal.margin)
 
 
 def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
@@ -602,7 +610,8 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
     written onto the boundary layer.  Solves the blend ``F_m = t G +
     (1 - t) F_m[start]`` on a uniform t-grid, warm-starting each stage; the
     t = 0 stage is exact by construction.  ``t_steps = 1`` is damped Newton
-    on the target equation itself, with no blend.
+    on the target equation itself, with no blend.  A start not strictly
+    inside the cone raises ConeEscape naming stage t = 0.
     """
     domain = f.domain
     if domain.kind != BALL:
@@ -615,22 +624,23 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
     else:
         u = subsolution_seed(f, g, m, cfg.cone_floor)[0].flat.copy()
     u[domain.boundary_mask] = f.flat[domain.boundary_mask]
+    # the start is tested once, as stage t = 0, whatever t_steps is
+    nodal = _start(op, u, cfg, " (homotopy stage t=0)")
     stages = [None]
     if t_steps > 1:
-        base = op.evaluate(u).fm
-        stages = [(float(t), base)
+        stages = [(float(t), nodal.fm)
                   for t in np.linspace(0.0, 1.0, t_steps + 1)[1:]]
     iters_total = 0
     for homotopy in stages:
         try:
-            u, iters, rnorm, margin = _newton(op, rhs, u, cfg, homotopy)
+            u, iters, rnorm, nodal = _newton(op, rhs, u, nodal, cfg, homotopy)
         except (NewtonDiverged, ConeEscape) as exc:
             if homotopy is not None:
                 exc.args = (f"{exc.args[0]} (homotopy stage "
                             f"t={homotopy[0]:.3f})",)
             raise
         iters_total += iters
-    return _report(domain, u, iters_total, rnorm, margin, f)
+    return _report(domain, u, iters_total, rnorm, nodal.margin, f)
 
 
 def max_principle_check(report: SolveReport, f: GridFunction) -> float:

@@ -4,7 +4,6 @@ import io
 import json
 import struct
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mhessian import cli, curvature, fm, hermitian, suite
+from mhessian import cli, suite
 from mhessian.cli import main
-from mhessian.cones import is_m_semipositive, strong_positivity_oracle
+from mhessian.curvature import bound_regime_holds
 from mhessian.errors import ConfigError
-from mhessian.fm import concavity_probe, fm_from_lambdas, fm_product_bound, \
-    fm_value, fm_via_determinant
+from mhessian.fm import cone_member
 from mhessian.grids import GridDomain, GridFunction
-from mhessian.hermitian import HermitianMatrix, MetricMatrix
 from mhessian.multiindex import subset_sums
 from mhessian.serialize import (
     coordinate_headers,
@@ -53,185 +50,6 @@ MALFORMED_DUMPS = {
     "even_points_per_axis": grid_dump(points_per_axis=6),
     "nan_radius": grid_dump(radius=float("nan")),
 }
-
-
-def per_row_hypothesis_spectrum(rng, case, n, c, level):
-    """verify-suite's former per-row rejection loop, as the reference for
-    suite._hypothesis_spectrum, with the number of rows it drew."""
-    draws = 0
-    while True:
-        lam = rng.uniform(-3.0, 3.0, size=n)
-        draws += 1
-        k = n - level if case in ("p0", "0q") else level
-        if case in ("p0", "0q"):
-            if k == 0 or subset_sums(lam + c, k).max() <= 0.0:
-                return lam, draws
-        elif k == 0 or subset_sums(lam - c, k).min() >= 0.0:
-            return lam, draws
-
-
-def per_case_suite_sections(corpus_size):
-    """verify-suite's former case-at-a-time sections, as the reference for
-    mhessian.suite: each a callable rng -> rows, in run order.
-
-    ``fm.fm_gradient_diagonal`` is looked up on its module, so that a spy
-    set there sees the reference's calls too.
-    """
-    def row(name, cases, failures):
-        return (name, cases, failures, "pass" if failures == 0 else "FAIL")
-
-    def random_hermitian(rng, n, scale=1.0):
-        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        return HermitianMatrix(scale * 0.5 * (X + X.conj().T))
-
-    def random_metric(rng, n):
-        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Q, _ = np.linalg.qr(Z)
-        vals = rng.uniform(0.5, 2.0, size=n)
-        return MetricMatrix(HermitianMatrix(Q @ np.diag(vals) @ Q.conj().T))
-
-    def interior_spectrum(rng, n, m):
-        lam = np.sort(rng.uniform(-1.0, 2.0, size=n))
-        smallest = lam[:m].sum()
-        if smallest < 0.1:
-            lam = lam + (0.1 - smallest) / m
-        return lam
-
-    def interior_form(rng, g, n, m):
-        lam = interior_spectrum(rng, n, m)
-        Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Q, _ = np.linalg.qr(Z)
-        B = g.cholesky @ Q
-        return HermitianMatrix(B @ np.diag(lam) @ B.conj().T)
-
-    def oracle(rng):
-        fails_eq = fails_mono = 0
-        for _ in range(corpus_size):
-            n = int(rng.integers(1, 5))
-            m = int(rng.integers(1, n + 1))
-            T, omega = random_hermitian(rng, n), random_metric(rng, n)
-            a = is_m_semipositive(T, omega, m)
-            b = strong_positivity_oracle(T, omega, m)
-            if a.member != b.member or abs(a.margin - b.margin) > 1e-12:
-                fails_eq += 1
-            if (m < n and a.member
-                    and not is_m_semipositive(T, omega, m + 1).member):
-                fails_mono += 1
-        return [row("oracle_equivalence", corpus_size, fails_eq),
-                row("membership_monotonicity", corpus_size, fails_mono)]
-
-    def gradient(rng):
-        fails = 0
-        for _ in range(200):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, n + 1))
-            lam = interior_spectrum(rng, n, m)
-            grad = fm.fm_gradient_diagonal(lam, m)
-            h = 1e-5
-            for p in range(n):
-                up, dn = lam.copy(), lam.copy()
-                up[p] += h
-                dn[p] -= h
-                fd = (fm_from_lambdas(up, m).value
-                      - fm_from_lambdas(dn, m).value) / (2 * h)
-                if abs(fd - grad[p]) > 1e-6 * max(1.0, abs(fd)):
-                    fails += 1
-        return [row("gradient_finite_differences", 200, fails)]
-
-    def determinant(rng):
-        fails = 0
-        for _ in range(500):
-            n = int(rng.integers(2, 5))
-            m = int(rng.integers(1, n + 1))
-            g = random_metric(rng, n)
-            T = interior_form(rng, g, n, m)
-            a = fm_via_determinant(T, g, m)
-            b = fm_value(T, g, m).value
-            if abs(a - b) > 1e-9 * abs(b):
-                fails += 1
-        return [row("determinant_route", 500, fails)]
-
-    def concavity(rng):
-        fails = 0
-        for _ in range(500):
-            n = int(rng.integers(2, 5))
-            m = int(rng.integers(1, n + 1))
-            g = random_metric(rng, n)
-            if not concavity_probe(interior_form(rng, g, n, m),
-                                   interior_form(rng, g, n, m), g, m, steps=7):
-                fails += 1
-        return [row("concavity_probe", 500, fails)]
-
-    def bound_regimes(rng):
-        rows = []
-        for case in ("p0", "0q", "nq", "pn"):
-            fails = 0
-            for _ in range(500):
-                n = int(rng.integers(2, 6))
-                c = float(rng.uniform(0.2, 1.5))
-                if case in ("nq", "pn"):
-                    level = int(rng.integers(1, n + 1))
-                else:
-                    level = int(rng.integers(0, n))
-                lam, _ = per_row_hypothesis_spectrum(rng, case, n, c, level)
-                if not curvature.verify_bound_regime(case, lam, c, level):
-                    fails += 1
-            rows.append(row(f"bound_regime_{case}", 500, fails))
-        return rows
-
-    def product_bound(rng):
-        fails = 0
-        for n in (2, 3, 4):
-            for m in range(1, n + 1):
-                lam = np.sort(rng.uniform(-1.0, 2.0, size=(10000, n)), axis=-1)
-                smallest = lam[:, :m].sum(axis=-1)
-                lam += (np.maximum(0.0, 1e-3 - smallest) / m)[:, None]
-                prods = np.prod(fm.fm_gradient_diagonal(lam, m), axis=-1)
-                fails += int((prods < fm_product_bound(n, m) - 1e-12).sum())
-        return [row("gradient_product_bound", 90000, fails)]
-
-    return (oracle, gradient, determinant, concavity, bound_regimes,
-            product_bound)
-
-
-def spy_on_corpus(monkeypatch):
-    """A list that collects, as bytes, every matrix validated by
-    ``hermitian_entries``, every spectrum given to ``fm_gradient_diagonal``
-    and every input of ``bound_regime_holds``, from the per-matrix
-    functions and from the suite alike."""
-    seen = []
-    entries = hermitian.hermitian_entries
-    gradient = fm.fm_gradient_diagonal
-    regime = curvature.bound_regime_holds
-
-    def rows(array):
-        array = np.asarray(array)
-        return array.reshape(-1, array.shape[-1])
-
-    def entries_spy(a):
-        out = entries(a)
-        seen.extend(("matrix", m.tobytes())
-                    for m in out.reshape(-1, *out.shape[-2:]))
-        return out
-
-    def gradient_spy(lambdas, m):
-        seen.extend(("gradient", m, lam.tobytes()) for lam in rows(lambdas))
-        return gradient(lambdas, m)
-
-    def regime_spy(case, lambdas, c, level):
-        lam = rows(lambdas)
-        cs = np.broadcast_to(c, lam.shape[:-1])
-        seen.extend(("regime", case, level, float(ci), row.tobytes())
-                    for ci, row in zip(cs, lam))
-        return regime(case, lambdas, c, level)
-
-    for module in (hermitian, suite):
-        monkeypatch.setattr(module, "hermitian_entries", entries_spy)
-    for module in (fm, suite):
-        monkeypatch.setattr(module, "fm_gradient_diagonal", gradient_spy)
-    for module in (curvature, suite):
-        monkeypatch.setattr(module, "bound_regime_holds", regime_spy)
-    return seen
 
 
 # a C^1 Dirichlet solve and two shipped configs, for malformed variants of
@@ -460,62 +278,107 @@ class TestSerialization:
 
 class TestHypothesisSpectrum:
     @staticmethod
-    def assert_matches_per_row_loop(seed, case, n, c, level):
-        """Same spectrum and generator state as the per-row loop; returns
-        the rows the loop drew."""
-        mine, ref = (np.random.default_rng(seed) for _ in range(2))
-        for rng in (mine, ref):
-            rng.integers(2, 6)  # leaves a buffered 32-bit half, as in the suite
-        lam = suite._hypothesis_spectrum(mine, case, n, c, level)
-        expected, draws = per_row_hypothesis_spectrum(ref, case, n, c, level)
-        assert np.array_equal(lam, expected)
-        assert mine.bit_generator.state == ref.bit_generator.state
-        return draws
+    def assert_meets_the_hypothesis(case, n, level, c, lam):
+        """Every row of ``lam`` meets the hypothesis of ``case`` at its own
+        constant, with no tolerance, and lies in [-3, 3)^n."""
+        assert lam.shape == (c.size, n)
+        assert ((-3.0 <= lam) & (lam < 3.0)).all()
+        k = n - level if case in ("p0", "0q") else level
+        if k > 0:
+            if case in ("p0", "0q"):
+                assert (subset_sums(lam + c[:, None], k).max(axis=-1)
+                        <= 0.0).all()
+            else:
+                assert (subset_sums(lam - c[:, None], k).min(axis=-1)
+                        >= 0.0).all()
+        # and so the regime's own check takes the stack without raising
+        bound_regime_holds(case, lam, c, level)
 
     @pytest.mark.parametrize("case", ["p0", "0q", "nq", "pn"])
-    def test_matches_per_row_loop(self, case):
-        # every level from 0 to n, so both k = 0 draws are covered
+    def test_meets_the_hypothesis(self, case):
+        # every level from 0 to n, so both k = 0 draws are covered; each
+        # case keeps the first row passing at its own c
+        rng = np.random.default_rng(5)
+        c = np.linspace(0.2, 1.5, 7)
         for n in range(2, 6):
             for level in range(n + 1):
-                for seed, c in enumerate((0.2, 1.5)):
-                    self.assert_matches_per_row_loop(seed, case, n, c, level)
+                lam = suite._hypothesis_spectra(rng, case, n, level, c)
+                self.assert_meets_the_hypothesis(case, n, level, c, lam)
 
     def test_acceptance_beyond_the_largest_block(self):
-        # one row in about 45000 passes; the blocks of 64, ..., 4096 rows
-        # hold 8128 rows, and this seed needs more than one more 4096-row
-        # block
-        draws = self.assert_matches_per_row_loop(0, "nq", 2, 2.98, 2)
-        assert draws > 8128 + 4096
+        # one row in about 45000 passes at c = 2.98; the blocks of 64, ...,
+        # 4096 rows hold 8128 rows, so most of these cases need more
+        # 4096-row blocks; the easy case beside them is accepted at once
+        c = np.array([2.98, 2.98, 2.98, 0.2])
+        lam = suite._hypothesis_spectra(np.random.default_rng(0), "nq", 2, 2,
+                                        c)
+        self.assert_meets_the_hypothesis("nq", 2, 2, c, lam)
 
 
-class TestSuiteAgainstPerCaseReference:
-    @pytest.mark.parametrize("seed", [0, 5841, 20240811])
-    def test_rows_state_and_corpus_match_every_section(self, monkeypatch,
-                                                        seed):
-        seen = spy_on_corpus(monkeypatch)
-        mine, ref = (np.random.default_rng(seed) for _ in range(2))
-        for section, reference in zip(suite.sections(1000),
-                                      per_case_suite_sections(1000),
-                                      strict=True):
-            rows = section(mine)
-            corpus = Counter(seen)
-            seen.clear()
-            assert rows == reference(ref)
-            assert mine.bit_generator.state == ref.bit_generator.state
-            assert corpus == Counter(seen)
-            seen.clear()
+def spoil_first_member(args, out, previous):
+    """Zeroes (or makes False) the first entry of the first member."""
+    (out[0] if isinstance(out, tuple) else out).flat[0] = 0
+    return True
 
-    def test_blocks_do_not_change_the_corpus(self, monkeypatch):
-        # a corpus that spans several blocks, the last one partial
-        monkeypatch.setattr(suite, "BLOCK", 7)
-        seen = spy_on_corpus(monkeypatch)
-        mine, ref = (np.random.default_rng(3) for _ in range(2))
-        rows = suite.oracle_section(mine, cases=40)
-        corpus = Counter(seen)
-        seen.clear()
-        assert rows == per_case_suite_sections(40)[0](ref)
-        assert mine.bit_generator.state == ref.bit_generator.state
-        assert corpus == Counter(seen)
+
+def spoil_next_cone(args, out, previous):
+    """Puts out of the (m+1)-cone the first member of the m-cone: a call
+    on the spectra of the call before it is the (m+1)-cone test."""
+    if previous is None or previous[0][0] is not args[0]:
+        return False
+    inside = np.flatnonzero(cone_member(previous[1]))
+    if inside.size == 0:
+        return False
+    out[inside[0]] = -1.0
+    return True
+
+
+class TestSectionFailures:
+    # (section, the stacked check it calls, the row that check feeds,
+    # spoil(args, out, previous call) -> whether it spoiled one member)
+    SPOILS = [
+        (suite.oracle_section, "oracle_margins", "oracle_equivalence",
+         spoil_first_member),
+        (suite.oracle_section, "semipositive_margins",
+         "membership_monotonicity", spoil_next_cone),
+        (suite.gradient_section, "fm_gradient_diagonal",
+         "gradient_finite_differences", spoil_first_member),
+        (suite.determinant_section, "determinant_fm_values",
+         "determinant_route", spoil_first_member),
+        (suite.concavity_section, "concavity_holds", "concavity_probe",
+         spoil_first_member),
+        (suite.bound_regime_section, "bound_regime_holds", "bound_regime_p0",
+         spoil_first_member),
+        (suite.product_bound_section, "fm_gradient_diagonal",
+         "gradient_product_bound", spoil_first_member),
+    ]
+
+    @pytest.mark.parametrize("section, check, row, spoil", SPOILS,
+                             ids=[s[2] for s in SPOILS])
+    def test_one_failing_member_reads_one(self, monkeypatch, section, check,
+                                          row, spoil):
+        # the check spoils one member of one call; that row alone fails
+        original = getattr(suite, check)
+        calls = []
+
+        def spoiled(*args, **kwargs):
+            out = original(*args, **kwargs)
+            previous = calls[-1] if calls else None
+            calls.append((args, out))
+            if not spoiled.done:
+                spoiled.done = spoil(args, out, previous)
+            return out
+
+        spoiled.done = False
+        monkeypatch.setattr(suite, check, spoiled)
+        rows = section(np.random.default_rng(3))
+        assert spoiled.done
+        for name, cases, failures, status in rows:
+            if name == row:
+                assert (failures, status) == (1, "FAIL")
+            else:
+                assert (failures, status) == (0, "pass")
+        assert row in [r[0] for r in rows]
 
 
 class TestCommands:

@@ -75,6 +75,20 @@ class TestFmValue:
         fv = fm_from_lambdas([-1.0, 1.0, 3.0], 2)
         assert fv.value == 0.0
 
+    def test_nan_sum_gives_nan(self):
+        # a NaN sum is NaN with or without a zero sum beside it, as in
+        # fm_plus_from_sums; the other rows keep their values
+        sums = np.array([[np.nan, 4.0], [0.0, np.nan], [1.0, 4.0], [0.0, 4.0]])
+        values = fm.geometric_mean_clamped(sums)
+        assert np.isnan(values[:2]).all()
+        assert values[2:].tolist() == [2.0, 0.0]
+        assert np.array_equal(fm.fm_plus_from_sums(sums), values,
+                              equal_nan=True)
+        assert np.isnan(fm.fm_values(np.array([[np.nan, 4.0]]), 1)).all()
+        # a sum outside the cone raises, NaN sums or not
+        with pytest.raises(ConeBoundaryError):
+            fm.geometric_mean_clamped(np.array([[np.nan, 4.0], [-1.0, 4.0]]))
+
     def test_homogeneity(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 6))

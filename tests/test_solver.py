@@ -50,6 +50,11 @@ def quadratic_setup(n, points, m):
     return domain, g, f, rhs
 
 
+# the ConeEscape of a continuity path whose start lies outside the cone
+START_OUTSIDE = (r"^initial iterate has cone margin \S+, below the floor "
+                 r"1\.0e-10 \(homotopy stage t=0\)$")
+
+
 def seed_with_boundary(f, g, m=1):
     """The solver's initial iterate: the subsolution seed with f on the
     boundary."""
@@ -503,6 +508,18 @@ class TestContinuityPath:
         mask = domain.interior_mask
         assert np.abs(a.solution.flat[mask] - b.solution.flat[mask]).max() <= 1e-8
 
+    @pytest.mark.parametrize("t_steps", [1, 4])
+    def test_start_outside_the_cone_is_stage_zero(self, monkeypatch,
+                                                   t_steps):
+        # the start is tested once, before any stage: its failure names
+        # stage t = 0 and no Newton iteration runs
+        domain, g, f, rhs = quadratic_setup(1, 9, 1)
+        outside = GridFunction.from_callable(domain, lambda c: -sqn(c))
+        monkeypatch.setattr(solver, "_newton", None)
+        with pytest.raises(ConeEscape, match=START_OUTSIDE):
+            continuity_path(f, rhs, g, 1, SolverConfig(initial=outside),
+                            t_steps=t_steps)
+
     def test_single_step_is_direct_newton(self):
         # C^1 at 17 points, C^2 at 13 points for m = 1 and m = 2
         for n, points, m in [(1, 17, 1), (2, 13, 1), (2, 13, 2)]:
@@ -517,9 +534,7 @@ class TestContinuityPath:
         domain, g, f, rhs = quadratic_setup(1, 33, 1)
         seeded = continuity_path(f, rhs, g, 1)
         outside = GridFunction.from_callable(domain, lambda c: -sqn(c))
-        with pytest.raises(ConeEscape, match=(
-                r"^initial iterate has cone margin \S+, below the floor "
-                r"1\.0e-10 \(homotopy stage t=0\.125\)$")):
+        with pytest.raises(ConeEscape, match=START_OUTSIDE):
             continuity_path(f, rhs, g, 1, SolverConfig(initial=outside))
         perturbed = continuity_path(
             f, rhs, g, 1, SolverConfig(initial=perturbed_seed(f, g)))

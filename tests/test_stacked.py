@@ -18,7 +18,7 @@ from mhessian.hermitian import HermitianMatrix, MetricMatrix, \
     check_positive_definite, hermitian_entries, metric_frame, \
     relative_eigenvalues, relative_lambdas
 from mhessian.multiindex import multi_indices
-from mhessian.suite import _hypothesis_spectrum
+from mhessian.suite import _hypothesis_spectra
 
 from conftest import random_hermitian, random_metric
 
@@ -191,8 +191,7 @@ class TestCurvature:
         else:
             level = int(rng.integers(0, n))
         c = rng.uniform(0.2, 1.5, size=k)
-        lam = np.stack([_hypothesis_spectrum(rng, regime, n, ci, level)
-                        for ci in c])
+        lam = _hypothesis_spectra(rng, regime, n, level, c)
         holds = bound_regime_holds(regime, lam, c, level)
         for i in range(k):
             assert holds[i] == verify_bound_regime(regime, lam[i], c[i], level)
