@@ -6,8 +6,11 @@
 #
 # Each tree, the base commit (extracted with git archive) and the working
 # tree, runs from its own src/ with one BLAS thread: its own configs/*.json
-# through mhessian.cli.main at seeds 0 and 7, and verify-suite at seeds 0
-# to 20, whose printed table is kept as table.txt.  Both runs write to the
+# through mhessian.cli.main at seeds 0 and 7, each configs/regularize_*.json
+# once more at both seeds with schedule.approximants set to "smooth" (no
+# shipped config reaches the smoothing path; the configs so made are written
+# to the work directory), and verify-suite at seeds 0 to 20, whose printed
+# table is kept as table.txt.  Both runs write to the
 # same --out paths, since the manifest records them.  The two output trees
 # are then compared with diff -r, manifest.json excepted.  Exits 0 when
 # every artifact matches, 1 when one differs or a run fails.
@@ -22,10 +25,32 @@ export OPENBLAS_NUM_THREADS=1
 mkdir "$work/base-tree"
 git -C "$repo" archive "$base" src configs | tar -x -C "$work/base-tree"
 
-# run TREE LABEL: every config of TREE at both seeds, outputs to $work/LABEL
+# smooth TREE: each configs/regularize_*.json of TREE with its schedule set
+# to the "smooth" approximants, written to $work/smooth; the eta keys are
+# unread beside "smooth", and an unread key exits 3, so they are dropped
+smooth() {
+    local config
+    rm -rf "$work/smooth"
+    mkdir "$work/smooth"
+    for config in "$1"/configs/regularize_*.json; do
+        python -c '
+import json, sys
+config = json.load(open(sys.argv[1]))
+schedule = config["schedule"]
+for key in ("eta_start", "eta_decay"):
+    schedule.pop(key, None)
+schedule["approximants"] = "smooth"
+json.dump(config, open(sys.argv[2], "w"), indent=2)
+' "$config" "$work/smooth/$(basename "$config" .json)_smooth.json"
+    done
+}
+
+# run TREE LABEL: every config of TREE and its smooth variants at both
+# seeds, outputs to $work/LABEL
 run() {
     local config name seed
-    for config in "$1"/configs/*.json; do
+    smooth "$1"
+    for config in "$1"/configs/*.json "$work"/smooth/*.json; do
         name=$(basename "$config" .json)
         for seed in 0 7; do
             # the subcommand is the first word of each config's name
@@ -52,8 +77,8 @@ run() {
 run "$work/base-tree" base
 run "$repo" head
 if diff -r --exclude=manifest.json "$work/base" "$work/head"; then
-    echo "configs/ artifacts match $base at seeds 0 and 7, verify-suite" \
-        "outputs at seeds 0 to 20"
+    echo "configs/ artifacts and their smooth reruns match $base at seeds" \
+        "0 and 7, verify-suite outputs at seeds 0 to 20"
 else
     echo "configs/ artifacts or verify-suite outputs differ from $base" >&2
     exit 1

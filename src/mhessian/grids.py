@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, StencilError
 from .fm import _check_m, cone_member, fm_plus_from_sums
-from .hermitian import HermitianMatrix, MetricMatrix, complex_hessian_point
+from .hermitian import HermitianMatrix, MetricMatrix, complex_hessian_point, \
+    metric_frame
 from .multiindex import subset_sums
 
 BALL = "ball"
@@ -29,7 +30,8 @@ TORUS = "torus"
 # float64 value, 2n coordinates, an int64 neighbour table entry per stencil
 # point (25 on C^2) and the n x n complex Hessian, and a solve the Jacobian
 # pattern, an int32 and an int64 index per stencil entry: at 2^20 nodes
-# about 0.7 GB on C^2, and Newton solves on far smaller grids take minutes.
+# about 0.7 GB on C^2.  Memory sets the bound, not time: a global_regularize
+# run on a 13^4 torus, three Newton solves, takes under a second.
 MAX_NODES = 2 ** 20
 
 
@@ -151,30 +153,30 @@ class GridDomain:
         return (self.coords ** 2).sum(axis=-1)
 
     @cached_property
-    def _masks(self):
-        offsets, _ = stencil(self.n)
+    def exterior_mask(self) -> np.ndarray:
+        """Nodes outside the closed ball (up to a rounding tie); none on a
+        torus."""
         if self.kind == TORUS:
-            interior = np.ones(self.node_count, dtype=bool)
-            return interior, np.zeros_like(interior), np.zeros_like(interior)
+            return np.zeros(self.node_count, dtype=bool)
         tie = 4.0 * np.finfo(float).eps * max(1.0, self.radius)
-        inside = np.sqrt(self.norms_squared) <= self.radius + tie
-        inside_grid = inside.reshape(self.shape)
-        interior_grid = inside_grid.copy()
+        return np.sqrt(self.norms_squared) > self.radius + tie
+
+    def neighbours_inside(self, offsets) -> np.ndarray:
+        """Nodes whose neighbour at every offset (entries -1, 0 or 1) lies
+        in the box and outside the exterior; every node on a torus."""
+        if self.kind == TORUS:
+            return np.ones(self.node_count, dtype=bool)
+        inside = np.pad(~self.exterior_mask.reshape(self.shape), 1)
         pp = self.points_per_axis
-        idx = np.indices(self.shape)
+        ok = np.ones(self.shape, dtype=bool)
         for d in offsets:
-            if not d.any():
-                continue
-            shifted = idx + d.reshape((-1,) + (1,) * (2 * self.n))
-            valid = ((shifted >= 0) & (shifted < pp)).all(axis=0)
-            ok = np.zeros(self.shape, dtype=bool)
-            sh = tuple(shifted[k][valid] for k in range(2 * self.n))
-            ok[valid] = inside_grid[sh]
-            interior_grid &= ok
-        interior = interior_grid.ravel()
-        boundary = inside & ~interior
-        exterior = ~inside
-        return interior, boundary, exterior
+            ok &= inside[tuple(slice(1 + k, 1 + k + pp) for k in d)]
+        return ok.ravel()
+
+    @cached_property
+    def _masks(self):
+        interior = self.neighbours_inside(stencil(self.n)[0])
+        return interior, ~interior & ~self.exterior_mask
 
     @property
     def interior_mask(self) -> np.ndarray:
@@ -183,10 +185,6 @@ class GridDomain:
     @property
     def boundary_mask(self) -> np.ndarray:
         return self._masks[1]
-
-    @property
-    def exterior_mask(self) -> np.ndarray:
-        return self._masks[2]
 
     @cached_property
     def interior_neighbors(self):
@@ -294,10 +292,6 @@ class MetricField:
         return cls(domain=domain, constant=MetricMatrix.identity(domain.n))
 
 
-def _hermitian_part(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
-
-
 def _eigh(H: np.ndarray, vectors: bool):
     """Ascending eigenvalues of the Hermitian batch H, shape (K, n, n), and
     with ``vectors`` the unitary eigenvector matrices, as ``np.linalg.eigh``
@@ -353,13 +347,14 @@ def _eigh(H: np.ndarray, vectors: bool):
 class NodalOperator:
     """Discrete complex Hessians in the metric frame over a fixed node set.
 
-    The metric is folded into the stencil once: with C the Cholesky factor
-    of the metric, the weights are C^{-1} W_s C^{-H} / h^2 and the optional
-    background form is C^{-1} chi C^{-H}.  The ordinary Hermitian spectrum
-    of a folded Hessian is its spectrum relative to the metric, so
-    ``sigma`` returns the m-fold relative eigenvalue sums at every node.
-    The folded weights are Hermitized once, so every Hessian is exactly
-    Hermitian: entries [p, q] and [q, p] are the same sums, conjugated.
+    The metric is folded into the stencil once by ``metric_frame``, the
+    pointwise reduction: with C the Cholesky factor of the metric, the
+    weights are C^{-1} W_s C^{-H} / h^2 and the optional background form
+    is C^{-1} chi C^{-H}.  The ordinary Hermitian spectrum of a folded
+    Hessian is its spectrum relative to the metric, so ``sigma`` returns
+    the m-fold relative eigenvalue sums at every node.  The folded weights
+    are Hermitian, so every Hessian is exactly Hermitian: entries [p, q]
+    and [q, p] are the same sums, conjugated.
     The nodes are the interior nodes, whose neighbour table the domain
     builds once.
     """
@@ -372,11 +367,10 @@ class NodalOperator:
         self.domain = domain
         self.m = m
         self.nodes, self.neighbors = domain.interior_neighbors  # (K,), (S, K)
-        Cinv = np.linalg.inv(g.constant.cholesky)
-        def fold(A):  # C^{-1} A C^{-H}, Hermitized
-            return _hermitian_part(Cinv @ A @ Cinv.conj().T)
-        self.weights = fold(stencil(domain.n)[1] / domain.spacing ** 2)
-        self.chi = None if chi is None else fold(chi.entries)
+        C = g.constant.cholesky
+        self.weights = metric_frame(
+            stencil(domain.n)[1] / domain.spacing ** 2, C)
+        self.chi = None if chi is None else metric_frame(chi.entries, C)
 
     def hessians(self, u_flat: np.ndarray) -> np.ndarray:
         """Folded Hessians (plus the folded background form), (K, n, n)."""

@@ -116,25 +116,13 @@ def _smooth_pass(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     stays inside; other nodes keep their value."""
     v = values.reshape(domain.shape)
     acc = np.zeros_like(v)
-    ok = np.ones(domain.shape, dtype=bool)
-    inside = _inside(domain).reshape(domain.shape)
-    pp = domain.points_per_axis
     for axis in range(2 * domain.n):
-        if domain.kind == TORUS:
-            acc += np.roll(v, 1, axis) + np.roll(v, -1, axis)
-        else:
-            up = np.roll(v, -1, axis)
-            dn = np.roll(v, 1, axis)
-            idx = np.arange(pp)
-            shape = [1] * (2 * domain.n)
-            shape[axis] = pp
-            edge_lo = (idx == 0).reshape(shape)
-            edge_hi = (idx == pp - 1).reshape(shape)
-            ok &= ~edge_lo & ~edge_hi
-            ok &= np.roll(inside, 1, axis) & np.roll(inside, -1, axis)
-            acc += up + dn
-    mean = 0.5 * v + 0.5 * acc / (4 * domain.n)
-    return np.where(ok & inside, mean, v).ravel()
+        acc += np.roll(v, 1, axis) + np.roll(v, -1, axis)
+    mean = (0.5 * v + 0.5 * acc / (4 * domain.n)).ravel()
+    axes = np.eye(2 * domain.n, dtype=int)
+    ok = (domain.neighbours_inside(np.concatenate([axes, -axes]))
+          & _inside(domain))
+    return np.where(ok, mean, values.ravel())
 
 
 def _sup_convolve(values: np.ndarray, domain: GridDomain,
@@ -173,8 +161,7 @@ def upper_smooth_sequence(target: GridFunction, count: int) -> list:
     eps_start = (4.0 * domain.spacing) ** 2
     clip_start = 2.0 * max(1.0, float(np.abs(real_vals).max()))
     base = target.flat.copy()
-    if domain.kind == BALL:
-        base[~inside] = -1e18  # exterior never wins a sup-convolution
+    base[~inside] = -1e18  # exterior never wins a sup-convolution
     out = []
     prev = None
     for j in range(count):
@@ -189,8 +176,7 @@ def upper_smooth_sequence(target: GridFunction, count: int) -> list:
         vals = vals + max(0.0, defect) + 0.5 ** (j + 1)
         if prev is not None:
             vals = np.minimum(vals, prev)  # rounding guard, usually inactive
-        if domain.kind == BALL:
-            vals[~inside] = vals[inside].max()
+        vals[~inside] = vals[inside].max()
         out.append(GridFunction(domain, vals))
         prev = vals
     return out
@@ -428,9 +414,7 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
 
 
 def verify_monotone_convergence(result: RegularizationResult,
-                                target: GridFunction,
-                                convergence_target: float = None
-                                ) -> ConvergenceReport:
+                                target: GridFunction) -> ConvergenceReport:
     """Check monotonicity, domination of the target, and shrinking deviation."""
     domain = target.domain
     inside = _inside(domain)
@@ -448,8 +432,6 @@ def verify_monotone_convergence(result: RegularizationResult,
     nonincreasing = all(b <= a + GAP_TOL
                         for a, b in zip(deviations, deviations[1:]))
     passed = mono <= GAP_TOL and lower <= GAP_TOL and nonincreasing
-    if convergence_target is not None:
-        passed = passed and deviations[-1] <= convergence_target
     return ConvergenceReport(
         monotone_gap=mono,
         lower_gap=lower,

@@ -126,6 +126,25 @@ class TestDomain:
         for nb in d.interior_neighbors[1].T[::7]:
             assert (norms[nb] <= d.radius + 1e-12).all()
 
+    @pytest.mark.parametrize("n, points", [(1, 5), (1, 7), (1, 9), (2, 5),
+                                           (2, 7), (2, 9), (3, 5)])
+    @pytest.mark.parametrize("radius", [0.7, 1.0])
+    def test_masks_match_per_node_brute_force(self, n, points, radius):
+        d = GridDomain.ball(n, radius=radius, points_per_axis=points)
+        norms = np.sqrt(d.norms_squared)
+        assert not d.exterior_mask[norms <= radius].any()
+        assert d.exterior_mask[norms > radius * (1 + 1e-12)].all()
+        inside = ~d.exterior_mask.reshape(d.shape)
+        offsets, _ = stencil(n)
+        interior = np.zeros(d.shape, dtype=bool)
+        for node in np.ndindex(d.shape):
+            nb = np.array(node) + offsets
+            in_box = ((nb >= 0) & (nb < points)).all(axis=1)
+            interior[node] = inside[node] and in_box.all() and all(
+                inside[tuple(k)] for k in nb)
+        assert np.array_equal(d.interior_mask, interior.ravel())
+        assert np.array_equal(d.boundary_mask, inside.ravel() & ~interior.ravel())
+
     def test_torus_all_interior(self):
         d = GridDomain.torus(1, points_per_axis=9)
         assert d.interior_mask.all()
@@ -441,6 +460,14 @@ _entry = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
 class TestHermitianHessians:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_metric_keeps_the_stencil_weights(self, n):
+        d = GridDomain.ball(n, radius=1.0, points_per_axis=5)
+        weights = NodalOperator(d, MetricField.flat(d), 1).weights
+        expected = stencil(n)[1] / d.spacing ** 2
+        # bit for bit, signed zeros included
+        assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_hessians_are_exactly_hermitian(self, rng, n):
         if n == 2:

@@ -94,6 +94,33 @@ class TestUpperSmoothSequence:
             upper_smooth_sequence(target, 2)
 
 
+class TestSmoothPass:
+    @pytest.mark.parametrize("domain", [
+        GridDomain.ball(1, radius=0.8, points_per_axis=17),
+        GridDomain.ball(2, radius=0.8, points_per_axis=7),
+        GridDomain.torus(1, points_per_axis=9),
+        GridDomain.torus(2, points_per_axis=5),
+    ], ids=lambda d: f"{d.kind}-{d.n}-{d.points_per_axis}")
+    def test_matches_per_node_average(self, rng, domain):
+        v = rng.normal(size=domain.shape)
+        inside = ~domain.exterior_mask.reshape(domain.shape)
+        pp, d2 = domain.points_per_axis, 2 * domain.n
+        expected = v.copy()
+        for node in np.ndindex(domain.shape):
+            star = [tuple(np.add(node, step * np.eye(d2, dtype=int)[a]))
+                    for a in range(d2) for step in (1, -1)]
+            if domain.kind == "torus":
+                star = [tuple(k % pp for k in nb) for nb in star]
+            elif not all(0 <= k < pp for nb in star for k in nb):
+                continue
+            if inside[node] and all(inside[nb] for nb in star):
+                expected[node] = 0.5 * v[node] + 0.5 * sum(
+                    v[nb] for nb in star) / (2 * d2)
+        got = regularize._smooth_pass(v.ravel(), domain)
+        np.testing.assert_allclose(got, expected.ravel(), rtol=0,
+                                   atol=1e-14)
+
+
 class TestScheduleValidation:
     def test_rejects_increasing_sequence(self):
         domain = GridDomain.ball(1, points_per_axis=9)
@@ -332,17 +359,3 @@ class TestVerifyMonotoneConvergence:
         assert rep.violation_node == tuple(
             int(i) for i in np.unravel_index(bad_flat, domain.shape)
         )
-
-    def test_convergence_target_enforced(self):
-        domain = GridDomain.torus(1, points_per_axis=9)
-        target = GridFunction.constant(domain, -3.0)
-        seq = tuple(GridFunction(domain, target.flat + v) for v in (0.5, 0.25))
-        res = RegularizationResult(
-            u_sequence=seq, monotone_gap=0.0, lower_gap=0.0,
-            sup_deviation=(0.5, 0.25), indices=(0, 1),
-            cone_margins=(1.0, 1.0),
-        )
-        assert verify_monotone_convergence(res, target,
-                                           convergence_target=0.3).passed
-        assert not verify_monotone_convergence(res, target,
-                                               convergence_target=0.1).passed

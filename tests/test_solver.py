@@ -341,6 +341,17 @@ class TestManufacturedQuadratic:
             assert interior_error(report, f.flat) <= 1e-10
         assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0}
 
+    @pytest.mark.parametrize("points", [7, 9])
+    def test_c3_exact_recovery_every_order(self, points):
+        # from n = 3 on, the m = 2 cone lies strictly between the classical
+        # ones; one domain serves all three orders
+        domain, g, f, _ = quadratic_setup(3, points, 1)
+        for m in (1, 2, 3):
+            rhs = RightHandSide.manufactured_quadratic(m)
+            report = solve_dirichlet(f, rhs, g, m)
+            assert report.min_cone_margin > 0
+            assert interior_error(report, f.flat) <= 1e-8
+
     def test_boundary_values_exact(self):
         domain, g, f, rhs = quadratic_setup(1, 17, 1)
         report = solve_dirichlet(f, rhs, g, 1)
