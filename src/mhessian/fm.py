@@ -130,7 +130,8 @@ def fm_gradient_diagonal(lambdas, m: int) -> np.ndarray:
             f"the gradient requires the open cone"
         )
     N = comb(n, m)
-    value = np.exp(np.mean(np.log(sums), axis=-1))
+    # on the open cone the clamp is the identity: the value is F_m itself
+    value = geometric_mean_clamped(sums)
     # membership[J, p] = 1 iff p in J, reusing the subset-sum indicator.
     member = subset_sum_matrix(n, m)
     inv_sum_per_p = (1.0 / sums) @ member

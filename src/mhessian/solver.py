@@ -284,15 +284,6 @@ class _FmOperator(NodalOperator):
         return J, entries[self.center].copy()
 
 
-# Every Jacobian tries Jacobi-preconditioned BiCGSTAB first; this limit only
-# picks the factorization behind it.  Up to the limit SuperLU factorizes
-# directly; above it fill-in makes that far slower than ILU + BiCGSTAB.  On an
-# 11^4 torus Jacobian (14641 unknowns, 25-point stencil; 2-vCPU Xeon, one
-# BLAS thread) SuperLU with MMD ordering took 40 s and 4.8e7 fill entries,
-# ILU + BiCGSTAB 9.2-9.7 s and Jacobi-BiCGSTAB 0.03-0.06 s.
-DIRECT_SOLVE_LIMIT = 8000
-
-
 def _matvec(J, x):
     """``J @ x`` for a CSR matrix J: the compiled kernel that scipy's
     ``__matmul__`` runs after its dispatch, called directly."""
@@ -380,9 +371,9 @@ def _linear_solve(J, r, diag):
     """Newton step delta with |J delta + r| <= 1e-10 |r| in the max norm.
 
     Jacobi-preconditioned BiCGSTAB, on ``diag``, the diagonal of J, runs
-    first.  Only when it fails does a factorization run: SuperLU up to
-    DIRECT_SOLVE_LIMIT unknowns, ILU preconditioned BiCGSTAB above it.  A
-    failure of that one fallback, a singular factorization included, is a
+    first.  Only when it fails does the one fallback run, at every size:
+    BiCGSTAB preconditioned by an incomplete LU factorization.  A failure
+    of that fallback, a singular factorization included, is a
     NewtonDiverged.
     """
     denom = max(float(np.abs(r).max()), 1e-300)
@@ -403,24 +394,9 @@ def _linear_solve(J, r, diag):
         failure = f"BiCGSTAB info={info}"
     else:
         failure = "zero on the diagonal, BiCGSTAB not run"
-    direct = J.shape[0] <= DIRECT_SOLVE_LIMIT
     # INFO, not WARNING: Python's last-resort handler keeps it off stderr
     logger.info("Jacobi-BiCGSTAB failed on %d unknowns (%s); falling back "
-                "to %s", J.shape[0], failure, "splu" if direct else "spilu")
-    if direct:
-        try:
-            lu = scipy.sparse.linalg.splu(J.tocsc(),
-                                          permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # exactly singular
-            raise NewtonDiverged(f"splu factorization failed: {exc}") from exc
-        delta = lu.solve(-r)
-        if not _check_linear_residual(J, delta, r, denom):
-            # one step of iterative refinement before giving up
-            delta = delta + lu.solve(-(J @ delta + r))
-        if _check_linear_residual(J, delta, r, denom):
-            return delta / scale
-        raise NewtonDiverged(
-            "splu solve failed the residual contract after refinement")
+                "to spilu", J.shape[0], failure)
     try:
         ilu = scipy.sparse.linalg.spilu(J.tocsc(), drop_tol=1e-5,
                                         fill_factor=12.0)

@@ -638,9 +638,12 @@ class TestCommands:
         b = (tmp_path / "b" / "solution.csv").read_bytes()
         assert a == b
 
-    def test_configs_rerun_byte_identical(self, tmp_path):
+    def test_configs_rerun_byte_identical(self, tmp_path, caplog):
         # a second run in the same process sees whatever state the first
-        # left behind; manifest.json alone records run-specific data
+        # left behind; manifest.json alone records run-specific data.  No
+        # shipped config reaches the linear-solve fallback, which logs at
+        # INFO on mhessian.solver
+        caplog.set_level("INFO", logger="mhessian.solver")
         artifacts = {}
         for sub in ("a", "b"):
             for config in sorted(CONFIGS.glob("*.json")):
@@ -654,6 +657,7 @@ class TestCommands:
                 if path.is_file() and path.name != "manifest.json"}
         assert len(artifacts["a"]) == 19
         assert artifacts["a"] == artifacts["b"]
+        assert caplog.records == []
 
     def test_manifest_traces_artifacts(self, tmp_path):
         rc = main(["cone", "--config", str(CONFIGS / "cone_example.json"),

@@ -22,7 +22,12 @@ from mhessian.grids import GridDomain, GridFunction, MetricField, cone_field, \
 from mhessian.hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
 from mhessian.multiindex import subset_sums
 
-from conftest import random_hermitian, random_interior_spectrum, random_metric
+from conftest import (
+    OMEGA,
+    random_hermitian,
+    random_interior_spectrum,
+    random_metric,
+)
 
 
 def gradient_fd_oracle(lambdas, m, h=1e-5):
@@ -375,6 +380,20 @@ class TestToleranceBand:
         assert (cones.member == inside).all()
         assert cones.all_member == inside
         assert (field.flat == 0.0).all()
+
+    @pytest.mark.parametrize("scale", [
+        1.0,
+        pytest.param(1e8, marks=pytest.mark.xfail(
+            strict=True, raises=ConeBoundaryError,
+            reason="CONE_TOL is absolute: the rounding of a boundary "
+                   "spectrum at this scale lies beyond it")),
+        1e12,
+    ])
+    def test_boundary_value_scales_with_the_spectrum(self, scale):
+        # T is singular, so F_1(s T) is 0 at every scale s; what rounding
+        # leaves of it must stay within a tolerance that scales with s
+        T = HermitianMatrix(scale * np.array([[1.0, 0.3], [0.3, 0.09]]))
+        assert fm_value(T, OMEGA, 1).value <= scale * 1e-8
 
 
 class TestConcavity:

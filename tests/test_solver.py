@@ -111,16 +111,16 @@ def jacobian_case(n, points, m, metric, chi):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Counts of the factorizing calls of scipy.sparse.linalg by name."""
-    counts = dict.fromkeys(("splu", "spsolve", "spilu"), 0)
-    for name in counts:
-        original = getattr(scipy.sparse.linalg, name)
+    """Counts the calls of scipy.sparse.linalg.spilu, the one factorization
+    of the solver."""
+    counts = {"spilu": 0}
+    original = scipy.sparse.linalg.spilu
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        counts["spilu"] += 1
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, name, counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted)
     return counts
 
 
@@ -153,58 +153,60 @@ class TestLinearSolve:
         small = _linear_solve(J, r * 2.0 ** -40, diag)
         assert np.array_equal(small, delta * 2.0 ** -40)
         assert meets_contract(J, small, r * 2.0 ** -40)
-        assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0}
+        assert factorizations == {"spilu": 0}
 
-    @pytest.mark.parametrize("fallback", ["splu", "spilu"])
     def test_zero_diagonal_falls_back_to_a_factorization(
-            self, factorizations, monkeypatch, caplog, fallback):
-        # Jacobi needs a nonzero diagonal; the size picks the factorization
+            self, factorizations, caplog):
+        # Jacobi needs a nonzero diagonal
         J, _, r = ball_c2_system()
         J[0, 0] = 0.0
-        if fallback == "spilu":
-            monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", J.shape[0] - 1)
         with caplog.at_level("INFO", logger="mhessian.solver"):
             assert meets_contract(J, _linear_solve(J, r, J.diagonal()), r)
-        assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0,
-                                  fallback: 1}
+        assert factorizations == {"spilu": 1}
         [record] = caplog.records
         assert record.levelname == "INFO"
         assert record.getMessage() == (
             f"Jacobi-BiCGSTAB failed on {J.shape[0]} unknowns (zero on the "
-            f"diagonal, BiCGSTAB not run); falling back to {fallback}")
+            f"diagonal, BiCGSTAB not run); falling back to spilu")
+
+    @pytest.mark.parametrize("case", [*JACOBIAN_CASES, "c2_ball_13"])
+    def test_ilu_fallback_meets_the_contract(self, factorizations, case):
+        # the one fallback at every size, from C^1 to C^3 and up to the
+        # 2,665 unknowns of the 13-point C^2 ball
+        if case == "c2_ball_13":
+            J, _, r = ball_c2_system(13)
+        else:
+            J, _, r = newton_system(*jacobian_case(*JACOBIAN_CASES[case]))
+        J[0, 0] = 0.0
+        assert meets_contract(J, _linear_solve(J, r, J.diagonal()), r)
+        assert factorizations == {"spilu": 1}
 
     # each failure of the fallback is a NewtonDiverged that names its path
-    @pytest.mark.parametrize("fallback", ["splu", "spilu"])
-    def test_singular_jacobian_diverges(self, monkeypatch, fallback):
+    def test_singular_jacobian_diverges(self):
         # an empty first row: exactly singular, and zero on the diagonal, so
         # Jacobi-BiCGSTAB does not run
         J, _, r = ball_c2_system()
         J = J.tolil()
         J[0, :] = 0.0
         J = J.tocsr()
-        diag = J.diagonal()
-        if fallback == "spilu":
-            monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", J.shape[0] - 1)
         with pytest.raises(NewtonDiverged, match=(
-                rf"^{fallback} factorization failed: Factor is exactly "
-                r"singular$")):
-            _linear_solve(J, r, diag)
+                r"^spilu factorization failed: Factor is exactly singular$")):
+            _linear_solve(J, r, J.diagonal())
 
-    def test_splu_residual_over_contract_diverges(self, factorizations,
-                                                  monkeypatch):
+    def test_residual_over_contract_diverges(self, factorizations,
+                                             monkeypatch):
         J, diag, r = ball_c2_system()
         monkeypatch.setattr(solver, "_check_linear_residual",
                             lambda *args: False)
         with pytest.raises(NewtonDiverged, match=(
-                r"^splu solve failed the residual contract after "
-                r"refinement$")):
+                r"^ILU-BiCGSTAB failed the residual contract \(BiCGSTAB "
+                r"info=0\)$")):
             _linear_solve(J, r, diag)
-        assert factorizations["splu"] == 1
+        assert factorizations == {"spilu": 1}
 
     def test_ilu_bicgstab_failure_diverges_with_its_info(
             self, factorizations, monkeypatch):
         J, diag, r = ball_c2_system()
-        monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", J.shape[0] - 1)
         monkeypatch.setattr(solver, "_bicgstab",
                             lambda J, b, *args, **kwargs: (np.zeros_like(b),
                                                            -10))
@@ -212,7 +214,7 @@ class TestLinearSolve:
                 r"^ILU-BiCGSTAB failed the residual contract \(BiCGSTAB "
                 r"info=-10\)$")):
             _linear_solve(J, r, diag)
-        assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 1}
+        assert factorizations == {"spilu": 1}
 
     def test_breakdown_is_logged_with_its_info(self, factorizations,
                                                monkeypatch, caplog):
@@ -229,9 +231,9 @@ class TestLinearSolve:
         monkeypatch.setattr(solver, "_bicgstab", breaks_down_once)
         with caplog.at_level("INFO", logger="mhessian.solver"):
             assert meets_contract(J, _linear_solve(J, r, diag), r)
-        assert factorizations["splu"] == 1
+        assert factorizations == {"spilu": 1}
         [record] = caplog.records
-        assert "(BiCGSTAB info=-10); falling back to splu" in record.getMessage()
+        assert "(BiCGSTAB info=-10); falling back to spilu" in record.getMessage()
 
     def test_converged_solve_logs_nothing(self, caplog):
         J, diag, r = ball_c2_system()
@@ -339,7 +341,7 @@ class TestManufacturedQuadratic:
             domain, g, f, rhs = quadratic_setup(2, 9, m)
             report = solve_dirichlet(f, rhs, g, m)
             assert interior_error(report, f.flat) <= 1e-10
-        assert factorizations == {"splu": 0, "spsolve": 0, "spilu": 0}
+        assert factorizations == {"spilu": 0}
 
     @pytest.mark.parametrize("points", [7, 9])
     def test_c3_exact_recovery_every_order(self, points):
