@@ -9,11 +9,16 @@
 # through mhessian.cli.main at seeds 0 and 7, each configs/regularize_*.json
 # once more at both seeds with schedule.approximants set to "smooth" (no
 # shipped config reaches the smoothing path; the configs so made are written
-# to the work directory), and verify-suite at seeds 0 to 20, whose printed
-# table is kept as table.txt.  Both runs write to the
-# same --out paths, since the manifest records them.  The two output trees
-# are then compared with diff -r, manifest.json excepted.  Exits 0 when
-# every artifact matches, 1 when one differs or a run fails.
+# to the work directory), two generated solve configs at both seeds, and
+# verify-suite at seeds 0 to 20, whose printed table is kept as table.txt.
+# The generated solves, a C^1 torus with the penalized_distance right-hand
+# side and a C^2 ball at m = 2 with scaled_exponential, cover with the
+# shipped configs every right-hand-side kind on both domain kinds; they
+# live in the work directory only, since the benchmark runs configs/ whole.
+# Both runs write to the same --out paths, since the manifest records them.
+# The two output trees are then compared with diff -r, manifest.json
+# excepted.  Exits 0 when every artifact matches, 1 when one differs or a
+# run fails.
 set -euo pipefail
 
 base=${1:?usage: $0 BASE_REF}
@@ -45,12 +50,32 @@ json.dump(config, open(sys.argv[2], "w"), indent=2)
     done
 }
 
-# run TREE LABEL: every config of TREE and its smooth variants at both
-# seeds, outputs to $work/LABEL
+# the generated solve configs, the same for both trees
+mkdir "$work/generated"
+cat > "$work/generated/solve_torus_penalized_c1.json" <<'EOF'
+{"problem": "torus", "m": 1,
+ "grid": {"n": 1, "kind": "torus", "points_per_axis": 33},
+ "chi": {"n": 1, "re": [[1.0]]},
+ "reference": {"kind": "cos_wave"},
+ "rhs": {"kind": "penalized_distance", "beta": 50.0}}
+EOF
+cat > "$work/generated/solve_ball_scaled_c2.json" <<'EOF'
+{"problem": "dirichlet", "m": 2,
+ "grid": {"n": 2, "kind": "ball", "points_per_axis": 9},
+ "boundary": {"kind": "quadratic_plus_exp"},
+ "rhs": {"kind": "scaled_exponential",
+         "amplitude": {"kind": "constant", "value": 2.0},
+         "shift": {"kind": "quadratic_plus_exp"}},
+ "solver": {"t_steps": 2}}
+EOF
+
+# run TREE LABEL: every config of TREE, its smooth variants and the
+# generated solve configs at both seeds, outputs to $work/LABEL
 run() {
     local config name seed
     smooth "$1"
-    for config in "$1"/configs/*.json "$work"/smooth/*.json; do
+    for config in "$1"/configs/*.json "$work"/smooth/*.json \
+            "$work"/generated/*.json; do
         name=$(basename "$config" .json)
         for seed in 0 7; do
             # the subcommand is the first word of each config's name
@@ -77,9 +102,10 @@ run() {
 run "$work/base-tree" base
 run "$repo" head
 if diff -r --exclude=manifest.json "$work/base" "$work/head"; then
-    echo "configs/ artifacts and their smooth reruns match $base at seeds" \
-        "0 and 7, verify-suite outputs at seeds 0 to 20"
+    echo "configs/ artifacts, their smooth reruns and the generated solves" \
+        "match $base at seeds 0 and 7, verify-suite outputs at seeds 0 to 20"
 else
-    echo "configs/ artifacts or verify-suite outputs differ from $base" >&2
+    echo "configs/, generated solve or verify-suite outputs differ from" \
+        "$base" >&2
     exit 1
 fi

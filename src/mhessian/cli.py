@@ -193,10 +193,9 @@ def metric_from_config(config: ConfigTable, key: str, n: int) -> MetricMatrix:
 
 
 def solver_config_from(config: ConfigTable) -> SolverConfig:
-    """The "solver" table's settings, SolverConfig's defaults elsewhere."""
-    return SolverConfig(**config.table("solver", ConfigTable()).numbers({
-        "tolerance": float, "max_iterations": int,
-        "cone_floor": float, "damping_min_step": float}))
+    """The "solver" table's tolerance, SolverConfig's default without it."""
+    return SolverConfig(**config.table("solver", ConfigTable()).numbers(
+        {"tolerance": float}))
 
 
 def rhs_from_config(cfg: ConfigTable, m: int):

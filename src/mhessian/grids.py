@@ -109,18 +109,17 @@ class GridDomain:
             )
         if self.kind == BALL and not self.radius > 0:
             raise DimensionMismatchError("ball radius must be positive")
+        if self.kind == TORUS and self.radius != 1.0:  # the period is 1
+            raise DimensionMismatchError(
+                f"torus radius must be 1.0, got {self.radius}")
 
     @classmethod
-    def ball(cls, n: int, radius: float = 1.0, points_per_axis: int = None):
-        if points_per_axis is None:
-            points_per_axis = 33 if n == 1 else 13
+    def ball(cls, n: int, radius: float = 1.0, *, points_per_axis: int):
         return cls(n=n, kind=BALL, points_per_axis=points_per_axis, radius=radius)
 
     @classmethod
-    def torus(cls, n: int, points_per_axis: int = None):
-        if points_per_axis is None:
-            points_per_axis = 33 if n == 1 else 13
-        return cls(n=n, kind=TORUS, points_per_axis=points_per_axis, radius=1.0)
+    def torus(cls, n: int, points_per_axis: int):
+        return cls(n=n, kind=TORUS, points_per_axis=points_per_axis)
 
     @property
     def spacing(self) -> float:
@@ -274,6 +273,13 @@ class GridFunction:
         return GridFunction(self.domain, values)
 
 
+def _on_grid(field, domain: GridDomain, what: str):
+    """``field``, a grid function or metric field living on ``domain``."""
+    if field.domain != domain:
+        raise DimensionMismatchError(f"{what} lives on a different grid")
+    return field
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Constant metric shared by every node of a grid."""
@@ -361,8 +367,7 @@ class NodalOperator:
 
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
                  chi: HermitianMatrix = None):
-        if g.domain != domain:
-            raise DimensionMismatchError("metric field lives on a different grid")
+        _on_grid(g, domain, "metric field")
         _check_m(domain.n, m)
         self.domain = domain
         self.m = m

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fm import fm_value
 from .grids import BALL, TORUS, GridDomain, GridFunction, MetricField, \
-    cone_field, fm_field
+    _on_grid, cone_field, fm_field
 from .hermitian import HermitianMatrix
 from .solver import RightHandSide, SolverConfig, check_chi_positive, \
     solve_dirichlet, solve_torus
@@ -62,6 +62,7 @@ class ApproximationSchedule:
                 )
         usable = ~fs[0].domain.exterior_mask
         for k, f in enumerate(fs):
+            _on_grid(f, fs[0].domain, f"approximant {k}")
             if float(f.flat[usable].max()) > -1.0 + NORMALIZATION_TOL:
                 raise DimensionMismatchError(
                     f"approximant {k} violates the sup <= -1 normalization"
@@ -197,6 +198,7 @@ def _check_target(target: GridFunction, g: MetricField, m: int,
 
 def _check_dominates(schedule: ApproximationSchedule, target: GridFunction):
     inside = _inside(target.domain)
+    _on_grid(schedule.f_sequence[0], target.domain, "the schedule")
     for k, f in enumerate(schedule.f_sequence):
         if (f.flat[inside] < target.flat[inside] - MONOTONE_TOL).any():
             raise TargetNotAdmissible(

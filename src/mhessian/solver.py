@@ -37,113 +37,108 @@ from .grids import (
     MetricField,
     NodalOperator,
     _eigh,
+    _on_grid,
 )
 from .hermitian import HermitianMatrix, relative_eigenvalues
 from .multiindex import subset_sums
 
 logger = logging.getLogger(__name__)
 
-# exponent window for exponential right-hand sides; the upper clamp only
-# affects transient Newton states, the lower one avoids spurious zero slopes
+# exponent window of every right-hand side; the upper clamp only affects
+# transient Newton states, the lower one avoids spurious zero slopes
 EXP_CLAMP_LO = -500.0
 EXP_CLAMP_HI = 40.0
+# Newton's iteration budget, floor on every iterate's least m-sum and
+# smallest line-search step: no caller sets them
+MAX_ITERATIONS = 100
+CONE_FLOOR = 1e-10
+DAMPING_MIN_STEP = 2.0 ** -20
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-9
-    max_iterations: int = 100
-    cone_floor: float = 1e-10
-    damping_min_step: float = 2.0 ** -20
     initial: GridFunction = None
 
 
-@dataclass(frozen=True)
-class RightHandSide:
-    """Positive right-hand side G(z, t) increasing in t.
+class _SampledRHS(NamedTuple):
+    """A right-hand side at the unknowns of one solve."""
 
-    ``evaluator(coords, t, flat_idx)`` returns (G, dG/dt) as arrays; ball
-    solves (``strict``) require dG/dt strictly positive, torus solves only
-    non-negative.
-    """
+    a: np.ndarray
+    s: np.ndarray
+    beta: float
+    c: float
 
-    evaluator: callable
-    reference: GridFunction = None
-
-    def __call__(self, coords, t, flat_idx, strict=True):
-        G, dG = self.evaluator(coords, np.asarray(t, dtype=float), flat_idx)
-        G = np.asarray(G, dtype=float)
-        dG = np.asarray(dG, dtype=float)
+    def __call__(self, t):
+        """G and dG/dt at the values t of the unknowns."""
+        e = np.exp(np.clip(self.beta * (t - self.s),
+                           EXP_CLAMP_LO, EXP_CLAMP_HI))
+        G = self.a * e + self.c
+        dG = self.beta * e * self.a
         if not np.isfinite(G).all() or not np.isfinite(dG).all():
             raise IllPosedRHS("right-hand side returned non-finite values")
         if (G <= 0.0).any():
             raise IllPosedRHS("right-hand side must be strictly positive")
-        if strict:
-            if (dG <= 0.0).any():
-                raise IllPosedRHS("right-hand side must be increasing in t")
-        elif (dG < 0.0).any():
-            raise IllPosedRHS("right-hand side slope must be non-negative")
+        if (dG <= 0.0).any():
+            raise IllPosedRHS("right-hand side must be increasing in t")
         return G, dG
+
+
+@dataclass(frozen=True)
+class RightHandSide:
+    """G(z, t) = a(z) exp(beta (t - s(z))) + c, exponent clipped to
+    [EXP_CLAMP_LO, EXP_CLAMP_HI], positive and increasing in t at every
+    iterate.  a and s are each a grid function or a coordinate callable,
+    mapping coordinate arrays (K, 2n) to (K,), sampled once per solve."""
+
+    amplitude: object
+    shift: object
+    beta: float = 1.0
+    offset: float = 0.0
+
+    @property
+    def reference(self) -> GridFunction:
+        """The penalized f of a penalized kind, where a torus solve starts."""
+        return self.shift if isinstance(self.shift, GridFunction) else None
+
+    def sample(self, domain: GridDomain, nodes: np.ndarray) -> _SampledRHS:
+        """The right-hand side at ``nodes`` of ``domain``; s must be finite."""
+        a, s = (_on_grid(part, domain, "right-hand side").flat[nodes]
+                if isinstance(part, GridFunction)
+                else np.asarray(part(domain.coords[nodes]), dtype=float)
+                for part in (self.amplitude, self.shift))
+        if not np.isfinite(s).all():
+            raise IllPosedRHS("right-hand side shift must be finite")
+        return _SampledRHS(a, s, self.beta, self.offset)
 
     @classmethod
     def scaled_exponential(cls, amplitude, shift) -> "RightHandSide":
-        """G(z, t) = amplitude(z) * exp(t - shift(z)).
-
-        ``amplitude`` and ``shift`` map coordinate arrays (K, 2n) to (K,).
-        """
-
-        def evaluator(coords, t, idx):
-            a = np.asarray(amplitude(coords), dtype=float)
-            e = np.exp(np.clip(t - np.asarray(shift(coords), dtype=float),
-                               EXP_CLAMP_LO, EXP_CLAMP_HI))
-            return a * e, a * e
-
-        return cls(evaluator=evaluator)
+        """G(z, t) = amplitude(z) * exp(t - shift(z)), both callables."""
+        return cls(amplitude, shift)
 
     @classmethod
     def manufactured_quadratic(cls, m: int) -> "RightHandSide":
         """G(z, t) = m * exp(t - |z|^2); the squared norm solves the equation."""
-        return cls.scaled_exponential(
-            lambda c: np.full(c.shape[0], float(m)),
-            lambda c: (c ** 2).sum(axis=-1),
-        )
+        return cls(lambda c: np.full(c.shape[0], float(m)),
+                   lambda c: (c ** 2).sum(axis=-1))
 
     @classmethod
     def penalized_distance(cls, beta: float,
                            reference: GridFunction) -> "RightHandSide":
-        """G(z, t) = exp(beta (t - f(z))) + 1 / (2 beta)."""
-        if not beta > math.e:
-            raise IllPosedRHS(f"penalty parameter must exceed e, got {beta}")
-        ref_flat = reference.flat
-
-        def evaluator(coords, t, idx):
-            e = np.exp(np.clip(beta * (t - ref_flat[idx]),
-                               EXP_CLAMP_LO, EXP_CLAMP_HI))
-            return e + 1.0 / (2.0 * beta), beta * e
-
-        return cls(evaluator=evaluator, reference=reference)
+        """G(z, t) = exp(beta (t - f(z))) + 1 / (2 beta), unit corridor."""
+        return cls.penalized_corridor(
+            beta, reference, GridFunction.constant(reference.domain, 1.0), 1.0)
 
     @classmethod
     def penalized_corridor(cls, beta: float, reference: GridFunction,
                            corridor: GridFunction,
                            background_value: float) -> "RightHandSide":
-        """G(z, t) = exp(beta (t - f(z))) * corridor(z) + background/(2 beta)."""
+        """G(z, t) = corridor(z) * exp(beta (t - f(z))) + background/(2 beta)."""
         if not beta > math.e:
             raise IllPosedRHS(f"penalty parameter must exceed e, got {beta}")
         if not background_value > 0:
             raise IllPosedRHS("background operator value must be positive")
-        ref_flat = reference.flat
-        cor_flat = corridor.flat
-        if (cor_flat <= 0).any():
-            raise IllPosedRHS("corridor field must be strictly positive")
-
-        def evaluator(coords, t, idx):
-            e = np.exp(np.clip(beta * (t - ref_flat[idx]),
-                               EXP_CLAMP_LO, EXP_CLAMP_HI))
-            c = cor_flat[idx]
-            return e * c + background_value / (2.0 * beta), beta * e * c
-
-        return cls(evaluator=evaluator, reference=reference)
+        return cls(corridor, reference, beta, background_value / (2.0 * beta))
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,6 @@ class _FmOperator(NodalOperator):
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
                  chi: HermitianMatrix = None):
         super().__init__(domain, g, m, chi)
-        self.coords = domain.coords[self.nodes]
         # unknowns: interior nodes (ball) or every node (torus)
         self.indices, self.indptr, self.src, self.center = \
             domain.jacobian_pattern
@@ -206,14 +200,13 @@ class _FmOperator(NodalOperator):
         fm = geometric_mean_clamped(sums) if margin > 0.0 else None
         return _Nodal(H, margin, fm)
 
-    def rhs_values(self, u_flat, rhs: RightHandSide, homotopy=None):
+    def rhs_values(self, u_flat, rhs: _SampledRHS, homotopy=None):
         """G(z, u) and its slope in u at the evaluation nodes.
 
         ``homotopy = (t, base_field)`` blends the right-hand side as
         t*G + (1-t)*base_field, and its slope as t*dG.
         """
-        G, dG = rhs(self.coords, u_flat[self.nodes], self.nodes,
-                    strict=self.domain.kind == BALL)
+        G, dG = rhs(u_flat[self.nodes])
         if homotopy is not None:
             t, base = homotopy
             G = t * G + (1.0 - t) * base
@@ -417,20 +410,19 @@ def _damped(u, nodes, step, delta):
     return trial
 
 
-def _start(op: _FmOperator, u_flat: np.ndarray, cfg: SolverConfig,
-           where: str = "") -> _Nodal:
+def _start(op: _FmOperator, u_flat: np.ndarray, where: str = "") -> _Nodal:
     """The nodal quantities of a solve's start, which must lie strictly
     inside the cone: the right-hand side may be undefined outside it."""
     nodal = op.evaluate(u_flat)
-    if nodal.margin <= cfg.cone_floor:
+    if nodal.margin <= CONE_FLOOR:
         raise ConeEscape(
             f"initial iterate has cone margin {nodal.margin:.3e}, below the "
-            f"floor {cfg.cone_floor:.1e}{where}"
+            f"floor {CONE_FLOOR:.1e}{where}"
         )
     return nodal
 
 
-def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
+def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
             nodal: _Nodal, cfg: SolverConfig, homotopy=None):
     """Damped Newton from ``u0_flat`` and its nodal quantities ``nodal``,
     strictly inside the cone: (u, iterations, residual, nodal quantities
@@ -446,7 +438,7 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
     G, dG = op.rhs_values(u, rhs, homotopy)
     r = nodal.fm - G
     rnorm = float(np.abs(r).max())
-    for it in range(cfg.max_iterations):
+    for it in range(MAX_ITERATIONS):
         if rnorm <= cfg.tolerance:
             return u, it, rnorm, nodal
         J, diag = op.jacobian(nodal.H, dG)
@@ -455,14 +447,14 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
         step = 1.0
         cone_blocked = True
         skipped = []  # steps the trace bound rejected
-        while step >= cfg.damping_min_step:
+        while step >= DAMPING_MIN_STEP:
             trial = _damped(u, op.nodes, step, delta_unknown)
             G_trial, dG_trial = op.rhs_values(trial, rhs, homotopy)
             if op.residual_lower_bound(trial, G_trial) >= rnorm:
                 skipped.append(step)
             else:
                 trial_nodal = op.evaluate(trial)
-                if trial_nodal.margin > cfg.cone_floor:
+                if trial_nodal.margin > CONE_FLOOR:
                     cone_blocked = False
                     r_trial = trial_nodal.fm - G_trial
                     r_trial_norm = float(np.abs(r_trial).max())
@@ -478,7 +470,7 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
             # have: ConeEscape only if none of them is inside the cone
             if cone_blocked and not any(
                     op.sigma(_damped(u, op.nodes, s, delta_unknown)).min()
-                    > cfg.cone_floor for s in skipped):
+                    > CONE_FLOOR for s in skipped):
                 raise ConeEscape(
                     "no damping step keeps the iterate strictly inside the "
                     f"cone {where}"
@@ -487,19 +479,18 @@ def _newton(op: _FmOperator, rhs: RightHandSide, u0_flat: np.ndarray,
                 f"no damped step reduced the residual {where}"
             )
     if rnorm <= cfg.tolerance:
-        return u, cfg.max_iterations, rnorm, nodal
+        return u, MAX_ITERATIONS, rnorm, nodal
     raise NewtonDiverged(
         f"residual {rnorm:.3e} above tolerance {cfg.tolerance:.1e} after "
-        f"{cfg.max_iterations} iterations (cone margin {nodal.margin:.3e})"
+        f"{MAX_ITERATIONS} iterations (cone margin {nodal.margin:.3e})"
     )
 
 
 def _max_principle_gap(domain: GridDomain, u_flat, f: GridFunction) -> float:
     if domain.kind != BALL:
         return float("nan")
-    sup_boundary = float(f.flat[domain.boundary_mask].max())
-    sup_interior = float(u_flat[domain.interior_mask].max())
-    return sup_interior - sup_boundary
+    boundary = _on_grid(f, domain, "boundary data").flat[domain.boundary_mask]
+    return float(u_flat[domain.interior_mask].max()) - float(boundary.max())
 
 
 def _report(domain: GridDomain, u_flat, iterations, rnorm, margin,
@@ -516,8 +507,7 @@ def _report(domain: GridDomain, u_flat, iterations, rnorm, margin,
     )
 
 
-def subsolution_seed(f: GridFunction, g: MetricField, m: int,
-                     cone_floor: float = SolverConfig.cone_floor):
+def subsolution_seed(f: GridFunction, g: MetricField, m: int):
     """Seed C(|z|^2 - r^2) + f, doubling C until strictly in the cone.
 
     The cone test sees the seed as built, before ``continuity_path`` writes
@@ -535,7 +525,7 @@ def subsolution_seed(f: GridFunction, g: MetricField, m: int,
     C = 1.0
     while C < 2.0 ** 60:
         u = f.flat + C * bump
-        if op.sigma(u).min() > max(cone_floor * 10.0, 1e-8):
+        if op.sigma(u).min() > max(CONE_FLOOR * 10.0, 1e-8):
             return GridFunction(domain, u), C
         C *= 2.0
     raise ConeEscape("no doubling of the subsolution constant entered the cone")
@@ -567,13 +557,14 @@ def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
         raise DimensionMismatchError("solve_torus expects a torus grid")
     check_chi_positive(chi, g, m)
     op = _FmOperator(domain, g, m, chi=chi)
+    sampled = rhs.sample(domain, op.nodes)
     if cfg.initial is not None:
-        u0 = cfg.initial.flat.copy()
+        u0 = _on_grid(cfg.initial, domain, "initial iterate").flat.copy()
     elif rhs.reference is not None:
         u0 = np.full(domain.node_count, float(rhs.reference.flat.min()))
     else:
         u0 = np.zeros(domain.node_count)
-    u, iters, rnorm, nodal = _newton(op, rhs, u0, _start(op, u0, cfg), cfg)
+    u, iters, rnorm, nodal = _newton(op, sampled, u0, _start(op, u0), cfg)
     return _report(domain, u, iters, rnorm, nodal.margin)
 
 
@@ -595,13 +586,14 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
     if t_steps < 1:
         raise DimensionMismatchError("need at least one homotopy step")
     op = _FmOperator(domain, g, m)
+    sampled = rhs.sample(domain, op.nodes)
     if cfg.initial is not None:
-        u = cfg.initial.flat.copy()
+        u = _on_grid(cfg.initial, domain, "initial iterate").flat.copy()
     else:
-        u = subsolution_seed(f, g, m, cfg.cone_floor)[0].flat.copy()
+        u = subsolution_seed(f, g, m)[0].flat.copy()
     u[domain.boundary_mask] = f.flat[domain.boundary_mask]
     # the start is tested once, as stage t = 0, whatever t_steps is
-    nodal = _start(op, u, cfg, " (homotopy stage t=0)")
+    nodal = _start(op, u, " (homotopy stage t=0)")
     stages = [None]
     if t_steps > 1:
         stages = [(float(t), nodal.fm)
@@ -609,7 +601,8 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
     iters_total = 0
     for homotopy in stages:
         try:
-            u, iters, rnorm, nodal = _newton(op, rhs, u, nodal, cfg, homotopy)
+            u, iters, rnorm, nodal = _newton(op, sampled, u, nodal, cfg,
+                                             homotopy)
         except (NewtonDiverged, ConeEscape) as exc:
             if homotopy is not None:
                 exc.args = (f"{exc.args[0]} (homotopy stage "

@@ -49,6 +49,8 @@ MALFORMED_DUMPS = {
     "unknown_kind": grid_dump(kind=7),
     "even_points_per_axis": grid_dump(points_per_axis=6),
     "nan_radius": grid_dump(radius=float("nan")),
+    # the torus has period 1, so a radius other than 1 is a corrupt header
+    "torus_radius": grid_dump(kind=1, radius=0.5),
 }
 
 
@@ -441,20 +443,22 @@ class TestCommands:
         rc = main(["cone", "--config", cfg, "--out", str(tmp_path / "y"),
                    "--quiet"])
         assert rc == 3
-        # solver failure -> runtime error
+        # solver failure -> runtime error: a zero tolerance is out of reach
+        # of the rounding floor
         cfg = write_config(tmp_path, "diverge.json", {
             "problem": "dirichlet",
             "m": 1,
             "grid": {"n": 1, "kind": "ball", "points_per_axis": 9},
             "boundary": {"kind": "squared_norm"},
             "rhs": {"kind": "manufactured_quadratic"},
-            "solver": {"tolerance": 1e-15, "max_iterations": 1},
+            "solver": {"tolerance": 0.0},
         })
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "z"),
                    "--quiet"])
         assert rc == 4
         error = json.loads((tmp_path / "z" / "error.json").read_text())
         assert "NewtonDiverged" in error["type"]
+        assert error["error"].startswith("no damped step reduced the residual")
 
     def test_missing_config_key_is_a_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "nogrid.json", {
@@ -480,6 +484,12 @@ class TestCommands:
                      "reference": {"kind": "constant", "value": -2.0},
                      "rhs": {"kind": "penalized_distance", "beta": 10.0}})
           for m in (0, 2)),
+        ("solve", {"problem": "torus", "m": 1,
+                   "grid": {"n": 1, "kind": "torus", "points_per_axis": 9,
+                            "radius": 0.5},
+                   "chi": {"n": 1, "re": [[1.0]]},
+                   "reference": {"kind": "constant", "value": -2.0},
+                   "rhs": {"kind": "penalized_distance", "beta": 10.0}}),
         ("solve", {**DIRICHLET_C1, "m": 1.9}),
         ("solve", {**DIRICHLET_C1, "m": True}),
         ("solve", {**DIRICHLET_C1, "tolerance": True}),
@@ -488,7 +498,8 @@ class TestCommands:
         ("verify-suite", {"corpus_size": 3.7}),
         ("verify-suite", {"corpus_size": -5}),
     ], ids=["top_level_list", "non_integer_m", "m_above_n", "oversized_grid",
-            "torus_m_zero", "torus_m_above_n", "fractional_m", "bool_m",
+            "torus_m_zero", "torus_m_above_n", "torus_radius",
+            "fractional_m", "bool_m",
             "bool_tolerance", "cone_fractional_m", "cone_bool_m",
             "fractional_corpus_size", "negative_corpus_size"])
     def test_malformed_config_is_a_validation_error(self, tmp_path, capsys,
@@ -693,12 +704,13 @@ class TestCommands:
         assert (tmp_path / "r" / "iterate_00.csv").exists()
 
 
-# SolverConfig's defaults as the CLI has always resolved them, and one
-# non-default value per key
-SOLVER_DEFAULTS = {"tolerance": 1e-9, "max_iterations": 100,
-                   "cone_floor": 1e-10, "damping_min_step": 2.0 ** -20}
-SOLVER_VALUES = {"tolerance": 1e-11, "max_iterations": 7,
-                 "cone_floor": 1e-12, "damping_min_step": 2.0 ** -12}
+# the one SolverConfig setting of the "solver" table, its default and a
+# non-default value, and keys the table does not read: solver.py holds
+# them as constants
+SOLVER_DEFAULTS = {"tolerance": 1e-9}
+SOLVER_VALUES = {"tolerance": 1e-11}
+REMOVED_SOLVER_KEYS = {"max_iterations": 7, "cone_floor": 1e-12,
+                       "damping_min_step": 2.0 ** -12}
 
 
 def config_table(data):
@@ -716,20 +728,35 @@ def solver_keys_at(where, keys):
 
 class TestSolverConfigResolution:
     @pytest.mark.parametrize("where", ["flat", "nested", "absent"])
-    @pytest.mark.parametrize("key", sorted(SOLVER_VALUES))
+    @pytest.mark.parametrize("key", sorted({**SOLVER_VALUES,
+                                            **REMOVED_SOLVER_KEYS}))
     def test_each_key(self, key, where):
-        # a flat key is not a solver setting: it stays unread, and so
-        # unknown
-        config = config_table(solver_keys_at(where, {key: SOLVER_VALUES[key]}))
+        # a flat key is not a solver setting, and a removed key is no
+        # setting at all: either stays unread, and so unknown
+        value = {**SOLVER_VALUES, **REMOVED_SOLVER_KEYS}[key]
+        config = config_table(solver_keys_at(where, {key: value}))
         expected = dict(SOLVER_DEFAULTS)
-        if where == "nested":
-            expected[key] = SOLVER_VALUES[key]
+        if where == "nested" and key in SOLVER_VALUES:
+            expected[key] = value
         assert cli.solver_config_from(config) == SolverConfig(**expected)
         if where == "flat":
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 config.reject_unread()
+        elif where == "nested" and key in REMOVED_SOLVER_KEYS:
+            with pytest.raises(ConfigError, match=(
+                    f"unknown config key 'solver.{key}'")):
+                config.reject_unread()
         else:
             config.reject_unread()
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_SOLVER_KEYS))
+    def test_removed_key_is_exit_3(self, tmp_path, key):
+        cfg = write_config(tmp_path, "removed.json", {
+            **DIRICHLET_C1, "solver": {key: REMOVED_SOLVER_KEYS[key]}})
+        rc, err = run_quietly(["solve", "--config", cfg,
+                               "--out", str(tmp_path / "s"), "--quiet"])
+        assert rc == 3
+        assert err == f"validation error: unknown config key 'solver.{key}'\n"
 
     def test_flat_key_beside_nested_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "both.json", {

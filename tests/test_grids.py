@@ -59,6 +59,16 @@ class TestDomain:
         with pytest.raises(DimensionMismatchError):
             GridDomain(n=0, kind="ball", points_per_axis=9)
 
+    @pytest.mark.parametrize("radius", [0.5, 2.0, float("nan")])
+    def test_torus_radius_is_one(self, radius):
+        # the torus has period 1 whatever its radius field says, so any
+        # other radius would only make two equal grids compare unequal
+        assert GridDomain(n=1, kind="torus", points_per_axis=9,
+                          radius=1.0) == GridDomain.torus(1, 9)
+        with pytest.raises(DimensionMismatchError,
+                           match="torus radius must be 1.0"):
+            GridDomain(n=1, kind="torus", points_per_axis=9, radius=radius)
+
     def test_node_count_limit(self):
         assert 1023 ** 2 <= MAX_NODES < 1025 ** 2
         GridDomain(n=1, kind="torus", points_per_axis=1023)

@@ -135,6 +135,13 @@ class TestScheduleValidation:
         with pytest.raises(DimensionMismatchError):
             ApproximationSchedule(f_sequence=(f,), beta_schedule=(2.0,))
 
+    def test_rejects_approximants_on_two_grids(self):
+        f = GridFunction.constant(GridDomain.ball(1, points_per_axis=17), -2.0)
+        g = GridFunction.constant(GridDomain.ball(1, points_per_axis=21), -2.0)
+        with pytest.raises(DimensionMismatchError, match=(
+                "^approximant 1 lives on a different grid$")):
+            ApproximationSchedule(f_sequence=(f, g), beta_schedule=(10.0, 20.0))
+
     def test_rejects_unnormalized_approximant(self):
         domain = GridDomain.ball(1, points_per_axis=9)
         f = GridFunction.constant(domain, -0.5)
@@ -219,6 +226,17 @@ class TestLocalPipeline:
                                       beta_schedule=(10.0,)),
                 SolverConfig(),
             )
+
+    @pytest.mark.parametrize("radius, points", [(1.2, 17), (1.0, 21)],
+                             ids=["other_radius", "other_size"])
+    def test_schedule_on_another_grid(self, radius, points):
+        domain, g, target, _ = self.smooth_setup(points=17)
+        other = GridDomain.ball(1, radius=radius, points_per_axis=points)
+        sched = ApproximationSchedule.geometric(
+            [GridFunction.constant(other, -1.5)])
+        with pytest.raises(DimensionMismatchError, match=(
+                "^the schedule lives on a different grid$")):
+            local_regularize(target, g, 1, sched, SolverConfig())
 
     def test_non_psh_target_rejected(self):
         domain = GridDomain.ball(1, radius=1.0, points_per_axis=9)
