@@ -9,11 +9,13 @@
 # through mhessian.cli.main at seeds 0 and 7, each configs/regularize_*.json
 # once more at both seeds with schedule.approximants set to "smooth" (no
 # shipped config reaches the smoothing path; the configs so made are written
-# to the work directory), two generated solve configs at both seeds, and
+# to the work directory), four generated configs at both seeds, and
 # verify-suite at seeds 0 to 20, whose printed table is kept as table.txt.
-# The generated solves, a C^1 torus with the penalized_distance right-hand
+# Two generated solves, a C^1 torus with the penalized_distance right-hand
 # side and a C^2 ball at m = 2 with scaled_exponential, cover with the
-# shipped configs every right-hand-side kind on both domain kinds; they
+# shipped configs every right-hand-side kind on both domain kinds; two
+# generated regularize runs, a C^2 ball at m = 2 and a C^2 torus, run both
+# pipelines at n = 2, where the shipped configs run them at n = 1.  They
 # live in the work directory only, since the benchmark runs configs/ whole.
 # Both runs write to the same --out paths, since the manifest records them.
 # The two output trees are then compared with diff -r, manifest.json
@@ -50,7 +52,7 @@ json.dump(config, open(sys.argv[2], "w"), indent=2)
     done
 }
 
-# the generated solve configs, the same for both trees
+# the generated configs, the same for both trees
 mkdir "$work/generated"
 cat > "$work/generated/solve_torus_penalized_c1.json" <<'EOF'
 {"problem": "torus", "m": 1,
@@ -68,9 +70,22 @@ cat > "$work/generated/solve_ball_scaled_c2.json" <<'EOF'
          "shift": {"kind": "quadratic_plus_exp"}},
  "solver": {"t_steps": 2}}
 EOF
+cat > "$work/generated/regularize_local_c2.json" <<'EOF'
+{"mode": "local", "m": 2,
+ "grid": {"n": 2, "kind": "ball", "points_per_axis": 9},
+ "target": {"kind": "squared_norm", "offset": -3.5},
+ "schedule": {"count": 6, "beta_start": 10.0}}
+EOF
+cat > "$work/generated/regularize_global_c2.json" <<'EOF'
+{"mode": "global", "m": 1,
+ "grid": {"n": 2, "kind": "torus", "points_per_axis": 7},
+ "target": {"kind": "cos_wave", "amplitude": 0.04, "offset": -2.6},
+ "chi": {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]},
+ "schedule": {"count": 6, "beta_start": 50.0}}
+EOF
 
 # run TREE LABEL: every config of TREE, its smooth variants and the
-# generated solve configs at both seeds, outputs to $work/LABEL
+# generated configs at both seeds, outputs to $work/LABEL
 run() {
     local config name seed
     smooth "$1"
@@ -102,10 +117,10 @@ run() {
 run "$work/base-tree" base
 run "$repo" head
 if diff -r --exclude=manifest.json "$work/base" "$work/head"; then
-    echo "configs/ artifacts, their smooth reruns and the generated solves" \
+    echo "configs/ artifacts, their smooth reruns and the generated configs" \
         "match $base at seeds 0 and 7, verify-suite outputs at seeds 0 to 20"
 else
-    echo "configs/, generated solve or verify-suite outputs differ from" \
+    echo "configs/, generated config or verify-suite outputs differ from" \
         "$base" >&2
     exit 1
 fi

@@ -71,12 +71,12 @@ class ChiNotPositive(MHessianError, ValueError):
 
 
 class DirichletFailure(MHessianError, RuntimeError):
-    """A Dirichlet sub-solve inside a pipeline failed."""
+    """A sub-solve of a pipeline, Dirichlet or periodic, failed."""
 
     exit_code = 4
 
     def __init__(self, index, cause):
-        super().__init__(f"Dirichlet solve at schedule index {index} failed: {cause}")
+        super().__init__(f"solve at schedule index {index} failed: {cause}")
         self.index = index
         self.cause = cause
 
@@ -94,6 +94,6 @@ class TargetNotAdmissible(MHessianError, ValueError):
 
 
 class ConfigError(MHessianError, ValueError):
-    """A configuration file failed to parse or validate."""
+    """A config file or a SolverConfig failed to parse or validate."""
 
     exit_code = 3

@@ -233,22 +233,27 @@ def _sequence_gaps(seq, target: GridFunction, inside: np.ndarray):
     return diffs, worst, lower, deviations
 
 
-def _greedy_schedule(length, iterates, inside, prepare, solve):
-    """Greedy index selection shared by both pipelines.
+def _greedy_schedule(target, schedule, iterates, diagnostics, prepare,
+                     solve) -> RegularizationResult:
+    """The one loop of both pipelines: selection, sub-solves, assembly.
 
-    ``prepare(j)`` returns ``(admissible, envelope, data)`` for schedule
-    index j and runs at most once per index; ``solve(j, data)`` returns the
-    shifted solution of index j.  The first admissible index is solved,
-    then each further one is the first admissible index after the last
-    chosen one whose envelope stays below the current shifted solution on
-    ``inside``.  Returns the chosen indices and their shifted solutions.
+    ``prepare(f_j, beta_j)`` returns ``(admissible, envelope, data)`` and
+    runs at most once per index j.  The first admissible index is solved,
+    then each first admissible index after the last chosen one whose
+    envelope stays below the current shifted solution inside the grid.
+    ``solve(f_j, beta_j, data)`` returns the sub-solve's report, the shift
+    of its solution and a dict filed under ``diagnostics[key][j]``; its
+    NewtonDiverged or ConeEscape is a DirichletFailure naming j.
     """
+    domain = target.domain
+    inside = _inside(domain)
     prepared = {}
-    order, shifted = [], []
+    order, shifted, margins = [], [], []
     while len(order) < max(iterates, 1):
-        for j in range(order[-1] + 1 if order else 0, length):
+        for j in range(order[-1] + 1 if order else 0, len(schedule)):
+            f_j, beta_j = schedule.f_sequence[j], schedule.beta_schedule[j]
             if j not in prepared:
-                prepared[j] = prepare(j)
+                prepared[j] = prepare(f_j, beta_j)
             admissible, envelope, data = prepared[j]
             if admissible and (not shifted or (
                     envelope[inside]
@@ -263,21 +268,24 @@ def _greedy_schedule(length, iterates, inside, prepare, solve):
                 f"no admissible index after {order[-1]} for iterate "
                 f"{len(order) + 1}; extend the penalty schedule"
             )
-        shifted.append(solve(j, data))
+        try:
+            report, shift, per_index = solve(f_j, beta_j, data)
+        except (NewtonDiverged, ConeEscape) as exc:
+            raise DirichletFailure(j, exc) from exc
+        for key, value in per_index.items():
+            diagnostics.setdefault(key, {})[j] = value
+        shifted.append(report.solution.flat + shift)
+        margins.append(report.min_cone_margin)
         order.append(j)
-    return order, shifted
-
-
-def _assemble(domain, target, order, shifted, margins, diagnostics):
     seq = [GridFunction(domain, values) for values in shifted]
-    _, worst, lower, deviations = _sequence_gaps(seq, target, _inside(domain))
+    _, worst, lower, deviations = _sequence_gaps(seq, target, inside)
     return RegularizationResult(
         u_sequence=tuple(seq),
         monotone_gap=max(worst, default=0.0),
         lower_gap=lower,
         sup_deviation=deviations,
         indices=tuple(order),
-        cone_margins=tuple(margins[j] for j in order),
+        cone_margins=tuple(margins),
         diagnostics=diagnostics,
     )
 
@@ -303,51 +311,31 @@ def local_regularize(u: GridFunction, g: MetricField, m: int,
     inside = _inside(domain)
     interior = domain.interior_mask
 
-    margins = {}
-    upper_bound_gaps, lower_bound_gaps, c_consts, mp_gaps = {}, {}, {}, {}
-
-    def prepare(j):
-        f_j = schedule.f_sequence[j]
-        beta = schedule.beta_schedule[j]
+    def prepare(f_j, beta):
         plus = fm_field(f_j, g, m).flat[interior]
         c_j = max(float(plus.max()), math.e)
         envelope = f_j.flat + (2.0 * C * r ** 2 + math.log(c_j)
                                + math.log(2.0 * beta)) / beta
         return True, envelope, c_j
 
-    def solve(j, c_j):
-        f_j = schedule.f_sequence[j]
-        beta = schedule.beta_schedule[j]
-        rhs = RightHandSide.penalized_distance(beta, f_j)
-        try:
-            report = solve_dirichlet(f_j, rhs, g, m, cfg)
-        except (NewtonDiverged, ConeEscape) as exc:
-            raise DirichletFailure(j, exc) from exc
-        sol = report.solution
+    def solve(f_j, beta, c_j):
+        report = solve_dirichlet(
+            f_j, RightHandSide.penalized_distance(beta, f_j), g, m, cfg)
+        sol = report.solution.flat
         shift = 2.0 * C * r ** 2 / beta + math.log(2.0 * beta) / beta
-        margins[j] = report.min_cone_margin
-        c_consts[j] = c_j
-        mp_gaps[j] = report.max_principle_gap
-        upper_bound_gaps[j] = float(
-            (sol.flat - f_j.flat - math.log(c_j) / beta)[inside].max()
-        )
-        lower_bound_gaps[j] = float(
-            (u.flat - sol.flat - C * r ** 2 / beta
-             - math.log(2.0 * beta) / beta)[inside].max()
-        )
-        return sol.flat + shift
+        return report, shift, {
+            "upper_bound_gaps": float(
+                (sol - f_j.flat - math.log(c_j) / beta)[inside].max()),
+            "lower_bound_gaps": float(
+                (u.flat - sol - C * r ** 2 / beta
+                 - math.log(2.0 * beta) / beta)[inside].max()),
+            "c_constants": c_j,
+            "max_principle_gaps": report.max_principle_gap,
+        }
 
-    order, shifted = _greedy_schedule(len(schedule), iterates, inside,
-                                      prepare, solve)
-    diagnostics = {
-        "upper_bound_gaps": upper_bound_gaps,
-        "lower_bound_gaps": lower_bound_gaps,
-        "c_constants": c_consts,
-        "max_principle_gaps": mp_gaps,
-        "subsolution_constant": C,
-        "mode": "local",
-    }
-    return _assemble(domain, u, order, shifted, margins, diagnostics)
+    return _greedy_schedule(u, schedule, iterates,
+                            {"subsolution_constant": C, "mode": "local"},
+                            prepare, solve)
 
 
 def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
@@ -366,59 +354,42 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
     _check_target(phi, g, m, chi=chi)
     _check_dominates(schedule, phi)
     fm_chi = fm_value(chi, g.constant, m).value
-    inside = _inside(domain)
 
-    margins, sandwich, c_consts = {}, {}, {}
-
-    def prepare(j):
-        f_j = schedule.f_sequence[j]
-        beta = schedule.beta_schedule[j]
+    def prepare(f_j, beta):
         plus = fm_field(f_j, g, m, chi=chi).flat
-        corridor = np.clip(
-            _smooth_pass(plus + 0.75, domain), plus + 0.5, plus + 1.0
-        )
+        corridor = np.clip(_smooth_pass(plus + 0.75, domain), plus + 0.5,
+                           plus + 1.0)
         C_j = float(np.log(2.0 * corridor / fm_chi).max())
         needed = -float(f_j.flat.min()) + C_j
         envelope = f_j.flat + 2.0 * math.log(beta) / beta
         return math.log(beta) > needed, envelope, (corridor, C_j)
 
-    def solve(j, data):
+    def solve(f_j, beta, data):
         corridor, C_j = data
-        f_j = schedule.f_sequence[j]
-        beta = schedule.beta_schedule[j]
-        rhs = RightHandSide.penalized_corridor(
-            beta, f_j, GridFunction(domain, corridor), fm_chi
-        )
-        try:
-            report = solve_torus(chi, rhs, g, m, cfg)
-        except (NewtonDiverged, ConeEscape) as exc:
-            raise DirichletFailure(j, exc) from exc
-        sol = report.solution
+        report = solve_torus(chi, RightHandSide.penalized_corridor(
+            beta, f_j, GridFunction(domain, corridor), fm_chi), g, m, cfg)
+        sol = report.solution.flat
         shift = 2.0 * math.log(beta) / beta
-        margins[j] = report.min_cone_margin
-        c_consts[j] = C_j
         scaled = (1.0 - 1.0 / beta) * phi.flat
-        sandwich[j] = {
-            "first_gap": float((scaled - phi.flat).min()),
-            "middle_slack": float((sol.flat + shift - scaled).min()),
-            "third_gap": float((sol.flat - f_j.flat).max()),
+        return report, shift, {
+            "sandwich": {
+                "first_gap": float((scaled - phi.flat).min()),
+                "middle_slack": float((sol + shift - scaled).min()),
+                "third_gap": float((sol - f_j.flat).max()),
+            },
+            "corridor_constants": C_j,
         }
-        return sol.flat + shift
 
-    order, shifted = _greedy_schedule(len(schedule), iterates, inside,
-                                      prepare, solve)
-    diagnostics = {
-        "sandwich": sandwich,
-        "corridor_constants": c_consts,
-        "mode": "global",
-    }
-    return _assemble(domain, phi, order, shifted, margins, diagnostics)
+    return _greedy_schedule(phi, schedule, iterates, {"mode": "global"},
+                            prepare, solve)
 
 
 def verify_monotone_convergence(result: RegularizationResult,
                                 target: GridFunction) -> ConvergenceReport:
     """Check monotonicity, domination of the target, and shrinking deviation."""
     domain = target.domain
+    for k, u in enumerate(result.u_sequence):
+        _on_grid(u, domain, f"iterate {k}")
     inside = _inside(domain)
     diffs, worsts, lower, deviations = _sequence_gaps(result.u_sequence,
                                                       target, inside)

@@ -24,6 +24,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from .errors import (
     ChiNotPositive,
     ConeEscape,
+    ConfigError,
     DimensionMismatchError,
     IllPosedRHS,
     NewtonDiverged,
@@ -53,12 +54,21 @@ EXP_CLAMP_HI = 40.0
 MAX_ITERATIONS = 100
 CONE_FLOOR = 1e-10
 DAMPING_MIN_STEP = 2.0 ** -20
+# least m-sum the subsolution seed must reach before the boundary write-back
+SEED_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Newton's residual tolerance, finite and >= 0, and an optional start."""
+
     tolerance: float = 1e-9
     initial: GridFunction = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ConfigError("solver tolerance must be finite and >= 0, "
+                              f"got {self.tolerance}")
 
 
 class _SampledRHS(NamedTuple):
@@ -107,6 +117,10 @@ class RightHandSide:
                 if isinstance(part, GridFunction)
                 else np.asarray(part(domain.coords[nodes]), dtype=float)
                 for part in (self.amplitude, self.shift))
+        for name, part in (("amplitude", a), ("shift", s)):
+            if part.shape != nodes.shape:
+                raise IllPosedRHS(f"right-hand side {name} has shape "
+                                  f"{part.shape}, expected {nodes.shape}")
         if not np.isfinite(s).all():
             raise IllPosedRHS("right-hand side shift must be finite")
         return _SampledRHS(a, s, self.beta, self.offset)
@@ -188,8 +202,11 @@ class _FmOperator(NodalOperator):
         self.support = np.flatnonzero(~domain.exterior_mask)
         self.weight_norm = float(np.linalg.norm(self.weights,
                                                 axis=(1, 2)).sum())
-        self.chi_norm = (0.0 if self.chi is None
-                         else float(np.linalg.norm(self.chi)))
+        # an infinite norm of a huge chi only keeps the trace bound from
+        # skipping trials
+        with np.errstate(over="ignore"):
+            self.chi_norm = (0.0 if self.chi is None
+                             else float(np.linalg.norm(self.chi)))
 
     def evaluate(self, u_flat: np.ndarray) -> _Nodal:
         """Hessians, cone margin and F_m of ``u_flat``, from one gather and
@@ -525,7 +542,7 @@ def subsolution_seed(f: GridFunction, g: MetricField, m: int):
     C = 1.0
     while C < 2.0 ** 60:
         u = f.flat + C * bump
-        if op.sigma(u).min() > max(CONE_FLOOR * 10.0, 1e-8):
+        if op.sigma(u).min() > SEED_MARGIN:
             return GridFunction(domain, u), C
         C *= 2.0
     raise ConeEscape("no doubling of the subsolution constant entered the cone")

@@ -460,6 +460,20 @@ class TestCommands:
         assert "NewtonDiverged" in error["type"]
         assert error["error"].startswith("no damped step reduced the residual")
 
+    def test_failed_pipeline_solve_names_its_index(self, tmp_path):
+        # a periodic sub-solve of the global pipeline, not a Dirichlet one
+        cfg = write_config(tmp_path, "diverge.json", {
+            **SHIPPED_CONFIGS["regularize_global_c1"],
+            "solver": {"tolerance": 0.0}})
+        rc, err = run_quietly(["regularize", "--config", cfg,
+                               "--out", str(tmp_path / "r"), "--quiet"])
+        assert rc == 4
+        assert err.startswith("run failed: solve at schedule index 0")
+        error = json.loads((tmp_path / "r" / "error.json").read_text())
+        assert error["type"] == "mhessian.errors.DirichletFailure"
+        assert error["error"].startswith(
+            "solve at schedule index 0 failed: no damped step")
+
     def test_missing_config_key_is_a_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "nogrid.json", {
             "problem": "dirichlet",
@@ -493,6 +507,7 @@ class TestCommands:
         ("solve", {**DIRICHLET_C1, "m": 1.9}),
         ("solve", {**DIRICHLET_C1, "m": True}),
         ("solve", {**DIRICHLET_C1, "tolerance": True}),
+        ("solve", {**DIRICHLET_C1, "solver": {"tolerance": -1}}),
         ("cone", {**CONE_EXAMPLE, "m": 1.9}),
         ("cone", {**CONE_EXAMPLE, "m": True}),
         ("verify-suite", {"corpus_size": 3.7}),
@@ -500,7 +515,8 @@ class TestCommands:
     ], ids=["top_level_list", "non_integer_m", "m_above_n", "oversized_grid",
             "torus_m_zero", "torus_m_above_n", "torus_radius",
             "fractional_m", "bool_m",
-            "bool_tolerance", "cone_fractional_m", "cone_bool_m",
+            "bool_tolerance", "negative_tolerance", "cone_fractional_m",
+            "cone_bool_m",
             "fractional_corpus_size", "negative_corpus_size"])
     def test_malformed_config_is_a_validation_error(self, tmp_path, capsys,
                                                     command, config):

@@ -7,6 +7,8 @@ from mhessian import regularize
 from mhessian.errors import (
     ChiNotPositive,
     DimensionMismatchError,
+    DirichletFailure,
+    NewtonDiverged,
     ScheduleExhausted,
     TargetNotAdmissible,
 )
@@ -342,6 +344,48 @@ class TestGlobalPipeline:
             global_regularize(phi, chi, g, 1, sched, SolverConfig())
 
 
+def small_run(mode, cfg=SolverConfig(), skip_first=False):
+    """A three-iterate run of the ``mode`` pipeline on a 9-point C^1 grid;
+    ``skip_first`` makes index 0 of the torus schedule inadmissible."""
+    if mode == "local":
+        domain, g, target, sched = TestLocalPipeline.smooth_setup(points=9)
+        return local_regularize(target, g, 1, sched, cfg, iterates=3)
+    domain, g, chi, phi, sched = TestGlobalPipeline.constants_setup(points=9)
+    if skip_first:
+        sched = ApproximationSchedule(sched.f_sequence,
+                                      (3.0,) + sched.beta_schedule[1:])
+    return global_regularize(phi, chi, g, 1, sched, cfg, iterates=3)
+
+
+class TestGreedyScheduleLoop:
+    PER_INDEX = {
+        "local": {"upper_bound_gaps", "lower_bound_gaps", "c_constants",
+                  "max_principle_gaps"},
+        "global": {"sandwich", "corridor_constants"},
+    }
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_per_index_diagnostics_are_keyed_by_the_indices(self, mode):
+        res = small_run(mode, skip_first=True)
+        per_index = {key for key, value in res.diagnostics.items()
+                     if isinstance(value, dict)}
+        assert per_index == self.PER_INDEX[mode]
+        for key in per_index:
+            assert tuple(res.diagnostics[key]) == res.indices
+        assert res.diagnostics["mode"] == mode
+        assert res.indices[0] == (0 if mode == "local" else 1)
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_failed_sub_solve_names_its_index(self, mode):
+        # a zero tolerance is out of reach of the rounding floor
+        with pytest.raises(DirichletFailure, match=(
+                "^solve at schedule index 0 failed: no damped step")) as info:
+            small_run(mode, SolverConfig(tolerance=0.0))
+        assert info.value.index == 0
+        assert isinstance(info.value.cause, NewtonDiverged)
+        assert info.value.__cause__ is info.value.cause
+
+
 class TestVerifyMonotoneConvergence:
     def test_trivial_sequence_passes(self):
         domain = GridDomain.torus(1, points_per_axis=9)
@@ -377,3 +421,15 @@ class TestVerifyMonotoneConvergence:
         assert rep.violation_node == tuple(
             int(i) for i in np.unravel_index(bad_flat, domain.shape)
         )
+
+    @pytest.mark.parametrize("radius, points", [(1.3, 17), (1.0, 21)],
+                             ids=["other_radius", "other_size"])
+    def test_target_on_another_grid(self, radius, points):
+        # the first gave a failed verdict, the second a raw IndexError
+        domain, g, target, sched = TestLocalPipeline.smooth_setup(points=17)
+        res = local_regularize(target, g, 1, sched, SolverConfig(), iterates=3)
+        other = GridDomain.ball(1, radius=radius, points_per_axis=points)
+        moved = GridFunction.from_callable(other, lambda c: sqn(c) - 3.5)
+        with pytest.raises(DimensionMismatchError, match=(
+                "^iterate 0 lives on a different grid$")):
+            verify_monotone_convergence(res, moved)

@@ -1,5 +1,6 @@
 import functools
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from mhessian import solver
 from mhessian.errors import (
     ChiNotPositive,
     ConeEscape,
+    ConfigError,
     DimensionMismatchError,
     IllPosedRHS,
     NewtonDiverged,
@@ -957,6 +959,44 @@ class TestFailureModes:
             monkeypatch, lambda: solve_torus(chi, rhs, g, 1))
         assert isinstance(exc, NewtonDiverged)
         assert (trials, plain_trials) == (0, 1)
+
+
+@pytest.fixture
+def warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+@pytest.mark.usefixtures("warnings_are_errors")
+class TestTypedErrors:
+    """Unusable inputs that reached numpy or a whole solve before they
+    were typed errors."""
+
+    @pytest.mark.parametrize("tolerance", [np.nan, -1.0, np.inf, -np.inf])
+    def test_unusable_tolerance_is_rejected(self, tolerance):
+        with pytest.raises(ConfigError, match=(
+                "^solver tolerance must be finite and >= 0")) as info:
+            SolverConfig(tolerance=tolerance)
+        assert info.value.exit_code == 3
+
+    @pytest.mark.parametrize("part", ["amplitude", "shift"])
+    def test_wrong_shape_callable(self, part):
+        domain, g, f, _ = quadratic_setup(1, 17, 1)
+        parts = {"amplitude": lambda c: np.ones(c.shape[0]), "shift": sqn}
+        parts[part] = lambda c: np.ones(3)
+        rhs = RightHandSide.scaled_exponential(**parts)
+        with pytest.raises(IllPosedRHS, match=(
+                rf"^right-hand side {part} has shape \(3,\), expected "
+                rf"\({domain.interior_mask.sum()},\)$")):
+            solve_dirichlet(f, rhs, g, 1)
+
+    def test_huge_chi_fails_silently(self):
+        domain, _, g = unit_torus_problem()
+        rhs = RightHandSide.penalized_distance(
+            50.0, GridFunction.constant(domain, -2.5))
+        with pytest.raises(NewtonDiverged):
+            solve_torus(HermitianMatrix.diagonal([1e200]), rhs, g, 1)
 
 
 # (n, points per axis, m, metric, chi, iterate): a ball grid when chi is
