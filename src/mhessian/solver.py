@@ -56,6 +56,11 @@ CONE_FLOOR = 1e-10
 DAMPING_MIN_STEP = 2.0 ** -20
 # least m-sum the subsolution seed must reach before the boundary write-back
 SEED_MARGIN = 1e-8
+# the inexact Newton steps above INEXACT_LIMIT unknowns: the cap on every
+# forcing term and the constants of Eisenstat and Walker's choice 2
+ETA_MAX = 0.1
+FORCING_GAMMA = 0.9
+FORCING_ALPHA = 2
 
 
 @dataclass(frozen=True)
@@ -373,12 +378,38 @@ def _bicgstab(J, b, psolve, rtol, atol, maxiter):
     return x, maxiter
 
 
-def _check_linear_residual(J, delta, r, denom):
-    return float(np.abs(J @ delta + r).max()) <= 1e-10 * denom
+def _forcing_term(rnorm, rnorm_prev, tolerance):
+    """Eisenstat and Walker's choice 2 of the forcing term of an inexact
+    Newton step: gamma (rnorm / rnorm_prev)^alpha, or ETA_MAX on the first
+    step (``rnorm_prev`` None), clipped to [max(1e-13, 0.5 tolerance /
+    rnorm), ETA_MAX]; ETA_MAX wins when that interval is empty.  The norms
+    are the max-norm Newton residuals of the step and of the one before.
+    """
+    eta = (ETA_MAX if rnorm_prev is None
+           else FORCING_GAMMA * (rnorm / rnorm_prev) ** FORCING_ALPHA)
+    # EW's safeguard (gamma eta_prev^alpha when that exceeds 0.1) is left
+    # out: with ETA_MAX = 0.1 it can never bind, since 0.9 * 0.01 < 0.1
+    return min(max(eta, 1e-13, 0.5 * tolerance / rnorm), ETA_MAX)
 
 
-def _linear_solve(J, r, diag):
-    """Newton step delta with |J delta + r| <= 1e-10 |r| in the max norm.
+def _check_linear_residual(J, delta, r, bound):
+    return float(np.abs(_matvec(J, delta) + r).max()) <= bound
+
+
+# Jacobians above this many unknowns take inexact steps.  Every configs/
+# grid has at most 1,089 nodes and the C^2 ball at 13 points per axis
+# 2,665 unknowns, so their solves keep the bits of exact steps
+INEXACT_LIMIT = 8000
+
+
+def _linear_solve(J, r, diag, eta):
+    """Newton step delta for J delta = -r.
+
+    At or below INEXACT_LIMIT unknowns the step meets |J delta + r| <=
+    1e-10 |r| in the max norm, and ``eta`` is not read.  Above it the step
+    is inexact: |J delta + r| in the max norm is at most the forcing term
+    ``eta`` times the 2-norm of r, a bound that BiCGSTAB's own stopping
+    test at rtol = eta implies.
 
     Jacobi-preconditioned BiCGSTAB, on ``diag``, the diagonal of J, runs
     first.  Only when it fails does the one fallback run, at every size:
@@ -394,12 +425,18 @@ def _linear_solve(J, r, diag):
     r = r * scale
     denom = denom * scale
     atol = 1e-14 * denom
+    if J.shape[0] > INEXACT_LIMIT:
+        jacobi_rtol = ilu_rtol = eta
+        bound = eta * math.sqrt(r.dot(r))
+    else:
+        jacobi_rtol, ilu_rtol = 1e-13, 1e-12
+        bound = 1e-10 * denom
     if (diag != 0.0).all():
         # a division: multiplying by a cached reciprocal rounds differently
         # and would lose bit identity with scipy's bicgstab
-        delta, info = _bicgstab(J, -r, lambda x: x / diag, rtol=1e-13,
+        delta, info = _bicgstab(J, -r, lambda x: x / diag, rtol=jacobi_rtol,
                                 atol=atol, maxiter=1000)
-        if info == 0 and _check_linear_residual(J, delta, r, denom):
+        if info == 0 and _check_linear_residual(J, delta, r, bound):
             return delta / scale
         failure = f"BiCGSTAB info={info}"
     else:
@@ -412,9 +449,9 @@ def _linear_solve(J, r, diag):
                                         fill_factor=12.0)
     except RuntimeError as exc:  # exactly singular
         raise NewtonDiverged(f"spilu factorization failed: {exc}") from exc
-    delta, info = _bicgstab(J, -r, ilu.solve, rtol=1e-12, atol=atol,
+    delta, info = _bicgstab(J, -r, ilu.solve, rtol=ilu_rtol, atol=atol,
                             maxiter=400)
-    if info == 0 and _check_linear_residual(J, delta, r, denom):
+    if info == 0 and _check_linear_residual(J, delta, r, bound):
         return delta / scale
     raise NewtonDiverged(
         f"ILU-BiCGSTAB failed the residual contract (BiCGSTAB info={info})")
@@ -449,17 +486,22 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
     step evaluates G first; a trial whose trace bound already shows that
     its residual cannot drop is halved without forming its Hessians.  The
     accepted trial's Hessians and right-hand side slope give the next
-    Jacobian.
+    Jacobian.  Each step's forcing term comes from the residuals of this
+    call alone, ETA_MAX on its first step; ``_linear_solve`` uses it only
+    above INEXACT_LIMIT unknowns.  The solve converges when the max-norm
+    residual is at most ``cfg.tolerance``, whichever steps it took.
     """
     u = u0_flat.copy()
     G, dG = op.rhs_values(u, rhs, homotopy)
     r = nodal.fm - G
     rnorm = float(np.abs(r).max())
+    rnorm_prev = None
     for it in range(MAX_ITERATIONS):
         if rnorm <= cfg.tolerance:
             return u, it, rnorm, nodal
+        eta = _forcing_term(rnorm, rnorm_prev, cfg.tolerance)
         J, diag = op.jacobian(nodal.H, dG)
-        delta_unknown = _linear_solve(J, r, diag)
+        delta_unknown = _linear_solve(J, r, diag, eta)
         del J, diag  # not needed through the line search
         step = 1.0
         cone_blocked = True
@@ -477,7 +519,7 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
                     r_trial_norm = float(np.abs(r_trial).max())
                     if r_trial_norm < rnorm:
                         u, nodal, dG = trial, trial_nodal, dG_trial
-                        r, rnorm = r_trial, r_trial_norm
+                        r, rnorm, rnorm_prev = r_trial, r_trial_norm, rnorm
                         break
             step *= 0.5
         else:

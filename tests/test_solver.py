@@ -22,6 +22,7 @@ from mhessian.fm import fm_value
 from mhessian.grids import GridDomain, GridFunction, MetricField, fm_field
 from mhessian.hermitian import HermitianMatrix
 from mhessian.solver import (
+    ETA_MAX,
     RightHandSide,
     SolverConfig,
     _FmOperator,
@@ -157,8 +158,8 @@ class TestLinearSolve:
         # unscaled, the absolute breakdown test of solver._bicgstab stops it
         # (info -10) on this right-hand side, and a factorization takes over
         J, diag, r = ball_c2_system()
-        delta = _linear_solve(J, r, diag)
-        small = _linear_solve(J, r * 2.0 ** -40, diag)
+        delta = _linear_solve(J, r, diag, ETA_MAX)
+        small = _linear_solve(J, r * 2.0 ** -40, diag, ETA_MAX)
         assert np.array_equal(small, delta * 2.0 ** -40)
         assert meets_contract(J, small, r * 2.0 ** -40)
         assert factorizations == {"spilu": 0}
@@ -169,7 +170,8 @@ class TestLinearSolve:
         J, _, r = ball_c2_system()
         J[0, 0] = 0.0
         with caplog.at_level("INFO", logger="mhessian.solver"):
-            assert meets_contract(J, _linear_solve(J, r, J.diagonal()), r)
+            delta = _linear_solve(J, r, J.diagonal(), ETA_MAX)
+            assert meets_contract(J, delta, r)
         assert factorizations == {"spilu": 1}
         [record] = caplog.records
         assert record.levelname == "INFO"
@@ -186,7 +188,8 @@ class TestLinearSolve:
         else:
             J, _, r = newton_system(*jacobian_case(*JACOBIAN_CASES[case]))
         J[0, 0] = 0.0
-        assert meets_contract(J, _linear_solve(J, r, J.diagonal()), r)
+        assert meets_contract(J, _linear_solve(J, r, J.diagonal(), ETA_MAX),
+                              r)
         assert factorizations == {"spilu": 1}
 
     # each failure of the fallback is a NewtonDiverged that names its path
@@ -199,7 +202,7 @@ class TestLinearSolve:
         J = J.tocsr()
         with pytest.raises(NewtonDiverged, match=(
                 r"^spilu factorization failed: Factor is exactly singular$")):
-            _linear_solve(J, r, J.diagonal())
+            _linear_solve(J, r, J.diagonal(), ETA_MAX)
 
     def test_residual_over_contract_diverges(self, factorizations,
                                              monkeypatch):
@@ -209,7 +212,7 @@ class TestLinearSolve:
         with pytest.raises(NewtonDiverged, match=(
                 r"^ILU-BiCGSTAB failed the residual contract \(BiCGSTAB "
                 r"info=0\)$")):
-            _linear_solve(J, r, diag)
+            _linear_solve(J, r, diag, ETA_MAX)
         assert factorizations == {"spilu": 1}
 
     def test_ilu_bicgstab_failure_diverges_with_its_info(
@@ -221,7 +224,7 @@ class TestLinearSolve:
         with pytest.raises(NewtonDiverged, match=(
                 r"^ILU-BiCGSTAB failed the residual contract \(BiCGSTAB "
                 r"info=-10\)$")):
-            _linear_solve(J, r, diag)
+            _linear_solve(J, r, diag, ETA_MAX)
         assert factorizations == {"spilu": 1}
 
     def test_breakdown_is_logged_with_its_info(self, factorizations,
@@ -238,7 +241,7 @@ class TestLinearSolve:
 
         monkeypatch.setattr(solver, "_bicgstab", breaks_down_once)
         with caplog.at_level("INFO", logger="mhessian.solver"):
-            assert meets_contract(J, _linear_solve(J, r, diag), r)
+            assert meets_contract(J, _linear_solve(J, r, diag, ETA_MAX), r)
         assert factorizations == {"spilu": 1}
         [record] = caplog.records
         assert "(BiCGSTAB info=-10); falling back to spilu" in record.getMessage()
@@ -246,7 +249,7 @@ class TestLinearSolve:
     def test_converged_solve_logs_nothing(self, caplog):
         J, diag, r = ball_c2_system()
         with caplog.at_level("DEBUG", logger="mhessian.solver"):
-            _linear_solve(J, r, diag)
+            _linear_solve(J, r, diag, ETA_MAX)
         assert caplog.records == []
 
     def test_bicgstab_matches_scipy(self):
@@ -268,7 +271,8 @@ class TestLinearSolve:
             # the power of two _linear_solve scales r by
             scale = 2.0 ** (1 - np.frexp(np.abs(r).max())[1])
             x_ref = check(J, -r * scale, lambda x: x / diag, 0)
-            assert np.array_equal(_linear_solve(J, r, diag), x_ref / scale)
+            assert np.array_equal(_linear_solve(J, r, diag, ETA_MAX),
+                                  x_ref / scale)
         J, diag, r = ball_c2_system()
         b = -r / np.abs(r).max()
         ilu = scipy.sparse.linalg.spilu(J.tocsc(), drop_tol=1e-5,
@@ -334,6 +338,131 @@ class TestLinearSolve:
         assert np.array_equal(diag, J.diagonal())
         np.testing.assert_allclose(J.toarray(), expected, rtol=0,
                                    atol=1e-14 * np.abs(expected).max())
+
+
+def forcing_rule_holds(rnorms, tolerance):
+    """Asserts the forcing terms _newton takes along the residuals
+    ``rnorms``: ETA_MAX = 0.1 first, then 0.9 (rnorm_k / rnorm_{k-1})^2
+    clipped to [max(1e-13, 0.5 tolerance / rnorm_k), 0.1], and 0.1 where
+    that interval is empty."""
+    for k, rnorm in enumerate(rnorms):
+        prev = rnorms[k - 1] if k else None
+        eta = solver._forcing_term(rnorm, prev, tolerance)
+        floor = max(1e-13, 0.5 * tolerance / rnorm)
+        assert min(floor, 0.1) <= eta <= 0.1
+        if prev is None:
+            assert eta == 0.1
+        elif floor <= 0.9 * (rnorm / prev) ** 2 <= 0.1:
+            assert eta == 0.9 * (rnorm / prev) ** 2
+
+
+def torus_c2_problem(points):
+    """chi, G, the metric and m of the first schedule index of criterion
+    15 on the C^2 torus: G = exp(50 (t - f)) + 1/100 with f = -2.1 + 0.04
+    sum_p cos(2 pi x_p)."""
+    domain = GridDomain.torus(2, points_per_axis=points)
+    c = domain.coords
+    f = GridFunction(domain, -2.1 + 0.04 * sum(np.cos(2 * np.pi * c[:, 2 * p])
+                                               for p in range(2)))
+    return (HermitianMatrix.identity(2),
+            RightHandSide.penalized_distance(50.0, f),
+            MetricField.flat(domain), 2)
+
+
+class TestInexactNewton:
+    # Newton's residuals fall at every accepted step
+    @given(rnorms=st.lists(st.floats(1e-300, 1e300), min_size=1,
+                           max_size=8, unique=True).map(
+                               lambda xs: sorted(xs, reverse=True)),
+           tolerance=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)))
+    @settings(max_examples=300, deadline=None)
+    def test_forcing_rule(self, rnorms, tolerance):
+        forcing_rule_holds(rnorms, tolerance)
+
+    @pytest.mark.parametrize("name, value", [("FORCING_GAMMA", 0.8),
+                                             ("FORCING_ALPHA", 1.5),
+                                             ("ETA_MAX", 0.5)])
+    def test_forcing_rule_sees_a_changed_constant(self, monkeypatch, name,
+                                                  value):
+        forcing_rule_holds([1.0, 0.1, 1e-3], 0.0)
+        monkeypatch.setattr(solver, name, value)
+        with pytest.raises(AssertionError):
+            forcing_rule_holds([1.0, 0.1, 1e-3], 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_ball_at_13_points_takes_exact_steps(self, monkeypatch, m):
+        # 2,665 unknowns, below INEXACT_LIMIT
+        domain, g, f, rhs = quadratic_setup(2, 13, m)
+        assert domain.interior_mask.sum() == 2665
+        bicgstab = solver._bicgstab
+        rtols = []
+
+        def spy(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return bicgstab(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_bicgstab", spy)
+        report = solve_dirichlet(f, rhs, g, m)
+        assert rtols and set(rtols) == {1e-13}
+        # exact steps at every size
+        monkeypatch.setattr(solver, "INEXACT_LIMIT", 10 ** 12)
+        exact = solve_dirichlet(f, rhs, g, m)
+        assert np.array_equal(report.solution.flat, exact.solution.flat)
+
+    def test_torus_at_11_points_takes_inexact_steps(self, monkeypatch):
+        # 14,641 unknowns, above INEXACT_LIMIT
+        problem = torus_c2_problem(11)
+        matvec = solver._matvec
+
+        def solve():
+            calls = []
+
+            def counted(J, x):
+                calls.append(1)
+                return matvec(J, x)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_matvec", counted)
+                return solve_torus(*problem), len(calls)
+
+        inexact, inexact_calls = solve()
+        # exact steps at every size
+        monkeypatch.setattr(solver, "INEXACT_LIMIT", 10 ** 12)
+        exact, exact_calls = solve()
+        assert inexact.final_residual <= 1e-9
+        assert exact.final_residual <= 1e-9
+        assert np.abs(inexact.solution.flat
+                      - exact.solution.flat).max() <= 1e-10
+        assert inexact_calls < exact_calls
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_step_over_its_forcing_bound_falls_back(
+            self, factorizations, monkeypatch, above):
+        # the limit moved to the size of a small Jacobian, or just below it:
+        # an ILU of the 14,641-unknown C^2 torus Jacobian takes seconds
+        J, diag, r = ball_c2_system()
+        monkeypatch.setattr(solver, "INEXACT_LIMIT", J.shape[0] - above)
+        # a zero step leaves the residual r, just under 10 times the bound
+        # |J delta + r| <= eta |r|_2: a bound loosened 10 times accepts it
+        eta = 0.1001 * np.abs(r).max() / np.linalg.norm(r)
+        bicgstab = solver._bicgstab
+        rtols = []
+
+        def misses_once(J, b, psolve, rtol, atol, maxiter):
+            rtols.append(rtol)
+            if len(rtols) == 1:
+                return np.zeros_like(b), 0
+            return bicgstab(J, b, psolve, rtol, atol, maxiter)
+
+        monkeypatch.setattr(solver, "_bicgstab", misses_once)
+        delta = _linear_solve(J, r, diag, eta)
+        assert factorizations == {"spilu": 1}
+        if above:
+            assert rtols == [eta, eta]
+            assert np.abs(J @ delta + r).max() <= eta * np.linalg.norm(r)
+        else:
+            assert rtols == [1e-13, 1e-12]
+            assert meets_contract(J, delta, r)
 
 
 class TestManufacturedQuadratic:
@@ -1059,7 +1188,8 @@ class TestTraceBound:
         op = _FmOperator(g.domain, g, 1, chi)
         u = np.full(g.domain.node_count, float(rhs.reference.flat.min()))
         J, diag, r = newton_system(op, u, rhs)
-        trial = solver._damped(u, op.nodes, 1.0, _linear_solve(J, r, diag))
+        trial = solver._damped(u, op.nodes, 1.0,
+                               _linear_solve(J, r, diag, ETA_MAX))
         G, _ = op.rhs_values(trial, sampled(op, rhs))
         rnorm = float(np.abs(r).max())
         bound = op.residual_lower_bound(trial, G)
