@@ -9,14 +9,16 @@
 # through mhessian.cli.main at seeds 0 and 7, each configs/regularize_*.json
 # once more at both seeds with schedule.approximants set to "smooth" (no
 # shipped config reaches the smoothing path; the configs so made are written
-# to the work directory), four generated configs at both seeds, and
+# to the work directory), five generated configs at both seeds, and
 # verify-suite at seeds 0 to 20, whose printed table is kept as table.txt.
 # Two generated solves, a C^1 torus with the penalized_distance right-hand
 # side and a C^2 ball at m = 2 with scaled_exponential, cover with the
-# shipped configs every right-hand-side kind on both domain kinds; two
-# generated regularize runs, a C^2 ball at m = 2 and a C^2 torus, run both
-# pipelines at n = 2, where the shipped configs run them at n = 1.  They
-# live in the work directory only, since the benchmark runs configs/ whole.
+# shipped configs every right-hand-side kind on both domain kinds; three
+# generated regularize runs, a C^2 ball at m = 2 and a C^2 torus at m = 1
+# and at m = 2, run both pipelines at n = 2, where the shipped configs run
+# them at n = 1, and the torus solves with both Jacobian row sets (every
+# stencil row at m < n, the trace rows at m = n).  They live in the work
+# directory only, since the benchmark runs configs/ whole.
 # Both runs write to the same --out paths, since the manifest records them.
 # The two output trees are then compared with diff -r, manifest.json
 # excepted.  Exits 0 when every artifact matches, 1 when one differs or a
@@ -78,6 +80,13 @@ cat > "$work/generated/regularize_local_c2.json" <<'EOF'
 EOF
 cat > "$work/generated/regularize_global_c2.json" <<'EOF'
 {"mode": "global", "m": 1,
+ "grid": {"n": 2, "kind": "torus", "points_per_axis": 7},
+ "target": {"kind": "cos_wave", "amplitude": 0.04, "offset": -2.6},
+ "chi": {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]},
+ "schedule": {"count": 6, "beta_start": 50.0}}
+EOF
+cat > "$work/generated/regularize_global_c2_m2.json" <<'EOF'
+{"mode": "global", "m": 2,
  "grid": {"n": 2, "kind": "torus", "points_per_axis": 7},
  "target": {"kind": "cos_wave", "amplitude": 0.04, "offset": -2.6},
  "chi": {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]},

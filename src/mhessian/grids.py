@@ -29,9 +29,12 @@ TORUS = "torus"
 # Largest grid a domain may have.  Per node, a field evaluation holds a
 # float64 value, 2n coordinates, an int64 neighbour table entry per stencil
 # point (25 on C^2) and the n x n complex Hessian, and a solve the Jacobian
-# pattern, an int32 and an int64 index per stencil entry: at 2^20 nodes
-# about 0.7 GB on C^2.  Memory sets the bound, not time: a global_regularize
-# run on a 13^4 torus, three Newton solves, takes under a second.
+# pattern of its stencil rows, an int32 and an int64 index per entry.  The
+# domain keeps one pattern per row set its solves use: all 25 rows at
+# m < n, and at m = n the 9 trace rows on C^2 with a diagonal metric.  At
+# 2^20 nodes that is about 0.65 GB on C^2, 0.75 GB with both row sets.
+# Memory sets the bound, not time: a global_regularize run on a 13^4
+# torus, three Newton solves, takes under a second.
 MAX_NODES = 2 ** 20
 
 
@@ -200,15 +203,25 @@ class GridDomain:
         return nodes, table
 
     @cached_property
-    def jacobian_pattern(self):
-        """Read-only CSR pattern of a stencil Jacobian on the interior nodes:
-        int32 indices and indptr, the position s * K + k of the stencil
-        entry behind each CSR entry, and the zero offset's row s."""
+    def _jacobian_patterns(self) -> dict:
+        return {}
+
+    def jacobian_pattern(self, rows):
+        """Read-only CSR pattern of a Jacobian on the interior nodes that
+        holds the stencil rows ``rows``, built once per row set: int32
+        indices and indptr, the position i * K + k of the entry of row
+        rows[i] behind each CSR entry, and the i of the zero offset."""
+        key = tuple(int(s) for s in rows)
+        if key in self._jacobian_patterns:
+            return self._jacobian_patterns[key]
+        rows = list(key)
         nodes, table = self.interior_neighbors
         K = nodes.size
         # an interior node's unknown is its rank among the interior nodes
-        cols = (np.cumsum(self.interior_mask) - 1)[table].ravel()
-        src = np.flatnonzero(self.interior_mask[table].ravel())
+        unknown = np.full(self.node_count, -1)
+        unknown[nodes] = np.arange(K)
+        cols = unknown[table[rows]].ravel()
+        src = np.flatnonzero(cols >= 0)
         src = src[np.lexsort((cols[src], src % K))]  # by row, then column
         keys = src % K * K + cols[src]
         # five or more points per axis keep a node's neighbours distinct
@@ -217,8 +230,10 @@ class GridDomain:
         indptr = np.searchsorted(keys // K, np.arange(K + 1)).astype(np.int32)
         for array in (indices, indptr, src):
             array.setflags(write=False)
-        center = np.flatnonzero(~stencil(self.n)[0].any(axis=1))[0]
-        return indices, indptr, src, int(center)
+        center = np.flatnonzero(~stencil(self.n)[0][rows].any(axis=1))[0]
+        pattern = indices, indptr, src, int(center)
+        self._jacobian_patterns[key] = pattern
+        return pattern
 
 
 @dataclass(frozen=True)

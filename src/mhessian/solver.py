@@ -192,15 +192,21 @@ class _FmOperator(NodalOperator):
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
                  chi: HermitianMatrix = None):
         super().__init__(domain, g, m, chi)
-        # unknowns: interior nodes (ball) or every node (torus)
-        self.indices, self.indptr, self.src, self.center = \
-            domain.jacobian_pattern
         # the trace of a Hessian takes only the stencil rows whose folded
         # weight has a nonzero trace: 9 of 25 at n = 2 with a diagonal metric
         traces = np.einsum("spp->s", self.weights).real
-        rows = np.flatnonzero(traces)
-        self.trace_weights = traces[rows]
-        self.trace_neighbors = self.neighbors[rows]
+        trace_rows = np.flatnonzero(traces)
+        self.trace_weights = traces[trace_rows]
+        self.trace_neighbors = self.neighbors[trace_rows]
+        # at m = n, F_n = tr H and the Jacobian is the trace stencil: every
+        # other row's entries are exactly zero (see ``jacobian``)
+        self.rows = (trace_rows if m == domain.n
+                     else np.arange(len(self.weights)))
+        self.row_weights = self.weights[self.rows].reshape(
+            len(self.rows), -1).view(float)
+        # unknowns: interior nodes (ball) or every node (torus)
+        self.indices, self.indptr, self.src, self.center = \
+            domain.jacobian_pattern(self.rows)
         self.chi_trace = (0.0 if self.chi is None
                           else float(np.einsum("pp->", self.chi).real))
         # every value a Hessian gathers lies on these nodes
@@ -274,23 +280,38 @@ class _FmOperator(NodalOperator):
     def jacobian(self, H, dG):
         """The Jacobian in CSR form and its diagonal, the centre entries, at
         the iterate whose folded Hessians are ``H`` and whose right-hand side
-        slope is ``dG``."""
-        # eigh, not the eigenvalues behind the iterate's m-sums: at n >= 3
-        # LAPACK's eigh and eigvalsh may differ in the last bit
-        lam, V = _eigh(H, vectors=True)
-        grad = fm_gradient_diagonal(lam, self.m)  # (K, n)
-        # eigenvectors and folded weights share the metric frame; V being
-        # unitary, M = V diag(grad) V^H = g_1 I + sum_{i>1} (g_i - g_1)
-        # v_i v_i^H, which takes at most one outer product at n <= 2
-        v = V[:, :, 1:]
-        M = np.einsum("kpi,kqi->kpq",
-                      v * (grad[:, 1:] - grad[:, :1])[:, None, :], v.conj())
-        M[:, range(self.domain.n), range(self.domain.n)] += grad[:, :1]
+        slope is ``dG``.
+
+        Node k's row holds the entries Re tr(W_s M_k) - [s = 0] dG_k over
+        the operator's stencil rows s, with M_k the derivative of F_m at
+        H_k.  At m = n the one m-sum is the trace, so the n gradient
+        entries (F_n / tr H_k) (1, ..., 1) are equal, M_k = g_k I and the
+        entries are g_k tr W_s.  The rows whose folded weight has zero
+        trace are therefore exact zeros, and they are left out: they would
+        only add +-0 to every product J x.  No eigenvector is needed there.
+        """
+        n = self.domain.n
+        if self.m == n:
+            g = fm_gradient_diagonal(_eigh(H, vectors=False), self.m)[:, 0]
+            M = np.zeros_like(H)
+            M[:, range(n), range(n)] = g[:, None]
+        else:
+            # eigh, not the eigenvalues behind the iterate's m-sums: at
+            # n >= 3 LAPACK's eigh and eigvalsh may differ in the last bit
+            lam, V = _eigh(H, vectors=True)
+            grad = fm_gradient_diagonal(lam, self.m)  # (K, n)
+            # eigenvectors and folded weights share the metric frame; V
+            # being unitary, M = V diag(grad) V^H = g_1 I + sum_{i>1}
+            # (g_i - g_1) v_i v_i^H, one outer product at n = 2
+            v = V[:, :, 1:]
+            M = np.einsum("kpi,kqi->kpq",
+                          v * (grad[:, 1:] - grad[:, :1])[:, None, :],
+                          v.conj())
+            M[:, range(n), range(n)] += grad[:, :1]
         K = self.nodes.size
-        # entry (s, k) is Re sum_pq W_s[q, p] M_k[p, q], the real dot
-        # product of the Hermitian W_s with M_k: one real GEMM
-        entries = (self.weights.reshape(len(self.weights), -1).view(float)
-                   @ M.reshape(K, -1).view(float).T)  # (S, K)
+        # entry (i, k) is Re sum_pq W_s[q, p] M_k[p, q] for s = rows[i], the
+        # real dot product of the Hermitian W_s with M_k: one real GEMM
+        entries = self.row_weights @ M.reshape(K, -1).view(float).T
         entries[self.center] -= dG
         J = scipy.sparse.csr_matrix(
             (entries.ravel()[self.src], self.indices, self.indptr),

@@ -93,31 +93,37 @@ class TestDomain:
         for d in (GridDomain.ball(2, radius=1.0, points_per_axis=9),
                   GridDomain.torus(2, points_per_axis=5)):
             g = MetricField.flat(d)
-            one, two = _FmOperator(d, g, 1), _FmOperator(d, g, 2)
-            indices, indptr, src, center = d.jacobian_pattern
-            for name, array in (("indices", indices), ("indptr", indptr),
-                                ("src", src)):
-                assert getattr(one, name) is array
-                assert getattr(two, name) is array
-                assert not array.flags.writeable
-            assert indices.dtype == indptr.dtype == np.int32
-            offsets, _ = stencil(d.n)
-            assert one.center == center and not offsets[center].any()
-            # the stencil's couplings between unknowns, each carrying the
-            # flat (s, k) position it comes from, plus one
-            nodes, table = d.interior_neighbors
-            K = nodes.size
-            unknown = np.full(d.node_count, -1)
-            unknown[nodes] = np.arange(K)
-            cols = unknown[table].ravel()
-            keep = cols >= 0
-            flat = np.arange(cols.size)
-            expected = scipy.sparse.coo_matrix(
-                ((flat + 1.0)[keep], (flat[keep] % K, cols[keep])),
-                shape=(K, K)).tocsr()
-            assert np.array_equal(indices, expected.indices)
-            assert np.array_equal(indptr, expected.indptr)
-            assert np.array_equal(src + 1.0, expected.data)
+            offsets, weights = stencil(d.n)
+            # m = 1 holds every stencil row, m = n only the trace rows
+            trace_rows = np.flatnonzero(np.einsum("spp->s", weights).real)
+            assert len(offsets) == 25 and len(trace_rows) == 9
+            for m, rows in ((1, np.arange(len(offsets))), (2, trace_rows)):
+                first, second = _FmOperator(d, g, m), _FmOperator(d, g, m)
+                assert np.array_equal(first.rows, rows)
+                indices, indptr, src, center = d.jacobian_pattern(rows)
+                for name, array in (("indices", indices),
+                                    ("indptr", indptr), ("src", src)):
+                    assert getattr(first, name) is array
+                    assert getattr(second, name) is array
+                    assert not array.flags.writeable
+                assert indices.dtype == indptr.dtype == np.int32
+                assert first.center == center
+                assert not offsets[rows[center]].any()
+                # the couplings of the rows between unknowns, each carrying
+                # the flat (i, k) position it comes from, plus one
+                nodes, table = d.interior_neighbors
+                K = nodes.size
+                unknown = np.full(d.node_count, -1)
+                unknown[nodes] = np.arange(K)
+                cols = unknown[table[rows]].ravel()
+                keep = cols >= 0
+                flat = np.arange(cols.size)
+                expected = scipy.sparse.coo_matrix(
+                    ((flat + 1.0)[keep], (flat[keep] % K, cols[keep])),
+                    shape=(K, K)).tocsr()
+                assert np.array_equal(indices, expected.indices)
+                assert np.array_equal(indptr, expected.indptr)
+                assert np.array_equal(src + 1.0, expected.data)
 
     def test_ball_masks_partition(self):
         d = GridDomain.ball(1, radius=1.0, points_per_axis=17)

@@ -98,6 +98,8 @@ JACOBIAN_CASES = {
     "c2_ball_omega": (2, 7, 1, OMEGA, None),
     "c3_ball_m2": (3, 7, 2, None, None),
     "c2_torus_chi": (2, 5, 1, None, CHI),
+    "c2_torus_m2": (2, 5, 2, None, CHI),
+    "c2_ball_omega_m2": (2, 7, 2, OMEGA, None),
 }
 
 
@@ -338,6 +340,59 @@ class TestLinearSolve:
         assert np.array_equal(diag, J.diagonal())
         np.testing.assert_allclose(J.toarray(), expected, rtol=0,
                                    atol=1e-14 * np.abs(expected).max())
+
+
+def full_stencil_jacobian(op, H, dG):
+    """The Jacobian as assembled over every stencil row, with M = V
+    diag(grad F_m) V^H from the eigenvectors, in CSR form with each entry
+    of the dropped rows kept as an explicit zero."""
+    n = op.domain.n
+    lam, V = solver._eigh(H, vectors=True)
+    grad = solver.fm_gradient_diagonal(lam, op.m)
+    v = V[:, :, 1:]
+    M = np.einsum("kpi,kqi->kpq", v * (grad[:, 1:] - grad[:, :1])[:, None, :],
+                  v.conj())
+    M[:, range(n), range(n)] += grad[:, :1]
+    K = op.nodes.size
+    entries = (op.weights.reshape(len(op.weights), -1).view(float)
+               @ M.reshape(K, -1).view(float).T)
+    rows = np.arange(len(op.weights))
+    indices, indptr, src, center = op.domain.jacobian_pattern(rows)
+    entries[center] -= dG
+    return scipy.sparse.csr_matrix((entries.ravel()[src], indices, indptr),
+                                   shape=(K, K))
+
+
+class TestTraceStencil:
+    """At m = n the Jacobian holds only the trace rows of the stencil."""
+
+    @pytest.mark.parametrize("case", ["c1_ball", "c2_ball_m2", "c2_torus_m2",
+                                      "c2_ball_omega_m2"])
+    def test_matches_the_full_stencil_exactly(self, case):
+        op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
+        assert op.m == op.domain.n
+        # a non-diagonal metric gives every folded weight a nonzero trace
+        assert (len(op.rows) == 25) == (case == "c2_ball_omega_m2")
+        nodal = op.evaluate(u)
+        G, dG = op.rhs_values(u, sampled(op, rhs))
+        J, diag = op.jacobian(nodal.H, dG)
+        full = full_stencil_jacobian(op, nodal.H, dG)
+        assert np.array_equal(J.toarray(), full.toarray())
+        assert np.array_equal(diag, full.diagonal())
+        # dropping exact zeros changes no product, so no BiCGSTAB iterate
+        r = nodal.fm - G
+        x, info = solver._bicgstab(J, -r, lambda y: y / diag, rtol=1e-13,
+                                   atol=0.0, maxiter=1000)
+        x_full, info_full = solver._bicgstab(
+            full, -r, lambda y: y / diag, rtol=1e-13, atol=0.0, maxiter=1000)
+        assert info == info_full == 0
+        assert np.array_equal(x, x_full)
+
+    @pytest.mark.parametrize("m, per_row", [(1, 25), (2, 9)])
+    def test_flat_c2_torus_entries_per_row(self, m, per_row):
+        op, u, rhs = jacobian_case(2, 5, m, None, CHI)
+        J, _, _ = newton_system(op, u, rhs)
+        assert J.nnz == per_row * op.nodes.size
 
 
 def forcing_rule_holds(rnorms, tolerance):
