@@ -122,20 +122,33 @@ def fm_gradient_diagonal(lambdas, m: int) -> np.ndarray:
     lambdas = np.asarray(lambdas, dtype=float)
     n = lambdas.shape[-1]
     _check_m(n, m)
-    sums = subset_sums(lambdas, m)
+    return fm_gradient_from_sums(subset_sums(lambdas, m), n, m)
+
+
+def fm_gradient_from_sums(sums: np.ndarray, n: int, m: int,
+                          value=None) -> np.ndarray:
+    """``fm_gradient_diagonal`` from the m-sums (..., C(n,m)) of the
+    spectra, in ``subset_sums`` order, and optionally their F_m ``value``
+    (...), which is computed from the sums when not given.
+
+    Raises ConeBoundaryError, before the value is computed, when a sum is
+    at most GRADIENT_BOUNDARY_TOL.
+    """
     low = sums.min(initial=np.inf)
     if low <= GRADIENT_BOUNDARY_TOL:
         raise ConeBoundaryError(
             f"eigenvalue sum {low:.6e} is on or outside the cone boundary; "
             f"the gradient requires the open cone"
         )
-    N = comb(n, m)
-    # on the open cone the clamp is the identity: the value is F_m itself
-    value = geometric_mean_clamped(sums)
+    if value is None:
+        # on the open cone the clamp is the identity: the value is F_m itself
+        value = geometric_mean_clamped(sums)
     # membership[J, p] = 1 iff p in J, reusing the subset-sum indicator.
     member = subset_sum_matrix(n, m)
+    # value times (1 / sums) @ member, as written: value / sums would round
+    # once instead of twice and give other bits
     inv_sum_per_p = (1.0 / sums) @ member
-    return value[..., None] / N * inv_sum_per_p
+    return value[..., None] / comb(n, m) * inv_sum_per_p
 
 
 def fm_product_bound(n: int, m: int) -> float:

@@ -29,7 +29,12 @@ from .errors import (
     IllPosedRHS,
     NewtonDiverged,
 )
-from .fm import _check_m, fm_gradient_diagonal, geometric_mean_clamped
+from .fm import (
+    _check_m,
+    fm_gradient_diagonal,
+    fm_gradient_from_sums,
+    geometric_mean_clamped,
+)
 from .grids import (
     BALL,
     TORUS,
@@ -182,6 +187,7 @@ class _Nodal(NamedTuple):
     """The nodal quantities of one iterate at the evaluation nodes."""
 
     H: np.ndarray      # folded Hessians, (K, n, n)
+    sums: np.ndarray   # m-fold relative eigenvalue sums, (K, C(n, m))
     margin: float      # the least m-fold relative eigenvalue sum
     fm: np.ndarray     # F_m per node; None unless the margin is positive
 
@@ -226,7 +232,7 @@ class _FmOperator(NodalOperator):
         sums = subset_sums(_eigh(H, vectors=False), self.m)
         margin = float(sums.min())
         fm = geometric_mean_clamped(sums) if margin > 0.0 else None
-        return _Nodal(H, margin, fm)
+        return _Nodal(H, sums, margin, fm)
 
     def rhs_values(self, u_flat, rhs: _SampledRHS, homotopy=None):
         """G(z, u) and its slope in u at the evaluation nodes.
@@ -277,10 +283,11 @@ class _FmOperator(NodalOperator):
                  + self.chi_norm)
         return excess * (1.0 - 2.0 ** -50) - 2.0 ** -37 * scale
 
-    def jacobian(self, H, dG):
+    def jacobian(self, nodal: _Nodal, dG):
         """The Jacobian in CSR form and its diagonal, the centre entries, at
-        the iterate whose folded Hessians are ``H`` and whose right-hand side
-        slope is ``dG``.
+        the iterate whose nodal quantities, from ``evaluate`` and with a
+        positive margin, are ``nodal`` and whose right-hand side slope is
+        ``dG``.
 
         Node k's row holds the entries Re tr(W_s M_k) - [s = 0] dG_k over
         the operator's stencil rows s, with M_k the derivative of F_m at
@@ -288,11 +295,13 @@ class _FmOperator(NodalOperator):
         entries (F_n / tr H_k) (1, ..., 1) are equal, M_k = g_k I and the
         entries are g_k tr W_s.  The rows whose folded weight has zero
         trace are therefore exact zeros, and they are left out: they would
-        only add +-0 to every product J x.  No eigenvector is needed there.
+        only add +-0 to every product J x.  There g_k comes from the
+        iterate's own m-sum and F_n, so no eigensolve runs.
         """
         n = self.domain.n
+        H = nodal.H
         if self.m == n:
-            g = fm_gradient_diagonal(_eigh(H, vectors=False), self.m)[:, 0]
+            g = fm_gradient_from_sums(nodal.sums, n, n, nodal.fm)[:, 0]
             M = np.zeros_like(H)
             M[:, range(n), range(n)] = g[:, None]
         else:
@@ -399,18 +408,33 @@ def _bicgstab(J, b, psolve, rtol, atol, maxiter):
     return x, maxiter
 
 
-def _forcing_term(rnorm, rnorm_prev, tolerance):
+def _forcing_term(rnorm, rnorm_prev, r2norm, tolerance):
     """Eisenstat and Walker's choice 2 of the forcing term of an inexact
     Newton step: gamma (rnorm / rnorm_prev)^alpha, or ETA_MAX on the first
     step (``rnorm_prev`` None), clipped to [max(1e-13, 0.5 tolerance /
-    rnorm), ETA_MAX]; ETA_MAX wins when that interval is empty.  The norms
-    are the max-norm Newton residuals of the step and of the one before.
+    r2norm), ETA_MAX]; ETA_MAX wins when that interval is empty.  rnorm
+    and rnorm_prev are the max-norm Newton residuals of the step and of the
+    one before, r2norm the 2-norm of the step's residual.
+
+    The floor is in the norm of the step contract |J delta + r|_inf <=
+    eta |r|_2, so a step at the floor leaves a linear residual of at most
+    tolerance / 2 in the max norm; a floor on the max norm of r would let
+    it leave up to sqrt(K) tolerance / 2 on K unknowns, and cost a Newton
+    iteration.
     """
     eta = (ETA_MAX if rnorm_prev is None
            else FORCING_GAMMA * (rnorm / rnorm_prev) ** FORCING_ALPHA)
     # EW's safeguard (gamma eta_prev^alpha when that exceeds 0.1) is left
     # out: with ETA_MAX = 0.1 it can never bind, since 0.9 * 0.01 < 0.1
-    return min(max(eta, 1e-13, 0.5 * tolerance / rnorm), ETA_MAX)
+    return min(max(eta, 1e-13, 0.5 * tolerance / r2norm), ETA_MAX)
+
+
+def _two_norm(r, rnorm):
+    """|r|_2 of r, whose max norm is rnorm > 0, taken on r / rnorm: its
+    squares sum to between 1 and r.size, so they neither overflow nor all
+    underflow."""
+    s = r / rnorm
+    return rnorm * math.sqrt(s.dot(s))
 
 
 def _check_linear_residual(J, delta, r, bound):
@@ -430,7 +454,8 @@ def _linear_solve(J, r, diag, eta):
     1e-10 |r| in the max norm, and ``eta`` is not read.  Above it the step
     is inexact: |J delta + r| in the max norm is at most the forcing term
     ``eta`` times the 2-norm of r, a bound that BiCGSTAB's own stopping
-    test at rtol = eta implies.
+    test at rtol = eta implies.  ``_forcing_term`` floors eta in that same
+    2-norm, so at the floor the bound is half the Newton tolerance.
 
     Jacobi-preconditioned BiCGSTAB, on ``diag``, the diagonal of J, runs
     first.  Only when it fails does the one fallback run, at every size:
@@ -506,8 +531,8 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
     Each Newton iteration evaluates every nodal quantity once.  A trial
     step evaluates G first; a trial whose trace bound already shows that
     its residual cannot drop is halved without forming its Hessians.  The
-    accepted trial's Hessians and right-hand side slope give the next
-    Jacobian.  Each step's forcing term comes from the residuals of this
+    accepted trial's nodal quantities and right-hand side slope give the
+    next Jacobian.  Each step's forcing term comes from the residuals of this
     call alone, ETA_MAX on its first step; ``_linear_solve`` uses it only
     above INEXACT_LIMIT unknowns.  The solve converges when the max-norm
     residual is at most ``cfg.tolerance``, whichever steps it took.
@@ -520,8 +545,9 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
     for it in range(MAX_ITERATIONS):
         if rnorm <= cfg.tolerance:
             return u, it, rnorm, nodal
-        eta = _forcing_term(rnorm, rnorm_prev, cfg.tolerance)
-        J, diag = op.jacobian(nodal.H, dG)
+        eta = _forcing_term(rnorm, rnorm_prev, _two_norm(r, rnorm),
+                            cfg.tolerance)
+        J, diag = op.jacobian(nodal, dG)
         delta_unknown = _linear_solve(J, r, diag, eta)
         del J, diag  # not needed through the line search
         step = 1.0

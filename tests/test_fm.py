@@ -12,6 +12,7 @@ from mhessian.fm import (
     derivation_matrix,
     fm_from_lambdas,
     fm_gradient_diagonal,
+    fm_gradient_from_sums,
     fm_plus,
     fm_product_bound,
     fm_value,
@@ -201,6 +202,35 @@ class TestGradient:
     def test_boundary_rejected(self):
         with pytest.raises(ConeBoundaryError):
             fm_gradient_diagonal([0.0, 1.0], 1)
+
+    def test_from_sums_matches_the_spectrum_route(self, rng):
+        # the solver's route at m = n, given the iterate's sums and F_m,
+        # and the route from a spectrum share one formula and its bits
+        for n in range(1, 6):
+            for m in range(1, n + 1):
+                lam = np.array([random_interior_spectrum(rng, n, m)
+                                for _ in range(20)])
+                sums = subset_sums(lam, m)
+                value = fm.geometric_mean_clamped(sums)
+                expected = fm_gradient_diagonal(lam, m)
+                assert np.array_equal(
+                    fm_gradient_from_sums(sums, n, m, value), expected)
+                assert np.array_equal(fm_gradient_from_sums(sums, n, m),
+                                      expected)
+
+    @pytest.mark.parametrize("low", [1e-12, 0.0, -1.0, np.nan])
+    def test_from_sums_boundary_rejected(self, low):
+        # the boundary test comes first, whether or not F_m is given: a sum
+        # below -CONE_TOL gets the gradient's error, not the geometric
+        # mean's; a NaN sum is no boundary sum and is not rejected
+        sums = np.array([[2.0, 3.0, 4.0], [1.0, low, 5.0]])
+        for value in (None, np.array([3.0, 1.0])):
+            if np.isnan(low):
+                assert np.isnan(fm_gradient_from_sums(sums, 3, 2, value)[1]).all()
+                continue
+            with pytest.raises(ConeBoundaryError,
+                               match="the gradient requires the open cone"):
+                fm_gradient_from_sums(sums, 3, 2, value)
 
 
 class TestProductBound:
