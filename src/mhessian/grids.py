@@ -27,12 +27,14 @@ BALL = "ball"
 TORUS = "torus"
 
 # Largest grid a domain may have.  Per node, a field evaluation holds a
-# float64 value, 2n coordinates, an int64 neighbour table entry per stencil
-# point (25 on C^2) and the n x n complex Hessian, and a solve the Jacobian
-# pattern of its stencil rows, an int32 and an int64 index per entry.  The
-# domain keeps one pattern per row set its solves use: all 25 rows at
-# m < n, and at m = n the 9 trace rows on C^2 with a diagonal metric.  At
-# 2^20 nodes that is about 0.65 GB on C^2, 0.75 GB with both row sets.
+# float64 value, 2n coordinates and an int64 neighbour table entry per
+# stencil point (25 on C^2) and per trace row (9 on C^2 with a diagonal
+# metric).  It gathers u as complex from every row and forms the n x n
+# complex Hessian at m < n, and gathers the trace rows alone at m = n.  A
+# solve adds the Jacobian pattern of its stencil rows, an int32 and an
+# int64 index per entry; the domain keeps one pattern per row set its
+# solves use: all 25 rows at m < n, the 9 trace rows at m = n.  At 2^20
+# nodes that is about 1.1 GB on C^2 at m < n and 0.6 GB at m = n.
 # Memory sets the bound, not time: a global_regularize run on a 13^4
 # torus, three Newton solves, takes under a second.
 MAX_NODES = 2 ** 20
@@ -376,6 +378,11 @@ class NodalOperator:
     the m-fold relative eigenvalue sums at every node.  The folded weights
     are Hermitian, so every Hessian is exactly Hermitian: entries [p, q]
     and [q, p] are the same sums, conjugated.
+    The trace of a Hessian takes only the trace rows, the stencil rows
+    whose folded weight has a nonzero trace: 9 of 25 at n = 2 with a
+    diagonal metric, every row at n = 1.  At m = n the one m-sum is the
+    trace, so ``sigma`` reads it from those rows alone, with no Hessian
+    and no eigensolve.
     The nodes are the interior nodes, whose neighbour table the domain
     builds once.
     """
@@ -391,6 +398,12 @@ class NodalOperator:
         self.weights = metric_frame(
             stencil(domain.n)[1] / domain.spacing ** 2, C)
         self.chi = None if chi is None else metric_frame(chi.entries, C)
+        traces = np.einsum("spp->s", self.weights).real
+        self.trace_rows = np.flatnonzero(traces)
+        self.trace_weights = traces[self.trace_rows]
+        self.trace_neighbors = self.neighbors[self.trace_rows]
+        self.chi_trace = (0.0 if self.chi is None
+                          else float(np.einsum("pp->", self.chi).real))
 
     def hessians(self, u_flat: np.ndarray) -> np.ndarray:
         """Folded Hessians (plus the folded background form), (K, n, n)."""
@@ -402,8 +415,18 @@ class NodalOperator:
             H += self.chi
         return H
 
+    def traces(self, u_flat: np.ndarray) -> np.ndarray:
+        """Traces of the folded Hessians (plus the folded background form),
+        (K,), from the trace rows alone."""
+        # a complex product, as ``hessians`` takes it: at n = 1 it gives the
+        # bits of its one entry, where a real product would not
+        vals = u_flat.astype(complex)[self.trace_neighbors]  # (S_tr, K)
+        return (vals.T @ self.trace_weights).real + self.chi_trace
+
     def sigma(self, u_flat: np.ndarray) -> np.ndarray:
         """All m-fold relative eigenvalue sums per node, (K, C(n, m))."""
+        if self.m == self.domain.n:
+            return self.traces(u_flat)[:, None]
         return subset_sums(_eigh(self.hessians(u_flat), vectors=False),
                            self.m)
 

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .fm import (
     _check_m,
-    fm_gradient_diagonal,
     fm_gradient_from_sums,
     geometric_mean_clamped,
 )
@@ -186,7 +185,7 @@ class SolveReport:
 class _Nodal(NamedTuple):
     """The nodal quantities of one iterate at the evaluation nodes."""
 
-    H: np.ndarray      # folded Hessians, (K, n, n)
+    H: np.ndarray      # folded Hessians, (K, n, n); None at m = n
     sums: np.ndarray   # m-fold relative eigenvalue sums, (K, C(n, m))
     margin: float      # the least m-fold relative eigenvalue sum
     fm: np.ndarray     # F_m per node; None unless the margin is positive
@@ -198,23 +197,15 @@ class _FmOperator(NodalOperator):
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
                  chi: HermitianMatrix = None):
         super().__init__(domain, g, m, chi)
-        # the trace of a Hessian takes only the stencil rows whose folded
-        # weight has a nonzero trace: 9 of 25 at n = 2 with a diagonal metric
-        traces = np.einsum("spp->s", self.weights).real
-        trace_rows = np.flatnonzero(traces)
-        self.trace_weights = traces[trace_rows]
-        self.trace_neighbors = self.neighbors[trace_rows]
         # at m = n, F_n = tr H and the Jacobian is the trace stencil: every
         # other row's entries are exactly zero (see ``jacobian``)
-        self.rows = (trace_rows if m == domain.n
+        self.rows = (self.trace_rows if m == domain.n
                      else np.arange(len(self.weights)))
         self.row_weights = self.weights[self.rows].reshape(
             len(self.rows), -1).view(float)
         # unknowns: interior nodes (ball) or every node (torus)
         self.indices, self.indptr, self.src, self.center = \
             domain.jacobian_pattern(self.rows)
-        self.chi_trace = (0.0 if self.chi is None
-                          else float(np.einsum("pp->", self.chi).real))
         # every value a Hessian gathers lies on these nodes
         self.support = np.flatnonzero(~domain.exterior_mask)
         self.weight_norm = float(np.linalg.norm(self.weights,
@@ -226,10 +217,14 @@ class _FmOperator(NodalOperator):
                              else float(np.linalg.norm(self.chi)))
 
     def evaluate(self, u_flat: np.ndarray) -> _Nodal:
-        """Hessians, cone margin and F_m of ``u_flat``, from one gather and
-        one eigensolve."""
-        H = self.hessians(u_flat)
-        sums = subset_sums(_eigh(H, vectors=False), self.m)
+        """Hessians, m-sums, cone margin and F_m of ``u_flat``: at m = n
+        the m-sums are the traces, from the trace rows alone and with no
+        Hessian, else they come from one gather and one eigensolve."""
+        if self.m == self.domain.n:
+            H, sums = None, self.sigma(u_flat)
+        else:
+            H = self.hessians(u_flat)
+            sums = subset_sums(_eigh(H, vectors=False), self.m)
         margin = float(sums.min())
         fm = geometric_mean_clamped(sums) if margin > 0.0 else None
         return _Nodal(H, sums, margin, fm)
@@ -257,13 +252,16 @@ class _FmOperator(NodalOperator):
         largest |u| a Hessian gathers and B = U sum_s |W_s|_F + |chi|_F,
         every Hessian has |H|_F <= B; eps = 2^-53, n <= 4 (MAX_NODES), so
         at most 113 stencil rows and C(n, m) <= 6 sums:
-        - the gathered Hessian is within sqrt(2) gamma_115 B <= 2^8 eps B
-          of H in the Frobenius norm;
-        - each computed eigenvalue is within 2^6 eps |H| of one of the
-          gathered Hessian (backward stability; the closed forms at n <= 2
-          are within a few ulps of the spectral radius), so the eigenvalues
-          sum to tr H within 2^10 eps B, and the mean of their m-sums is
-          (m/n) times that sum within 2^4 eps B;
+        - at m < n the gathered Hessian is within sqrt(2) gamma_115 B <=
+          2^8 eps B of H in the Frobenius norm, and each computed eigenvalue
+          is within 2^6 eps |H| of one of the gathered Hessian (backward
+          stability; the closed forms at n <= 2 are within a few ulps of
+          the spectral radius), so the eigenvalues sum to tr H within
+          2^10 eps B, and the mean of their m-sums is (m/n) times that sum
+          within 2^4 eps B;
+        - at m = n the one computed m-sum is the trace product of
+          ``traces``, within 2^8 eps B of tr H (at most 113 rows, each
+          |tr W_s| <= 2 |W_s|_F), which the m < n bound covers;
         - the geometric mean exp(mean(log)) is within a factor
           1 + 2^13.1 eps of the exact one: every |log| of a positive double
           is below 745, and log, the mean and exp round it by at most
@@ -291,24 +289,26 @@ class _FmOperator(NodalOperator):
 
         Node k's row holds the entries Re tr(W_s M_k) - [s = 0] dG_k over
         the operator's stencil rows s, with M_k the derivative of F_m at
-        H_k.  At m = n the one m-sum is the trace, so the n gradient
-        entries (F_n / tr H_k) (1, ..., 1) are equal, M_k = g_k I and the
-        entries are g_k tr W_s.  The rows whose folded weight has zero
-        trace are therefore exact zeros, and they are left out: they would
-        only add +-0 to every product J x.  There g_k comes from the
-        iterate's own m-sum and F_n, so no eigensolve runs.
+        H_k.  Its eigenvalues, the gradient entries of F_m, come from the
+        iterate's own m-sums and F_m.  At m = n the one m-sum is the trace,
+        so the n gradient entries (F_n / tr H_k) (1, ..., 1) are equal,
+        M_k = g_k I and the entries are g_k tr W_s.  The rows whose folded
+        weight has zero trace are therefore exact zeros, and they are left
+        out: they would only add +-0 to every product J x.  There neither
+        the Hessians nor an eigensolve are needed.
         """
         n = self.domain.n
-        H = nodal.H
+        K = self.nodes.size
+        grad = fm_gradient_from_sums(nodal.sums, n, self.m,
+                                     nodal.fm)  # (K, n)
         if self.m == n:
-            g = fm_gradient_from_sums(nodal.sums, n, n, nodal.fm)[:, 0]
-            M = np.zeros_like(H)
-            M[:, range(n), range(n)] = g[:, None]
+            M = np.zeros((K, n, n), dtype=complex)
+            M[:, range(n), range(n)] = grad[:, :1]
         else:
-            # eigh, not the eigenvalues behind the iterate's m-sums: at
-            # n >= 3 LAPACK's eigh and eigvalsh may differ in the last bit
-            lam, V = _eigh(H, vectors=True)
-            grad = fm_gradient_diagonal(lam, self.m)  # (K, n)
+            # the eigenvectors alone: at n >= 3 LAPACK's eigh may differ
+            # from the eigvalsh behind the m-sums in the last bit, and the
+            # gradient keeps to the m-sums the residual was taken from
+            _, V = _eigh(nodal.H, vectors=True)
             # eigenvectors and folded weights share the metric frame; V
             # being unitary, M = V diag(grad) V^H = g_1 I + sum_{i>1}
             # (g_i - g_1) v_i v_i^H, one outer product at n = 2
@@ -317,7 +317,6 @@ class _FmOperator(NodalOperator):
                           v * (grad[:, 1:] - grad[:, :1])[:, None, :],
                           v.conj())
             M[:, range(n), range(n)] += grad[:, :1]
-        K = self.nodes.size
         # entry (i, k) is Re sum_pq W_s[q, p] M_k[p, q] for s = rows[i], the
         # real dot product of the Hermitian W_s with M_k: one real GEMM
         entries = self.row_weights @ M.reshape(K, -1).view(float).T

@@ -541,3 +541,72 @@ class TestEigensolver:
             _eigh(H, False)
             _eigh(H, True)
         assert calls == [("eigvalsh", 3), ("eigh", 3)]
+
+
+def trace_case(rng, n, kind, metric, chi):
+    """A NodalOperator at m = n on a small ball or torus, with a flat or
+    random metric and an optional random background form."""
+    if kind == "ball":
+        domain = GridDomain.ball(n, radius=1.0, points_per_axis=9 if n < 3
+                                 else 7)
+    else:
+        domain = GridDomain.torus(n, points_per_axis=9 if n < 3 else 5)
+    g = (MetricField.flat(domain) if metric == "flat"
+         else MetricField(domain=domain, constant=random_metric(rng, n)))
+    return NodalOperator(domain, g, n,
+                         None if chi is None else random_hermitian(rng, n))
+
+
+class TestTraceRoute:
+    """At m = n the one m-sum is read from the trace rows of the stencil."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["ball", "torus"])
+    @pytest.mark.parametrize("metric", ["flat", "random"])
+    @pytest.mark.parametrize("chi", [None, "random"])
+    def test_sigma_is_the_eigenvalue_sum(self, rng, n, kind, metric, chi):
+        # within a few eps B, B = U sum_s |W_s|_F + |chi|_F the scale bound
+        # of the solver's residual_lower_bound, U the largest |u| gathered
+        op = trace_case(rng, n, kind, metric, chi)
+        if metric == "random" and n > 1:
+            # a non-diagonal metric gives every folded weight a trace
+            assert op.trace_rows.size == op.weights.shape[0]
+        d = op.domain
+        chi_norm = 0.0 if op.chi is None else np.linalg.norm(op.chi)
+        for log_scale in (-3.0, 0.0, 3.0):
+            u = 10.0 ** log_scale * rng.normal(size=d.node_count)
+            sums = op.sigma(u)
+            assert sums.shape == (op.nodes.size, 1)
+            expected = _eigh(op.hessians(u), False).sum(axis=-1)
+            B = (np.abs(u[~d.exterior_mask]).max()
+                 * np.linalg.norm(op.weights, axis=(1, 2)).sum() + chi_norm)
+            assert np.abs(sums[:, 0] - expected).max() <= 16 * EPS * B
+
+    @pytest.mark.parametrize("points", [9, 33, 65])
+    @pytest.mark.parametrize("kind", ["ball", "torus"])
+    def test_c1_sigma_is_the_hessian_bit_for_bit(self, rng, points, kind):
+        # the complex trace product takes the bits of the one Hessian entry;
+        # a real product would not on a torus
+        d = (GridDomain.ball(1, radius=1.0, points_per_axis=points)
+             if kind == "ball" else GridDomain.torus(1, points))
+        for g, chi in ((MetricField.flat(d), None),
+                       (MetricField.flat(d), HermitianMatrix([[0.3]])),
+                       (MetricField(domain=d, constant=random_metric(rng, 1)),
+                        HermitianMatrix([[-0.7]]))):
+            op = NodalOperator(d, g, 1, chi)
+            for _ in range(4):
+                u = rng.normal(size=d.node_count)
+                assert np.array_equal(op.sigma(u)[:, 0],
+                                      op.hessians(u)[:, 0, 0].real)
+
+    def test_fields_take_the_trace_route(self, rng, monkeypatch):
+        # cone_field and fm_field at m = n form no Hessian
+        d = GridDomain.torus(2, points_per_axis=7)
+        u = GridFunction(d, 1e-3 * rng.normal(size=d.node_count))
+        g = MetricField(domain=d, constant=OMEGA)
+        calls = []
+        monkeypatch.setattr(NodalOperator, "hessians",
+                            lambda *args: calls.append("hessians"))
+        assert cone_field(u, g, 2, chi=CHI).all_member
+        assert np.isfinite(fm_field(u, g, 2, chi=CHI).values).all()
+        assert calls == []
