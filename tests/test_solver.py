@@ -1,5 +1,9 @@
 import functools
+import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -9,6 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mhessian
 from mhessian import grids, regularize, solver
 from mhessian.errors import (
     ChiNotPositive,
@@ -515,6 +520,57 @@ def torus_c2_problem(points):
             MetricField.flat(domain), 2)
 
 
+# the first penalized solve of global_regularize on the torus_c2_global
+# inputs at 11^4 with phases from seed 5; prints [iterations, residual]
+FIRST_GLOBAL_SUB_SOLVE = """
+import json
+import numpy as np
+from mhessian import regularize
+from mhessian.grids import GridDomain, GridFunction, MetricField
+from mhessian.hermitian import HermitianMatrix
+from mhessian.solver import solve_torus
+
+domain = GridDomain.torus(2, points_per_axis=11)
+theta = np.random.default_rng(5).integers(0, 11, size=2) * domain.spacing
+c = domain.coords
+phi = GridFunction(domain, -2.6 + 0.04 * sum(
+    np.cos(2 * np.pi * (c[:, 2 * p] + theta[p])) for p in range(2)))
+schedule = regularize.ApproximationSchedule.geometric(
+    [GridFunction(domain, phi.flat + eta)
+     for eta in (0.5, 0.2, 0.05, 0.0125, 0.003, 0.001)],
+    beta_start=50.0, growth=2.0)
+reports = []
+
+
+def recorded(*args, **kwargs):
+    reports.append(solve_torus(*args, **kwargs))
+    return reports[-1]
+
+
+regularize.solve_torus = recorded
+regularize.global_regularize(phi, HermitianMatrix.identity(2),
+                             MetricField.flat(domain), 2, schedule,
+                             iterates=1)
+[report] = reports
+print(json.dumps([report.iterations, report.final_residual]))
+"""
+
+
+def one_blas_thread(code):
+    """The JSON that ``code`` prints, run in a child Python whose BLAS has
+    one thread (a BLAS reads its thread count once, when it loads) and
+    which imports this mhessian."""
+    package_root = os.path.dirname(os.path.dirname(mhessian.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [package_root, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
 class TestInexactNewton:
     # Newton's residuals fall at every accepted step; |r|_2 / |r|_inf lies
     # in [1, sqrt(K)] on K unknowns, and K <= MAX_NODES = 2^20
@@ -605,33 +661,17 @@ class TestInexactNewton:
                       - exact.solution.flat).max() <= 1e-10
         assert inexact_calls < exact_calls
 
-    def test_first_global_sub_solve_takes_six_iterations(self, monkeypatch):
+    def test_first_global_sub_solve_takes_six_iterations(self):
         # the torus_c2_global benchmark inputs at 11^4 with phases from seed
         # 5: with the floor on |r|_inf the last inexact step left a max-norm
-        # residual of 1.19e-9, above the tolerance, and Newton took 7
-        domain = GridDomain.torus(2, points_per_axis=11)
-        theta = (np.random.default_rng(5).integers(0, 11, size=2)
-                 * domain.spacing)
-        c = domain.coords
-        phi = GridFunction(domain, -2.6 + 0.04 * sum(
-            np.cos(2 * np.pi * (c[:, 2 * p] + theta[p])) for p in range(2)))
-        schedule = regularize.ApproximationSchedule.geometric(
-            [GridFunction(domain, phi.flat + eta)
-             for eta in (0.5, 0.2, 0.05, 0.0125, 0.003, 0.001)],
-            beta_start=50.0, growth=2.0)
-        reports = []
-
-        def recorded(*args, **kwargs):
-            reports.append(solve_torus(*args, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(regularize, "solve_torus", recorded)
-        regularize.global_regularize(phi, HermitianMatrix.identity(2),
-                                     MetricField.flat(domain), 2, schedule,
-                                     iterates=1)
-        [report] = reports
-        assert report.final_residual <= 1e-9
-        assert report.iterations == 6
+        # residual of 1.19e-9, above the tolerance, and Newton took 7.
+        # Counted at one BLAS thread, as CI and the benchmark run: a threaded
+        # dot product rounds otherwise, BiCGSTAB's early steps magnify that
+        # to a 1e-3 change of the fifth Newton residual, and at two threads
+        # this sub-solve takes 7 under either floor
+        iterations, residual = one_blas_thread(FIRST_GLOBAL_SUB_SOLVE)
+        assert residual <= 1e-9
+        assert iterations == 6
 
     @pytest.mark.parametrize("above", [False, True])
     def test_step_over_its_forcing_bound_falls_back(
