@@ -11,14 +11,12 @@ iterate or the subsolution ``C(|z|^2 - r^2) + f``, to the target equation;
 with one stage it is Newton on the target equation itself.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import (
@@ -46,8 +44,6 @@ from .grids import (
 )
 from .hermitian import HermitianMatrix, relative_eigenvalues
 from .multiindex import subset_sums
-
-logger = logging.getLogger(__name__)
 
 # exponent window of every right-hand side; the upper clamp only affects
 # transient Newton states, the lower one avoids spurious zero slopes
@@ -339,11 +335,11 @@ def _matvec(J, x):
 def _bicgstab(J, b, psolve, rtol, atol, maxiter):
     """Right-preconditioned BiCGSTAB (van der Vorst 1992) for J x = b.
 
-    Statement by statement the arithmetic of scipy 1.17's
-    ``scipy.sparse.linalg.bicgstab`` from a zero initial guess, so ``(x,
-    info)`` are bit-identical to it.  On the small Jacobians of C^1 grids
-    the Python overhead around the arithmetic took most of the solve, so
-    the loop skips all of it: no LinearOperator, products through scipy's
+    Statement by statement the arithmetic of scipy 1.17's sparse
+    ``bicgstab`` from a zero initial guess, so ``(x, info)`` are
+    bit-identical to it.  On the small Jacobians of C^1 grids the Python
+    overhead around the arithmetic took most of the solve, so the loop
+    skips all of it: no LinearOperator, products through scipy's
     ``csr_matvec`` kernel with no ``__matmul__`` dispatch, norms as
     ``sqrt(v.dot(v))`` (what ``np.linalg.norm`` computes for a real
     vector), scalars as Python floats and every ``a -= s * b`` through one
@@ -436,10 +432,6 @@ def _two_norm(r, rnorm):
     return rnorm * math.sqrt(s.dot(s))
 
 
-def _check_linear_residual(J, delta, r, bound):
-    return float(np.abs(_matvec(J, delta) + r).max()) <= bound
-
-
 # Jacobians above this many unknowns take inexact steps.  Every configs/
 # grid has at most 1,089 nodes and the C^2 ball at 13 points per axis
 # 2,665 unknowns, so their solves keep the bits of exact steps
@@ -456,50 +448,52 @@ def _linear_solve(J, r, diag, eta):
     test at rtol = eta implies.  ``_forcing_term`` floors eta in that same
     2-norm, so at the floor the bound is half the Newton tolerance.
 
-    Jacobi-preconditioned BiCGSTAB, on ``diag``, the diagonal of J, runs
-    first.  Only when it fails does the one fallback run, at every size:
-    BiCGSTAB preconditioned by an incomplete LU factorization.  A failure
-    of that fallback, a singular factorization included, is a
-    NewtonDiverged.
+    Jacobi-preconditioned BiCGSTAB on ``diag``, the diagonal of J, solves
+    it, stopping at max(1e-14 |r|, rtol |r|_2) with rtol = 1e-13, or eta
+    above the limit.  Its recursively updated residual can drift from the
+    true one, J delta + r (van der Vorst and Ye 2000), so a run may stop
+    and still miss the bound.  It then restarts once from its step
+    delta_1, on the true residual: J delta_2 = -(J delta_1 + r), with the
+    same preconditioner and stopping target, and the step is delta_1 +
+    delta_2.  A miss of the restart, or a zero on the diagonal, is a
+    NewtonDiverged; the operator Jacobians have a negative diagonal, so
+    only an overflow or underflow makes a zero.
     """
+    if not (diag != 0.0).all():
+        raise NewtonDiverged("zero on the Jacobian diagonal: Jacobi-BiCGSTAB "
+                             "cannot run")
     denom = max(float(np.abs(r).max()), 1e-300)
-    # BiCGSTAB's breakdown test is absolute, so every path solves for r
-    # scaled by the power of two that brings |r| into [1, 2); the scaling
-    # is exact and the tolerances mean the same at every scale of r
+    # BiCGSTAB's breakdown test is absolute, so it solves for r scaled by
+    # the power of two that brings |r| into [1, 2); the scaling is exact
+    # and the tolerances mean the same at every scale of r
     scale = math.ldexp(1.0, 1 - math.frexp(denom)[1])
     r = r * scale
     denom = denom * scale
-    atol = 1e-14 * denom
     if J.shape[0] > INEXACT_LIMIT:
-        jacobi_rtol = ilu_rtol = eta
+        rtol = eta
         bound = eta * math.sqrt(r.dot(r))
     else:
-        jacobi_rtol, ilu_rtol = 1e-13, 1e-12
+        rtol = 1e-13
         bound = 1e-10 * denom
-    if (diag != 0.0).all():
+    atol = 1e-14 * denom
+    # -0.0 is the identity of IEEE addition: the first step keeps its bits
+    delta, residual = -0.0, r
+    for _ in range(2):
         # a division: multiplying by a cached reciprocal rounds differently
         # and would lose bit identity with scipy's bicgstab
-        delta, info = _bicgstab(J, -r, lambda x: x / diag, rtol=jacobi_rtol,
-                                atol=atol, maxiter=1000)
-        if info == 0 and _check_linear_residual(J, delta, r, bound):
+        step, info = _bicgstab(J, -residual, lambda x: x / diag, rtol=rtol,
+                               atol=atol, maxiter=1000)
+        delta = delta + step
+        residual = _matvec(J, delta) + r
+        miss = float(np.abs(residual).max())
+        if info == 0 and miss <= bound:
             return delta / scale
-        failure = f"BiCGSTAB info={info}"
-    else:
-        failure = "zero on the diagonal, BiCGSTAB not run"
-    # INFO, not WARNING: Python's last-resort handler keeps it off stderr
-    logger.info("Jacobi-BiCGSTAB failed on %d unknowns (%s); falling back "
-                "to spilu", J.shape[0], failure)
-    try:
-        ilu = scipy.sparse.linalg.spilu(J.tocsc(), drop_tol=1e-5,
-                                        fill_factor=12.0)
-    except RuntimeError as exc:  # exactly singular
-        raise NewtonDiverged(f"spilu factorization failed: {exc}") from exc
-    delta, info = _bicgstab(J, -r, ilu.solve, rtol=ilu_rtol, atol=atol,
-                            maxiter=400)
-    if info == 0 and _check_linear_residual(J, delta, r, bound):
-        return delta / scale
+        # the restart stops at the first run's absolute target
+        rtol, atol = 0.0, max(atol, rtol * math.sqrt(r.dot(r)))
     raise NewtonDiverged(
-        f"ILU-BiCGSTAB failed the residual contract (BiCGSTAB info={info})")
+        f"Jacobi-BiCGSTAB failed the residual contract after one restart "
+        f"(BiCGSTAB info={info}, true residual {miss / denom:.3e} |r|, "
+        f"bound {bound / denom:.3e} |r|)")
 
 
 def _damped(u, nodes, step, delta):
@@ -544,10 +538,16 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
     for it in range(MAX_ITERATIONS):
         if rnorm <= cfg.tolerance:
             return u, it, rnorm, nodal
+        where = (f"at Newton iteration {it} (residual {rnorm:.3e}, "
+                 f"cone margin {nodal.margin:.3e})")
         eta = _forcing_term(rnorm, rnorm_prev, _two_norm(r, rnorm),
                             cfg.tolerance)
         J, diag = op.jacobian(nodal, dG)
-        delta_unknown = _linear_solve(J, r, diag, eta)
+        try:
+            delta_unknown = _linear_solve(J, r, diag, eta)
+        except NewtonDiverged as exc:
+            exc.args = (f"{exc.args[0]} {where}",)
+            raise
         del J, diag  # not needed through the line search
         step = 1.0
         cone_blocked = True
@@ -569,8 +569,6 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
                         break
             step *= 0.5
         else:
-            where = (f"at Newton iteration {it} (residual {rnorm:.3e}, "
-                     f"cone margin {nodal.margin:.3e})")
             # the skipped trials decide the failure as the cone test would
             # have: ConeEscape only if none of them is inside the cone
             if cone_blocked and not any(

@@ -131,17 +131,21 @@ def jacobian_case(n, points, m, metric, chi):
 
 
 @pytest.fixture
-def factorizations(monkeypatch):
-    """Counts the calls of scipy.sparse.linalg.spilu, the one factorization
-    of the solver."""
-    counts = {"spilu": 0}
-    original = scipy.sparse.linalg.spilu
+def krylov_runs(monkeypatch):
+    """Counts the linear solves of the solver and the BiCGSTAB runs they
+    make: one run a solve, two when the first misses and restarts."""
+    counts = Counter()
 
-    def counted(*args, **kwargs):
-        counts["spilu"] += 1
-        return original(*args, **kwargs)
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted)
+    monkeypatch.setattr(solver, "_linear_solve",
+                        counted("solves", solver._linear_solve))
+    monkeypatch.setattr(solver, "_bicgstab",
+                        counted("runs", solver._bicgstab))
     return counts
 
 
@@ -149,7 +153,15 @@ def meets_contract(J, delta, r):
     return np.abs(J @ delta + r).max() <= 1e-10 * np.abs(r).max()
 
 
-# a failure of the line search, and where it happened
+# the NewtonDiverged errors of a linear solve: on a zero diagonal, and on
+# a restart that misses too, naming BiCGSTAB's info and the true residual
+# relative to |r| (below INEXACT_LIMIT, where the bound is 1e-10 |r|)
+ZERO_DIAGONAL = r"^zero on the Jacobian diagonal: Jacobi-BiCGSTAB cannot run$"
+LINEAR_FAILURE = (r"Jacobi-BiCGSTAB failed the residual contract after one "
+                  r"restart \(BiCGSTAB info={}, true residual (\S+) \|r\|, "
+                  r"bound 1\.000e-10 \|r\|\)")
+
+# a failure of the line search or the linear solve, and where it happened
 WHERE = re.compile(r"^(.*) at Newton iteration \d+ \(residual \S+, "
                    r"cone margin \S+\)$")
 
@@ -166,81 +178,117 @@ def penalized_torus(beta):
 
 
 class TestLinearSolve:
-    def test_right_hand_side_scale_changes_nothing(self, factorizations):
+    def test_right_hand_side_scale_changes_nothing(self, krylov_runs):
         # unscaled, the absolute breakdown test of solver._bicgstab stops it
-        # (info -10) on this right-hand side, and a factorization takes over
+        # (info -10) on this right-hand side
         J, diag, r = ball_c2_system()
         delta = _linear_solve(J, r, diag, ETA_MAX)
         small = _linear_solve(J, r * 2.0 ** -40, diag, ETA_MAX)
         assert np.array_equal(small, delta * 2.0 ** -40)
         assert meets_contract(J, small, r * 2.0 ** -40)
-        assert factorizations == {"spilu": 0}
+        assert krylov_runs["runs"] == 2
 
-    def test_zero_diagonal_falls_back_to_a_factorization(
-            self, factorizations, caplog):
+    @pytest.mark.parametrize("case", list(JACOBIAN_CASES))
+    def test_jacobian_diagonal_is_negative(self, case):
+        # why Jacobi is always defined: the centre entry Re tr(W_0 M_k) -
+        # dG_k pairs the negative definite folded centre weight W_0 with the
+        # positive definite derivative M_k of F_m, and dG > 0
+        J, diag, _ = newton_system(*jacobian_case(*JACOBIAN_CASES[case]))
+        assert diag.max() < 0.0
+
+    def test_zero_diagonal_diverges(self, krylov_runs):
         # Jacobi needs a nonzero diagonal
         J, _, r = ball_c2_system()
         J[0, 0] = 0.0
-        with caplog.at_level("INFO", logger="mhessian.solver"):
-            delta = _linear_solve(J, r, J.diagonal(), ETA_MAX)
-            assert meets_contract(J, delta, r)
-        assert factorizations == {"spilu": 1}
-        [record] = caplog.records
-        assert record.levelname == "INFO"
-        assert record.getMessage() == (
-            f"Jacobi-BiCGSTAB failed on {J.shape[0]} unknowns (zero on the "
-            f"diagonal, BiCGSTAB not run); falling back to spilu")
+        with pytest.raises(NewtonDiverged, match=ZERO_DIAGONAL):
+            _linear_solve(J, r, J.diagonal(), ETA_MAX)
+        assert krylov_runs["runs"] == 0
 
     @pytest.mark.parametrize("case", [*JACOBIAN_CASES, "c2_ball_13"])
-    def test_ilu_fallback_meets_the_contract(self, factorizations, case):
-        # the one fallback at every size, from C^1 to C^3 and up to the
-        # 2,665 unknowns of the 13-point C^2 ball
+    def test_ilu_fallback_meets_the_contract(self, monkeypatch, case):
+        # every case the ILU fallback covered, from C^1 to C^3 and up to the
+        # 2,665 unknowns of the 13-point C^2 ball, now with the restart: a
+        # first run that misses is restarted on the true residual, below
+        # INEXACT_LIMIT and above it
         if case == "c2_ball_13":
-            J, _, r = ball_c2_system(13)
+            J, diag, r = ball_c2_system(13)
         else:
-            J, _, r = newton_system(*jacobian_case(*JACOBIAN_CASES[case]))
-        J[0, 0] = 0.0
-        assert meets_contract(J, _linear_solve(J, r, J.diagonal(), ETA_MAX),
-                              r)
-        assert factorizations == {"spilu": 1}
+            J, diag, r = newton_system(*jacobian_case(*JACOBIAN_CASES[case]))
+        bicgstab = solver._bicgstab
 
-    # each failure of the fallback is a NewtonDiverged that names its path
-    def test_singular_jacobian_diverges(self):
+        def misses_once(J, b, psolve, rtol, atol, maxiter):
+            # the first run's own step, off by a thousandth of its size
+            x, info = bicgstab(J, b, psolve, rtol, atol, maxiter)
+            if not runs:
+                x = x + 1e-3 * np.abs(x).max() * np.cos(np.arange(x.size))
+            # with BiCGSTAB's own stopping target
+            runs.append((b, x, info, max(atol, rtol * np.sqrt(b.dot(b)))))
+            return x, info
+
+        monkeypatch.setattr(solver, "_bicgstab", misses_once)
+        eta = 1e-6
+        for limit, bound in ((J.shape[0], 1e-10 * np.abs(r).max()),
+                             (J.shape[0] - 1, eta * np.linalg.norm(r))):
+            runs = []
+            monkeypatch.setattr(solver, "INEXACT_LIMIT", limit)
+            delta = _linear_solve(J, r, diag, eta)
+            assert len(runs) == 2
+            (b, x, info, target), (_, _, _, restart_target) = runs
+            assert restart_target == target
+            assert info == 0
+            # b is r scaled by a power of two
+            assert (np.abs(J @ x - b).max()
+                    > bound * np.abs(b).max() / np.abs(r).max())
+            assert np.abs(J @ delta + r).max() <= bound
+
+    def test_singular_jacobian_diverges(self, krylov_runs):
         # an empty first row: exactly singular, and zero on the diagonal, so
         # Jacobi-BiCGSTAB does not run
         J, _, r = ball_c2_system()
         J = J.tolil()
         J[0, :] = 0.0
         J = J.tocsr()
-        with pytest.raises(NewtonDiverged, match=(
-                r"^spilu factorization failed: Factor is exactly singular$")):
+        with pytest.raises(NewtonDiverged, match=ZERO_DIAGONAL):
             _linear_solve(J, r, J.diagonal(), ETA_MAX)
+        assert krylov_runs["runs"] == 0
 
-    def test_residual_over_contract_diverges(self, factorizations,
-                                             monkeypatch):
+    def test_residual_over_contract_diverges(self, monkeypatch):
+        # each run returns half its step: the first leaves r / 2, the
+        # restart r / 4, both with info 0
         J, diag, r = ball_c2_system()
-        monkeypatch.setattr(solver, "_check_linear_residual",
-                            lambda *args: False)
-        with pytest.raises(NewtonDiverged, match=(
-                r"^ILU-BiCGSTAB failed the residual contract \(BiCGSTAB "
-                r"info=0\)$")):
-            _linear_solve(J, r, diag, ETA_MAX)
-        assert factorizations == {"spilu": 1}
+        bicgstab = solver._bicgstab
+        runs = []
 
-    def test_ilu_bicgstab_failure_diverges_with_its_info(
-            self, factorizations, monkeypatch):
+        def halves(*args, **kwargs):
+            x, info = bicgstab(*args, **kwargs)
+            runs.append(info)
+            return 0.5 * x, info
+
+        monkeypatch.setattr(solver, "_bicgstab", halves)
+        with pytest.raises(NewtonDiverged) as failure:
+            _linear_solve(J, r, diag, ETA_MAX)
+        assert runs == [0, 0]
+        residual = re.fullmatch(LINEAR_FAILURE.format(0),
+                                failure.value.args[0]).group(1)
+        assert float(residual) == pytest.approx(0.25, rel=1e-3)
+
+    def test_bicgstab_failure_diverges_with_its_info(self, monkeypatch):
+        # both runs break down with a zero step: the restart's info is named
         J, diag, r = ball_c2_system()
-        monkeypatch.setattr(solver, "_bicgstab",
-                            lambda J, b, *args, **kwargs: (np.zeros_like(b),
-                                                           -10))
-        with pytest.raises(NewtonDiverged, match=(
-                r"^ILU-BiCGSTAB failed the residual contract \(BiCGSTAB "
-                r"info=-10\)$")):
-            _linear_solve(J, r, diag, ETA_MAX)
-        assert factorizations == {"spilu": 1}
+        runs = []
 
-    def test_breakdown_is_logged_with_its_info(self, factorizations,
-                                               monkeypatch, caplog):
+        def breaks_down(J, b, *args, **kwargs):
+            runs.append(1)
+            return np.zeros_like(b), -10
+
+        monkeypatch.setattr(solver, "_bicgstab", breaks_down)
+        with pytest.raises(NewtonDiverged) as failure:
+            _linear_solve(J, r, diag, ETA_MAX)
+        assert len(runs) == 2
+        assert re.fullmatch(LINEAR_FAILURE.format(-10),
+                            failure.value.args[0]).group(1) == "1.000e+00"
+
+    def test_breakdown_is_met_by_the_restart(self, monkeypatch):
         J, diag, r = ball_c2_system()
         bicgstab = solver._bicgstab
         calls = []
@@ -252,16 +300,28 @@ class TestLinearSolve:
             return bicgstab(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_bicgstab", breaks_down_once)
-        with caplog.at_level("INFO", logger="mhessian.solver"):
-            assert meets_contract(J, _linear_solve(J, r, diag, ETA_MAX), r)
-        assert factorizations == {"spilu": 1}
-        [record] = caplog.records
-        assert "(BiCGSTAB info=-10); falling back to spilu" in record.getMessage()
+        assert meets_contract(J, _linear_solve(J, r, diag, ETA_MAX), r)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_drifting_residual_is_met_by_the_restart(self, threads):
+        # BiCGSTAB's recursively updated residual drifts from the true one:
+        # the first run stops at its own target with info 0 and misses the
+        # 1e-10 |r| contract; one restart on the true residual meets it
+        (runs, info, first, step), residual, factorizer = one_blas_thread(
+            DRIFTING_RESIDUAL, threads)
+        assert info == 0
+        assert first > 1e-10
+        assert runs == 2
+        assert step <= 1e-10
+        assert residual <= 1e-9
+        assert not factorizer
 
     def test_converged_solve_logs_nothing(self, caplog):
-        J, diag, r = ball_c2_system()
-        with caplog.at_level("DEBUG", logger="mhessian.solver"):
-            _linear_solve(J, r, diag, ETA_MAX)
+        # the library configures no logger and writes no record
+        domain, g, f, rhs = quadratic_setup(2, 7, 1)
+        with caplog.at_level("DEBUG"):
+            solve_dirichlet(f, rhs, g, 1)
         assert caplog.records == []
 
     def test_bicgstab_matches_scipy(self):
@@ -287,9 +347,6 @@ class TestLinearSolve:
                                   x_ref / scale)
         J, diag, r = ball_c2_system()
         b = -r / np.abs(r).max()
-        ilu = scipy.sparse.linalg.spilu(J.tocsc(), drop_tol=1e-5,
-                                        fill_factor=12.0)
-        check(J, b, ilu.solve, 0, rtol=1e-12, maxiter=400)
         # unscaled r * 2^-40: rho breakdown
         check(J, -r * 2.0 ** -40, lambda x: x / diag, -10)
         check(J, b, lambda x: x / diag, 3, maxiter=3)
@@ -556,19 +613,74 @@ print(json.dumps([report.iterations, report.final_residual]))
 """
 
 
-def one_blas_thread(code):
+def one_blas_thread(code, threads=1):
     """The JSON that ``code`` prints, run in a child Python whose BLAS has
-    one thread (a BLAS reads its thread count once, when it loads) and
-    which imports this mhessian."""
+    one thread, or ``threads`` (a BLAS reads its thread count once, when it
+    loads), and which imports this mhessian."""
     package_root = os.path.dirname(os.path.dirname(mhessian.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
+    count = str(threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count,
+               MKL_NUM_THREADS=count,
                PYTHONPATH=os.pathsep.join(
                    [package_root, os.environ.get("PYTHONPATH", "")]))
     child = subprocess.run([sys.executable, "-c", code], env=env,
                            capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
+
+
+# a 9^4 C^2 torus at m = 1 with a metric of condition number 2,702 and
+# chi = 1.29 times it, on whose first Newton system Jacobi-BiCGSTAB stops
+# with info 0 at a true residual of 1.13e-10 |r| (1.19e-10 at two BLAS
+# threads); prints, for that system, the runs of the linear solve, the
+# first run's info and relative true residual and the step's, then the
+# solve's residual and whether scipy's sparse linalg module, home of every
+# factorization, was ever imported
+DRIFTING_RESIDUAL = """
+import json
+import sys
+import numpy as np
+import mhessian.cli
+from mhessian import solver
+from mhessian.grids import GridDomain, GridFunction, MetricField
+from mhessian.hermitian import HermitianMatrix, MetricMatrix
+
+W = np.array([[463.237055127294, -765.7855616506956 + 669.5782337128992j],
+              [-765.7855616506956 - 669.5782337128992j, 2239.597113790016]])
+domain = GridDomain.torus(2, points_per_axis=9)
+theta = (0.6404276876816221, 0.8360906655201187, 0.1359151502060031,
+         0.5245636569324721)
+a = (0.41002832204901635, 0.7663089808167121, 0.8729539306754275,
+     0.6255852488250306)
+c = domain.coords
+f = GridFunction(domain, -2.0 + 0.05 * sum(
+    a[p] * np.cos(2 * np.pi * (c[:, p] + theta[p])) for p in range(4)))
+bicgstab, linear_solve = solver._bicgstab, solver._linear_solve
+runs, systems = [], []
+
+
+def recorded_bicgstab(J, b, *args, **kwargs):
+    x, info = bicgstab(J, b, *args, **kwargs)
+    runs.append([info, float(np.abs(J @ x - b).max() / np.abs(b).max())])
+    return x, info
+
+
+def recorded_solve(J, r, diag, eta):
+    first = len(runs)
+    delta = linear_solve(J, r, diag, eta)
+    systems.append([len(runs) - first, *runs[first],
+                    float(np.abs(J @ delta + r).max() / np.abs(r).max())])
+    return delta
+
+
+solver._bicgstab, solver._linear_solve = recorded_bicgstab, recorded_solve
+report = solver.solve_torus(
+    HermitianMatrix(1.2942710039829863 * W),
+    solver.RightHandSide.penalized_distance(112.60409697386827, f),
+    MetricField(domain, MetricMatrix(HermitianMatrix(W))), 1)
+print(json.dumps([systems[0], report.final_residual,
+                  "scipy.sparse.linalg" in sys.modules]))
+"""
 
 
 class TestInexactNewton:
@@ -674,32 +786,33 @@ class TestInexactNewton:
         assert iterations == 6
 
     @pytest.mark.parametrize("above", [False, True])
-    def test_step_over_its_forcing_bound_falls_back(
-            self, factorizations, monkeypatch, above):
-        # the limit moved to the size of a small Jacobian, or just below it:
-        # an ILU of the 14,641-unknown C^2 torus Jacobian takes seconds
+    def test_step_over_its_forcing_bound_falls_back(self, monkeypatch,
+                                                    above):
+        # the limit moved to the size of a small Jacobian, or just below it
         J, diag, r = ball_c2_system()
         monkeypatch.setattr(solver, "INEXACT_LIMIT", J.shape[0] - above)
         # a zero step leaves the residual r, just under 10 times the bound
         # |J delta + r| <= eta |r|_2: a bound loosened 10 times accepts it
         eta = 0.1001 * np.abs(r).max() / np.linalg.norm(r)
         bicgstab = solver._bicgstab
-        rtols = []
+        targets = []
 
         def misses_once(J, b, psolve, rtol, atol, maxiter):
-            rtols.append(rtol)
-            if len(rtols) == 1:
+            # BiCGSTAB's own stopping target
+            targets.append(max(atol, rtol * np.sqrt(b.dot(b))))
+            if len(targets) == 1:
                 return np.zeros_like(b), 0
             return bicgstab(J, b, psolve, rtol, atol, maxiter)
 
         monkeypatch.setattr(solver, "_bicgstab", misses_once)
         delta = _linear_solve(J, r, diag, eta)
-        assert factorizations == {"spilu": 1}
+        # the restart of a zero step solves the first run's system again,
+        # to the same target: rtol |b|_2 with rtol = eta above the limit
+        b = r * 2.0 ** (1 - np.frexp(np.abs(r).max())[1])
+        assert targets == [(eta if above else 1e-13) * np.sqrt(b.dot(b))] * 2
         if above:
-            assert rtols == [eta, eta]
             assert np.abs(J @ delta + r).max() <= eta * np.linalg.norm(r)
         else:
-            assert rtols == [1e-13, 1e-12]
             assert meets_contract(J, delta, r)
 
 
@@ -711,12 +824,13 @@ class TestManufacturedQuadratic:
         assert report.min_cone_margin > 0
         assert interior_error(report, f.flat) <= 1e-10
 
-    def test_c2_exact_recovery_both_orders(self, factorizations):
+    def test_c2_exact_recovery_both_orders(self, krylov_runs):
         for m in (1, 2):
             domain, g, f, rhs = quadratic_setup(2, 9, m)
             report = solve_dirichlet(f, rhs, g, m)
             assert interior_error(report, f.flat) <= 1e-10
-        assert factorizations == {"spilu": 0}
+        # one BiCGSTAB run a linear solve: no restart
+        assert krylov_runs["runs"] == krylov_runs["solves"] > 0
 
     @pytest.mark.parametrize("points", [7, 9])
     def test_c3_exact_recovery_every_order(self, points):
@@ -1315,6 +1429,19 @@ class TestFailureModes:
         assert WHERE.match(exc.args[0]).group(1) == (
             "no damped step reduced the residual")
         assert trials == plain_trials > 21
+
+    def test_linear_solve_failure_says_where(self, monkeypatch):
+        # both runs of the first linear solve miss with a zero step
+        domain, g, f, rhs = quadratic_setup(2, 7, 1)
+        monkeypatch.setattr(solver, "_bicgstab",
+                            lambda J, b, *args, **kwargs: (np.zeros_like(b),
+                                                           0))
+        with pytest.raises(NewtonDiverged) as failure:
+            solve_dirichlet(f, rhs, g, 1)
+        message = failure.value.args[0]
+        assert re.fullmatch(LINEAR_FAILURE.format(0),
+                            WHERE.match(message).group(1))
+        assert " at Newton iteration 0 (" in message
 
     def test_divergence_through_skipped_trials(self, monkeypatch):
         # the full step inside the cone raises the residual ninetyfold:
