@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import os
 import re
@@ -29,7 +30,7 @@ from mhessian.fm import (
     fm_value,
 )
 from mhessian.grids import GridDomain, GridFunction, MetricField, fm_field
-from mhessian.hermitian import HermitianMatrix
+from mhessian.hermitian import HermitianMatrix, MetricMatrix
 from mhessian.solver import (
     ETA_MAX,
     RightHandSide,
@@ -900,6 +901,152 @@ class TestManufacturedNonQuadratic:
         G, _ = rhs.sample(domain, np.flatnonzero(domain.interior_mask))(u)
         res = np.abs(field.flat[domain.interior_mask] - G).max()
         assert res <= 1e-9
+
+
+def manufactured(chi, metric, m, quadratic, waves):
+    """u* = quadratic |z|^2 + sum_j A_j cos(omega_j k_j . x + phi_j), for
+    waves (A, omega, k, phi) with k in the real coordinates x_1, y_1, ...,
+    and a = F_m[chi + dd^c u*] relative to the metric, both coordinate
+    callables, computed without the grid stencil or the metric frame: the
+    complex Hessian of cos(omega k . x) is -omega^2 cos(omega k . x) / 4
+    times kappa kappa^H with kappa = k_x - i k_y, and the relative
+    eigenvalues are those of g^{-1} T.  Then u* solves F_m = a exp(beta
+    (u - u*)) for every beta."""
+    n = len(metric)
+
+    def ustar(c):
+        u = quadratic * (c ** 2).sum(axis=-1)
+        for A, omega, k, phi in waves:
+            u = u + A * np.cos(omega * c @ np.array(k, float) + phi)
+        return u
+
+    def amplitude(c):
+        T = np.broadcast_to(chi + quadratic * np.eye(n), (len(c), n, n))
+        for A, omega, k, phi in waves:
+            k = np.array(k, float)
+            kappa = k[0::2] - 1j * k[1::2]
+            scale = -A * omega ** 2 / 4 * np.cos(omega * c @ k + phi)
+            T = T + scale[:, None, None] * np.outer(kappa, kappa.conj())
+        lam = np.linalg.eigvals(np.linalg.solve(metric, T)).real
+        sums = np.stack([lam[:, list(J)].sum(axis=-1)
+                         for J in itertools.combinations(range(n), m)], -1)
+        return np.prod(sums, axis=-1) ** (1.0 / sums.shape[-1])
+
+    return ustar, amplitude
+
+
+# (n, m, metric, chi, quadratic, waves, points per axis): a ball grid when
+# chi is None, else a torus grid; every torus wave has a cross term between
+# two real axes, and the C^2 ones between the two complex coordinates
+TWO_PI = 2.0 * np.pi
+C2_TORUS_WAVES = [(0.01, TWO_PI, (1, 0, 0, 1), 0.3),
+                  (0.01, TWO_PI, (1, 0, -1, 0), 1.1),
+                  (0.01, TWO_PI, (0, 1, 1, 0), 2.0)]
+REFINEMENT_CASES = {
+    "c1_torus": (1, 1, [[1.7]], [[1.7]], 0.0,
+                 [(0.02, TWO_PI, (1, 1), 0.3), (0.01, TWO_PI, (1, -2), 1.1)],
+                 (9, 17, 33)),
+    "c2_torus_m1": (2, 1, OMEGA.entries, OMEGA.entries, 0.0, C2_TORUS_WAVES,
+                    (7, 9, 11)),
+    "c2_torus_m2": (2, 2, OMEGA.entries, OMEGA.entries, 0.0, C2_TORUS_WAVES,
+                    (7, 9, 11)),
+    "c2_ball_m2": (2, 2, OMEGA.entries, None, 1.0,
+                   [(0.1, 2.0, (1, 0, 0, 1), 0.3),
+                    (0.1, 2.0, (1, 0, -1, 0), 1.1)],
+                   (9, 13, 17)),
+}
+
+
+class TestRefinementOrder:
+    """Second-order convergence to a manufactured solution under a
+    non-diagonal metric, checked against the continuum equation and not
+    against an earlier commit."""
+
+    @pytest.mark.parametrize("case", list(REFINEMENT_CASES))
+    def test_observed_order_is_two(self, case):
+        # G = a exp(20 (u - u*)): the zero-order term keeps the error near
+        # the local truncation error, so three small grids already show the
+        # asymptotic order.  On a torus the error is the root mean square
+        # over the nodes (the periodic trapezoid rule, exact to high order,
+        # where a maximum over nodes adds an O(h^2) sampling error); on a
+        # ball it is the maximum over the interior nodes
+        n, m, metric, chi, quadratic, waves, grid = REFINEMENT_CASES[case]
+        ustar, amplitude = manufactured(np.zeros((n, n)) if chi is None
+                                        else np.array(chi), np.array(metric),
+                                        m, quadratic, waves)
+        rhs = RightHandSide(amplitude, ustar, beta=20.0)
+        errors, spacings = [], []
+        for points in grid:
+            if chi is None:
+                domain = GridDomain.ball(n, radius=1.0, points_per_axis=points)
+            else:
+                domain = GridDomain.torus(n, points_per_axis=points)
+            g = MetricField(domain, MetricMatrix(HermitianMatrix(metric)))
+            exact = ustar(domain.coords)
+            if chi is None:
+                report = solve_dirichlet(GridFunction(domain, exact), rhs, g,
+                                         m)
+                error = np.abs(report.solution.flat
+                               - exact)[domain.interior_mask].max()
+            else:
+                report = solve_torus(HermitianMatrix(chi), rhs, g, m)
+                error = np.sqrt(np.mean((report.solution.flat - exact) ** 2))
+            assert report.final_residual <= 1e-9
+            errors.append(error)
+            spacings.append(domain.spacing)
+        orders = np.diff(np.log(errors)) / np.diff(np.log(spacings))
+        assert ((1.8 <= orders) & (orders <= 2.2)).all(), orders
+
+
+def rolled(field, shift):
+    """The grid function whose value at node x is ``field``'s at x +
+    shift, in whole grid steps."""
+    return GridFunction(field.domain, np.roll(field.values,
+                                              [-s for s in shift],
+                                              axis=range(len(shift))))
+
+
+def swapped(field):
+    """The grid function whose value at (z_1, z_2) is ``field``'s at
+    (z_2, z_1)."""
+    return GridFunction(field.domain, field.values.transpose(2, 3, 0, 1))
+
+
+class TestLatticeSymmetries:
+    """solve_torus commutes with the exact symmetries of the C^2 torus
+    grid: translation by whole grid steps, and swapping z_1 and z_2 with
+    the metric and chi swapped too."""
+
+    @staticmethod
+    def solve(reference, chi, metric, m):
+        g = MetricField(reference.domain, MetricMatrix(HermitianMatrix(metric)))
+        report = solve_torus(HermitianMatrix(chi),
+                             RightHandSide.penalized_distance(50.0, reference),
+                             g, m)
+        return report.solution
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_translation_and_swap(self, m):
+        # a reference with cross terms and random phases, a non-diagonal
+        # metric and a non-diagonal chi
+        domain = GridDomain.torus(2, points_per_axis=7)
+        theta = np.random.default_rng(m).uniform(0.0, 1.0, 4)
+        x = domain.coords + theta
+        reference = GridFunction(domain, -2.1 + 0.04 * (
+            np.cos(TWO_PI * (x[:, 0] + x[:, 3])) + np.sin(TWO_PI * x[:, 1])
+            + np.cos(TWO_PI * (x[:, 1] - x[:, 2]))))
+        metric, chi = OMEGA.entries, CHI.entries
+        u = self.solve(reference, chi, metric, m)
+        scale = np.abs(u.values).max()
+        shift = (3, 5, 1, 6)
+        translated = self.solve(rolled(reference, shift), chi, metric, m)
+        assert (np.abs(translated.values - rolled(u, shift).values).max()
+                <= 1e-12 * scale)
+        swap = np.array([[0, 1], [1, 0]])
+        exchanged = self.solve(swapped(reference), swap @ chi @ swap,
+                               swap @ metric @ swap, m)
+        assert (np.abs(exchanged.values - swapped(u).values).max()
+                <= 1e-12 * scale)
 
 
 class TestPenalizedBallSolve:
