@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Check that the configs/ artifacts and the verify-suite outputs of the
-# working tree are byte-identical to those of a base commit.
+# working tree are byte-identical to those of a base commit, and that the
+# working tree writes the same bytes at two BLAS threads as at one.
 #
 # Usage: scripts/check_config_artifacts.sh BASE_REF
 #
@@ -21,17 +22,19 @@
 # them at n = 1, and the torus solves with both Jacobian row sets (every
 # stencil row at m < n, the trace rows at m = n).  They live in the work
 # directory only, since the benchmark runs configs/ whole.
-# Both runs write to the same --out paths, since the manifest records them.
-# The two output trees are then compared with diff -r, manifest.json
-# excepted.  Exits 0 when every artifact matches, 1 when one differs or a
-# run fails.
+# The working tree then runs all of it once more with two BLAS threads
+# (OPENBLAS_NUM_THREADS=2).  Every run writes to the same --out paths,
+# since the manifest records them.  The output trees are then compared with
+# diff -r, manifest.json excepted: the base commit's with the working
+# tree's, and the working tree's at one thread with its own at two.  Both
+# comparisons run and are reported.  Exits 0 when every artifact matches in
+# both, 1 when one differs or a run fails.
 set -euo pipefail
 
 base=${1:?usage: $0 BASE_REF}
 repo=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-export OPENBLAS_NUM_THREADS=1
 
 mkdir "$work/base-tree"
 git -C "$repo" archive "$base" src configs | tar -x -C "$work/base-tree"
@@ -104,10 +107,12 @@ cat > "$work/generated/regularize_global_c2_m2.json" <<'EOF'
  "schedule": {"count": 6, "beta_start": 50.0}}
 EOF
 
-# run TREE LABEL: every config of TREE, its smooth variants and the
-# generated configs at both seeds, outputs to $work/LABEL
+# run TREE LABEL THREADS: every config of TREE, its smooth variants and
+# the generated configs at both seeds, with THREADS BLAS threads, outputs
+# to $work/LABEL
 run() {
     local config name seed
+    export OPENBLAS_NUM_THREADS=$3
     smooth "$1"
     for config in "$1"/configs/*.json "$work"/smooth/*.json \
             "$work"/generated/*.json; do
@@ -134,13 +139,24 @@ run() {
     mv "$work/out" "$work/$2"
 }
 
-run "$work/base-tree" base
-run "$repo" head
+run "$work/base-tree" base 1
+run "$repo" head 1
+run "$repo" head-2threads 2
+status=0
 if diff -r --exclude=manifest.json "$work/base" "$work/head"; then
     echo "configs/ artifacts, their smooth reruns and the generated configs" \
         "match $base at seeds 0 and 7, verify-suite outputs at seeds 0 to 20"
 else
     echo "configs/, generated config or verify-suite outputs differ from" \
         "$base" >&2
-    exit 1
+    status=1
 fi
+if diff -r --exclude=manifest.json "$work/head" "$work/head-2threads"; then
+    echo "every output of the working tree is the same at two BLAS threads" \
+        "as at one"
+else
+    echo "outputs of the working tree differ between one and two BLAS" \
+        "threads" >&2
+    status=1
+fi
+exit $status

@@ -320,16 +320,12 @@ def _eigh(H: np.ndarray, vectors: bool):
     with ``vectors`` the unitary eigenvector matrices, as ``np.linalg.eigh``
     returns them.
 
-    LAPACK spends almost all its time on per-matrix overhead at n <= 2, so
-    those sizes are solved in closed form; at n = 1 the result is
-    bit-identical to LAPACK's.
+    LAPACK spends almost all its time on per-matrix overhead at n = 2, so
+    that size is solved in closed form.  No solve or field reaches an
+    eigensolve at n = 1, where m = n.
     """
-    n = H.shape[-1]
-    if n >= 3:
+    if H.shape[-1] != 2:
         return np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
-    if n == 1:
-        lam = H[:, 0].real.copy()
-        return (lam, np.ones_like(H)) if vectors else lam
     # H = [[a, b], [conj b, d]] has eigenvalues h -+ r
     a = H[:, 0, 0].real
     d = H[:, 1, 1].real
@@ -418,10 +414,8 @@ class NodalOperator:
     def traces(self, u_flat: np.ndarray) -> np.ndarray:
         """Traces of the folded Hessians (plus the folded background form),
         (K,), from the trace rows alone."""
-        # a complex product, as ``hessians`` takes it: at n = 1 it gives the
-        # bits of its one entry, where a real product would not
-        vals = u_flat.astype(complex)[self.trace_neighbors]  # (S_tr, K)
-        return (vals.T @ self.trace_weights).real + self.chi_trace
+        return (self.trace_weights @ u_flat[self.trace_neighbors]
+                + self.chi_trace)
 
     def sigma(self, u_flat: np.ndarray) -> np.ndarray:
         """All m-fold relative eigenvalue sums per node, (K, C(n, m))."""

@@ -193,12 +193,14 @@ class _FmOperator(NodalOperator):
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
                  chi: HermitianMatrix = None):
         super().__init__(domain, g, m, chi)
-        # at m = n, F_n = tr H and the Jacobian is the trace stencil: every
-        # other row's entries are exactly zero (see ``jacobian``)
-        self.rows = (self.trace_rows if m == domain.n
-                     else np.arange(len(self.weights)))
-        self.row_weights = self.weights[self.rows].reshape(
-            len(self.rows), -1).view(float)
+        # at m = n, F_n = tr H is linear in u and the Jacobian is the fixed
+        # trace stencil (see ``jacobian``)
+        if m == domain.n:
+            self.rows = self.trace_rows
+        else:
+            self.rows = np.arange(len(self.weights))
+            self.row_weights = self.weights.reshape(len(self.rows),
+                                                    -1).view(float)
         # unknowns: interior nodes (ball) or every node (torus)
         self.indices, self.indptr, self.src, self.center = \
             domain.jacobian_pattern(self.rows)
@@ -214,15 +216,18 @@ class _FmOperator(NodalOperator):
 
     def evaluate(self, u_flat: np.ndarray) -> _Nodal:
         """Hessians, m-sums, cone margin and F_m of ``u_flat``: at m = n
-        the m-sums are the traces, from the trace rows alone and with no
-        Hessian, else they come from one gather and one eigensolve."""
+        the one m-sum is the trace, from the trace rows alone and with no
+        Hessian, and F_n is that trace; else the m-sums come from one
+        gather and one eigensolve."""
         if self.m == self.domain.n:
             H, sums = None, self.sigma(u_flat)
         else:
             H = self.hessians(u_flat)
             sums = subset_sums(_eigh(H, vectors=False), self.m)
         margin = float(sums.min())
-        fm = geometric_mean_clamped(sums) if margin > 0.0 else None
+        fm = None
+        if margin > 0.0:
+            fm = sums[:, 0] if H is None else geometric_mean_clamped(sums)
         return _Nodal(H, sums, margin, fm)
 
     def rhs_values(self, u_flat, rhs: _SampledRHS, homotopy=None):
@@ -239,8 +244,8 @@ class _FmOperator(NodalOperator):
         return G, dG
 
     def residual_lower_bound(self, u_flat, G) -> float:
-        """A number that the residual max |F_m - G| of ``u_flat``, as
-        ``_newton`` computes it, reaches whenever every computed m-sum is
+        """A number that the residual max |F_m - G| of ``u_flat`` at m < n,
+        as ``_newton`` computes it, reaches whenever every computed m-sum is
         positive; it needs no Hessian.
 
         By AM-GM on the m-sums, F_m <= (m/n) tr H on the cone, and the
@@ -255,24 +260,21 @@ class _FmOperator(NodalOperator):
           the spectral radius), so the eigenvalues sum to tr H within
           2^10 eps B, and the mean of their m-sums is (m/n) times that sum
           within 2^4 eps B;
-        - at m = n the one computed m-sum is the trace product of
-          ``traces``, within 2^8 eps B of tr H (at most 113 rows, each
-          |tr W_s| <= 2 |W_s|_F), which the m < n bound covers;
         - the geometric mean exp(mean(log)) is within a factor
           1 + 2^13.1 eps of the exact one: every |log| of a positive double
           is below 745, and log, the mean and exp round it by at most
           11 eps (4-ulp log and exp); by AM-GM the mean of the sums, at
           most 2.1 B, bounds it, so this adds 2^14.2 eps B;
-        - the trace here is within 2^8 eps B of tr H, (m/n) rounds it by
+        - the trace product of ``traces`` is within 2^8 eps B of tr H (at
+          most 113 rows, each |tr W_s| <= 2 |W_s|_F), (m/n) rounds it by
           2^2.1 eps B, and G - (m/n) tr and F_m - G round by eps each.
         Together the computed |F_m - G| at the node of the largest excess
         is at least excess (1 - 2 eps) - 2^14.3 eps B.  2^16 eps B covers
         that with room for the rounding of B, and 2^-50 of the excess the
         relative part with the rounding of the bound itself.
         """
-        trace = (self.trace_weights @ u_flat[self.trace_neighbors]
-                 + self.chi_trace)
-        excess = float((G - self.m / self.domain.n * trace).max())
+        excess = float((G - self.m / self.domain.n
+                        * self.traces(u_flat)).max())
         scale = (float(np.abs(u_flat[self.support]).max()) * self.weight_norm
                  + self.chi_norm)
         return excess * (1.0 - 2.0 ** -50) - 2.0 ** -37 * scale
@@ -285,22 +287,21 @@ class _FmOperator(NodalOperator):
 
         Node k's row holds the entries Re tr(W_s M_k) - [s = 0] dG_k over
         the operator's stencil rows s, with M_k the derivative of F_m at
-        H_k.  Its eigenvalues, the gradient entries of F_m, come from the
-        iterate's own m-sums and F_m.  At m = n the one m-sum is the trace,
-        so the n gradient entries (F_n / tr H_k) (1, ..., 1) are equal,
-        M_k = g_k I and the entries are g_k tr W_s.  The rows whose folded
-        weight has zero trace are therefore exact zeros, and they are left
-        out: they would only add +-0 to every product J x.  There neither
-        the Hessians nor an eigensolve are needed.
+        H_k.  At m < n the eigenvalues of M_k, the gradient entries of F_m,
+        come from the iterate's own m-sums and F_m.  At m = n, F_n = tr H
+        is linear in u: M_k = I, the entries are tr W_s, the same at every
+        iterate, and J is the trace stencil L - diag(dG), exactly symmetric
+        since W_{-s} = W_s.  The rows whose folded weight has zero trace
+        hold only zeros and are left out.  There neither the Hessians nor
+        an eigensolve nor the gradient are needed.
         """
         n = self.domain.n
         K = self.nodes.size
-        grad = fm_gradient_from_sums(nodal.sums, n, self.m,
-                                     nodal.fm)  # (K, n)
         if self.m == n:
-            M = np.zeros((K, n, n), dtype=complex)
-            M[:, range(n), range(n)] = grad[:, :1]
+            entries = np.repeat(self.trace_weights[:, None], K, axis=1)
         else:
+            grad = fm_gradient_from_sums(nodal.sums, n, self.m,
+                                         nodal.fm)  # (K, n)
             # the eigenvectors alone: at n >= 3 LAPACK's eigh may differ
             # from the eigvalsh behind the m-sums in the last bit, and the
             # gradient keeps to the m-sums the residual was taken from
@@ -313,9 +314,9 @@ class _FmOperator(NodalOperator):
                           v * (grad[:, 1:] - grad[:, :1])[:, None, :],
                           v.conj())
             M[:, range(n), range(n)] += grad[:, :1]
-        # entry (i, k) is Re sum_pq W_s[q, p] M_k[p, q] for s = rows[i], the
-        # real dot product of the Hermitian W_s with M_k: one real GEMM
-        entries = self.row_weights @ M.reshape(K, -1).view(float).T
+            # entry (i, k) is Re sum_pq W_s[q, p] M_k[p, q], s = rows[i]: the
+            # real dot product of the Hermitian W_s with M_k, one real GEMM
+            entries = self.row_weights @ M.reshape(K, -1).view(float).T
         entries[self.center] -= dG
         J = scipy.sparse.csr_matrix(
             (entries.ravel()[self.src], self.indices, self.indptr),
@@ -522,15 +523,18 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
     of u).
 
     Each Newton iteration evaluates every nodal quantity once.  A trial
-    step evaluates G first; a trial whose trace bound already shows that
-    its residual cannot drop is halved without forming its Hessians.  The
-    accepted trial's nodal quantities and right-hand side slope give the
-    next Jacobian.  Each step's forcing term comes from the residuals of this
-    call alone, ETA_MAX on its first step; ``_linear_solve`` uses it only
-    above INEXACT_LIMIT unknowns.  The solve converges when the max-norm
-    residual is at most ``cfg.tolerance``, whichever steps it took.
+    step evaluates G first.  At m < n a trial whose trace bound already
+    shows that its residual cannot drop is halved without forming its
+    Hessians; at m = n an evaluation is the trace product that the bound
+    would take, so every trial is evaluated.  The accepted trial's nodal
+    quantities and right-hand side slope give the next Jacobian.  Each
+    step's forcing term comes from the residuals of this call alone,
+    ETA_MAX on its first step; ``_linear_solve`` uses it only above
+    INEXACT_LIMIT unknowns.  The solve converges when the max-norm residual
+    is at most ``cfg.tolerance``, whichever steps it took.
     """
     u = u0_flat.copy()
+    bounded = op.m < op.domain.n
     G, dG = op.rhs_values(u, rhs, homotopy)
     r = nodal.fm - G
     rnorm = float(np.abs(r).max())
@@ -555,7 +559,7 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
         while step >= DAMPING_MIN_STEP:
             trial = _damped(u, op.nodes, step, delta_unknown)
             G_trial, dG_trial = op.rhs_values(trial, rhs, homotopy)
-            if op.residual_lower_bound(trial, G_trial) >= rnorm:
+            if bounded and op.residual_lower_bound(trial, G_trial) >= rnorm:
                 skipped.append(step)
             else:
                 trial_nodal = op.evaluate(trial)

@@ -518,17 +518,19 @@ class TestEigensolver:
         assert np.array_equal(V, np.broadcast_to(np.eye(2), V.shape))
 
     def test_c1_operator_is_lapack_bit_for_bit(self, rng):
+        # n = 1 has no closed form: no solve or field reaches an eigensolve
+        # there, since m = n
         d = GridDomain.ball(1, radius=1.0, points_per_axis=17)
         g = MetricField(domain=d, constant=random_metric(rng, 1))
         u = rng.normal(size=d.node_count)
         op = NodalOperator(d, g, 1, chi=HermitianMatrix([[0.3]]))
         H = op.hessians(u)
-        assert np.array_equal(op.sigma(u), np.linalg.eigvalsh(H))
+        assert np.array_equal(_eigh(H, False), np.linalg.eigvalsh(H))
         for mine, lapack in zip(_eigh(H, True), np.linalg.eigh(H)):
             assert mine.dtype == lapack.dtype
             assert np.array_equal(mine, lapack)
 
-    def test_lapack_runs_from_n_3_only(self, rng, monkeypatch):
+    def test_lapack_runs_except_at_n_2(self, rng, monkeypatch):
         calls = []
         for name in ("eigvalsh", "eigh"):
             def counted(H, _name=name, _original=getattr(np.linalg, name)):
@@ -540,7 +542,8 @@ class TestEigensolver:
             H = np.stack([random_hermitian(rng, n).entries for _ in range(5)])
             _eigh(H, False)
             _eigh(H, True)
-        assert calls == [("eigvalsh", 3), ("eigh", 3)]
+        assert calls == [("eigvalsh", 1), ("eigh", 1), ("eigvalsh", 3),
+                         ("eigh", 3)]
 
 
 def trace_case(rng, n, kind, metric, chi):
@@ -585,8 +588,10 @@ class TestTraceRoute:
     @pytest.mark.parametrize("points", [9, 33, 65])
     @pytest.mark.parametrize("kind", ["ball", "torus"])
     def test_c1_sigma_is_the_hessian_bit_for_bit(self, rng, points, kind):
-        # the complex trace product takes the bits of the one Hessian entry;
-        # a real product would not on a torus
+        # at n = 1 the Hessian is its trace: sigma is, bit for bit, the one
+        # real product of the trace rows that the solver's evaluation and
+        # trace bound share, and the gathered complex entry within a few
+        # ulps of the scale B of test_sigma_is_the_eigenvalue_sum
         d = (GridDomain.ball(1, radius=1.0, points_per_axis=points)
              if kind == "ball" else GridDomain.torus(1, points))
         for g, chi in ((MetricField.flat(d), None),
@@ -594,10 +599,17 @@ class TestTraceRoute:
                        (MetricField(domain=d, constant=random_metric(rng, 1)),
                         HermitianMatrix([[-0.7]]))):
             op = NodalOperator(d, g, 1, chi)
+            weights = op.weights[op.trace_rows, 0, 0].real
+            chi_value = 0.0 if chi is None else op.chi[0, 0].real
             for _ in range(4):
                 u = rng.normal(size=d.node_count)
-                assert np.array_equal(op.sigma(u)[:, 0],
-                                      op.hessians(u)[:, 0, 0].real)
+                sums = op.sigma(u)[:, 0]
+                assert np.array_equal(
+                    sums, weights @ u[op.trace_neighbors] + chi_value)
+                B = (np.abs(u[~d.exterior_mask]).max() * np.abs(weights).sum()
+                     + abs(chi_value))
+                entry = op.hessians(u)[:, 0, 0].real
+                assert np.abs(sums - entry).max() <= 16 * EPS * B
 
     def test_fields_take_the_trace_route(self, rng, monkeypatch):
         # cone_field and fm_field at m = n form no Hessian

@@ -44,7 +44,7 @@ from mhessian.solver import (
     subsolution_seed,
 )
 
-from conftest import CHI, FORM, OMEGA, hessian_is_form
+from conftest import CHI, FORM, OMEGA, hessian_is_form, random_metric
 
 
 def sqn(coords):
@@ -167,13 +167,15 @@ WHERE = re.compile(r"^(.*) at Newton iteration \d+ \(residual \S+, "
                    r"cone margin \S+\)$")
 
 
-def penalized_torus(beta):
-    """chi, G and the metric of a C^1 torus problem whose full Newton steps
-    overshoot: G grows like exp(beta u)."""
-    domain = GridDomain.torus(1, points_per_axis=9)
-    f = GridFunction(domain,
-                     -2.0 + 0.05 * np.cos(2 * np.pi * domain.coords[:, 0]))
-    return (HermitianMatrix.identity(1),
+def penalized_torus(beta, n=1):
+    """chi, G and the metric of a torus problem whose full Newton steps
+    overshoot: G grows like exp(beta u); on the C^1 torus at 9 points, or
+    on the C^2 torus at 5 points, whose m = 1 lies below m = n."""
+    points, amplitude = (9, 0.05) if n == 1 else (5, 0.02)
+    domain = GridDomain.torus(n, points_per_axis=points)
+    f = GridFunction(domain, -2.0 + amplitude * np.cos(
+        2 * np.pi * domain.coords[:, 0]))
+    return (HermitianMatrix.identity(n),
             RightHandSide.penalized_distance(beta, f),
             MetricField.flat(domain))
 
@@ -452,8 +454,20 @@ def full_stencil_jacobian(op, H, grad, dG):
                                    shape=(K, K))
 
 
+# (n, domain kind, points per axis) of the m = n Jacobians whose symmetry
+# and definiteness are pinned, each with a random metric
+SEMILINEAR_CASES = {
+    "c1_ball": (1, "ball", 9),
+    "c1_torus": (1, "torus", 9),
+    "c2_ball": (2, "ball", 9),
+    "c2_torus": (2, "torus", 5),
+    "c3_ball": (3, "ball", 7),
+}
+
+
 class TestTraceStencil:
-    """At m = n the Jacobian holds only the trace rows of the stencil."""
+    """At m = n, F_n = tr H is linear in u: the Jacobian is the trace
+    stencil L - diag(dG), on the trace rows alone."""
 
     @pytest.mark.parametrize("case", ["c1_ball", "c2_ball_m2", "c2_torus_m2",
                                       "c2_ball_omega_m2"])
@@ -466,11 +480,11 @@ class TestTraceStencil:
         nodal = op.evaluate(u)
         G, dG = op.rhs_values(u, sampled(op, rhs))
         J, diag = op.jacobian(nodal, dG)
-        # the Hessians gathered here, the gradient from the trace route's
-        # m-sums, as the operator takes it
-        full = full_stencil_jacobian(
-            op, op.hessians(u), fm_gradient_from_sums(nodal.sums, n, n),
-            dG)
+        # the derivative of F_n = tr H is M = I at every node, contracted
+        # with every stencil row; at n <= 2 the trace of each folded weight
+        # has at most two terms, so the GEMM rounds it as the trace does
+        full = full_stencil_jacobian(op, op.hessians(u),
+                                     np.ones((op.nodes.size, n)), dG)
         assert np.array_equal(J.toarray(), full.toarray())
         assert np.array_equal(diag, full.diagonal())
         # dropping exact zeros changes no product, so no BiCGSTAB iterate
@@ -491,21 +505,60 @@ class TestTraceStencil:
     @pytest.mark.parametrize("case", ["c1_ball", "c2_torus_m2",
                                       "c2_ball_omega_m2", "c3_ball_m3"])
     def test_reuses_the_iterate_sums_bit_for_bit(self, monkeypatch, case):
+        # the m = n Jacobian reads nothing of the iterate, its m-sums
+        # included: at another iterate with the same slope dG it has the
+        # same bits, and it forms no Hessian, eigensolve, gradient or GEMM
         op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
         assert op.m == op.domain.n
-        nodal = op.evaluate(u)
         _, dG = op.rhs_values(u, sampled(op, rhs))
-        expected, expected_diag = recomputed_jacobian(op, u, dG)
-        calls = []
-        monkeypatch.setattr(solver, "_eigh",
-                            lambda *args, **kwargs: calls.append("_eigh"))
-        monkeypatch.setattr(_FmOperator, "hessians",
-                            lambda *args: calls.append("hessians"))
+        other = op.evaluate(
+            u + 1e-4 * np.random.default_rng(9).normal(size=u.size))
+        expected, expected_diag = op.jacobian(other, dG)
+        nodal = op.evaluate(u)
+        assert not np.array_equal(nodal.sums, other.sums)
+        calls = spied(monkeypatch, (solver, "_eigh"),
+                      (solver, "fm_gradient_from_sums"),
+                      (_FmOperator, "hessians"))
         J, diag = op.jacobian(nodal, dG)
         assert calls == []
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(J, name), getattr(expected, name))
         assert np.array_equal(diag, expected_diag)
+
+    @pytest.mark.parametrize("case", list(SEMILINEAR_CASES))
+    def test_is_symmetric_and_negative_definite(self, rng, case):
+        # L is symmetric, since the folded weights of the offsets s and -s
+        # are equal, and -L is positive semidefinite for a constant metric;
+        # dG > 0 makes -J = -L + diag(dG) definite
+        n, kind, points = SEMILINEAR_CASES[case]
+        if kind == "ball":
+            domain = GridDomain.ball(n, radius=1.0, points_per_axis=points)
+        else:
+            domain = GridDomain.torus(n, points_per_axis=points)
+        g = MetricField(domain, random_metric(rng, n))
+        chi = None if kind == "ball" else g.constant.base
+        op = _FmOperator(domain, g, n, chi)
+        dG = rng.uniform(0.1, 2.0, op.nodes.size)
+        J, diag = op.jacobian(None, dG)
+        assert np.array_equal(diag, J.diagonal())
+        assert (J != J.T).nnz == 0
+        np.linalg.cholesky(-J.toarray())
+
+    def test_c3_torus_stencil_is_negative_semidefinite(self, rng):
+        # the C^3 torus at 5 points has 15,625 unknowns, too many for a
+        # dense Cholesky factorization; L is a symmetric circulant there,
+        # whose eigenvalues are its symbol sum_s tr W_s cos(theta . s) at
+        # the grid frequencies theta, so -J = -L + diag(dG) is definite
+        # when none of them is positive
+        domain = GridDomain.torus(3, points_per_axis=5)
+        g = MetricField(domain, random_metric(rng, 3))
+        op = _FmOperator(domain, g, 3, g.constant.base)
+        J, _ = op.jacobian(None, np.zeros(op.nodes.size))
+        assert (J != J.T).nnz == 0
+        offsets = grids.stencil(3)[0][op.trace_rows]
+        theta = 2 * np.pi / 5 * domain.coords / domain.spacing
+        symbol = np.cos(theta @ offsets.T) @ op.trace_weights
+        assert symbol.max() <= 1e-12 * np.abs(op.trace_weights).sum()
 
     @pytest.mark.parametrize("case", ["c1_ball", "c2_torus_m2",
                                       "c2_ball_omega_m2", "c3_ball_m3"])
@@ -527,20 +580,23 @@ class TestTraceStencil:
         assert nodal.margin == expected.min()
 
 
-def recomputed_jacobian(op, u, dG):
-    """The m = n Jacobian and its diagonal with the gradient, F_n
-    included, recomputed from a second trace product of u through
-    fm_gradient_from_sums."""
-    n = op.domain.n
-    g = fm_gradient_from_sums(op.traces(u)[:, None], n, n)[:, 0]
-    K = op.nodes.size
-    M = np.zeros((K, n, n), dtype=complex)
-    M[:, range(n), range(n)] = g[:, None]
-    entries = op.row_weights @ M.reshape(K, -1).view(float).T
-    entries[op.center] -= dG
-    J = scipy.sparse.csr_matrix(
-        (entries.ravel()[op.src], op.indices, op.indptr), shape=(K, K))
-    return J, entries[op.center].copy()
+class GemmSpy:
+    """Stands in for ``_FmOperator.row_weights``, the left factor of the
+    Jacobian's GEMM at m < n: a product taken with it fails the test."""
+
+    def __matmul__(self, other):
+        raise AssertionError("the Jacobian ran its GEMM")
+
+
+def spied(monkeypatch, *targets):
+    """The list of the names of the ``(owner, name)`` targets called from
+    now on, each replaced by a recorder; the Jacobian's GEMM fails."""
+    calls = []
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, functools.partial(
+            lambda name, *args, **kwargs: calls.append(name), name))
+    monkeypatch.setattr(_FmOperator, "row_weights", GemmSpy(), raising=False)
+    return calls
 
 
 def forcing_rule_holds(rnorms, ratios, tolerance):
@@ -628,6 +684,26 @@ def one_blas_thread(code, threads=1):
                            capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
+
+
+# the C^1 torus solve of the artifact gate's solve_torus_penalized_c1
+# config, at m = n; prints the iterations and a digest of the solution bytes
+C1_TORUS_PENALIZED = """
+import hashlib
+import json
+import numpy as np
+from mhessian.grids import GridDomain, GridFunction, MetricField
+from mhessian.hermitian import HermitianMatrix
+from mhessian.solver import RightHandSide, solve_torus
+
+domain = GridDomain.torus(1, points_per_axis=33)
+f = GridFunction(domain, np.cos(2 * np.pi * domain.coords[:, 0]))
+report = solve_torus(HermitianMatrix.identity(1),
+                     RightHandSide.penalized_distance(50.0, f),
+                     MetricField.flat(domain), 1)
+print(json.dumps([report.iterations,
+                  hashlib.sha256(report.solution.values).hexdigest()]))
+"""
 
 
 # a 9^4 C^2 torus at m = 1 with a metric of condition number 2,702 and
@@ -1240,6 +1316,12 @@ class TestTorus:
         # penalty keeps the solution below the reference plus the log slack
         assert (report.solution.flat <= f.flat + np.log(10.0) / 10.0).all()
 
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # at m = n every nodal product is real: the complex trace product
+        # that this solve once took rounded otherwise at two BLAS threads
+        assert (one_blas_thread(C1_TORUS_PENALIZED, threads=2)
+                == one_blas_thread(C1_TORUS_PENALIZED))
+
     def test_chi_not_positive(self):
         domain = GridDomain.torus(1, points_per_axis=9)
         g = MetricField.flat(domain)
@@ -1511,8 +1593,8 @@ class TestFailureModes:
             solve_dirichlet(f, rhs, g, 1, SolverConfig(initial=bad))
 
     # the two damping-exhaustion branches of _newton, each reached once with
-    # the trials evaluated and once with the trace bound skipping them;
-    # their messages say where the solve stopped
+    # the trials evaluated and, at m < n, once with the trace bound skipping
+    # them; their messages say where the solve stopped
 
     @staticmethod
     def exhaust(monkeypatch, solve, bound=True):
@@ -1555,9 +1637,10 @@ class TestFailureModes:
         assert trials == plain_trials > 0
 
     def test_cone_escape_through_skipped_trials(self, monkeypatch):
-        # the only step, the full one, is skipped by the trace bound; its
-        # cone test alone makes the failure a ConeEscape
-        chi, rhs, g = penalized_torus(40.0)
+        # the only step, the full one, is skipped by the trace bound on the
+        # C^2 torus at m = 1; its cone test alone makes the failure a
+        # ConeEscape
+        chi, rhs, g = penalized_torus(40.0, n=2)
         monkeypatch.setattr(solver, "CONE_FLOOR", 1.0 - 1e-6)
         monkeypatch.setattr(solver, "DAMPING_MIN_STEP", 1.0)
         exc, trials, plain_trials = self.same_without_bound(
@@ -1591,10 +1674,10 @@ class TestFailureModes:
         assert " at Newton iteration 0 (" in message
 
     def test_divergence_through_skipped_trials(self, monkeypatch):
-        # the full step inside the cone raises the residual ninetyfold:
-        # the bound skips it, and the cone test of the skipped trial makes
-        # the failure NewtonDiverged
-        chi, rhs, g = penalized_torus(40.0)
+        # the full step stays inside the cone of the C^2 torus at m = 1 and
+        # raises the residual: the bound skips it, and the cone test of the
+        # skipped trial makes the failure NewtonDiverged
+        chi, rhs, g = penalized_torus(40.0, n=2)
         monkeypatch.setattr(solver, "DAMPING_MIN_STEP", 1.0)
         exc, trials, plain_trials = self.same_without_bound(
             monkeypatch, lambda: solve_torus(chi, rhs, g, 1))
@@ -1655,7 +1738,9 @@ BOUND_CASES = {
 def solve_counted(monkeypatch, chi, rhs, g):
     """The calls of each nodal method during solve_torus at m = 1; every
     trial calls G once, and the Jacobian reuses the accepted trial's nodal
-    quantities and slope, so it neither gathers nor calls G."""
+    quantities and slope, so it neither gathers nor calls G.  At m < n the
+    trace bound runs on every trial and some trials are skipped; at m = n
+    every trial is evaluated."""
     counts = dict.fromkeys(
         ("rhs", "bound", "evaluate", "hessians", "traces", "jacobian"), 0)
 
@@ -1675,9 +1760,14 @@ def solve_counted(monkeypatch, chi, rhs, g):
         monkeypatch.setattr(cls, attr, counted(name, getattr(cls, attr)))
     report = solve_torus(chi, rhs, g, 1)
     assert counts["jacobian"] == report.iterations
-    assert counts["rhs"] == counts["bound"] + 1
-    # each accepted trial was evaluated, and some trials were skipped
-    assert report.iterations <= counts["evaluate"] - 1 < counts["bound"]
+    # each accepted trial was evaluated
+    assert report.iterations <= counts["evaluate"] - 1
+    if g.domain.n == 1:
+        assert counts["bound"] == 0
+        assert counts["rhs"] == counts["evaluate"]
+    else:
+        assert counts["rhs"] == counts["bound"] + 1
+        assert counts["evaluate"] - 1 < counts["bound"]
     return counts
 
 
@@ -1740,17 +1830,37 @@ class TestTraceBound:
 
     def test_each_iterate_is_gathered_once(self, monkeypatch):
         # at m = n (the C^1 torus) an evaluation takes one trace product
-        # and no Hessians
+        # and no Hessians, and no trial takes the trace bound
         counts = solve_counted(monkeypatch, *penalized_torus(40.0))
         assert counts["traces"] == counts["evaluate"]
         assert counts["hessians"] == 0
 
     def test_each_iterate_at_m_below_n_is_gathered_once(self, monkeypatch):
         # at m < n (the C^2 torus at m = 1) an evaluation gathers the
-        # Hessians once and takes no trace product
+        # Hessians once and takes no trace product; the trace bound of a
+        # trial takes one
         counts = solve_counted(monkeypatch, *torus_c2_problem(5)[:3])
         assert counts["hessians"] == counts["evaluate"]
-        assert counts["traces"] == 0
+        assert counts["traces"] == counts["bound"]
+
+    @pytest.mark.parametrize("problem", ["c1_torus", "c2_torus_m2",
+                                         "c2_ball_m2"])
+    def test_semilinear_solve_takes_no_bound_gradient_or_gemm(
+            self, monkeypatch, problem):
+        # at m = n every trial is evaluated, and the Jacobian is the trace
+        # stencil: neither the trace bound nor the gradient of F_m nor the
+        # Jacobian's GEMM runs in a whole solve
+        calls = spied(monkeypatch, (_FmOperator, "residual_lower_bound"),
+                      (solver, "fm_gradient_from_sums"))
+        if problem == "c1_torus":
+            report = solve_torus(*penalized_torus(40.0), 1)
+        elif problem == "c2_torus_m2":
+            report = solve_torus(*torus_c2_problem(5))
+        else:
+            domain, g, f, rhs = quadratic_setup(2, 9, 2)
+            report = solve_dirichlet(f, rhs, g, 2)
+        assert report.iterations > 1
+        assert calls == []
 
     def test_jacobian_takes_the_accepted_trial(self, monkeypatch):
         # each Jacobian gets the nodal quantities of an evaluated iterate,
