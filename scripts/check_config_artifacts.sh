@@ -27,8 +27,11 @@
 # since the manifest records them.  The output trees are then compared with
 # diff -r, manifest.json excepted: the base commit's with the working
 # tree's, and the working tree's at one thread with its own at two.  Both
-# comparisons run and are reported.  Exits 0 when every artifact matches in
-# both, 1 when one differs or a run fails.
+# comparisons run and are reported; after the raw diff of a comparison that
+# fails comes one line per differing file: the largest change of its
+# numeric values (.bin payloads, .csv cells) or the JSON keys whose values
+# changed.  Exits 0 when every artifact matches in both, 1 when one differs
+# or a run fails.
 set -euo pipefail
 
 base=${1:?usage: $0 BASE_REF}
@@ -139,6 +142,91 @@ run() {
     mv "$work/out" "$work/$2"
 }
 
+# summarize A B: one line per file that differs between the output trees
+# A and B, manifest.json excepted; informational only, it decides nothing
+summarize() {
+    python - "$1" "$2" <<'PY'
+import json
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+
+HEADER = 28  # bytes of the grid dump header, struct "<4sIIIdI"
+
+
+def largest(pairs):
+    """'max |d| D over N values' over value pairs that differ; a pair
+    that is not two finite numbers counts as other."""
+    big, moved, other = 0.0, 0, 0
+    for x, y in pairs:
+        try:
+            d = (float("nan") if bool in (type(x), type(y))
+                 else abs(float(x) - float(y)))
+        except (TypeError, ValueError):
+            d = float("nan")
+        if d == d:
+            big, moved = max(big, d), moved + 1
+        else:
+            other += 1
+    return (f"max |d| {big:.3e} over {moved} values"
+            + (f", {other} other" if other else ""))
+
+
+def leaves(x, path=""):
+    if isinstance(x, dict):
+        for k in sorted(x):
+            yield from leaves(x[k], f"{path}.{k}" if path else k)
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from leaves(v, f"{path}[{i}]")
+    else:
+        yield path, x
+
+
+def change(a, b):
+    if a.suffix == ".bin":
+        ra, rb = a.read_bytes(), b.read_bytes()
+        if ra[:HEADER] != rb[:HEADER] or len(ra) != len(rb):
+            return "headers or sizes differ"
+        va = np.frombuffer(ra[HEADER:], "<f8")
+        vb = np.frombuffer(rb[HEADER:], "<f8")
+        moved = va.view("<i8") != vb.view("<i8")
+        return largest(zip(va[moved], vb[moved]))
+    if a.suffix == ".json":
+        la = dict(leaves(json.loads(a.read_text())))
+        lb = dict(leaves(json.loads(b.read_text())))
+        keys = [k for k in sorted(la.keys() | lb.keys())
+                if k not in la or k not in lb or la[k] != lb[k]]
+        names = dict.fromkeys(re.sub(r"\[\d+\]", "[]", k) for k in keys)
+        pairs = [(la[k], lb[k]) for k in keys if k in la and k in lb]
+        return f"keys {', '.join(names)} ({largest(pairs)})"
+    la, lb = a.read_text().splitlines(), b.read_text().splitlines()
+    if len(la) != len(lb):
+        return f"{len(la)} and {len(lb)} lines"
+    if a.suffix == ".csv":
+        return largest((x, y) for ra, rb in zip(la, lb)
+                       for x, y in zip(ra.split(","), rb.split(","))
+                       if x != y)
+    return f"{sum(x != y for x, y in zip(la, lb))} lines differ"
+
+
+root_a, root_b = map(Path, sys.argv[1:3])
+files = {p.relative_to(root) for root in (root_a, root_b)
+         for p in root.rglob("*") if p.is_file()}
+print("largest change per differing file:")
+for rel in sorted(files):
+    a, b = root_a / rel, root_b / rel
+    if rel.name == "manifest.json":
+        continue
+    if not (a.exists() and b.exists()):
+        print(f"  {rel}: only in {(root_a if a.exists() else root_b).name}")
+    elif a.read_bytes() != b.read_bytes():
+        print(f"  {rel}: {change(a, b)}")
+PY
+}
+
 run "$work/base-tree" base 1
 run "$repo" head 1
 run "$repo" head-2threads 2
@@ -149,6 +237,7 @@ if diff -r --exclude=manifest.json "$work/base" "$work/head"; then
 else
     echo "configs/, generated config or verify-suite outputs differ from" \
         "$base" >&2
+    summarize "$work/base" "$work/head" || true
     status=1
 fi
 if diff -r --exclude=manifest.json "$work/head" "$work/head-2threads"; then
@@ -157,6 +246,7 @@ if diff -r --exclude=manifest.json "$work/head" "$work/head-2threads"; then
 else
     echo "outputs of the working tree differ between one and two BLAS" \
         "threads" >&2
+    summarize "$work/head" "$work/head-2threads" || true
     status=1
 fi
 exit $status

@@ -194,8 +194,10 @@ class _FmOperator(NodalOperator):
                  chi: HermitianMatrix = None):
         super().__init__(domain, g, m, chi)
         # at m = n, F_n = tr H is linear in u and the Jacobian is the fixed
-        # trace stencil (see ``jacobian``)
-        if m == domain.n:
+        # trace stencil, exactly symmetric with -J positive definite (see
+        # ``jacobian``)
+        self.symmetric = m == domain.n
+        if self.symmetric:
             self.rows = self.trace_rows
         else:
             self.rows = np.arange(len(self.weights))
@@ -204,6 +206,12 @@ class _FmOperator(NodalOperator):
         # unknowns: interior nodes (ball) or every node (torus)
         self.indices, self.indptr, self.src, self.center = \
             domain.jacobian_pattern(self.rows)
+        if self.symmetric:
+            # L's CSR data, whose diagonal ``jacobian`` overwrites, and the
+            # CSR positions of that diagonal in row order
+            row = self.src // self.nodes.size
+            self.stencil = self.trace_weights[row]
+            self.diagonal = np.flatnonzero(row == self.center)
         # every value a Hessian gathers lies on these nodes
         self.support = np.flatnonzero(~domain.exterior_mask)
         self.weight_norm = float(np.linalg.norm(self.weights,
@@ -293,30 +301,36 @@ class _FmOperator(NodalOperator):
         iterate, and J is the trace stencil L - diag(dG), exactly symmetric
         since W_{-s} = W_s.  The rows whose folded weight has zero trace
         hold only zeros and are left out.  There neither the Hessians nor
-        an eigensolve nor the gradient are needed.
+        an eigensolve nor the gradient are needed.  The operator holds L's
+        CSR data once, and each call writes the diagonal of L - diag(dG)
+        into it and returns J on that data: a J holds until the next call,
+        as ``_newton`` keeps it.  A copy per call would keep a second
+        (nnz,) array alive through every linear solve.
         """
         n = self.domain.n
         K = self.nodes.size
-        if self.m == n:
-            entries = np.repeat(self.trace_weights[:, None], K, axis=1)
-        else:
-            grad = fm_gradient_from_sums(nodal.sums, n, self.m,
-                                         nodal.fm)  # (K, n)
-            # the eigenvectors alone: at n >= 3 LAPACK's eigh may differ
-            # from the eigvalsh behind the m-sums in the last bit, and the
-            # gradient keeps to the m-sums the residual was taken from
-            _, V = _eigh(nodal.H, vectors=True)
-            # eigenvectors and folded weights share the metric frame; V
-            # being unitary, M = V diag(grad) V^H = g_1 I + sum_{i>1}
-            # (g_i - g_1) v_i v_i^H, one outer product at n = 2
-            v = V[:, :, 1:]
-            M = np.einsum("kpi,kqi->kpq",
-                          v * (grad[:, 1:] - grad[:, :1])[:, None, :],
-                          v.conj())
-            M[:, range(n), range(n)] += grad[:, :1]
-            # entry (i, k) is Re sum_pq W_s[q, p] M_k[p, q], s = rows[i]: the
-            # real dot product of the Hermitian W_s with M_k, one real GEMM
-            entries = self.row_weights @ M.reshape(K, -1).view(float).T
+        if self.symmetric:
+            diag = self.trace_weights[self.center] - dG
+            self.stencil[self.diagonal] = diag
+            return scipy.sparse.csr_matrix(
+                (self.stencil, self.indices, self.indptr), shape=(K, K)), diag
+        grad = fm_gradient_from_sums(nodal.sums, n, self.m,
+                                     nodal.fm)  # (K, n)
+        # the eigenvectors alone: at n >= 3 LAPACK's eigh may differ
+        # from the eigvalsh behind the m-sums in the last bit, and the
+        # gradient keeps to the m-sums the residual was taken from
+        _, V = _eigh(nodal.H, vectors=True)
+        # eigenvectors and folded weights share the metric frame; V
+        # being unitary, M = V diag(grad) V^H = g_1 I + sum_{i>1}
+        # (g_i - g_1) v_i v_i^H, one outer product at n = 2
+        v = V[:, :, 1:]
+        M = np.einsum("kpi,kqi->kpq",
+                      v * (grad[:, 1:] - grad[:, :1])[:, None, :],
+                      v.conj())
+        M[:, range(n), range(n)] += grad[:, :1]
+        # entry (i, k) is Re sum_pq W_s[q, p] M_k[p, q], s = rows[i]: the
+        # real dot product of the Hermitian W_s with M_k, one real GEMM
+        entries = self.row_weights @ M.reshape(K, -1).view(float).T
         entries[self.center] -= dG
         J = scipy.sparse.csr_matrix(
             (entries.ravel()[self.src], self.indices, self.indptr),
@@ -331,6 +345,62 @@ def _matvec(J, x):
     y = np.zeros(J.shape[0])
     csr_matvec(J.shape[0], J.shape[1], J.indptr, J.indices, J.data, x, y)
     return y
+
+
+def _check_system(name, J, b):
+    """Refuse what ``csr_matvec`` would misread: a matrix not in CSR form,
+    whose arrays it would read as another matrix's, or a right-hand side
+    of the wrong length, since the kernel checks no lengths."""
+    if J.format != "csr":
+        raise ValueError(f"{name} needs a CSR matrix, got {J.format}")
+    if J.shape != b.shape * 2:
+        raise ValueError(f"{name} got a {J.shape} matrix and a "
+                         f"right-hand side of shape {b.shape}")
+
+
+def _cg(J, b, psolve, rtol, atol, maxiter):
+    """Preconditioned conjugate gradients (Hestenes and Stiefel 1952) for
+    J x = b, J symmetric and definite, of either sign, with a
+    preconditioner of the same sign.
+
+    Statement by statement the arithmetic of scipy 1.17's sparse ``cg``
+    from a zero initial guess, so ``(x, info)`` are bit-identical to it
+    wherever its iterates stay finite, with the shortcuts of ``_bicgstab``:
+    products through ``csr_matvec``, norms as ``sqrt(v.dot(v))``, Python
+    float scalars and one work vector.  One matvec an iteration, where
+    BiCGSTAB takes two.  ``info`` is 0 on convergence, -10 on a breakdown
+    (r.z or p.Jp exactly zero, which scipy would divide by) and
+    ``maxiter`` when the iterations run out.
+    """
+    _check_system("_cg", J, b)
+    bnrm2 = math.sqrt(b.dot(b))
+    atol = max(float(atol), float(rtol) * bnrm2)
+    if bnrm2 == 0:
+        return b, 0
+    x = np.zeros_like(b)
+    r = b.copy()
+    work = np.empty_like(b)
+    for iteration in range(maxiter):
+        if math.sqrt(r.dot(r)) < atol:
+            return x, 0
+        z = psolve(r)
+        rho = float(r.dot(z))
+        if rho == 0:
+            return x, -10
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = _matvec(J, p)
+        pq = float(p.dot(q))
+        if pq == 0:
+            return x, -10
+        alpha = rho / pq
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(q, alpha, out=work)
+        rho_prev = rho
+    return x, maxiter
 
 
 def _bicgstab(J, b, psolve, rtol, atol, maxiter):
@@ -349,12 +419,7 @@ def _bicgstab(J, b, psolve, rtol, atol, maxiter):
     ``info`` is 0 on convergence, -10 on rho breakdown, -11 on omega
     breakdown and ``maxiter`` when the iterations run out.
     """
-    if J.format != "csr":
-        raise ValueError(f"_bicgstab needs a CSR matrix, got {J.format}")
-    # the kernel checks no lengths
-    if J.shape != b.shape * 2:
-        raise ValueError(f"_bicgstab got a {J.shape} matrix and a "
-                         f"right-hand side of shape {b.shape}")
+    _check_system("_bicgstab", J, b)
     bnrm2 = math.sqrt(b.dot(b))
     atol = max(float(atol), float(rtol) * bnrm2)
     if bnrm2 == 0:
@@ -433,13 +498,14 @@ def _two_norm(r, rnorm):
     return rnorm * math.sqrt(s.dot(s))
 
 
-# Jacobians above this many unknowns take inexact steps.  Every configs/
-# grid has at most 1,089 nodes and the C^2 ball at 13 points per axis
-# 2,665 unknowns, so their solves keep the bits of exact steps
+# Jacobians above this many unknowns take inexact steps, on BiCGSTAB
+# whatever m is.  Every configs/ grid has at most 1,089 nodes and the C^2
+# ball at 13 points per axis 2,665 unknowns, so their solves keep the bits
+# of exact steps
 INEXACT_LIMIT = 8000
 
 
-def _linear_solve(J, r, diag, eta):
+def _linear_solve(J, r, diag, eta, symmetric=False):
     """Newton step delta for J delta = -r.
 
     At or below INEXACT_LIMIT unknowns the step meets |J delta + r| <=
@@ -449,41 +515,50 @@ def _linear_solve(J, r, diag, eta):
     test at rtol = eta implies.  ``_forcing_term`` floors eta in that same
     2-norm, so at the floor the bound is half the Newton tolerance.
 
-    Jacobi-preconditioned BiCGSTAB on ``diag``, the diagonal of J, solves
-    it, stopping at max(1e-14 |r|, rtol |r|_2) with rtol = 1e-13, or eta
-    above the limit.  Its recursively updated residual can drift from the
-    true one, J delta + r (van der Vorst and Ye 2000), so a run may stop
-    and still miss the bound.  It then restarts once from its step
-    delta_1, on the true residual: J delta_2 = -(J delta_1 + r), with the
-    same preconditioner and stopping target, and the step is delta_1 +
-    delta_2.  A miss of the restart, or a zero on the diagonal, is a
-    NewtonDiverged; the operator Jacobians have a negative diagonal, so
-    only an overflow or underflow makes a zero.
+    A Jacobi-preconditioned Krylov loop on ``diag``, the diagonal of J,
+    solves it, stopping at max(1e-14 |r|, rtol |r|_2) with rtol = 1e-13,
+    or eta above the limit.  An exact step on a ``symmetric`` J, the
+    operator's m = n Jacobian with -J positive definite, runs CG, one
+    matvec an iteration; every other step runs BiCGSTAB, two.  CG takes no
+    inexact step: stopped early, on the 17-point C^2 ball at m = 2
+    (10,425 unknowns), its steps stalled Newton's residual at 13.6 and the
+    solve left the cone, where BiCGSTAB's converge in 7 iterations.  The
+    recursively updated residual of either loop can drift from the true
+    one, J delta + r (van der Vorst and Ye 2000), so a run may stop and
+    still miss the bound.  It then restarts once from its step delta_1, on
+    the true residual: J delta_2 = -(J delta_1 + r), with the same loop,
+    preconditioner and stopping target, and the step is delta_1 + delta_2.
+    A miss of the restart, or a zero on the diagonal, is a NewtonDiverged
+    that names the loop; the operator Jacobians have a negative diagonal,
+    so only an overflow or underflow makes a zero.
     """
+    exact = J.shape[0] <= INEXACT_LIMIT
+    krylov, name = ((_cg, "CG") if symmetric and exact
+                    else (_bicgstab, "BiCGSTAB"))
     if not (diag != 0.0).all():
-        raise NewtonDiverged("zero on the Jacobian diagonal: Jacobi-BiCGSTAB "
+        raise NewtonDiverged(f"zero on the Jacobian diagonal: Jacobi-{name} "
                              "cannot run")
     denom = max(float(np.abs(r).max()), 1e-300)
-    # BiCGSTAB's breakdown test is absolute, so it solves for r scaled by
+    # the breakdown tests are absolute, so the loop solves for r scaled by
     # the power of two that brings |r| into [1, 2); the scaling is exact
     # and the tolerances mean the same at every scale of r
     scale = math.ldexp(1.0, 1 - math.frexp(denom)[1])
     r = r * scale
     denom = denom * scale
-    if J.shape[0] > INEXACT_LIMIT:
-        rtol = eta
-        bound = eta * math.sqrt(r.dot(r))
-    else:
+    if exact:
         rtol = 1e-13
         bound = 1e-10 * denom
+    else:
+        rtol = eta
+        bound = eta * math.sqrt(r.dot(r))
     atol = 1e-14 * denom
     # -0.0 is the identity of IEEE addition: the first step keeps its bits
     delta, residual = -0.0, r
     for _ in range(2):
         # a division: multiplying by a cached reciprocal rounds differently
-        # and would lose bit identity with scipy's bicgstab
-        step, info = _bicgstab(J, -residual, lambda x: x / diag, rtol=rtol,
-                               atol=atol, maxiter=1000)
+        # and would lose bit identity with scipy's loops
+        step, info = krylov(J, -residual, lambda x: x / diag, rtol=rtol,
+                            atol=atol, maxiter=1000)
         delta = delta + step
         residual = _matvec(J, delta) + r
         miss = float(np.abs(residual).max())
@@ -492,8 +567,8 @@ def _linear_solve(J, r, diag, eta):
         # the restart stops at the first run's absolute target
         rtol, atol = 0.0, max(atol, rtol * math.sqrt(r.dot(r)))
     raise NewtonDiverged(
-        f"Jacobi-BiCGSTAB failed the residual contract after one restart "
-        f"(BiCGSTAB info={info}, true residual {miss / denom:.3e} |r|, "
+        f"Jacobi-{name} failed the residual contract after one restart "
+        f"({name} info={info}, true residual {miss / denom:.3e} |r|, "
         f"bound {bound / denom:.3e} |r|)")
 
 
@@ -548,7 +623,7 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
                             cfg.tolerance)
         J, diag = op.jacobian(nodal, dG)
         try:
-            delta_unknown = _linear_solve(J, r, diag, eta)
+            delta_unknown = _linear_solve(J, r, diag, eta, op.symmetric)
         except NewtonDiverged as exc:
             exc.args = (f"{exc.args[0]} {where}",)
             raise

@@ -133,20 +133,26 @@ def jacobian_case(n, points, m, metric, chi):
 
 @pytest.fixture
 def krylov_runs(monkeypatch):
-    """Counts the linear solves of the solver and the BiCGSTAB runs they
-    make: one run a solve, two when the first misses and restarts."""
+    """Counts the linear solves of the solver and the Krylov runs they
+    make, one run a solve and two when the first misses and restarts:
+    ``runs`` of either loop, ``_cg`` and ``_bicgstab`` of each, and
+    ``rtols`` the rtol of every run in order."""
     counts = Counter()
+    counts["rtols"] = []
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name != "solves":
+                counts["runs"] += 1
+                counts["rtols"].append(kwargs["rtol"])
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(solver, "_linear_solve",
-                        counted("solves", solver._linear_solve))
-    monkeypatch.setattr(solver, "_bicgstab",
-                        counted("runs", solver._bicgstab))
+    for name in ("_linear_solve", "_cg", "_bicgstab"):
+        monkeypatch.setattr(solver, name, counted(
+            "solves" if name == "_linear_solve" else name,
+            getattr(solver, name)))
     return counts
 
 
@@ -155,12 +161,17 @@ def meets_contract(J, delta, r):
 
 
 # the NewtonDiverged errors of a linear solve: on a zero diagonal, and on
-# a restart that misses too, naming BiCGSTAB's info and the true residual
-# relative to |r| (below INEXACT_LIMIT, where the bound is 1e-10 |r|)
-ZERO_DIAGONAL = r"^zero on the Jacobian diagonal: Jacobi-BiCGSTAB cannot run$"
-LINEAR_FAILURE = (r"Jacobi-BiCGSTAB failed the residual contract after one "
-                  r"restart \(BiCGSTAB info={}, true residual (\S+) \|r\|, "
-                  r"bound 1\.000e-10 \|r\|\)")
+# a restart that misses too, naming the Krylov loop, its info and the true
+# residual relative to |r| (below INEXACT_LIMIT, where the bound is
+# 1e-10 |r|)
+ZERO_DIAGONAL = r"^zero on the Jacobian diagonal: Jacobi-{} cannot run$"
+
+
+def linear_failure(method, info):
+    return (rf"Jacobi-{method} failed the residual contract after one "
+            rf"restart \({method} info={info}, true residual (\S+) \|r\|, "
+            r"bound 1\.000e-10 \|r\|\)")
+
 
 # a failure of the line search or the linear solve, and where it happened
 WHERE = re.compile(r"^(.*) at Newton iteration \d+ \(residual \S+, "
@@ -203,7 +214,8 @@ class TestLinearSolve:
         # Jacobi needs a nonzero diagonal
         J, _, r = ball_c2_system()
         J[0, 0] = 0.0
-        with pytest.raises(NewtonDiverged, match=ZERO_DIAGONAL):
+        with pytest.raises(NewtonDiverged,
+                           match=ZERO_DIAGONAL.format("BiCGSTAB")):
             _linear_solve(J, r, J.diagonal(), ETA_MAX)
         assert krylov_runs["runs"] == 0
 
@@ -251,7 +263,8 @@ class TestLinearSolve:
         J = J.tolil()
         J[0, :] = 0.0
         J = J.tocsr()
-        with pytest.raises(NewtonDiverged, match=ZERO_DIAGONAL):
+        with pytest.raises(NewtonDiverged,
+                           match=ZERO_DIAGONAL.format("BiCGSTAB")):
             _linear_solve(J, r, J.diagonal(), ETA_MAX)
         assert krylov_runs["runs"] == 0
 
@@ -271,7 +284,7 @@ class TestLinearSolve:
         with pytest.raises(NewtonDiverged) as failure:
             _linear_solve(J, r, diag, ETA_MAX)
         assert runs == [0, 0]
-        residual = re.fullmatch(LINEAR_FAILURE.format(0),
+        residual = re.fullmatch(linear_failure("BiCGSTAB", 0),
                                 failure.value.args[0]).group(1)
         assert float(residual) == pytest.approx(0.25, rel=1e-3)
 
@@ -288,7 +301,7 @@ class TestLinearSolve:
         with pytest.raises(NewtonDiverged) as failure:
             _linear_solve(J, r, diag, ETA_MAX)
         assert len(runs) == 2
-        assert re.fullmatch(LINEAR_FAILURE.format(-10),
+        assert re.fullmatch(linear_failure("BiCGSTAB", -10),
                             failure.value.args[0]).group(1) == "1.000e+00"
 
     def test_breakdown_is_met_by_the_restart(self, monkeypatch):
@@ -434,6 +447,132 @@ class TestLinearSolve:
             assert np.array_equal(J.data, expected.data)
 
 
+# the cases of JACOBIAN_CASES at m = n, whose Jacobians are symmetric
+SYMMETRIC_CASES = [case for case, (n, _, m, _, _) in JACOBIAN_CASES.items()
+                   if m == n]
+
+
+def symmetric_system(case):
+    """The first Newton system of an m = n case of JACOBIAN_CASES."""
+    op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
+    assert op.symmetric
+    return newton_system(op, u, rhs)
+
+
+class TestJacobiCG:
+    """Exact Newton steps at m = n run Jacobi-preconditioned CG; every
+    other step runs Jacobi-BiCGSTAB."""
+
+    @pytest.mark.parametrize("case", SYMMETRIC_CASES)
+    def test_meets_the_contract(self, krylov_runs, case):
+        J, diag, r = symmetric_system(case)
+        assert meets_contract(J, _linear_solve(J, r, diag, ETA_MAX, True), r)
+        # one CG run, no restart
+        assert krylov_runs["_cg"] == krylov_runs["runs"] == 1
+
+    def test_cg_matches_scipy(self):
+        # scipy's cg behind a LinearOperator preconditioner is the
+        # reference: equal bits and equal info wherever its iterates stay
+        # finite
+        def check(J, b, psolve, info, rtol=1e-13, atol=None, maxiter=1000):
+            if atol is None:
+                atol = 1e-14 * np.abs(b).max()  # as _linear_solve sets it
+            x, got = solver._cg(J, b, psolve, rtol, atol, maxiter)
+            x_ref, info_ref = scipy.sparse.linalg.cg(
+                J, b, M=scipy.sparse.linalg.LinearOperator(J.shape, psolve),
+                rtol=rtol, atol=atol, maxiter=maxiter)
+            assert got == info_ref == info
+            assert np.array_equal(x, x_ref)
+            return x_ref
+
+        for case in SYMMETRIC_CASES:
+            J, diag, r = symmetric_system(case)
+            # the power of two _linear_solve scales r by
+            scale = 2.0 ** (1 - np.frexp(np.abs(r).max())[1])
+            x_ref = check(J, -r * scale, lambda x: x / diag, 0)
+            assert np.array_equal(_linear_solve(J, r, diag, ETA_MAX, True),
+                                  x_ref / scale)
+        J, diag, r = symmetric_system("c2_ball_m2")
+        check(J, -r / np.abs(r).max(), lambda x: x / diag, 3, maxiter=3)
+        check(J, np.zeros_like(r), lambda x: x / diag, 0)
+        # the stopping test is strict: a residual norm equal to atol goes on
+        J = scipy.sparse.csr_matrix(np.diag([1.0, 2.0]))
+        check(J, np.array([1.0, 1.0]), np.copy, 0, rtol=1.0)
+
+    def test_breakdowns(self):
+        # scipy's cg would divide by zero on both
+        with pytest.raises(ValueError, match="CSR"):
+            solver._cg(scipy.sparse.csc_matrix(np.eye(2)), np.ones(2), np.copy,
+                       rtol=1e-13, atol=0.0, maxiter=10)
+        # J p = 0 on the first search direction: p.Jp = 0
+        nilpotent = scipy.sparse.csr_matrix([[0.0, 1.0], [0.0, 0.0]])
+        x, info = solver._cg(nilpotent, np.array([1.0, 0.0]), np.copy,
+                             rtol=1e-13, atol=0.0, maxiter=10)
+        assert info == -10 and not x.any()
+        # a preconditioner that maps r to a vector orthogonal to it: r.z = 0
+        x, info = solver._cg(scipy.sparse.csr_matrix(np.eye(2)),
+                             np.array([1.0, 0.0]), lambda v: v[::-1].copy(),
+                             rtol=1e-13, atol=0.0, maxiter=10)
+        assert info == -10 and not x.any()
+
+    def test_breakdown_is_met_by_the_restart(self, monkeypatch, krylov_runs):
+        J, diag, r = symmetric_system("c2_ball_m2")
+        cg = solver._cg
+        calls = []
+
+        def breaks_down_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return np.zeros_like(r), -10
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_cg", breaks_down_once)
+        assert meets_contract(J, _linear_solve(J, r, diag, ETA_MAX, True), r)
+        assert len(calls) == 2
+        assert krylov_runs["_bicgstab"] == 0
+
+    def test_failure_diverges_naming_cg_and_its_info(self, monkeypatch):
+        J, diag, r = symmetric_system("c2_ball_m2")
+        runs = []
+
+        def breaks_down(J, b, *args, **kwargs):
+            runs.append(1)
+            return np.zeros_like(b), -10
+
+        monkeypatch.setattr(solver, "_cg", breaks_down)
+        with pytest.raises(NewtonDiverged) as failure:
+            _linear_solve(J, r, diag, ETA_MAX, True)
+        assert len(runs) == 2
+        assert re.fullmatch(linear_failure("CG", -10),
+                            failure.value.args[0]).group(1) == "1.000e+00"
+        diag = diag.copy()
+        diag[0] = 0.0
+        with pytest.raises(NewtonDiverged, match=ZERO_DIAGONAL.format("CG")):
+            _linear_solve(J, r, diag, ETA_MAX, True)
+        assert len(runs) == 2
+
+    @pytest.mark.parametrize("problem, loop", [
+        ("c1_torus", "_cg"), ("c2_ball_m2", "_cg"),
+        ("c2_ball_m1", "_bicgstab"), ("c2_torus_m1", "_bicgstab"),
+        ("c2_ball_17_m2", "_bicgstab")])
+    def test_which_loop_a_solve_runs(self, krylov_runs, problem, loop):
+        # CG at m = n at or below INEXACT_LIMIT, BiCGSTAB at m < n and
+        # above the limit: the 17-point C^2 ball has 10,425 unknowns
+        if problem == "c1_torus":
+            report = solve_torus(*penalized_torus(40.0), 1)
+        elif problem == "c2_torus_m1":
+            report = solve_torus(*penalized_torus(10.0, n=2), 1)
+        else:
+            points = 17 if problem == "c2_ball_17_m2" else 9
+            m = int(problem[-1])
+            domain, g, f, rhs = quadratic_setup(2, points, m)
+            assert ((domain.interior_mask.sum() > solver.INEXACT_LIMIT)
+                    == (points == 17))
+            report = solve_dirichlet(f, rhs, g, m)
+        assert report.final_residual <= 1e-9
+        assert krylov_runs[loop] == krylov_runs["runs"] > 0
+
+
 def full_stencil_jacobian(op, H, grad, dG):
     """The Jacobian as assembled over every stencil row, with M = V
     diag(grad) V^H from the eigenvectors of the Hessians H, in CSR form with
@@ -452,6 +591,18 @@ def full_stencil_jacobian(op, H, grad, dG):
     entries[center] -= dG
     return scipy.sparse.csr_matrix((entries.ravel()[src], indices, indptr),
                                    shape=(K, K))
+
+
+def repeat_and_gather_jacobian(op, dG):
+    """The m = n Jacobian and its diagonal as built before the operator
+    held L: the trace weights repeated across the nodes, dG taken off the
+    centre row and the CSR entries gathered."""
+    K = op.nodes.size
+    entries = np.repeat(op.trace_weights[:, None], K, axis=1)
+    entries[op.center] -= dG
+    J = scipy.sparse.csr_matrix((entries.ravel()[op.src], op.indices,
+                                 op.indptr), shape=(K, K))
+    return J, entries[op.center].copy()
 
 
 # (n, domain kind, points per axis) of the m = n Jacobians whose symmetry
@@ -513,7 +664,9 @@ class TestTraceStencil:
         _, dG = op.rhs_values(u, sampled(op, rhs))
         other = op.evaluate(
             u + 1e-4 * np.random.default_rng(9).normal(size=u.size))
+        # a copy: both Jacobians live on the operator's held data
         expected, expected_diag = op.jacobian(other, dG)
+        expected = expected.copy()
         nodal = op.evaluate(u)
         assert not np.array_equal(nodal.sums, other.sums)
         calls = spied(monkeypatch, (solver, "_eigh"),
@@ -524,6 +677,23 @@ class TestTraceStencil:
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(J, name), getattr(expected, name))
         assert np.array_equal(diag, expected_diag)
+
+    @pytest.mark.parametrize("case", SYMMETRIC_CASES)
+    def test_held_stencil_matches_repeat_and_gather(self, rng, case):
+        # the operator holds L's CSR data once and each call writes its
+        # diagonal there: two calls in a row, with slopes that differ at
+        # every node, each give the bits of the construction that repeated
+        # the trace weights and gathered the entries at every call
+        op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
+        _, dG = op.rhs_values(u, sampled(op, rhs))
+        for slope in (dG, dG * rng.uniform(1.5, 2.0, dG.size)):
+            J, diag = op.jacobian(None, slope)
+            expected, expected_diag = repeat_and_gather_jacobian(op, slope)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(J, name),
+                                      getattr(expected, name))
+            assert np.array_equal(diag, expected_diag)
+            assert np.shares_memory(J.data, op.stencil)
 
     @pytest.mark.parametrize("case", list(SEMILINEAR_CASES))
     def test_is_symmetric_and_negative_definite(self, rng, case):
@@ -707,7 +877,8 @@ print(json.dumps([report.iterations,
 
 
 # a 9^4 C^2 torus at m = 1 with a metric of condition number 2,702 and
-# chi = 1.29 times it, on whose first Newton system Jacobi-BiCGSTAB stops
+# chi = 1.29 times it, on whose first Newton system, not symmetric and so
+# not for CG, Jacobi-BiCGSTAB stops
 # with info 0 at a true residual of 1.13e-10 |r| (1.19e-10 at two BLAS
 # threads); prints, for that system, the runs of the linear solve, the
 # first run's info and relative true residual and the step's, then the
@@ -742,9 +913,9 @@ def recorded_bicgstab(J, b, *args, **kwargs):
     return x, info
 
 
-def recorded_solve(J, r, diag, eta):
+def recorded_solve(J, r, diag, eta, symmetric):
     first = len(runs)
-    delta = linear_solve(J, r, diag, eta)
+    delta = linear_solve(J, r, diag, eta, symmetric)
     systems.append([len(runs) - first, *runs[first],
                     float(np.abs(J @ delta + r).max() / np.abs(r).max())])
     return delta
@@ -805,20 +976,16 @@ class TestInexactNewton:
                 assert solver._two_norm(r * scale, rnorm * scale) == base * scale
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_ball_at_13_points_takes_exact_steps(self, monkeypatch, m):
-        # 2,665 unknowns, below INEXACT_LIMIT
+    def test_ball_at_13_points_takes_exact_steps(self, monkeypatch,
+                                                 krylov_runs, m):
+        # 2,665 unknowns, below INEXACT_LIMIT: every run of the loop that
+        # ran, BiCGSTAB at m < n and CG at m = n, stops at rtol 1e-13
         domain, g, f, rhs = quadratic_setup(2, 13, m)
         assert domain.interior_mask.sum() == 2665
-        bicgstab = solver._bicgstab
-        rtols = []
-
-        def spy(*args, **kwargs):
-            rtols.append(kwargs["rtol"])
-            return bicgstab(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_bicgstab", spy)
         report = solve_dirichlet(f, rhs, g, m)
-        assert rtols and set(rtols) == {1e-13}
+        loop = "_cg" if m == 2 else "_bicgstab"
+        assert krylov_runs[loop] == krylov_runs["runs"] > 0
+        assert set(krylov_runs["rtols"]) == {1e-13}
         # exact steps at every size
         monkeypatch.setattr(solver, "INEXACT_LIMIT", 10 ** 12)
         exact = solve_dirichlet(f, rhs, g, m)
@@ -906,8 +1073,11 @@ class TestManufacturedQuadratic:
             domain, g, f, rhs = quadratic_setup(2, 9, m)
             report = solve_dirichlet(f, rhs, g, m)
             assert interior_error(report, f.flat) <= 1e-10
-        # one BiCGSTAB run a linear solve: no restart
+        # one Krylov run a linear solve, BiCGSTAB at m = 1 and CG at m = 2:
+        # no restart, and every run at rtol 1e-13
         assert krylov_runs["runs"] == krylov_runs["solves"] > 0
+        assert krylov_runs["_cg"] > 0 and krylov_runs["_bicgstab"] > 0
+        assert set(krylov_runs["rtols"]) == {1e-13}
 
     @pytest.mark.parametrize("points", [7, 9])
     def test_c3_exact_recovery_every_order(self, points):
@@ -1669,7 +1839,7 @@ class TestFailureModes:
         with pytest.raises(NewtonDiverged) as failure:
             solve_dirichlet(f, rhs, g, 1)
         message = failure.value.args[0]
-        assert re.fullmatch(LINEAR_FAILURE.format(0),
+        assert re.fullmatch(linear_failure("BiCGSTAB", 0),
                             WHERE.match(message).group(1))
         assert " at Newton iteration 0 (" in message
 
@@ -1723,15 +1893,16 @@ class TestTypedErrors:
             solve_torus(HermitianMatrix.diagonal([1e200]), rhs, g, 1)
 
 
-# (n, points per axis, m, metric, chi, iterate): a ball grid when chi is
-# None, else a torus grid; the iterate is |z|^2 or a small random field
+# (n, points per axis, m, metric, chi, iterate), all at m < n, where
+# _newton takes the trace bound: a ball grid when chi is None, else a torus
+# grid; the iterate is |z|^2 or a small random field
 BOUND_CASES = {
-    "c1_ball": (1, 9, 1, None, None, "quadratic"),
-    "c1_torus": (1, 9, 1, None, HermitianMatrix.identity(1), "random"),
     "c2_ball_m1": (2, 7, 1, None, None, "quadratic"),
-    "c2_ball_m2_omega": (2, 7, 2, OMEGA, None, "quadratic"),
+    "c2_ball_m1_omega": (2, 7, 1, OMEGA, None, "quadratic"),
     "c2_torus_m1": (2, 5, 1, None, CHI, "random"),
-    "c2_torus_m2": (2, 5, 2, OMEGA, CHI, "random"),
+    "c2_torus_m1_omega": (2, 5, 1, OMEGA, CHI, "random"),
+    "c3_ball_m1": (3, 7, 1, None, None, "quadratic"),
+    "c3_ball_m2": (3, 7, 2, None, None, "quadratic"),
 }
 
 
@@ -1800,6 +1971,7 @@ class TestTraceBound:
         # full evaluation.  G is drawn close to (m/n) tr H, where AM-GM is
         # tight for the quadratic iterates, so the slack carries the test
         op, u = bound_case(case)
+        assert op.m < op.domain.n
         rng = np.random.default_rng(seed)
         delta = 10.0 ** log_size * rng.normal(size=op.nodes.size)
         trial = solver._damped(u, op.nodes, step, delta)
@@ -1812,11 +1984,14 @@ class TestTraceBound:
             assert float(np.abs(nodal.fm - G).max()) >= bound
 
     def test_bound_skips_trials(self):
-        # not vacuous: on a torus problem with a large penalty the bound of
-        # the full step is ninety times the current residual, and within
-        # 3e-11 relative of the trial's own
-        chi, rhs, g = penalized_torus(40.0)
+        # not vacuous: on the C^2 torus at m = 1 with a large penalty the
+        # bound of the full step, 2.6 times the current residual, reaches
+        # that residual, so _newton skips the step; it stays at or below the
+        # trial's own residual, which lies about 0.9 % above it (the AM-GM
+        # slack of F_1 <= tr H / 2)
+        chi, rhs, g = penalized_torus(40.0, n=2)
         op = _FmOperator(g.domain, g, 1, chi)
+        assert op.m < op.domain.n
         u = np.full(g.domain.node_count, float(rhs.reference.flat.min()))
         J, diag, r = newton_system(op, u, rhs)
         trial = solver._damped(u, op.nodes, 1.0,
@@ -1824,9 +1999,9 @@ class TestTraceBound:
         G, _ = op.rhs_values(trial, sampled(op, rhs))
         rnorm = float(np.abs(r).max())
         bound = op.residual_lower_bound(trial, G)
-        assert bound > 50.0 * rnorm
+        assert bound >= rnorm
         residual = float(np.abs(op.evaluate(trial).fm - G).max())
-        assert bound <= residual <= bound * (1.0 + 1e-10)
+        assert bound <= residual
 
     def test_each_iterate_is_gathered_once(self, monkeypatch):
         # at m = n (the C^1 torus) an evaluation takes one trace product
