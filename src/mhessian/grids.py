@@ -14,6 +14,7 @@ exactly.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +32,11 @@ TORUS = "torus"
 # stencil point (25 on C^2) and per trace row (9 on C^2 with a diagonal
 # metric).  It gathers u as complex from every row and forms the n x n
 # complex Hessian at m < n, and gathers the trace rows alone at m = n.  A
-# solve adds the Jacobian pattern of its stencil rows, an int32 and an
-# int64 index per entry; the domain keeps one pattern per row set its
-# solves use: all 25 rows at m < n, the 9 trace rows at m = n.  At 2^20
-# nodes that is about 1.1 GB on C^2 at m < n and 0.6 GB at m = n.
+# solve adds the Jacobian pattern of its stencil rows, an int32 and an int8
+# index per entry, and at m < n an int64 one; the domain keeps one pattern
+# per row set its solves use: all 25 rows at m < n, the 9 trace rows at
+# m = n.  At 2^20 nodes that is about 1.1 GB on C^2 at m < n and 0.5 GB at
+# m = n.
 # Memory sets the bound, not time: a global_regularize run on a 13^4
 # torus, three Newton solves, takes under a second.
 MAX_NODES = 2 ** 20
@@ -211,8 +213,9 @@ class GridDomain:
     def jacobian_pattern(self, rows):
         """Read-only CSR pattern of a Jacobian on the interior nodes that
         holds the stencil rows ``rows``, built once per row set: int32
-        indices and indptr, the position i * K + k of the entry of row
-        rows[i] behind each CSR entry, and the i of the zero offset."""
+        indices and indptr, the int8 i of the stencil row rows[i] behind
+        each CSR entry (at most 113 rows, at n <= 4), and the i of the zero
+        offset."""
         key = tuple(int(s) for s in rows)
         if key in self._jacobian_patterns:
             return self._jacobian_patterns[key]
@@ -230,12 +233,63 @@ class GridDomain:
         assert (np.diff(keys) > 0).all(), "two stencil entries share a slot"
         indices = cols[src].astype(np.int32)
         indptr = np.searchsorted(keys // K, np.arange(K + 1)).astype(np.int32)
-        for array in (indices, indptr, src):
+        slot = (src // K).astype(np.int8)
+        for array in (indices, indptr, slot):
             array.setflags(write=False)
         center = np.flatnonzero(~stencil(self.n)[0][rows].any(axis=1))[0]
-        pattern = indices, indptr, src, int(center)
+        pattern = indices, indptr, slot, int(center)
         self._jacobian_patterns[key] = pattern
         return pattern
+
+    def jacobian_gather(self, rows):
+        """The position i * K + k, in a (len(rows), K) array of row entries
+        per unknown, of the entry behind each CSR entry of
+        ``jacobian_pattern(rows)``: int64 and read-only, built once per row
+        set, and only for a Jacobian gathered from such entries."""
+        key = ("gather", *(int(s) for s in rows))
+        if key not in self._jacobian_patterns:
+            _, indptr, slot, _ = self.jacobian_pattern(rows)
+            K = indptr.size - 1
+            src = (slot.astype(np.int64) * K
+                   + np.repeat(np.arange(K), np.diff(indptr)))
+            src.setflags(write=False)
+            self._jacobian_patterns[key] = src
+        return self._jacobian_patterns[key]
+
+    @cached_property
+    def _folds(self) -> dict:
+        return {}
+
+    def fold(self, C: np.ndarray, chi: np.ndarray = None) -> "Fold":
+        """The stencil folded into the metric frame of the lower Cholesky
+        factor C, with the background form chi if one is given, built once
+        per (C, chi) and read-only: see ``Fold``."""
+        key = (C.tobytes(), None if chi is None else chi.tobytes())
+        if key in self._folds:
+            return self._folds[key]
+        weights = metric_frame(stencil(self.n)[1] / self.spacing ** 2, C)
+        chi = None if chi is None else metric_frame(chi, C)
+        traces = np.einsum("spp->s", weights).real
+        rows = np.flatnonzero(traces)
+        fold = Fold(weights, chi, rows, traces[rows],
+                    self.interior_neighbors[1][rows],
+                    0.0 if chi is None else float(np.einsum("pp->", chi).real))
+        for array in fold[:5]:
+            if array is not None:
+                array.setflags(write=False)
+        self._folds[key] = fold
+        return fold
+
+
+class Fold(NamedTuple):
+    """The stencil of a domain in one metric frame (see ``NodalOperator``)."""
+
+    weights: np.ndarray          # folded weights, (S, n, n)
+    chi: np.ndarray              # folded background form, (n, n), or None
+    trace_rows: np.ndarray       # the rows whose weight has nonzero trace
+    trace_weights: np.ndarray    # their traces
+    trace_neighbors: np.ndarray  # their neighbour table, (len(rows), K)
+    chi_trace: float             # the trace of the folded form, or 0
 
 
 @dataclass(frozen=True)
@@ -366,10 +420,11 @@ def _eigh(H: np.ndarray, vectors: bool):
 class NodalOperator:
     """Discrete complex Hessians in the metric frame over a fixed node set.
 
-    The metric is folded into the stencil once by ``metric_frame``, the
-    pointwise reduction: with C the Cholesky factor of the metric, the
-    weights are C^{-1} W_s C^{-H} / h^2 and the optional background form
-    is C^{-1} chi C^{-H}.  The ordinary Hermitian spectrum of a folded
+    The domain folds the metric into the stencil once per metric and chi
+    (``GridDomain.fold``) by ``metric_frame``, the pointwise reduction:
+    with C the Cholesky factor of the metric, the weights are
+    C^{-1} W_s C^{-H} / h^2 and the optional background form is
+    C^{-1} chi C^{-H}.  The ordinary Hermitian spectrum of a folded
     Hessian is its spectrum relative to the metric, so ``sigma`` returns
     the m-fold relative eigenvalue sums at every node.  The folded weights
     are Hermitian, so every Hessian is exactly Hermitian: entries [p, q]
@@ -390,16 +445,9 @@ class NodalOperator:
         self.domain = domain
         self.m = m
         self.nodes, self.neighbors = domain.interior_neighbors  # (K,), (S, K)
-        C = g.constant.cholesky
-        self.weights = metric_frame(
-            stencil(domain.n)[1] / domain.spacing ** 2, C)
-        self.chi = None if chi is None else metric_frame(chi.entries, C)
-        traces = np.einsum("spp->s", self.weights).real
-        self.trace_rows = np.flatnonzero(traces)
-        self.trace_weights = traces[self.trace_rows]
-        self.trace_neighbors = self.neighbors[self.trace_rows]
-        self.chi_trace = (0.0 if self.chi is None
-                          else float(np.einsum("pp->", self.chi).real))
+        (self.weights, self.chi, self.trace_rows, self.trace_weights,
+         self.trace_neighbors, self.chi_trace) = domain.fold(
+             g.constant.cholesky, None if chi is None else chi.entries)
 
     def hessians(self, u_flat: np.ndarray) -> np.ndarray:
         """Folded Hessians (plus the folded background form), (K, n, n)."""

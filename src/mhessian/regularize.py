@@ -23,7 +23,6 @@ from .errors import (
     ScheduleExhausted,
     TargetNotAdmissible,
 )
-from .fm import fm_value
 from .grids import BALL, TORUS, GridDomain, GridFunction, MetricField, \
     _on_grid, cone_field, fm_field
 from .hermitian import HermitianMatrix
@@ -350,10 +349,9 @@ def global_regularize(phi: GridFunction, chi: HermitianMatrix, g: MetricField,
     domain = phi.domain
     if domain.kind != TORUS:
         raise DimensionMismatchError("global regularization runs on a torus grid")
-    check_chi_positive(chi, g, m)
+    fm_chi = check_chi_positive(chi, g, m)
     _check_target(phi, g, m, chi=chi)
     _check_dominates(schedule, phi)
-    fm_chi = fm_value(chi, g.constant, m).value
 
     def prepare(f_j, beta):
         plus = fm_field(f_j, g, m, chi=chi).flat

@@ -98,6 +98,14 @@ class _SampledRHS(NamedTuple):
             raise IllPosedRHS("right-hand side must be increasing in t")
         return G, dG
 
+    def root(self, value):
+        """The t at which G(z, t) = value at every unknown, read without
+        the exponent clamp: s + log((value - c) / a) / beta.  It is not
+        finite where there is none, as where a <= 0 or value <= c, and
+        numpy warns of nothing."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self.s + np.log((value - self.c) / self.a) / self.beta
+
 
 @dataclass(frozen=True)
 class RightHandSide:
@@ -204,14 +212,15 @@ class _FmOperator(NodalOperator):
             self.row_weights = self.weights.reshape(len(self.rows),
                                                     -1).view(float)
         # unknowns: interior nodes (ball) or every node (torus)
-        self.indices, self.indptr, self.src, self.center = \
+        self.indices, self.indptr, slot, self.center = \
             domain.jacobian_pattern(self.rows)
         if self.symmetric:
             # L's CSR data, whose diagonal ``jacobian`` overwrites, and the
             # CSR positions of that diagonal in row order
-            row = self.src // self.nodes.size
-            self.stencil = self.trace_weights[row]
-            self.diagonal = np.flatnonzero(row == self.center)
+            self.stencil = self.trace_weights[slot]
+            self.diagonal = np.flatnonzero(slot == self.center)
+        else:
+            self.src = domain.jacobian_gather(self.rows)
         # every value a Hessian gathers lies on these nodes
         self.support = np.flatnonzero(~domain.exterior_mask)
         self.weight_norm = float(np.linalg.norm(self.weights,
@@ -720,33 +729,59 @@ def solve_dirichlet(f: GridFunction, rhs: RightHandSide, g: MetricField,
     return continuity_path(f, rhs, g, m, cfg, t_steps=1)
 
 
-def check_chi_positive(chi: HermitianMatrix, g: MetricField, m: int):
-    """Raise ChiNotPositive unless chi lies in the open m-cone of the metric."""
+def check_chi_positive(chi: HermitianMatrix, g: MetricField, m: int) -> float:
+    """F_m[chi] relative to the metric; raise ChiNotPositive unless chi
+    lies in the open m-cone of the metric."""
     _check_m(g.domain.n, m)
-    margin = float(subset_sums(relative_eigenvalues(chi, g.constant).lambdas,
-                               m).min())
+    sums = subset_sums(relative_eigenvalues(chi, g.constant).lambdas, m)
+    margin = float(sums.min())
     if not margin > 0.0:
         raise ChiNotPositive(
             f"background form has minimal m-sum {margin:.3e} <= 0"
         )
+    return float(geometric_mean_clamped(sums))
+
+
+def _torus_start(op: _FmOperator, rhs: RightHandSide, sampled: _SampledRHS,
+                 fm_chi: float):
+    """The start of a torus solve given none, and its nodal quantities.
+
+    It is the pointwise root of G(z, t) = F_m[chi] at every node, the
+    leading term of the solution for a large penalty beta: it solves the
+    equation but for its own Hessian, so Newton starts where G, whose
+    exponent is beta t, already takes about the values it must reach.
+    Where that root is not finite, or not strictly inside the cone, the
+    start is the constant min f of a penalized f, or 0.  The root is
+    tested with numpy's warnings off: an overflow only sends it to the
+    constant.
+    """
+    u0 = sampled.root(fm_chi)  # every torus node is an unknown, in order
+    if np.isfinite(u0).all():
+        with np.errstate(all="ignore"):
+            nodal = op.evaluate(u0)
+        if nodal.margin > CONE_FLOOR:
+            return u0, nodal
+    u0 = np.full(op.domain.node_count, 0.0 if rhs.reference is None
+                 else float(rhs.reference.flat.min()))
+    return u0, _start(op, u0)
 
 
 def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
                 m: int, cfg: SolverConfig = SolverConfig()) -> SolveReport:
-    """Solve the periodic equation for the chi-shifted Hessian."""
+    """Solve the periodic equation for the chi-shifted Hessian, from
+    ``cfg.initial`` or else from ``_torus_start``."""
     domain = g.domain
     if domain.kind != TORUS:
         raise DimensionMismatchError("solve_torus expects a torus grid")
-    check_chi_positive(chi, g, m)
+    fm_chi = check_chi_positive(chi, g, m)
     op = _FmOperator(domain, g, m, chi=chi)
     sampled = rhs.sample(domain, op.nodes)
     if cfg.initial is not None:
         u0 = _on_grid(cfg.initial, domain, "initial iterate").flat.copy()
-    elif rhs.reference is not None:
-        u0 = np.full(domain.node_count, float(rhs.reference.flat.min()))
+        nodal = _start(op, u0)
     else:
-        u0 = np.zeros(domain.node_count)
-    u, iters, rnorm, nodal = _newton(op, sampled, u0, _start(op, u0), cfg)
+        u0, nodal = _torus_start(op, rhs, sampled, fm_chi)
+    u, iters, rnorm, nodal = _newton(op, sampled, u0, nodal, cfg)
     return _report(domain, u, iters, rnorm, nodal.margin)
 
 

@@ -100,13 +100,21 @@ class TestDomain:
             for m, rows in ((1, np.arange(len(offsets))), (2, trace_rows)):
                 first, second = _FmOperator(d, g, m), _FmOperator(d, g, m)
                 assert np.array_equal(first.rows, rows)
-                indices, indptr, src, center = d.jacobian_pattern(rows)
-                for name, array in (("indices", indices),
-                                    ("indptr", indptr), ("src", src)):
+                indices, indptr, slot, center = d.jacobian_pattern(rows)
+                src = d.jacobian_gather(rows)
+                assert d.jacobian_gather(rows) is src
+                # the operator at m < n gathers its entries through src;
+                # at m = n it holds L's data instead
+                held = (("indices", indices), ("indptr", indptr))
+                if m == 1:
+                    held += (("src", src),)
+                for name, array in held:
                     assert getattr(first, name) is array
                     assert getattr(second, name) is array
+                for array in (indices, indptr, slot, src):
                     assert not array.flags.writeable
                 assert indices.dtype == indptr.dtype == np.int32
+                assert slot.dtype == np.int8 and src.dtype == np.int64
                 assert first.center == center
                 assert not offsets[rows[center]].any()
                 # the couplings of the rows between unknowns, each carrying
@@ -124,6 +132,16 @@ class TestDomain:
                 assert np.array_equal(indices, expected.indices)
                 assert np.array_equal(indptr, expected.indptr)
                 assert np.array_equal(src + 1.0, expected.data)
+                assert np.array_equal(slot, src // K)
+
+    def test_semilinear_operator_builds_no_gather(self):
+        # at m = n an operator reads the int8 rows of its pattern alone: no
+        # int64 gather of its entries is built or held on the domain
+        d = GridDomain.torus(2, points_per_axis=5)
+        op = _FmOperator(d, MetricField.flat(d), 2)
+        assert not hasattr(op, "src")
+        assert [array.dtype for pattern in d._jacobian_patterns.values()
+                for array in pattern[:3]] == [np.int32, np.int32, np.int8]
 
     def test_ball_masks_partition(self):
         d = GridDomain.ball(1, radius=1.0, points_per_axis=17)

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mhessian import regularize
+from mhessian import grids, regularize
 from mhessian.errors import (
     ChiNotPositive,
     DimensionMismatchError,
@@ -284,6 +284,34 @@ class TestGlobalPipeline:
         per_index = [field_evaluations[id(f)] for f in sched.f_sequence]
         assert max(per_index) == 1
         assert all(per_index[j] == 1 for j in res.indices)
+
+    def test_stencil_is_folded_once(self, monkeypatch):
+        # the target's cone test, each approximant's F_m field and each
+        # sub-solve build an operator on one (domain, metric, chi): the
+        # stencil enters the metric frame once, and so does chi
+        domain, g, chi, phi, sched = self.constants_setup(points=9)
+        folded = Counter()
+        metric_frame = grids.metric_frame
+
+        def counted(T, C):
+            folded[T.ndim] += 1
+            return metric_frame(T, C)
+
+        monkeypatch.setattr(grids, "metric_frame", counted)
+        built = Counter()
+        init = grids.NodalOperator.__init__
+
+        def counted_init(op, *args, **kwargs):
+            built[type(op).__name__] += 1
+            init(op, *args, **kwargs)
+
+        monkeypatch.setattr(grids.NodalOperator, "__init__", counted_init)
+        res = global_regularize(phi, chi, g, 1, sched, SolverConfig(),
+                                iterates=3)
+        # one cone field, three F_m fields and three sub-solves
+        assert built == {"NodalOperator": 4, "_FmOperator": 3}
+        assert len(res.indices) == 3
+        assert folded == {3: 1, 2: 1}
 
     def test_wavy_target(self):
         domain = GridDomain.torus(1, points_per_axis=33)

@@ -191,6 +191,14 @@ def penalized_torus(beta, n=1):
             MetricField.flat(domain))
 
 
+def constant_start(rhs):
+    """The configuration that starts a torus solve at the constant min f
+    of the penalized f of ``rhs``, where solve_torus starts when the
+    pointwise root of G = F_m[chi] is unusable."""
+    return SolverConfig(initial=GridFunction.constant(
+        rhs.reference.domain, float(rhs.reference.flat.min())))
+
+
 class TestLinearSolve:
     def test_right_hand_side_scale_changes_nothing(self, krylov_runs):
         # unscaled, the absolute breakdown test of solver._bicgstab stops it
@@ -587,7 +595,8 @@ def full_stencil_jacobian(op, H, grad, dG):
     entries = (op.weights.reshape(len(op.weights), -1).view(float)
                @ M.reshape(K, -1).view(float).T)
     rows = np.arange(len(op.weights))
-    indices, indptr, src, center = op.domain.jacobian_pattern(rows)
+    indices, indptr, _, center = op.domain.jacobian_pattern(rows)
+    src = op.domain.jacobian_gather(rows)
     entries[center] -= dG
     return scipy.sparse.csr_matrix((entries.ravel()[src], indices, indptr),
                                    shape=(K, K))
@@ -600,7 +609,8 @@ def repeat_and_gather_jacobian(op, dG):
     K = op.nodes.size
     entries = np.repeat(op.trace_weights[:, None], K, axis=1)
     entries[op.center] -= dG
-    J = scipy.sparse.csr_matrix((entries.ravel()[op.src], op.indices,
+    src = op.domain.jacobian_gather(op.rows)
+    J = scipy.sparse.csr_matrix((entries.ravel()[src], op.indices,
                                  op.indptr), shape=(K, K))
     return J, entries[op.center].copy()
 
@@ -805,14 +815,18 @@ def torus_c2_problem(points):
 
 
 # the first penalized solve of global_regularize on the torus_c2_global
-# inputs at 11^4 with phases from seed 5; prints [iterations, residual]
+# inputs at 11^4 with phases from seed 5, from the start solve_torus picks
+# or, with CONSTANT = True, from the constant min f; prints [iterations,
+# residual]
 FIRST_GLOBAL_SUB_SOLVE = """
 import json
 import numpy as np
 from mhessian import regularize
 from mhessian.grids import GridDomain, GridFunction, MetricField
 from mhessian.hermitian import HermitianMatrix
-from mhessian.solver import solve_torus
+from mhessian.solver import SolverConfig, solve_torus
+
+CONSTANT = {constant}
 
 domain = GridDomain.torus(2, points_per_axis=11)
 theta = np.random.default_rng(5).integers(0, 11, size=2) * domain.spacing
@@ -826,8 +840,11 @@ schedule = regularize.ApproximationSchedule.geometric(
 reports = []
 
 
-def recorded(*args, **kwargs):
-    reports.append(solve_torus(*args, **kwargs))
+def recorded(chi, rhs, g, m, cfg):
+    if CONSTANT:
+        cfg = SolverConfig(initial=GridFunction.constant(
+            domain, float(rhs.reference.flat.min())))
+    reports.append(solve_torus(chi, rhs, g, m, cfg))
     return reports[-1]
 
 
@@ -877,8 +894,8 @@ print(json.dumps([report.iterations,
 
 
 # a 9^4 C^2 torus at m = 1 with a metric of condition number 2,702 and
-# chi = 1.29 times it, on whose first Newton system, not symmetric and so
-# not for CG, Jacobi-BiCGSTAB stops
+# chi = 1.29 times it, solved from the constant min f, on whose first
+# Newton system, not symmetric and so not for CG, Jacobi-BiCGSTAB stops
 # with info 0 at a true residual of 1.13e-10 |r| (1.19e-10 at two BLAS
 # threads); prints, for that system, the runs of the linear solve, the
 # first run's info and relative true residual and the step's, then the
@@ -925,7 +942,9 @@ solver._bicgstab, solver._linear_solve = recorded_bicgstab, recorded_solve
 report = solver.solve_torus(
     HermitianMatrix(1.2942710039829863 * W),
     solver.RightHandSide.penalized_distance(112.60409697386827, f),
-    MetricField(domain, MetricMatrix(HermitianMatrix(W))), 1)
+    MetricField(domain, MetricMatrix(HermitianMatrix(W))), 1,
+    solver.SolverConfig(initial=GridFunction.constant(domain,
+                                                      float(f.flat.min()))))
 print(json.dumps([systems[0], report.final_residual,
                   "scipy.sparse.linalg" in sys.modules]))
 """
@@ -1019,15 +1038,27 @@ class TestInexactNewton:
 
     def test_first_global_sub_solve_takes_six_iterations(self):
         # the torus_c2_global benchmark inputs at 11^4 with phases from seed
-        # 5: with the floor on |r|_inf the last inexact step left a max-norm
+        # 5, from the constant min f, a path the pointwise start leaves:
+        # with the floor on |r|_inf the last inexact step left a max-norm
         # residual of 1.19e-9, above the tolerance, and Newton took 7.
         # Counted at one BLAS thread, as CI and the benchmark run: a threaded
-        # dot product rounds otherwise, BiCGSTAB's early steps magnify that
-        # to a 1e-3 change of the fifth Newton residual, and at two threads
-        # this sub-solve takes 7 under either floor
-        iterations, residual = one_blas_thread(FIRST_GLOBAL_SUB_SOLVE)
+        # dot product rounds otherwise, and BiCGSTAB's early steps magnify
+        # that (6 iterations at two threads too, ending at 9.62e-10 where
+        # one thread ends at 9.68e-10)
+        iterations, residual = one_blas_thread(
+            FIRST_GLOBAL_SUB_SOLVE.format(constant=True))
         assert residual <= 1e-9
         assert iterations == 6
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_global_sub_solve_takes_four_from_the_pointwise_root(
+            self, threads):
+        # the same sub-solve from the pointwise root of G = F_m[chi] takes
+        # 4 iterations at either thread count, with no damped step
+        iterations, residual = one_blas_thread(
+            FIRST_GLOBAL_SUB_SOLVE.format(constant=False), threads)
+        assert residual <= 1e-9
+        assert iterations == 4
 
     @pytest.mark.parametrize("above", [False, True])
     def test_step_over_its_forcing_bound_falls_back(self, monkeypatch,
@@ -1520,6 +1551,84 @@ class TestTorus:
                         MetricField.flat(domain), 1)
 
 
+def pointwise_root_margin(chi, rhs, g, m):
+    """The least m-sum at the pointwise root of G = F_m[chi], the start
+    solve_torus takes when that margin is above the cone floor."""
+    op = _FmOperator(g.domain, g, m, chi)
+    root = sampled(op, rhs).root(solver.check_chi_positive(chi, g, m))
+    return op.evaluate(root).margin
+
+
+def same_report(a, b):
+    return (a.solution.values.tobytes() == b.solution.values.tobytes()
+            and (a.iterations, a.final_residual, a.min_cone_margin)
+            == (b.iterations, b.final_residual, b.min_cone_margin))
+
+
+class TestTorusStart:
+    """With no initial iterate, solve_torus starts at the pointwise root of
+    G(z, t) = F_m[chi], t = s + log((F_m[chi] - c) / a) / beta, or at the
+    constant min f where that root is not finite or not strictly inside
+    the cone."""
+
+    def test_fallback_is_the_constant_start(self):
+        # the artifact gate's C^1 cos_wave torus: the root's Hessian, about
+        # -(2 pi)^2 / 4 cos, leaves the cone of chi = I
+        domain = GridDomain.torus(1, points_per_axis=33)
+        f = GridFunction(domain, np.cos(2 * np.pi * domain.coords[:, 0]))
+        chi, g = HermitianMatrix.identity(1), MetricField.flat(domain)
+        rhs = RightHandSide.penalized_distance(50.0, f)
+        assert pointwise_root_margin(chi, rhs, g, 1) <= solver.CONE_FLOOR
+        assert same_report(solve_torus(chi, rhs, g, 1),
+                           solve_torus(chi, rhs, g, 1, constant_start(rhs)))
+
+    @pytest.mark.parametrize("case", ["c1", "c2_m1", "c2_m2"])
+    def test_both_starts_reach_one_solution(self, case):
+        # the C^1 torus under chi = I, and the C^2 torus under OMEGA and CHI
+        # with a reference that has cross terms, small enough that the
+        # pointwise root stays inside the cone at m = 1
+        if case == "c1":
+            chi, rhs, g = penalized_torus(40.0)
+            m = 1
+        else:
+            domain = GridDomain.torus(2, points_per_axis=7)
+            x = domain.coords
+            reference = GridFunction(domain, -2.1 + 0.02 * (
+                np.cos(TWO_PI * (x[:, 0] + x[:, 3]))
+                + np.sin(TWO_PI * x[:, 1])))
+            chi, rhs = CHI, RightHandSide.penalized_distance(50.0, reference)
+            g, m = MetricField(domain, OMEGA), int(case[-1])
+        assert pointwise_root_margin(chi, rhs, g, m) > solver.CONE_FLOOR
+        pointwise = solve_torus(chi, rhs, g, m)
+        constant = solve_torus(chi, rhs, g, m, constant_start(rhs))
+        for report in (pointwise, constant):
+            assert report.final_residual <= 1e-9
+        u = pointwise.solution.flat
+        assert (np.abs(u - constant.solution.flat).max()
+                <= 1e-10 * np.abs(u).max())
+
+    @pytest.mark.usefixtures("warnings_are_errors")
+    @pytest.mark.parametrize("amplitude, offset", [
+        (0.0, 0.05), (-1.0, 0.05), (1.0, 1.0), (1.0, 2.0)],
+        ids=["zero", "negative", "offset_at_fm_chi", "offset_above"])
+    def test_no_root_falls_back_silently(self, amplitude, offset):
+        # a <= 0, or c >= F_m[chi] = 1, leaves no pointwise root: the solve
+        # fails as it does from the constant start, and numpy warns of
+        # nothing on the way
+        domain, chi, g = unit_torus_problem()
+        rhs = RightHandSide(GridFunction.constant(domain, amplitude),
+                            GridFunction.constant(domain, -2.0), 10.0, offset)
+        assert not np.isfinite(
+            sampled(_FmOperator(domain, g, 1, chi), rhs).root(1.0)).all()
+        failures = []
+        for cfg in (SolverConfig(), constant_start(rhs)):
+            with pytest.raises((IllPosedRHS, NewtonDiverged,
+                                ConeEscape)) as info:
+                solve_torus(chi, rhs, g, 1, cfg)
+            failures.append((type(info.value), info.value.args))
+        assert failures[0] == failures[1]
+
+
 # reference right-hand sides, one closure per factory giving G and dG as
 # functions of (coords, t, flat_idx), each evaluated in its own operand
 # order: the closed family must reproduce them bit for bit
@@ -1807,14 +1916,15 @@ class TestFailureModes:
         assert trials == plain_trials > 0
 
     def test_cone_escape_through_skipped_trials(self, monkeypatch):
-        # the only step, the full one, is skipped by the trace bound on the
-        # C^2 torus at m = 1; its cone test alone makes the failure a
-        # ConeEscape
+        # the only step, the full one from the constant start, is skipped
+        # by the trace bound on the C^2 torus at m = 1; its cone test alone
+        # makes the failure a ConeEscape
         chi, rhs, g = penalized_torus(40.0, n=2)
         monkeypatch.setattr(solver, "CONE_FLOOR", 1.0 - 1e-6)
         monkeypatch.setattr(solver, "DAMPING_MIN_STEP", 1.0)
         exc, trials, plain_trials = self.same_without_bound(
-            monkeypatch, lambda: solve_torus(chi, rhs, g, 1))
+            monkeypatch, lambda: solve_torus(chi, rhs, g, 1,
+                                          constant_start(rhs)))
         assert isinstance(exc, ConeEscape)
         assert (trials, plain_trials) == (0, 1)
 
@@ -1844,13 +1954,15 @@ class TestFailureModes:
         assert " at Newton iteration 0 (" in message
 
     def test_divergence_through_skipped_trials(self, monkeypatch):
-        # the full step stays inside the cone of the C^2 torus at m = 1 and
-        # raises the residual: the bound skips it, and the cone test of the
-        # skipped trial makes the failure NewtonDiverged
+        # the full step from the constant start stays inside the cone of
+        # the C^2 torus at m = 1 and raises the residual: the bound skips
+        # it, and the cone test of the skipped trial makes the failure
+        # NewtonDiverged
         chi, rhs, g = penalized_torus(40.0, n=2)
         monkeypatch.setattr(solver, "DAMPING_MIN_STEP", 1.0)
         exc, trials, plain_trials = self.same_without_bound(
-            monkeypatch, lambda: solve_torus(chi, rhs, g, 1))
+            monkeypatch, lambda: solve_torus(chi, rhs, g, 1,
+                                          constant_start(rhs)))
         assert isinstance(exc, NewtonDiverged)
         assert (trials, plain_trials) == (0, 1)
 
@@ -1907,7 +2019,8 @@ BOUND_CASES = {
 
 
 def solve_counted(monkeypatch, chi, rhs, g):
-    """The calls of each nodal method during solve_torus at m = 1; every
+    """The calls of each nodal method during solve_torus at m = 1 from the
+    constant start, whose one evaluation the counts include; every
     trial calls G once, and the Jacobian reuses the accepted trial's nodal
     quantities and slope, so it neither gathers nor calls G.  At m < n the
     trace bound runs on every trial and some trials are skipped; at m = n
@@ -1929,7 +2042,7 @@ def solve_counted(monkeypatch, chi, rhs, g):
             (_FmOperator, "traces", "traces"),
             (_FmOperator, "jacobian", "jacobian")):
         monkeypatch.setattr(cls, attr, counted(name, getattr(cls, attr)))
-    report = solve_torus(chi, rhs, g, 1)
+    report = solve_torus(chi, rhs, g, 1, constant_start(rhs))
     assert counts["jacobian"] == report.iterations
     # each accepted trial was evaluated
     assert report.iterations <= counts["evaluate"] - 1
