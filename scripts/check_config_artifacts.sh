@@ -10,13 +10,15 @@
 # through mhessian.cli.main at seeds 0 and 7, each configs/regularize_*.json
 # once more at both seeds with schedule.approximants set to "smooth" (no
 # shipped config reaches the smoothing path; the configs so made are written
-# to the work directory), six generated configs at both seeds, and
+# to the work directory), seven generated configs at both seeds, and
 # verify-suite at seeds 0 to 20, whose printed table is kept as table.txt.
 # Two generated solves, a C^1 torus with the penalized_distance right-hand
 # side and a C^2 ball at m = 2 with scaled_exponential, cover with the
 # shipped configs every right-hand-side kind on both domain kinds; a third,
-# that ball solve on C^3 at 7 points per axis, runs m = 2 below m = n,
-# where LAPACK's eigvalsh and eigh give the m-sums and eigenvectors; three
+# that ball solve at m = 1, runs BiCGSTAB on a C^2 ball below m = n; a
+# fourth, that ball solve on C^3 at 7 points per axis, runs m = 2 below
+# m = n, where LAPACK's eigvalsh and eigh give the m-sums and
+# eigenvectors; three
 # generated regularize runs, a C^2 ball at m = 2 and a C^2 torus at m = 1
 # and at m = 2, run both pipelines at n = 2, where the shipped configs run
 # them at n = 1, and the torus solves with both Jacobian row sets (every
@@ -73,6 +75,15 @@ cat > "$work/generated/solve_torus_penalized_c1.json" <<'EOF'
 EOF
 cat > "$work/generated/solve_ball_scaled_c2.json" <<'EOF'
 {"problem": "dirichlet", "m": 2,
+ "grid": {"n": 2, "kind": "ball", "points_per_axis": 9},
+ "boundary": {"kind": "quadratic_plus_exp"},
+ "rhs": {"kind": "scaled_exponential",
+         "amplitude": {"kind": "constant", "value": 2.0},
+         "shift": {"kind": "quadratic_plus_exp"}},
+ "solver": {"t_steps": 2}}
+EOF
+cat > "$work/generated/solve_ball_scaled_c2_m1.json" <<'EOF'
+{"problem": "dirichlet", "m": 1,
  "grid": {"n": 2, "kind": "ball", "points_per_axis": 9},
  "boundary": {"kind": "quadratic_plus_exp"},
  "rhs": {"kind": "scaled_exponential",

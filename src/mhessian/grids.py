@@ -214,8 +214,8 @@ class GridDomain:
         """Read-only CSR pattern of a Jacobian on the interior nodes that
         holds the stencil rows ``rows``, built once per row set: int32
         indices and indptr, the int8 i of the stencil row rows[i] behind
-        each CSR entry (at most 113 rows, at n <= 4), and the i of the zero
-        offset."""
+        each CSR entry (at most 113 rows, at n <= 4), the i of the zero
+        offset, and the CSR positions of the diagonal in row order."""
         key = tuple(int(s) for s in rows)
         if key in self._jacobian_patterns:
             return self._jacobian_patterns[key]
@@ -234,10 +234,11 @@ class GridDomain:
         indices = cols[src].astype(np.int32)
         indptr = np.searchsorted(keys // K, np.arange(K + 1)).astype(np.int32)
         slot = (src // K).astype(np.int8)
-        for array in (indices, indptr, slot):
-            array.setflags(write=False)
         center = np.flatnonzero(~stencil(self.n)[0][rows].any(axis=1))[0]
-        pattern = indices, indptr, slot, int(center)
+        diagonal = np.flatnonzero(slot == center)
+        for array in (indices, indptr, slot, diagonal):
+            array.setflags(write=False)
+        pattern = indices, indptr, slot, int(center), diagonal
         self._jacobian_patterns[key] = pattern
         return pattern
 
@@ -248,7 +249,7 @@ class GridDomain:
         set, and only for a Jacobian gathered from such entries."""
         key = ("gather", *(int(s) for s in rows))
         if key not in self._jacobian_patterns:
-            _, indptr, slot, _ = self.jacobian_pattern(rows)
+            _, indptr, slot, _, _ = self.jacobian_pattern(rows)
             K = indptr.size - 1
             src = (slot.astype(np.int64) * K
                    + np.repeat(np.arange(K), np.diff(indptr)))

@@ -6,9 +6,12 @@ G(z, u)`` on torus grids.  The Newton linearization at a node combines the
 diagonal derivative formula of the operator, transported through the nodal
 eigenbasis, with the finite-difference stencil weights; steps are damped by
 halving until every node's Hessian keeps a strictly positive minimal m-fold
-eigenvalue sum.  A Dirichlet solve is a homotopy from its start, a given
-iterate or the subsolution ``C(|z|^2 - r^2) + f``, to the target equation;
-with one stage it is Newton on the target equation itself.
+eigenvalue sum.  Every Newton step is inexact: Jacobi-preconditioned
+BiCGSTAB solves the linearization only to an Eisenstat-Walker forcing
+term, at every grid size and every m.  A Dirichlet solve is a homotopy
+from its start, a given iterate or the subsolution ``C(|z|^2 - r^2) + f``,
+to the target equation; with one stage it is Newton on the target equation
+itself.
 """
 
 import math
@@ -56,8 +59,8 @@ CONE_FLOOR = 1e-10
 DAMPING_MIN_STEP = 2.0 ** -20
 # least m-sum the subsolution seed must reach before the boundary write-back
 SEED_MARGIN = 1e-8
-# the inexact Newton steps above INEXACT_LIMIT unknowns: the cap on every
-# forcing term and the constants of Eisenstat and Walker's choice 2
+# the inexact Newton steps: the cap on every forcing term and the
+# constants of Eisenstat and Walker's choice 2
 ETA_MAX = 0.1
 FORCING_GAMMA = 0.9
 FORCING_ALPHA = 2
@@ -212,13 +215,17 @@ class _FmOperator(NodalOperator):
             self.row_weights = self.weights.reshape(len(self.rows),
                                                     -1).view(float)
         # unknowns: interior nodes (ball) or every node (torus)
-        self.indices, self.indptr, slot, self.center = \
+        self.indices, self.indptr, slot, self.center, self.diagonal = \
             domain.jacobian_pattern(self.rows)
         if self.symmetric:
-            # L's CSR data, whose diagonal ``jacobian`` overwrites, and the
-            # CSR positions of that diagonal in row order
-            self.stencil = self.trace_weights[slot]
-            self.diagonal = np.flatnonzero(slot == self.center)
+            # L's CSR data, whose diagonal ``jacobian`` overwrites, gathered
+            # from the trace weights through the int8 rows: ``take`` costs
+            # half of indexing with them, and in blocks of 2^14 entries the
+            # intp copy of the rows it makes stays small
+            self.stencil = np.empty(slot.size)
+            for i in range(0, slot.size, 2 ** 14):
+                np.take(self.trace_weights, slot[i:i + 2 ** 14],
+                        out=self.stencil[i:i + 2 ** 14])
         else:
             self.src = domain.jacobian_gather(self.rows)
         # every value a Hessian gathers lies on these nodes
@@ -356,62 +363,6 @@ def _matvec(J, x):
     return y
 
 
-def _check_system(name, J, b):
-    """Refuse what ``csr_matvec`` would misread: a matrix not in CSR form,
-    whose arrays it would read as another matrix's, or a right-hand side
-    of the wrong length, since the kernel checks no lengths."""
-    if J.format != "csr":
-        raise ValueError(f"{name} needs a CSR matrix, got {J.format}")
-    if J.shape != b.shape * 2:
-        raise ValueError(f"{name} got a {J.shape} matrix and a "
-                         f"right-hand side of shape {b.shape}")
-
-
-def _cg(J, b, psolve, rtol, atol, maxiter):
-    """Preconditioned conjugate gradients (Hestenes and Stiefel 1952) for
-    J x = b, J symmetric and definite, of either sign, with a
-    preconditioner of the same sign.
-
-    Statement by statement the arithmetic of scipy 1.17's sparse ``cg``
-    from a zero initial guess, so ``(x, info)`` are bit-identical to it
-    wherever its iterates stay finite, with the shortcuts of ``_bicgstab``:
-    products through ``csr_matvec``, norms as ``sqrt(v.dot(v))``, Python
-    float scalars and one work vector.  One matvec an iteration, where
-    BiCGSTAB takes two.  ``info`` is 0 on convergence, -10 on a breakdown
-    (r.z or p.Jp exactly zero, which scipy would divide by) and
-    ``maxiter`` when the iterations run out.
-    """
-    _check_system("_cg", J, b)
-    bnrm2 = math.sqrt(b.dot(b))
-    atol = max(float(atol), float(rtol) * bnrm2)
-    if bnrm2 == 0:
-        return b, 0
-    x = np.zeros_like(b)
-    r = b.copy()
-    work = np.empty_like(b)
-    for iteration in range(maxiter):
-        if math.sqrt(r.dot(r)) < atol:
-            return x, 0
-        z = psolve(r)
-        rho = float(r.dot(z))
-        if rho == 0:
-            return x, -10
-        if iteration > 0:
-            p *= rho / rho_prev
-            p += z
-        else:
-            p = z.copy()
-        q = _matvec(J, p)
-        pq = float(p.dot(q))
-        if pq == 0:
-            return x, -10
-        alpha = rho / pq
-        x += np.multiply(p, alpha, out=work)
-        r -= np.multiply(q, alpha, out=work)
-        rho_prev = rho
-    return x, maxiter
-
-
 def _bicgstab(J, b, psolve, rtol, atol, maxiter):
     """Right-preconditioned BiCGSTAB (van der Vorst 1992) for J x = b.
 
@@ -423,12 +374,17 @@ def _bicgstab(J, b, psolve, rtol, atol, maxiter):
     ``csr_matvec`` kernel with no ``__matmul__`` dispatch, norms as
     ``sqrt(v.dot(v))`` (what ``np.linalg.norm`` computes for a real
     vector), scalars as Python floats and every ``a -= s * b`` through one
-    work vector.  J must be CSR: the kernel would read a CSC matrix's
-    arrays as its transpose.  ``psolve`` applies the preconditioner.
-    ``info`` is 0 on convergence, -10 on rho breakdown, -11 on omega
-    breakdown and ``maxiter`` when the iterations run out.
+    work vector.  J must be CSR, since the kernel would read a CSC
+    matrix's arrays as its transpose, and b of J's size, since it checks no
+    lengths.  ``psolve`` applies the preconditioner.  ``info`` is 0 on
+    convergence, -10 on rho breakdown, -11 on omega breakdown and
+    ``maxiter`` when the iterations run out.
     """
-    _check_system("_bicgstab", J, b)
+    if J.format != "csr":
+        raise ValueError(f"_bicgstab needs a CSR matrix, got {J.format}")
+    if J.shape != b.shape * 2:
+        raise ValueError(f"_bicgstab got a {J.shape} matrix and a "
+                         f"right-hand side of shape {b.shape}")
     bnrm2 = math.sqrt(b.dot(b))
     atol = max(float(atol), float(rtol) * bnrm2)
     if bnrm2 == 0:
@@ -507,45 +463,25 @@ def _two_norm(r, rnorm):
     return rnorm * math.sqrt(s.dot(s))
 
 
-# Jacobians above this many unknowns take inexact steps, on BiCGSTAB
-# whatever m is.  Every configs/ grid has at most 1,089 nodes and the C^2
-# ball at 13 points per axis 2,665 unknowns, so their solves keep the bits
-# of exact steps
-INEXACT_LIMIT = 8000
+def _linear_solve(J, r, diag, eta):
+    """Inexact Newton step delta for J delta = -r: |J delta + r| in the max
+    norm is at most the forcing term ``eta`` times the 2-norm of r, a bound
+    that BiCGSTAB's own stopping test at rtol = eta implies.
+    ``_forcing_term`` floors eta in that same 2-norm, so at the floor the
+    bound is half the Newton tolerance.
 
-
-def _linear_solve(J, r, diag, eta, symmetric=False):
-    """Newton step delta for J delta = -r.
-
-    At or below INEXACT_LIMIT unknowns the step meets |J delta + r| <=
-    1e-10 |r| in the max norm, and ``eta`` is not read.  Above it the step
-    is inexact: |J delta + r| in the max norm is at most the forcing term
-    ``eta`` times the 2-norm of r, a bound that BiCGSTAB's own stopping
-    test at rtol = eta implies.  ``_forcing_term`` floors eta in that same
-    2-norm, so at the floor the bound is half the Newton tolerance.
-
-    A Jacobi-preconditioned Krylov loop on ``diag``, the diagonal of J,
-    solves it, stopping at max(1e-14 |r|, rtol |r|_2) with rtol = 1e-13,
-    or eta above the limit.  An exact step on a ``symmetric`` J, the
-    operator's m = n Jacobian with -J positive definite, runs CG, one
-    matvec an iteration; every other step runs BiCGSTAB, two.  CG takes no
-    inexact step: stopped early, on the 17-point C^2 ball at m = 2
-    (10,425 unknowns), its steps stalled Newton's residual at 13.6 and the
-    solve left the cone, where BiCGSTAB's converge in 7 iterations.  The
-    recursively updated residual of either loop can drift from the true
-    one, J delta + r (van der Vorst and Ye 2000), so a run may stop and
-    still miss the bound.  It then restarts once from its step delta_1, on
-    the true residual: J delta_2 = -(J delta_1 + r), with the same loop,
-    preconditioner and stopping target, and the step is delta_1 + delta_2.
-    A miss of the restart, or a zero on the diagonal, is a NewtonDiverged
-    that names the loop; the operator Jacobians have a negative diagonal,
-    so only an overflow or underflow makes a zero.
+    Jacobi-preconditioned BiCGSTAB on ``diag``, the diagonal of J, solves
+    it, stopping at max(1e-14 |r|, eta |r|_2).  Its recursively updated
+    residual can drift from the true one, J delta + r (van der Vorst and Ye
+    2000), so a run may stop and still miss the bound.  It then restarts
+    once from its step delta_1, on the true residual: J delta_2 = -(J
+    delta_1 + r), with the same preconditioner and stopping target, and the
+    step is delta_1 + delta_2.  A miss of the restart, or a zero on the
+    diagonal, is a NewtonDiverged; the operator Jacobians have a negative
+    diagonal, so only an overflow or underflow makes a zero.
     """
-    exact = J.shape[0] <= INEXACT_LIMIT
-    krylov, name = ((_cg, "CG") if symmetric and exact
-                    else (_bicgstab, "BiCGSTAB"))
     if not (diag != 0.0).all():
-        raise NewtonDiverged(f"zero on the Jacobian diagonal: Jacobi-{name} "
+        raise NewtonDiverged("zero on the Jacobian diagonal: Jacobi-BiCGSTAB "
                              "cannot run")
     denom = max(float(np.abs(r).max()), 1e-300)
     # the breakdown tests are absolute, so the loop solves for r scaled by
@@ -554,30 +490,25 @@ def _linear_solve(J, r, diag, eta, symmetric=False):
     scale = math.ldexp(1.0, 1 - math.frexp(denom)[1])
     r = r * scale
     denom = denom * scale
-    if exact:
-        rtol = 1e-13
-        bound = 1e-10 * denom
-    else:
-        rtol = eta
-        bound = eta * math.sqrt(r.dot(r))
-    atol = 1e-14 * denom
+    bound = eta * math.sqrt(r.dot(r))
+    rtol, atol = eta, 1e-14 * denom
     # -0.0 is the identity of IEEE addition: the first step keeps its bits
     delta, residual = -0.0, r
     for _ in range(2):
         # a division: multiplying by a cached reciprocal rounds differently
-        # and would lose bit identity with scipy's loops
-        step, info = krylov(J, -residual, lambda x: x / diag, rtol=rtol,
-                            atol=atol, maxiter=1000)
+        # and would lose bit identity with scipy's loop
+        step, info = _bicgstab(J, -residual, lambda x: x / diag, rtol=rtol,
+                               atol=atol, maxiter=1000)
         delta = delta + step
         residual = _matvec(J, delta) + r
         miss = float(np.abs(residual).max())
         if info == 0 and miss <= bound:
             return delta / scale
         # the restart stops at the first run's absolute target
-        rtol, atol = 0.0, max(atol, rtol * math.sqrt(r.dot(r)))
+        rtol, atol = 0.0, max(atol, bound)
     raise NewtonDiverged(
-        f"Jacobi-{name} failed the residual contract after one restart "
-        f"({name} info={info}, true residual {miss / denom:.3e} |r|, "
+        "Jacobi-BiCGSTAB failed the residual contract after one restart "
+        f"(BiCGSTAB info={info}, true residual {miss / denom:.3e} |r|, "
         f"bound {bound / denom:.3e} |r|)")
 
 
@@ -613,9 +544,9 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
     would take, so every trial is evaluated.  The accepted trial's nodal
     quantities and right-hand side slope give the next Jacobian.  Each
     step's forcing term comes from the residuals of this call alone,
-    ETA_MAX on its first step; ``_linear_solve`` uses it only above
-    INEXACT_LIMIT unknowns.  The solve converges when the max-norm residual
-    is at most ``cfg.tolerance``, whichever steps it took.
+    ETA_MAX on its first step, and bounds that step's linear residual (see
+    ``_linear_solve``).  The solve converges when the max-norm residual is
+    at most ``cfg.tolerance``, whichever steps it took.
     """
     u = u0_flat.copy()
     bounded = op.m < op.domain.n
@@ -632,7 +563,7 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
                             cfg.tolerance)
         J, diag = op.jacobian(nodal, dG)
         try:
-            delta_unknown = _linear_solve(J, r, diag, eta, op.symmetric)
+            delta_unknown = _linear_solve(J, r, diag, eta)
         except NewtonDiverged as exc:
             exc.args = (f"{exc.args[0]} {where}",)
             raise

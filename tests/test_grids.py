@@ -100,18 +100,20 @@ class TestDomain:
             for m, rows in ((1, np.arange(len(offsets))), (2, trace_rows)):
                 first, second = _FmOperator(d, g, m), _FmOperator(d, g, m)
                 assert np.array_equal(first.rows, rows)
-                indices, indptr, slot, center = d.jacobian_pattern(rows)
+                indices, indptr, slot, center, diagonal = \
+                    d.jacobian_pattern(rows)
                 src = d.jacobian_gather(rows)
                 assert d.jacobian_gather(rows) is src
                 # the operator at m < n gathers its entries through src;
                 # at m = n it holds L's data instead
-                held = (("indices", indices), ("indptr", indptr))
+                held = (("indices", indices), ("indptr", indptr),
+                        ("diagonal", diagonal))
                 if m == 1:
                     held += (("src", src),)
                 for name, array in held:
                     assert getattr(first, name) is array
                     assert getattr(second, name) is array
-                for array in (indices, indptr, slot, src):
+                for array in (indices, indptr, slot, diagonal, src):
                     assert not array.flags.writeable
                 assert indices.dtype == indptr.dtype == np.int32
                 assert slot.dtype == np.int8 and src.dtype == np.int64
@@ -133,6 +135,12 @@ class TestDomain:
                 assert np.array_equal(indptr, expected.indptr)
                 assert np.array_equal(src + 1.0, expected.data)
                 assert np.array_equal(slot, src // K)
+                # the diagonal, row by row, at the zero offset's entries
+                assert np.array_equal(diagonal, np.flatnonzero(slot == center))
+                assert np.array_equal(indices[diagonal], np.arange(K))
+                assert np.array_equal(
+                    np.searchsorted(indptr, diagonal, side="right") - 1,
+                    np.arange(K))
 
     def test_semilinear_operator_builds_no_gather(self):
         # at m = n an operator reads the int8 rows of its pattern alone: no
