@@ -11,7 +11,8 @@
 # once more at both seeds with schedule.approximants set to "smooth" (no
 # shipped config reaches the smoothing path; the configs so made are written
 # to the work directory), seven generated configs at both seeds, and
-# verify-suite at seeds 0 to 20, whose printed table is kept as table.txt.
+# verify-suite at seeds 0 to 20, all in one Python through mhessian.cli.main,
+# whose printed table is kept as table.txt.
 # Two generated solves, a C^1 torus with the penalized_distance right-hand
 # side and a C^2 ball at m = 2 with scaled_exponential, cover with the
 # shipped configs every right-hand-side kind on both domain kinds; a third,
@@ -141,15 +142,29 @@ run() {
             fi
         done
     done
-    for seed in $(seq 0 20); do
-        mkdir -p "$work/out/suite-$seed"
-        if ! PYTHONPATH="$1/src" python -m mhessian.cli verify-suite \
-                --seed "$seed" --out "$work/out/suite-$seed" \
-                > "$work/out/suite-$seed/table.txt"; then
-            echo "$2: verify-suite at seed $seed failed" >&2
-            return 1
-        fi
-    done
+    # verify-suite at seeds 0 to 20 in one interpreter, each seed through
+    # mhessian.cli.main as the command line calls it, its stdout to
+    # table.txt
+    if ! PYTHONPATH="$1/src" python - "$work/out" <<'PY'
+import contextlib
+import sys
+from pathlib import Path
+
+from mhessian.cli import main
+
+for seed in range(21):
+    out = Path(sys.argv[1]) / f"suite-{seed}"
+    out.mkdir(parents=True)
+    with open(out / "table.txt", "w") as table, \
+            contextlib.redirect_stdout(table):
+        code = main(["verify-suite", "--seed", str(seed), "--out", str(out)])
+    if code:
+        sys.exit(f"verify-suite at seed {seed} exited {code}")
+PY
+    then
+        echo "$2: verify-suite failed" >&2
+        return 1
+    fi
     mv "$work/out" "$work/$2"
 }
 

@@ -182,12 +182,14 @@ def metric_frame(T_entries: np.ndarray, C: np.ndarray) -> np.ndarray:
     trsm call per member: a numpy substitution does not give trsm's bits.
     """
     shape = np.broadcast_shapes(T_entries.shape, C.shape)
-    T_entries = np.broadcast_to(T_entries, shape)
-    C = np.broadcast_to(C, shape)
+    stack = (-1,) + shape[-2:]
+    trsm = _trsm(C.dtype, T_entries.dtype)
     M = np.empty(shape, dtype=complex)
-    for i in np.ndindex(shape[:-2]):
-        Y = _triangular_solve(C[i], T_entries[i], lower=True)
-        M[i] = _triangular_solve(C[i], Y.conj().T, lower=True).conj().T
+    for Ci, Ti, Mi in zip(np.broadcast_to(C, shape).reshape(stack),
+                          np.broadcast_to(T_entries, shape).reshape(stack),
+                          M.reshape(stack)):
+        Y = trsm(1.0, Ci, Ti, lower=True)
+        Mi[...] = trsm(1.0, Ci, Y.conj().T, lower=True).conj().T
     return 0.5 * (M + conj_transpose(M))
 
 

@@ -6,14 +6,15 @@ that the gradient of F_m matches finite differences, that the determinant
 route gives F_m, that F_m is concave along segments, the four curvature
 bound regimes, and the lower bound on the product of the gradient.
 
-Every section draws its cases a block of at most ``BLOCK`` cases at a
-time, so memory does not grow with the corpus.  A block draws its cases'
-dimension fields at once (n and m, or n, level and c), groups its cases
-by (n, m) or (n, level), and draws each group's matrices and spectra as
-one stack, checked straight away through the stacked entry points that
-the per-matrix functions of ``hermitian``, ``cones``, ``fm`` and
-``curvature`` are built on.  A seed so fixes the corpus for a given
-version of this module; the rows depend only on the failure counts.
+Every section draws its cases a block of at most ``BLOCK`` (1000) cases
+at a time, so memory does not grow with the corpus.  A block draws its
+cases' dimension fields at once (n and m, or n, level and c), groups its
+cases by (n, m) or (n, level), and draws each group's matrices and
+spectra as one stack (the bound regimes' by rejection from the smallest
+box that holds each hypothesis), checked straight away through the
+stacked entry points of ``hermitian``, ``cones``, ``fm`` and
+``curvature``.  A seed so fixes the corpus for a given version of this
+module; the rows depend only on the failure counts.
 """
 
 from functools import partial
@@ -29,7 +30,8 @@ from .hermitian import check_positive_definite, conj_transpose, \
 from .multiindex import subset_sums
 
 # cases per block: a block's draws and stacks are all the suite holds
-BLOCK = 250
+BLOCK = 1000
+CANDIDATES = 2 ** 16  # rows a round of _hypothesis_spectra draws in all
 
 
 def _row(name, cases, failures):
@@ -43,11 +45,11 @@ def _blocks(cases):
 
 
 def _groups(n, second):
-    """(n, second, positions) for each distinct pair of a block's fields."""
-    keys, inverse = np.unique(np.stack([n, second], axis=-1), axis=0,
-                              return_inverse=True)
-    for group, (a, b) in enumerate(keys.tolist()):
-        yield a, b, np.flatnonzero(inverse == group)
+    """(n, second, positions) for each distinct pair of a block's fields,
+    in lexicographic order; both fields are below 64."""
+    keys, inverse = np.unique(n * 64 + second, return_inverse=True)
+    for group, key in enumerate(keys.tolist()):
+        yield key // 64, key % 64, np.flatnonzero(inverse == group)
 
 
 def _dimension_groups(rng, cases, low, high):
@@ -109,29 +111,40 @@ def _interior_forms(rng, C, m):
 
 
 def _hypothesis_spectra(rng, case, n, level, c):
-    """For each constant of ``c``, the first uniform draw on [-3, 3)^n that
-    meets the hypothesis of bound regime ``case`` at that constant and
-    ``level``.
+    """For each constant of ``c``, in (0, 3), a uniform draw on the part of
+    [-3, 3)^n that meets the hypothesis of bound regime ``case`` at that
+    constant and ``level``.
 
-    Each case not yet accepted draws a block of candidate rows, 64 at
-    first and doubling up to 4096, and keeps its first row that passes.
+    That part lies in a box: with the other k - 1 entries in [-3, 3), an
+    entry is at most 3 (k - 1) - k c if every k-fold sum of lambda + c is
+    at most 0 (p0, 0q), and at least k c - 3 (k - 1) if every such sum of
+    lambda - c is at least 0 (nq, pn).  Each open case draws candidates
+    uniform on that box, 64 at first and twice as many each round, at most
+    ``CANDIDATES`` over all open cases, and keeps its first that passes.
     """
-    k = n - level if case in ("p0", "0q") else level
+    upper = case in ("p0", "0q")  # the hypothesis bounds the sums above
+    k = n - level if upper else level
+    bad = c[~((0 < c) & (c < 3))]
+    if bad.size:
+        raise ValueError(f"case {case} at level {level}: the constant c "
+                         f"must be in (0, 3), got {bad[0]}")
     if k == 0:
         return rng.uniform(-3.0, 3.0, size=(c.size, n))
+    edge = np.minimum(3.0 * (k - 1) - k * c, 3.0)[:, None, None]
+    low, high = np.where(upper, -3.0, -edge), np.where(upper, edge, 3.0)
+    shift = np.where(upper, c, -c)[:, None, None]
     lam = np.empty((c.size, n))
     todo = np.arange(c.size)
     rows = 64
     while todo.size:
-        block = rng.uniform(-3.0, 3.0, size=(todo.size, rows, n))
-        if case in ("p0", "0q"):
-            passed = subset_sums(block + c[todo, None, None], k).max(-1) <= 0
-        else:
-            passed = subset_sums(block - c[todo, None, None], k).min(-1) >= 0
+        rows = min(rows, max(1, CANDIDATES // todo.size))
+        block = rng.uniform(low[todo], high[todo], size=(todo.size, rows, n))
+        sums = subset_sums(block + shift[todo], k)
+        passed = sums.max(-1) <= 0 if upper else sums.min(-1) >= 0
         hit = passed.any(axis=-1)
         lam[todo[hit]] = block[hit, passed[hit].argmax(axis=-1)]
         todo = todo[~hit]
-        rows = min(2 * rows, 4096)
+        rows *= 2
     return lam
 
 

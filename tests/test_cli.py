@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from mhessian import cli, suite
 from mhessian.cli import main
@@ -307,14 +308,111 @@ class TestHypothesisSpectrum:
                 lam = suite._hypothesis_spectra(rng, case, n, level, c)
                 self.assert_meets_the_hypothesis(case, n, level, c, lam)
 
+    @staticmethod
+    def full_box_reference(rng, case, n, level, c, candidates):
+        """The rows of ``candidates`` uniform draws on [-3, 3)^n that meet
+        the hypothesis of ``case`` at the one constant c: the law that
+        ``_hypothesis_spectra`` must give without its tight box."""
+        k = n - level if case in ("p0", "0q") else level
+        lam = rng.uniform(-3.0, 3.0, size=(candidates, n))
+        if k == 0:
+            return lam
+        if case in ("p0", "0q"):
+            return lam[subset_sums(lam + c, k).max(axis=-1) <= 0]
+        return lam[subset_sums(lam - c, k).min(axis=-1) >= 0]
+
+    @staticmethod
+    def tight_box(case, n, level, c):
+        """The box the hypothesis confines each entry to, the other k - 1
+        entries taken at the far end of [-3, 3)."""
+        k = n - level if case in ("p0", "0q") else level
+        if k == 0:
+            return -3.0, 3.0
+        if case in ("p0", "0q"):
+            return -3.0, min(3.0, 3.0 * (k - 1) - k * c)
+        return max(-3.0, k * c - 3.0 * (k - 1)), 3.0
+
+    @pytest.mark.parametrize("case", ["p0", "0q", "nq", "pn"])
+    def test_tight_box_holds_the_region(self, case):
+        rng = np.random.default_rng(17)
+        for n in range(2, 6):
+            for level in range(n + 1):
+                for c in (0.2, 1.0, 1.49, 2.98):
+                    lam = self.full_box_reference(rng, case, n, level, c,
+                                                  4096)
+                    low, high = self.tight_box(case, n, level, c)
+                    assert ((low <= lam) & (lam <= high)).all()
+
+    @pytest.mark.parametrize("case, n, level, c", [
+        ("p0", 4, 1, 1.49), ("0q", 3, 2, 1.0), ("nq", 3, 1, 1.0),
+        ("pn", 2, 2, 2.0)])
+    def test_same_law_as_the_full_box(self, case, n, level, c):
+        # each coordinate's law, by a two-sample KS test at fixed seeds; at
+        # k = 1 the region is the tight box itself, so a box cut short
+        # moves the law far
+        rows = 2000
+        reference = np.empty((0, n))
+        rng = np.random.default_rng(23)
+        while len(reference) < rows:
+            reference = np.concatenate([reference, self.full_box_reference(
+                rng, case, n, level, c, 16384)])
+        lam = suite._hypothesis_spectra(np.random.default_rng(29), case, n,
+                                        level, np.full(rows, c))
+        self.assert_meets_the_hypothesis(case, n, level, np.full(rows, c),
+                                         lam)
+        for i in range(n):
+            assert ks_2samp(lam[:, i], reference[:rows, i]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("c", [0.0, 3.0, 3.5])
+    @pytest.mark.parametrize("case", ["p0", "0q", "nq", "pn"])
+    def test_constant_with_an_empty_region_raises(self, case, c):
+        # c must lie in (0, 3): at c >= 3 the region is empty or null and
+        # the sampler would draw for ever, so the error comes before any
+        # draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"case {case} at level 1: .*"
+                                             f"got {c}"):
+            suite._hypothesis_spectra(rng, case, 2, 1, np.array([1.0, c]))
+        assert rng.bit_generator.state == state
+
+    def test_constant_near_three_still_samples(self):
+        c = np.array([2.98])
+        for case in ("p0", "0q", "nq", "pn"):
+            lam = suite._hypothesis_spectra(np.random.default_rng(0), case,
+                                            2, 1, c)
+            self.assert_meets_the_hypothesis(case, 2, 1, c, lam)
+
     def test_acceptance_beyond_the_largest_block(self):
-        # one row in about 45000 passes at c = 2.98; the blocks of 64, ...,
-        # 4096 rows hold 8128 rows, so most of these cases need more
-        # 4096-row blocks; the easy case beside them is accepted at once
-        c = np.array([2.98, 2.98, 2.98, 0.2])
-        lam = suite._hypothesis_spectra(np.random.default_rng(0), "nq", 2, 2,
-                                        c)
-        self.assert_meets_the_hypothesis("nq", 2, 2, c, lam)
+        # at p0, n = 5, level 1 and c = 1.45 the tight box is the whole box
+        # and about one row in 80 passes; 2000 open cases share each
+        # round's 2^16 candidates, so most need several rounds
+        class Spy:
+            def __init__(self, rng):
+                self.rng, self.sizes = rng, []
+
+            def uniform(self, low, high, size):
+                self.sizes.append(size)
+                return self.rng.uniform(low, high, size)
+
+        rng = Spy(np.random.default_rng(0))
+        c = np.full(2000, 1.45)
+        lam = suite._hypothesis_spectra(rng, "p0", 5, 1, c)
+        self.assert_meets_the_hypothesis("p0", 5, 1, c, lam)
+        assert len(rng.sizes) >= 3
+        assert all(cases * rows <= 2 ** 16
+                   for cases, rows, _ in rng.sizes)
+
+    @pytest.mark.parametrize("size", [0, 1, 6, 7, 8, 15])
+    def test_block_tail(self, monkeypatch, size):
+        # corpora below, at and beyond one block and two blocks
+        monkeypatch.setattr(suite, "BLOCK", 7)
+        rows = {name: (cases, fails)
+                for name, cases, fails, _ in suite.verify_suite(
+                    np.random.default_rng(size), size)}
+        assert rows["oracle_equivalence"] == (size, 0)
+        assert rows["membership_monotonicity"] == (size, 0)
+        assert all(fails == 0 for _, fails in rows.values())
 
 
 def spoil_first_member(args, out, previous):

@@ -112,6 +112,23 @@ class TestHermitian:
             assert same_bits(lam[i], relative_eigenvalues(
                 forms[i], metrics[i]).lambdas)
 
+    @given(stacks())
+    @EXAMPLES
+    def test_metric_frame_broadcasts(self, case):
+        n, k, rng, _ = case
+        _, _, T, C = forms_and_metrics(rng, n, k)
+        # one factor against a stack of real forms, as GridDomain.fold
+        # calls it
+        real = np.ascontiguousarray(T.real)
+        frames = metric_frame(real, C[0])
+        for i in range(k):
+            assert same_bits(frames[i], metric_frame(real[i], C[0]))
+        # a factor per row against a row of two forms
+        pairs = np.stack([T, T[::-1]], axis=1)
+        frames = metric_frame(pairs, C[:, None])
+        for i, j in np.ndindex(k, 2):
+            assert same_bits(frames[i, j], metric_frame(pairs[i, j], C[i]))
+
 
 class TestCones:
     @given(stacks())
