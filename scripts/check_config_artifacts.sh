@@ -18,8 +18,9 @@
 # shipped configs every right-hand-side kind on both domain kinds; a third,
 # that ball solve at m = 1, runs BiCGSTAB on a C^2 ball below m = n; a
 # fourth, that ball solve on C^3 at 7 points per axis, runs m = 2 below
-# m = n, where LAPACK's eigvalsh and eigh give the m-sums and
-# eigenvectors; three
+# m = n, where the 3 x 3 determinant and adjugate of tr(H) I - H give F_m
+# and the Newton derivative, and LAPACK's eigvalsh the reported cone
+# margin; three
 # generated regularize runs, a C^2 ball at m = 2 and a C^2 torus at m = 1
 # and at m = 2, run both pipelines at n = 2, where the shipped configs run
 # them at n = 1, and the torus solves with both Jacobian row sets (every

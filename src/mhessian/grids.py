@@ -370,52 +370,28 @@ class MetricField:
         return cls(domain=domain, constant=MetricMatrix.identity(domain.n))
 
 
-def _eigh(H: np.ndarray, vectors: bool):
-    """Ascending eigenvalues of the Hermitian batch H, shape (K, n, n), and
-    with ``vectors`` the unitary eigenvector matrices, as ``np.linalg.eigh``
-    returns them.
+def _eigh(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian batch H, shape (K, n, n), as
+    ``np.linalg.eigvalsh`` returns them.
 
     LAPACK spends almost all its time on per-matrix overhead at n = 2, so
-    that size is solved in closed form.  No solve or field reaches an
-    eigensolve at n = 1, where m = n.
+    that size is solved in closed form.  No field reaches an eigensolve at
+    n = 1, where m = n.
     """
     if H.shape[-1] != 2:
-        return np.linalg.eigh(H) if vectors else np.linalg.eigvalsh(H)
+        return np.linalg.eigvalsh(H)
     # H = [[a, b], [conj b, d]] has eigenvalues h -+ r
     a = H[:, 0, 0].real
     d = H[:, 1, 1].real
-    b = H[:, 0, 1]
-    delta = 0.5 * (a - d)
-    abs_b = np.abs(b)
-    r = np.hypot(delta, abs_b)
+    r = np.hypot(0.5 * (a - d), np.abs(H[:, 0, 1]))
     h = 0.5 * (a + d)
     rho = np.abs(h) + r  # the spectral radius
     tiny = (rho < 2.0 ** -958) & (rho > 0.0)
     if tiny.any():  # solved scaled up by 2^1000, exactly: no subnormals
-        out = _eigh(np.where(tiny[:, None, None], H * 2.0 ** 1000, H),
-                    vectors)
-        (out[0] if vectors else out)[tiny] *= 2.0 ** -1000
-        return out
-    lam = np.stack([h - r, h + r], axis=-1)
-    if not vectors:
+        lam = _eigh(np.where(tiny[:, None, None], H * 2.0 ** 1000, H))
+        lam[tiny] *= 2.0 ** -1000
         return lam
-    # the eigenvector (x, y) of h + r, read off the row of H - (h + r) I
-    # that has no cancellation: (delta + r, conj b) for delta >= 0, else
-    # (b, r - delta); the other eigenvector is its unitary complement
-    p = np.abs(delta) + r
-    norm = np.hypot(p, abs_b)
-    degenerate = norm < 2.0 ** -1020  # H = h I within eps rho: any V fits
-    norm[degenerate] = 1.0
-    upper = delta >= 0.0
-    x = np.where(upper, p, b) / norm
-    y = np.where(upper, b.conj(), p) / norm
-    y[degenerate] = 1.0
-    V = np.empty_like(H)
-    V[:, 0, 0] = y.conj()
-    V[:, 1, 0] = -x.conj()
-    V[:, 0, 1] = x
-    V[:, 1, 1] = y
-    return lam, V
+    return np.stack([h - r, h + r], axis=-1)
 
 
 class NodalOperator:
@@ -470,8 +446,7 @@ class NodalOperator:
         """All m-fold relative eigenvalue sums per node, (K, C(n, m))."""
         if self.m == self.domain.n:
             return self.traces(u_flat)[:, None]
-        return subset_sums(_eigh(self.hessians(u_flat), vectors=False),
-                           self.m)
+        return subset_sums(_eigh(self.hessians(u_flat)), self.m)
 
 
 def hessian_stack(u: GridFunction, flat_nodes: np.ndarray,

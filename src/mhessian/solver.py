@@ -2,11 +2,14 @@
 
 Solves ``F_m[discrete complex Hessian of u] = G(z, u)`` on ball grids with
 Dirichlet boundary data and the periodic analogue ``F_m[chi + Hessian] =
-G(z, u)`` on torus grids.  The Newton linearization at a node combines the
-diagonal derivative formula of the operator, transported through the nodal
-eigenbasis, with the finite-difference stencil weights; steps are damped by
-halving until every node's Hessian keeps a strictly positive minimal m-fold
-eigenvalue sum.  Every Newton step is inexact: Jacobi-preconditioned
+G(z, u)`` on torus grids.  At m < n each node's F_m is the C(n, m)-th root
+of det D_m(H), the derivation of its folded Hessian H on the m-th exterior
+power, whose eigenvalues are the m-fold sums; its cone test is the
+positive definiteness of D_m(H) less the floor, and the Newton
+linearization combines the adjugate of D_m(H) with the finite-difference
+stencil weights, so Newton solves no eigenproblem.  Steps are damped by
+halving until every node's Hessian keeps its minimal m-fold eigenvalue sum
+above the cone floor.  Every Newton step is inexact: Jacobi-preconditioned
 BiCGSTAB solves the linearization only to an Eisenstat-Walker forcing
 term, at every grid size and every m.  A Dirichlet solve is a homotopy
 from its start, a given iterate or the subsolution ``C(|z|^2 - r^2) + f``,
@@ -30,11 +33,7 @@ from .errors import (
     IllPosedRHS,
     NewtonDiverged,
 )
-from .fm import (
-    _check_m,
-    fm_gradient_from_sums,
-    geometric_mean_clamped,
-)
+from .fm import _check_m, derivation_entries, geometric_mean_clamped
 from .grids import (
     BALL,
     TORUS,
@@ -42,7 +41,6 @@ from .grids import (
     GridFunction,
     MetricField,
     NodalOperator,
-    _eigh,
     _on_grid,
 )
 from .hermitian import HermitianMatrix, relative_eigenvalues
@@ -190,12 +188,110 @@ class SolveReport:
 
 
 class _Nodal(NamedTuple):
-    """The nodal quantities of one iterate at the evaluation nodes."""
+    """The nodal quantities of an iterate strictly inside the cone at the
+    evaluation nodes."""
 
-    H: np.ndarray      # folded Hessians, (K, n, n); None at m = n
-    sums: np.ndarray   # m-fold relative eigenvalue sums, (K, C(n, m))
-    margin: float      # the least m-fold relative eigenvalue sum
-    fm: np.ndarray     # F_m per node; None unless the margin is positive
+    fm: np.ndarray            # F_m per node
+    D: np.ndarray = None      # D_m(H) per node times a power of two, at m < n
+    root: np.ndarray = None   # det(D)^(1 / C(n, m)) per node, at m < n
+
+
+def _determinant(D: np.ndarray, shift: float = 0.0):
+    """det(D - shift I) of each member of the Hermitian stack D, (K, N, N),
+    the product of its Cholesky pivots (ratios of leading minors), or None
+    at the first pivot that is not positive, so exactly when some member
+    is not positive definite.  The Schur complements, held as (N, N, K),
+    keep D's diagonal, and the shift comes off each pivot."""
+    S, det = D.transpose(1, 2, 0).copy(), 1.0
+    for j in range(S.shape[0]):
+        p = S[j, j].real - shift
+        if not (p > 0.0).all():
+            return None
+        det = det * p
+        S[j + 1:, j + 1:] -= S[j + 1:, j, None] * S[None, j, j + 1:] / p
+    return det
+
+
+def _adjugate(D: np.ndarray) -> np.ndarray:
+    """The adjugate of each member of the Hermitian stack D, (K, N, N):
+    its cofactors in closed form at N <= 3, else det(D) D^-1."""
+    N = D.shape[-1]
+    if N > 3:
+        return np.linalg.det(D)[:, None, None] * np.linalg.inv(D)
+    adj = np.empty_like(D)
+    if N == 2:
+        adj[:, 0, 0], adj[:, 1, 1] = D[:, 1, 1], D[:, 0, 0]
+        adj[:, 0, 1], adj[:, 1, 0] = -D[:, 0, 1], -D[:, 1, 0]
+        return adj
+    a, d, f = D[:, 0, 0].real, D[:, 1, 1].real, D[:, 2, 2].real
+    b, c, e = D[:, 0, 1], D[:, 0, 2], D[:, 1, 2]
+    adj[:, 0, 0] = d * f - (e * e.conj()).real
+    adj[:, 1, 1] = a * f - (c * c.conj()).real
+    adj[:, 2, 2] = a * d - (b * b.conj()).real
+    adj[:, 0, 1] = c * e.conj() - b * f
+    adj[:, 0, 2] = b * e - c * d
+    adj[:, 1, 2] = c * b.conj() - a * e
+    # Hermitian: the lower triangle mirrors the upper one
+    for i, j in ((1, 0), (2, 0), (2, 1)):
+        adj[:, i, j] = adj[:, j, i].conj()
+    return adj
+
+
+def _derivation(H: np.ndarray, m: int) -> np.ndarray:
+    """D_m(H) of each member of the Hermitian stack H, (K, n, n), m < n:
+    (K, N, N), N = C(n, m), whose eigenvalues are the m-fold sums of H's.
+    H itself at m = 1, tr(H) I - H at m = n - 1, and the derivation on the
+    m-th exterior power in between (n = 4, m = 2)."""
+    n = H.shape[-1]
+    if m == 1:
+        return H
+    if m < n - 1:
+        return derivation_entries(H, m)
+    return np.einsum("kpp->k", H)[:, None, None] * np.eye(n) - H
+
+
+def _determinant_nodal(H: np.ndarray, m: int):
+    """The nodal quantities of the folded Hessians H, (K, n, n), at m < n,
+    or None unless every node's least m-fold sum exceeds CONE_FLOOR.
+
+    D = D_m(H) has the m-sums for eigenvalues, so F_m = det(D)^(1/N),
+    N = C(n, m), and a node lies above the floor when D - CONE_FLOOR I is
+    positive definite, by its Cholesky pivots; no eigenvalue is formed.
+    D and the floor are first scaled by the power of two that brings the
+    largest real or imaginary part of an entry of D into [1/2, 1), as
+    ``_linear_solve`` scales r: the scaling is exact, so F_m of 2^k H is
+    2^k F_m, and the pivots and determinants of Hessians of that size
+    neither overflow nor underflow.
+    """
+    D = _derivation(H, m)
+    top = max(float(np.abs(D.view(float)).max()), 1e-300)
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    D = D * scale
+    if _determinant(D, CONE_FLOOR * scale) is None:
+        return None
+    det, N = _determinant(D), D.shape[-1]
+    root = (np.sqrt(det) if N == 2 else np.cbrt(det) if N == 3
+            else det ** (1.0 / N))
+    return _Nodal(root / scale, D, root)
+
+
+def _derivative(nodal: _Nodal, n: int, m: int) -> np.ndarray:
+    """M per node, (K, n, n), with dF_m = tr(M dH) at the folded Hessians H
+    whose nodal quantities at m < n are ``nodal``: the derivative X =
+    adj(D) / (N F_m^(N-1)) of F_m in D = D_m(H), pulled back through the
+    linear map D_m, so adj(H) / (2 F_m) at n = 2, m = 1 and tr(X) I - X at
+    m = n - 1.  D and F_m both carry the evaluation's power of two, which
+    cancels."""
+    N = nodal.D.shape[-1]
+    X = _adjugate(nodal.D)
+    # a real division of each part: X is complex, the divisor real
+    X.view(float)[...] /= (N * nodal.root ** (N - 1))[:, None, None]
+    if m == 1:
+        return X
+    if m < n - 1:
+        basis = derivation_entries(np.eye(n * n).reshape(n, n, n, n), m)
+        return np.einsum("kba,pqab->kqp", X, basis)
+    return np.einsum("kpp->k", X)[:, None, None] * np.eye(n) - X
 
 
 class _FmOperator(NodalOperator):
@@ -228,31 +324,17 @@ class _FmOperator(NodalOperator):
                         out=self.stencil[i:i + 2 ** 14])
         else:
             self.src = domain.jacobian_gather(self.rows)
-        # every value a Hessian gathers lies on these nodes
-        self.support = np.flatnonzero(~domain.exterior_mask)
-        self.weight_norm = float(np.linalg.norm(self.weights,
-                                                axis=(1, 2)).sum())
-        # an infinite norm of a huge chi only keeps the trace bound from
-        # skipping trials
-        with np.errstate(over="ignore"):
-            self.chi_norm = (0.0 if self.chi is None
-                             else float(np.linalg.norm(self.chi)))
 
-    def evaluate(self, u_flat: np.ndarray) -> _Nodal:
-        """Hessians, m-sums, cone margin and F_m of ``u_flat``: at m = n
-        the one m-sum is the trace, from the trace rows alone and with no
-        Hessian, and F_n is that trace; else the m-sums come from one
-        gather and one eigensolve."""
+    def evaluate(self, u_flat: np.ndarray):
+        """F_m of ``u_flat`` and what its Jacobian takes, or None unless
+        every node's least m-fold sum exceeds CONE_FLOOR: at m = n the one
+        m-sum is the trace, from the trace rows alone and with no Hessian,
+        and F_n is that trace; else ``_determinant_nodal`` of the folded
+        Hessians."""
         if self.m == self.domain.n:
-            H, sums = None, self.sigma(u_flat)
-        else:
-            H = self.hessians(u_flat)
-            sums = subset_sums(_eigh(H, vectors=False), self.m)
-        margin = float(sums.min())
-        fm = None
-        if margin > 0.0:
-            fm = sums[:, 0] if H is None else geometric_mean_clamped(sums)
-        return _Nodal(H, sums, margin, fm)
+            fm = self.traces(u_flat)
+            return _Nodal(fm) if fm.min() > CONE_FLOOR else None
+        return _determinant_nodal(self.hessians(u_flat), self.m)
 
     def rhs_values(self, u_flat, rhs: _SampledRHS, homotopy=None):
         """G(z, u) and its slope in u at the evaluation nodes.
@@ -267,83 +349,32 @@ class _FmOperator(NodalOperator):
             dG = t * dG
         return G, dG
 
-    def residual_lower_bound(self, u_flat, G) -> float:
-        """A number that the residual max |F_m - G| of ``u_flat`` at m < n,
-        as ``_newton`` computes it, reaches whenever every computed m-sum is
-        positive; it needs no Hessian.
-
-        By AM-GM on the m-sums, F_m <= (m/n) tr H on the cone, and the
-        trace is linear in u.  The slack covers the rounding.  With U the
-        largest |u| a Hessian gathers and B = U sum_s |W_s|_F + |chi|_F,
-        every Hessian has |H|_F <= B; eps = 2^-53, n <= 4 (MAX_NODES), so
-        at most 113 stencil rows and C(n, m) <= 6 sums:
-        - at m < n the gathered Hessian is within sqrt(2) gamma_115 B <=
-          2^8 eps B of H in the Frobenius norm, and each computed eigenvalue
-          is within 2^6 eps |H| of one of the gathered Hessian (backward
-          stability; the closed forms at n <= 2 are within a few ulps of
-          the spectral radius), so the eigenvalues sum to tr H within
-          2^10 eps B, and the mean of their m-sums is (m/n) times that sum
-          within 2^4 eps B;
-        - the geometric mean exp(mean(log)) is within a factor
-          1 + 2^13.1 eps of the exact one: every |log| of a positive double
-          is below 745, and log, the mean and exp round it by at most
-          11 eps (4-ulp log and exp); by AM-GM the mean of the sums, at
-          most 2.1 B, bounds it, so this adds 2^14.2 eps B;
-        - the trace product of ``traces`` is within 2^8 eps B of tr H (at
-          most 113 rows, each |tr W_s| <= 2 |W_s|_F), (m/n) rounds it by
-          2^2.1 eps B, and G - (m/n) tr and F_m - G round by eps each.
-        Together the computed |F_m - G| at the node of the largest excess
-        is at least excess (1 - 2 eps) - 2^14.3 eps B.  2^16 eps B covers
-        that with room for the rounding of B, and 2^-50 of the excess the
-        relative part with the rounding of the bound itself.
-        """
-        excess = float((G - self.m / self.domain.n
-                        * self.traces(u_flat)).max())
-        scale = (float(np.abs(u_flat[self.support]).max()) * self.weight_norm
-                 + self.chi_norm)
-        return excess * (1.0 - 2.0 ** -50) - 2.0 ** -37 * scale
-
     def jacobian(self, nodal: _Nodal, dG):
         """The Jacobian in CSR form and its diagonal, the centre entries, at
-        the iterate whose nodal quantities, from ``evaluate`` and with a
-        positive margin, are ``nodal`` and whose right-hand side slope is
-        ``dG``.
+        the iterate whose nodal quantities, from ``evaluate``, are ``nodal``
+        and whose right-hand side slope is ``dG``.
 
         Node k's row holds the entries Re tr(W_s M_k) - [s = 0] dG_k over
         the operator's stencil rows s, with M_k the derivative of F_m at
-        H_k.  At m < n the eigenvalues of M_k, the gradient entries of F_m,
-        come from the iterate's own m-sums and F_m.  At m = n, F_n = tr H
-        is linear in u: M_k = I, the entries are tr W_s, the same at every
-        iterate, and J is the trace stencil L - diag(dG), exactly symmetric
-        since W_{-s} = W_s.  The rows whose folded weight has zero trace
-        hold only zeros and are left out.  There neither the Hessians nor
-        an eigensolve nor the gradient are needed.  The operator holds L's
-        CSR data once, and each call writes the diagonal of L - diag(dG)
-        into it and returns J on that data: a J holds until the next call,
-        as ``_newton`` keeps it.  A copy per call would keep a second
-        (nnz,) array alive through every linear solve.
+        H_k, dF_m = tr(M_k dH).  At m < n, M_k is ``_derivative``'s, from
+        the adjugate of the iterate's own D_m(H_k) and its F_m, with no
+        eigenvector.  At m = n, F_n = tr H is linear in u: M_k = I, the
+        entries are tr W_s, the same at every iterate, and J is the trace
+        stencil L - diag(dG), exactly symmetric since W_{-s} = W_s.  The
+        rows whose folded weight has zero trace hold only zeros and are
+        left out.  There neither the Hessians nor M are needed.  The
+        operator holds L's CSR data once, and each call writes the diagonal
+        of L - diag(dG) into it and returns J on that data: a J holds until
+        the next call, as ``_newton`` keeps it.  A copy per call would keep
+        a second (nnz,) array alive through every linear solve.
         """
-        n = self.domain.n
         K = self.nodes.size
         if self.symmetric:
             diag = self.trace_weights[self.center] - dG
             self.stencil[self.diagonal] = diag
             return scipy.sparse.csr_matrix(
                 (self.stencil, self.indices, self.indptr), shape=(K, K)), diag
-        grad = fm_gradient_from_sums(nodal.sums, n, self.m,
-                                     nodal.fm)  # (K, n)
-        # the eigenvectors alone: at n >= 3 LAPACK's eigh may differ
-        # from the eigvalsh behind the m-sums in the last bit, and the
-        # gradient keeps to the m-sums the residual was taken from
-        _, V = _eigh(nodal.H, vectors=True)
-        # eigenvectors and folded weights share the metric frame; V
-        # being unitary, M = V diag(grad) V^H = g_1 I + sum_{i>1}
-        # (g_i - g_1) v_i v_i^H, one outer product at n = 2
-        v = V[:, :, 1:]
-        M = np.einsum("kpi,kqi->kpq",
-                      v * (grad[:, 1:] - grad[:, :1])[:, None, :],
-                      v.conj())
-        M[:, range(n), range(n)] += grad[:, :1]
+        M = _derivative(nodal, self.domain.n, self.m)
         # entry (i, k) is Re sum_pq W_s[q, p] M_k[p, q], s = rows[i]: the
         # real dot product of the Hermitian W_s with M_k, one real GEMM
         entries = self.row_weights @ M.reshape(K, -1).view(float).T
@@ -512,21 +543,20 @@ def _linear_solve(J, r, diag, eta):
         f"bound {bound / denom:.3e} |r|)")
 
 
-def _damped(u, nodes, step, delta):
-    """The trial iterate u + step * delta, delta given at ``nodes``."""
-    trial = u.copy()
-    trial[nodes] += step * delta
-    return trial
+def _margin(op: _FmOperator, u_flat: np.ndarray) -> float:
+    """The least m-fold relative eigenvalue sum of ``u_flat`` over the
+    evaluation nodes, for reports and messages: Newton itself takes none."""
+    return float(op.sigma(u_flat).min())
 
 
 def _start(op: _FmOperator, u_flat: np.ndarray, where: str = "") -> _Nodal:
     """The nodal quantities of a solve's start, which must lie strictly
     inside the cone: the right-hand side may be undefined outside it."""
     nodal = op.evaluate(u_flat)
-    if nodal.margin <= CONE_FLOOR:
+    if nodal is None:
         raise ConeEscape(
-            f"initial iterate has cone margin {nodal.margin:.3e}, below the "
-            f"floor {CONE_FLOOR:.1e}{where}"
+            f"initial iterate has cone margin {_margin(op, u_flat):.3e}, "
+            f"below the floor {CONE_FLOOR:.1e}{where}"
         )
     return nodal
 
@@ -537,74 +567,68 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
     strictly inside the cone: (u, iterations, residual, nodal quantities
     of u).
 
-    Each Newton iteration evaluates every nodal quantity once.  A trial
-    step evaluates G first.  At m < n a trial whose trace bound already
-    shows that its residual cannot drop is halved without forming its
-    Hessians; at m = n an evaluation is the trace product that the bound
-    would take, so every trial is evaluated.  The accepted trial's nodal
-    quantities and right-hand side slope give the next Jacobian.  Each
+    Each Newton iteration evaluates every nodal quantity once.  Every trial
+    step evaluates G, then F_m; a trial outside the cone, or whose residual
+    does not drop, is halved.  The accepted trial's nodal quantities and
+    right-hand side slope give the next Jacobian; the least m-sum, an
+    eigensolve at m < n, is taken only for a failure message.  Each
     step's forcing term comes from the residuals of this call alone,
     ETA_MAX on its first step, and bounds that step's linear residual (see
     ``_linear_solve``).  The solve converges when the max-norm residual is
     at most ``cfg.tolerance``, whichever steps it took.
     """
     u = u0_flat.copy()
-    bounded = op.m < op.domain.n
     G, dG = op.rhs_values(u, rhs, homotopy)
     r = nodal.fm - G
     rnorm = float(np.abs(r).max())
     rnorm_prev = None
+
+    def where():
+        return (f"at Newton iteration {it} (residual {rnorm:.3e}, "
+                f"cone margin {_margin(op, u):.3e})")
+
     for it in range(MAX_ITERATIONS):
         if rnorm <= cfg.tolerance:
             return u, it, rnorm, nodal
-        where = (f"at Newton iteration {it} (residual {rnorm:.3e}, "
-                 f"cone margin {nodal.margin:.3e})")
         eta = _forcing_term(rnorm, rnorm_prev, _two_norm(r, rnorm),
                             cfg.tolerance)
         J, diag = op.jacobian(nodal, dG)
         try:
             delta_unknown = _linear_solve(J, r, diag, eta)
         except NewtonDiverged as exc:
-            exc.args = (f"{exc.args[0]} {where}",)
+            exc.args = (f"{exc.args[0]} {where()}",)
             raise
         del J, diag  # not needed through the line search
         step = 1.0
         cone_blocked = True
-        skipped = []  # steps the trace bound rejected
         while step >= DAMPING_MIN_STEP:
-            trial = _damped(u, op.nodes, step, delta_unknown)
+            trial = u.copy()
+            trial[op.nodes] += step * delta_unknown
             G_trial, dG_trial = op.rhs_values(trial, rhs, homotopy)
-            if bounded and op.residual_lower_bound(trial, G_trial) >= rnorm:
-                skipped.append(step)
-            else:
-                trial_nodal = op.evaluate(trial)
-                if trial_nodal.margin > CONE_FLOOR:
-                    cone_blocked = False
-                    r_trial = trial_nodal.fm - G_trial
-                    r_trial_norm = float(np.abs(r_trial).max())
-                    if r_trial_norm < rnorm:
-                        u, nodal, dG = trial, trial_nodal, dG_trial
-                        r, rnorm, rnorm_prev = r_trial, r_trial_norm, rnorm
-                        break
+            trial_nodal = op.evaluate(trial)
+            if trial_nodal is not None:
+                cone_blocked = False
+                r_trial = trial_nodal.fm - G_trial
+                r_trial_norm = float(np.abs(r_trial).max())
+                if r_trial_norm < rnorm:
+                    u, nodal, dG = trial, trial_nodal, dG_trial
+                    r, rnorm, rnorm_prev = r_trial, r_trial_norm, rnorm
+                    break
             step *= 0.5
         else:
-            # the skipped trials decide the failure as the cone test would
-            # have: ConeEscape only if none of them is inside the cone
-            if cone_blocked and not any(
-                    op.sigma(_damped(u, op.nodes, s, delta_unknown)).min()
-                    > CONE_FLOOR for s in skipped):
+            if cone_blocked:
                 raise ConeEscape(
                     "no damping step keeps the iterate strictly inside the "
-                    f"cone {where}"
+                    f"cone {where()}"
                 )
             raise NewtonDiverged(
-                f"no damped step reduced the residual {where}"
+                f"no damped step reduced the residual {where()}"
             )
     if rnorm <= cfg.tolerance:
         return u, MAX_ITERATIONS, rnorm, nodal
     raise NewtonDiverged(
         f"residual {rnorm:.3e} above tolerance {cfg.tolerance:.1e} after "
-        f"{MAX_ITERATIONS} iterations (cone margin {nodal.margin:.3e})"
+        f"{MAX_ITERATIONS} iterations (cone margin {_margin(op, u):.3e})"
     )
 
 
@@ -690,7 +714,7 @@ def _torus_start(op: _FmOperator, rhs: RightHandSide, sampled: _SampledRHS,
     if np.isfinite(u0).all():
         with np.errstate(all="ignore"):
             nodal = op.evaluate(u0)
-        if nodal.margin > CONE_FLOOR:
+        if nodal is not None:
             return u0, nodal
     u0 = np.full(op.domain.node_count, 0.0 if rhs.reference is None
                  else float(rhs.reference.flat.min()))
@@ -713,7 +737,7 @@ def solve_torus(chi: HermitianMatrix, rhs: RightHandSide, g: MetricField,
     else:
         u0, nodal = _torus_start(op, rhs, sampled, fm_chi)
     u, iters, rnorm, nodal = _newton(op, sampled, u0, nodal, cfg)
-    return _report(domain, u, iters, rnorm, nodal.margin)
+    return _report(domain, u, iters, rnorm, _margin(op, u))
 
 
 def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
@@ -757,7 +781,7 @@ def continuity_path(f: GridFunction, rhs: RightHandSide, g: MetricField,
                             f"t={homotopy[0]:.3f})",)
             raise
         iters_total += iters
-    return _report(domain, u, iters_total, rnorm, nodal.margin, f)
+    return _report(domain, u, iters_total, rnorm, _margin(op, u), f)
 
 
 def max_principle_check(report: SolveReport, f: GridFunction) -> float:

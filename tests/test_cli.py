@@ -343,6 +343,36 @@ class TestHypothesisSpectrum:
                     low, high = self.tight_box(case, n, level, c)
                     assert ((low <= lam) & (lam <= high)).all()
 
+    @pytest.mark.parametrize("case", ["p0", "0q", "nq", "pn"])
+    def test_draws_on_the_tight_box(self, case):
+        # the box the sampler hands to rng.uniform, read off every call:
+        # on the first round each case's own tight box exactly, and later
+        # rounds a subset of those boxes; a box cut short at any k shows
+        # here, where a test of the law sees it only at k = 1
+        class Spy:
+            def __init__(self, rng):
+                self.rng, self.boxes = rng, []
+
+            def uniform(self, low, high, size):
+                # one (low, high) row a case
+                self.boxes.append(np.stack(
+                    [np.broadcast_to(b, size).reshape(size[0], -1)[:, 0]
+                     for b in (low, high)], axis=-1))
+                return self.rng.uniform(low, high, size)
+
+        c = np.array([0.2, 0.7, 1.0, 1.49, 2.2, 2.98])
+        for n in range(2, 6):
+            for level in range(n + 1):
+                rng = Spy(np.random.default_rng(3))
+                suite._hypothesis_spectra(rng, case, n, level, c)
+                expected = np.array([self.tight_box(case, n, level, ci)
+                                     for ci in c])
+                first, *later = rng.boxes
+                assert np.array_equal(first, expected)
+                for boxes in later:
+                    assert all((box == expected).all(axis=-1).any()
+                               for box in boxes)
+
     @pytest.mark.parametrize("case, n, level, c", [
         ("p0", 4, 1, 1.49), ("0q", 3, 2, 1.0), ("nq", 3, 1, 1.0),
         ("pn", 2, 2, 2.0)])

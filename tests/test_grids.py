@@ -458,22 +458,16 @@ def hermitian_2x2(a, d, b):
 
 
 def assert_matches_lapack(H):
-    """Eigenvalues within 8 eps ||H|| + 8 subnormal ulps of LAPACK's,
-    unitary eigenvectors and H V = V diag(lambda) to the same bound, per
-    matrix."""
+    """Ascending eigenvalues within 8 eps ||H|| + 8 subnormal ulps of
+    LAPACK's, per matrix."""
     ref = np.linalg.eigvalsh(H)
     # the relative term underflows to 0 at subnormal scale, where LAPACK's
     # own residual is a subnormal ulp or two; at normal scale the floor
     # rounds away
     bound = 8 * EPS * np.abs(ref).max(axis=-1) + 8 * 2.0 ** -1074
-    lam = _eigh(H, False)
-    lam_v, V = _eigh(H, True)
-    assert np.array_equal(lam, lam_v)
+    lam = _eigh(H)
+    assert (np.diff(lam, axis=-1) >= 0.0).all()
     assert (np.abs(lam - ref).max(axis=-1) <= bound).all()
-    gram = np.conj(np.swapaxes(V, -1, -2)) @ V
-    assert np.abs(gram - np.eye(2)).max() <= 8 * EPS
-    residual = np.abs(H @ V - V * lam[:, None, :]).max(axis=(-2, -1))
-    assert (residual <= bound).all()
 
 
 def _random_2x2(scale):
@@ -539,9 +533,10 @@ class TestEigensolver:
         assert_matches_lapack(EDGE_CASES[case])
 
     def test_degenerate_matrices_keep_the_identity(self):
-        lam, V = _eigh(EDGE_CASES["multiples_of_identity"], True)
+        # a multiple h I of the identity has the double eigenvalue h
+        # exactly, at every scale
+        lam = _eigh(EDGE_CASES["multiples_of_identity"])
         assert np.array_equal(lam, np.stack([_LEVELS, _LEVELS], axis=-1))
-        assert np.array_equal(V, np.broadcast_to(np.eye(2), V.shape))
 
     def test_c1_operator_is_lapack_bit_for_bit(self, rng):
         # n = 1 has no closed form: no solve or field reaches an eigensolve
@@ -551,10 +546,7 @@ class TestEigensolver:
         u = rng.normal(size=d.node_count)
         op = NodalOperator(d, g, 1, chi=HermitianMatrix([[0.3]]))
         H = op.hessians(u)
-        assert np.array_equal(_eigh(H, False), np.linalg.eigvalsh(H))
-        for mine, lapack in zip(_eigh(H, True), np.linalg.eigh(H)):
-            assert mine.dtype == lapack.dtype
-            assert np.array_equal(mine, lapack)
+        assert np.array_equal(_eigh(H), np.linalg.eigvalsh(H))
 
     def test_lapack_runs_except_at_n_2(self, rng, monkeypatch):
         calls = []
@@ -566,10 +558,8 @@ class TestEigensolver:
             monkeypatch.setattr(np.linalg, name, counted)
         for n in (1, 2, 3):
             H = np.stack([random_hermitian(rng, n).entries for _ in range(5)])
-            _eigh(H, False)
-            _eigh(H, True)
-        assert calls == [("eigvalsh", 1), ("eigh", 1), ("eigvalsh", 3),
-                         ("eigh", 3)]
+            _eigh(H)
+        assert calls == [("eigvalsh", 1), ("eigvalsh", 3)]
 
 
 def trace_case(rng, n, kind, metric, chi):
@@ -594,8 +584,8 @@ class TestTraceRoute:
     @pytest.mark.parametrize("metric", ["flat", "random"])
     @pytest.mark.parametrize("chi", [None, "random"])
     def test_sigma_is_the_eigenvalue_sum(self, rng, n, kind, metric, chi):
-        # within a few eps B, B = U sum_s |W_s|_F + |chi|_F the scale bound
-        # of the solver's residual_lower_bound, U the largest |u| gathered
+        # within a few eps B, B = U sum_s |W_s|_F + |chi|_F the bound on
+        # every |H|_F, U the largest |u| gathered
         op = trace_case(rng, n, kind, metric, chi)
         if metric == "random" and n > 1:
             # a non-diagonal metric gives every folded weight a trace
@@ -606,7 +596,7 @@ class TestTraceRoute:
             u = 10.0 ** log_scale * rng.normal(size=d.node_count)
             sums = op.sigma(u)
             assert sums.shape == (op.nodes.size, 1)
-            expected = _eigh(op.hessians(u), False).sum(axis=-1)
+            expected = _eigh(op.hessians(u)).sum(axis=-1)
             B = (np.abs(u[~d.exterior_mask]).max()
                  * np.linalg.norm(op.weights, axis=(1, 2)).sum() + chi_norm)
             assert np.abs(sums[:, 0] - expected).max() <= 16 * EPS * B
@@ -615,9 +605,9 @@ class TestTraceRoute:
     @pytest.mark.parametrize("kind", ["ball", "torus"])
     def test_c1_sigma_is_the_hessian_bit_for_bit(self, rng, points, kind):
         # at n = 1 the Hessian is its trace: sigma is, bit for bit, the one
-        # real product of the trace rows that the solver's evaluation and
-        # trace bound share, and the gathered complex entry within a few
-        # ulps of the scale B of test_sigma_is_the_eigenvalue_sum
+        # real product of the trace rows that the solver's evaluation
+        # takes, and the gathered complex entry within a few ulps of the
+        # scale B of test_sigma_is_the_eigenvalue_sum
         d = (GridDomain.ball(1, radius=1.0, points_per_axis=points)
              if kind == "ball" else GridDomain.torus(1, points))
         for g, chi in ((MetricField.flat(d), None),

@@ -26,11 +26,12 @@ from mhessian.errors import (
 )
 from mhessian.fm import (
     fm_gradient_diagonal,
-    fm_gradient_from_sums,
     fm_value,
+    geometric_mean_clamped,
 )
 from mhessian.grids import GridDomain, GridFunction, MetricField, fm_field
 from mhessian.hermitian import HermitianMatrix, MetricMatrix
+from mhessian.multiindex import subset_sums
 from mhessian.solver import (
     ETA_MAX,
     RightHandSide,
@@ -483,27 +484,80 @@ class TestLinearSolve:
         np.testing.assert_allclose(J.toarray(), expected, rtol=0,
                                    atol=1e-14 * np.abs(expected).max())
 
-    @pytest.mark.parametrize("case", ["c2_ball_m1", "c2_ball_omega",
-                                      "c2_torus_chi", "c3_ball_m2"])
-    def test_gradient_comes_from_the_iterate_sums(self, case):
-        # at m < n the eigenvectors come from eigh, the gradient from the
-        # m-sums of the iterate; at n <= 2 the closed-form eigenvalues of
-        # eigh are those behind the m-sums, so its gradient is the same
-        op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
-        n, m = op.domain.n, op.m
-        assert m < n
-        nodal = op.evaluate(u)
-        _, dG = op.rhs_values(u, sampled(op, rhs))
-        J, _ = op.jacobian(nodal, dG)
-        H = op.hessians(u)
-        expected = full_stencil_jacobian(
-            op, H, fm_gradient_from_sums(nodal.sums, n, m), dG)
-        assert np.array_equal(J.data, expected.data)
-        if n <= 2:
-            eigh_gradient = fm_gradient_diagonal(
-                solver._eigh(H, vectors=True)[0], m)
-            expected = full_stencil_jacobian(op, H, eigh_gradient, dG)
-            assert np.array_equal(J.data, expected.data)
+
+def spectral_stack(rng, n, m, least, count):
+    """``count`` random Hermitian matrices U diag(lambda) U^H, U unitary,
+    each spectrum drawn on [-1, 2) and shifted so that its least m-fold sum
+    is ``least``."""
+    lam = rng.uniform(-1.0, 2.0, size=(count, n))
+    lam += (least - subset_sums(lam, m).min(axis=-1))[:, None] / m
+    U = np.linalg.qr(rng.normal(size=(count, n, n))
+                     + 1j * rng.normal(size=(count, n, n)))[0]
+    H = (U * lam[:, None, :]) @ U.conj().swapaxes(-1, -2)
+    return 0.5 * (H + H.conj().swapaxes(-1, -2))
+
+
+# (n, m) of every order below m = n that a grid can take, n <= 4
+BELOW_N = [(n, m) for n in (2, 3, 4) for m in range(1, n)]
+EPS = np.finfo(float).eps
+
+
+class TestNodalDeterminant:
+    """At m < n, F_m, the cone test and the derivative M of F_m come from
+    D_m(H) with no eigenvalue; the eigenvalue route is the reference."""
+
+    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_eigenvalue_route(self, nm, seed):
+        # inside the cone, each least m-sum at least a quarter of the
+        # spectral scale: F within a few eps |H|, M within a few eps |M|;
+        # n = 4 takes numpy's determinant and inverse
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        H = spectral_stack(rng, n, m, rng.uniform(0.25, 1.0), 64)
+        lam, V = np.linalg.eigh(H)
+        nodal = solver._determinant_nodal(H, m)
+        M = solver._derivative(nodal, n, m)
+        expected = np.einsum("kpi,ki,kqi->kpq", V,
+                             fm_gradient_diagonal(lam, m), V.conj())
+        fm = geometric_mean_clamped(subset_sums(lam, m))
+        size = np.linalg.norm(H, axis=(1, 2))
+        assert (np.abs(nodal.fm - fm) <= 16 * EPS * size).all()
+        assert (np.abs(M - expected).max(axis=(1, 2))
+                <= 32 * EPS * np.abs(expected).max(axis=(1, 2))).all()
+
+    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1),
+           log_gap=st.floats(-16.0, 0.0), side=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_membership_is_the_least_sum_above_the_floor(self, nm, seed,
+                                                         log_gap, side):
+        # the least m-sum drawn at CONE_FLOOR +- 10^log_gap: every matrix
+        # farther than 64 eps |H| from the floor is judged by its side
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        gap = side * 10.0 ** log_gap
+        for H in spectral_stack(rng, n, m, solver.CONE_FLOOR + gap, 8):
+            member = solver._determinant_nodal(H[None], m) is not None
+            if abs(gap) > 64 * EPS * np.linalg.norm(H):
+                assert member == (gap > 0.0)
+
+    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1),
+           k=st.integers(-500, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, nm, seed, k):
+        # the evaluation scales D by a power of two first: 2^k H gives
+        # 2^k F_m and the same M, bit for bit; the floor is absolute, so
+        # it is taken at 0 here, where no scale crosses it
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        H = spectral_stack(rng, n, m, rng.uniform(1e-3, 1.0), 16)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "CONE_FLOOR", 0.0)
+            nodal = solver._determinant_nodal(H, m)
+            scaled = solver._determinant_nodal(H * 2.0 ** k, m)
+        assert np.array_equal(scaled.fm, nodal.fm * 2.0 ** k)
+        assert np.array_equal(solver._derivative(scaled, n, m),
+                              solver._derivative(nodal, n, m))
 
 
 # the cases of JACOBIAN_CASES at m = n, whose Jacobians are symmetric
@@ -511,16 +565,10 @@ SYMMETRIC_CASES = [case for case, (n, _, m, _, _) in JACOBIAN_CASES.items()
                    if m == n]
 
 
-def full_stencil_jacobian(op, H, grad, dG):
-    """The Jacobian as assembled over every stencil row, with M = V
-    diag(grad) V^H from the eigenvectors of the Hessians H, in CSR form with
-    each entry of the dropped rows kept as an explicit zero."""
-    n = op.domain.n
-    _, V = solver._eigh(H, vectors=True)
-    v = V[:, :, 1:]
-    M = np.einsum("kpi,kqi->kpq", v * (grad[:, 1:] - grad[:, :1])[:, None, :],
-                  v.conj())
-    M[:, range(n), range(n)] += grad[:, :1]
+def full_stencil_jacobian(op, M, dG):
+    """The Jacobian as assembled over every stencil row from the derivative
+    matrices M of F_m, (K, n, n), in CSR form with each entry of the dropped
+    rows kept as an explicit zero."""
     K = op.nodes.size
     entries = (op.weights.reshape(len(op.weights), -1).view(float)
                @ M.reshape(K, -1).view(float).T)
@@ -574,8 +622,9 @@ class TestTraceStencil:
         # the derivative of F_n = tr H is M = I at every node, contracted
         # with every stencil row; at n <= 2 the trace of each folded weight
         # has at most two terms, so the GEMM rounds it as the trace does
-        full = full_stencil_jacobian(op, op.hessians(u),
-                                     np.ones((op.nodes.size, n)), dG)
+        full = full_stencil_jacobian(
+            op, np.broadcast_to(np.eye(n, dtype=complex),
+                                (op.nodes.size, n, n)).copy(), dG)
         assert np.array_equal(J.toarray(), full.toarray())
         assert np.array_equal(diag, full.diagonal())
         # dropping exact zeros changes no product, so no BiCGSTAB iterate
@@ -598,7 +647,8 @@ class TestTraceStencil:
     def test_reuses_the_iterate_sums_bit_for_bit(self, monkeypatch, case):
         # the m = n Jacobian reads nothing of the iterate, its m-sums
         # included: at another iterate with the same slope dG it has the
-        # same bits, and it forms no Hessian, eigensolve, gradient or GEMM
+        # same bits, and it forms no Hessian, eigensolve, derivative M or
+        # GEMM
         op, u, rhs = jacobian_case(*JACOBIAN_CASES[case])
         assert op.m == op.domain.n
         _, dG = op.rhs_values(u, sampled(op, rhs))
@@ -608,10 +658,9 @@ class TestTraceStencil:
         expected, expected_diag = op.jacobian(other, dG)
         expected = expected.copy()
         nodal = op.evaluate(u)
-        assert not np.array_equal(nodal.sums, other.sums)
-        calls = spied(monkeypatch, (solver, "_eigh"),
-                      (solver, "fm_gradient_from_sums"),
-                      (_FmOperator, "hessians"))
+        assert not np.array_equal(nodal.fm, other.fm)
+        calls = spied(monkeypatch, (grids, "_eigh"),
+                      (solver, "_derivative"), (_FmOperator, "hessians"))
         J, diag = op.jacobian(nodal, dG)
         assert calls == []
         for name in ("data", "indices", "indptr"):
@@ -678,16 +727,14 @@ class TestTraceStencil:
         op, u, _ = jacobian_case(*JACOBIAN_CASES[case])
         expected = op.traces(u)
         calls = []
-        for module in (solver, grids):
-            monkeypatch.setattr(module, "_eigh",
-                                lambda *args, **kwargs: calls.append("_eigh"))
+        monkeypatch.setattr(grids, "_eigh",
+                            lambda *args, **kwargs: calls.append("_eigh"))
         monkeypatch.setattr(_FmOperator, "hessians",
                             lambda *args: calls.append("hessians"))
         nodal = op.evaluate(u)
         assert calls == []
-        assert nodal.H is None
-        assert np.array_equal(nodal.sums, expected[:, None])
-        assert nodal.margin == expected.min()
+        assert nodal.D is None
+        assert np.array_equal(nodal.fm, expected)
 
 
 class GemmSpy:
@@ -840,6 +887,7 @@ import mhessian.cli
 from mhessian import solver
 from mhessian.grids import GridDomain, GridFunction, MetricField
 from mhessian.hermitian import HermitianMatrix, MetricMatrix
+from mhessian.multiindex import subset_sums
 
 W = np.array([[463.237055127294, -765.7855616506956 + 669.5782337128992j],
               [-765.7855616506956 - 669.5782337128992j, 2239.597113790016]])
@@ -1543,7 +1591,7 @@ def pointwise_root_margin(chi, rhs, g, m):
     solve_torus takes when that margin is above the cone floor."""
     op = _FmOperator(g.domain, g, m, chi)
     root = sampled(op, rhs).root(solver.check_chi_positive(chi, g, m))
-    return op.evaluate(root).margin
+    return op.sigma(root).min()
 
 
 def same_report(a, b):
@@ -1880,14 +1928,13 @@ class TestFailureModes:
         with pytest.raises(ConeEscape):
             solve_dirichlet(f, rhs, g, 1, SolverConfig(initial=bad))
 
-    # the two damping-exhaustion branches of _newton, each reached once with
-    # the trials evaluated and, at m < n, once with the trace bound skipping
-    # them; their messages say where the solve stopped
+    # the two damping-exhaustion branches of _newton, at m = n and at
+    # m < n; their messages say where the solve stopped
 
     @staticmethod
-    def exhaust(monkeypatch, solve, bound=True):
+    def exhaust(monkeypatch, solve):
         """The exception ``solve`` raises and the number of trials it
-        evaluated in full; without ``bound`` no trial is skipped."""
+        evaluated."""
         evaluated = []
         evaluate = _FmOperator.evaluate
 
@@ -1896,58 +1943,51 @@ class TestFailureModes:
             return evaluate(op, u)
 
         monkeypatch.setattr(_FmOperator, "evaluate", counted)
-        if not bound:
-            monkeypatch.setattr(_FmOperator, "residual_lower_bound",
-                                lambda op, u, G: -np.inf)
         with pytest.raises((ConeEscape, NewtonDiverged)) as info:
             solve()
         # the first evaluation is the initial iterate's
         return info.value, len(evaluated) - 1
-
-    def same_without_bound(self, monkeypatch, solve):
-        exc, trials = self.exhaust(monkeypatch, solve)
-        with monkeypatch.context() as patch:
-            plain, plain_trials = self.exhaust(patch, solve, bound=False)
-        assert type(plain) is type(exc)
-        assert plain.args == exc.args
-        return exc, trials, plain_trials
 
     def test_every_step_leaving_the_cone_is_a_cone_escape(self, monkeypatch):
         # a floor just below the initial margin of 1 (chi = I, u constant):
         # every damped Newton step bends u and leaves the cone
         chi, rhs, g = penalized_torus(10.0)
         monkeypatch.setattr(solver, "CONE_FLOOR", 1.0 - 1e-6)
-        exc, trials, plain_trials = self.same_without_bound(
-            monkeypatch, lambda: solve_torus(chi, rhs, g, 1))
+        exc, trials = self.exhaust(monkeypatch,
+                                   lambda: solve_torus(chi, rhs, g, 1))
         assert isinstance(exc, ConeEscape)
         assert WHERE.match(exc.args[0]).group(1) == (
             "no damping step keeps the iterate strictly inside the cone")
-        assert trials == plain_trials > 0
+        assert trials > 0
 
-    def test_cone_escape_through_skipped_trials(self, monkeypatch):
-        # the only step, the full one from the constant start, is skipped
-        # by the trace bound on the C^2 torus at m = 1; its cone test alone
-        # makes the failure a ConeEscape
+    @pytest.mark.parametrize("floor, error", [
+        (1.0 - 1e-6, ConeEscape), (solver.CONE_FLOOR, NewtonDiverged)])
+    def test_one_trial_below_m_equal_n_decides(self, monkeypatch, floor,
+                                               error):
+        # on the C^2 torus at m = 1 the only step, the full one from the
+        # constant start, is evaluated: under a floor just below the start's
+        # margin of 1 it leaves the cone, and under the solver's floor it
+        # stays inside and raises the residual
         chi, rhs, g = penalized_torus(40.0, n=2)
-        monkeypatch.setattr(solver, "CONE_FLOOR", 1.0 - 1e-6)
+        monkeypatch.setattr(solver, "CONE_FLOOR", floor)
         monkeypatch.setattr(solver, "DAMPING_MIN_STEP", 1.0)
-        exc, trials, plain_trials = self.same_without_bound(
-            monkeypatch, lambda: solve_torus(chi, rhs, g, 1,
-                                          constant_start(rhs)))
-        assert isinstance(exc, ConeEscape)
-        assert (trials, plain_trials) == (0, 1)
+        exc, trials = self.exhaust(
+            monkeypatch,
+            lambda: solve_torus(chi, rhs, g, 1, constant_start(rhs)))
+        assert type(exc) is error
+        assert trials == 1
 
     def test_steps_that_never_lower_the_residual_diverge(self, monkeypatch):
         # with a zero tolerance Newton reaches the rounding floor, where
         # every damped step stays in the cone and none lowers the residual
         domain, g, f, rhs = quadratic_setup(2, 7, 1)
-        exc, trials, plain_trials = self.same_without_bound(
+        exc, trials = self.exhaust(
             monkeypatch,
             lambda: solve_dirichlet(f, rhs, g, 1, SolverConfig(tolerance=0.0)))
         assert isinstance(exc, NewtonDiverged)
         assert WHERE.match(exc.args[0]).group(1) == (
             "no damped step reduced the residual")
-        assert trials == plain_trials > 21
+        assert trials > 21
 
     def test_linear_solve_failure_says_where(self, monkeypatch):
         # both runs of the first linear solve miss with a zero step
@@ -1960,19 +2000,6 @@ class TestFailureModes:
         message = failure.value.args[0]
         assert re.fullmatch(linear_failure(0), WHERE.match(message).group(1))
         assert " at Newton iteration 0 (" in message
-
-    def test_divergence_through_skipped_trials(self, monkeypatch):
-        # the full step from the constant start stays inside the cone of
-        # the C^2 torus at m = 1 and raises the residual: the bound skips
-        # it, and the cone test of the skipped trial makes the failure
-        # NewtonDiverged
-        chi, rhs, g = penalized_torus(40.0, n=2)
-        monkeypatch.setattr(solver, "DAMPING_MIN_STEP", 1.0)
-        exc, trials, plain_trials = self.same_without_bound(
-            monkeypatch, lambda: solve_torus(chi, rhs, g, 1,
-                                          constant_start(rhs)))
-        assert isinstance(exc, NewtonDiverged)
-        assert (trials, plain_trials) == (0, 1)
 
 
 @pytest.fixture
@@ -2013,28 +2040,14 @@ class TestTypedErrors:
             solve_torus(HermitianMatrix.diagonal([1e200]), rhs, g, 1)
 
 
-# (n, points per axis, m, metric, chi, iterate), all at m < n, where
-# _newton takes the trace bound: a ball grid when chi is None, else a torus
-# grid; the iterate is |z|^2 or a small random field
-BOUND_CASES = {
-    "c2_ball_m1": (2, 7, 1, None, None, "quadratic"),
-    "c2_ball_m1_omega": (2, 7, 1, OMEGA, None, "quadratic"),
-    "c2_torus_m1": (2, 5, 1, None, CHI, "random"),
-    "c2_torus_m1_omega": (2, 5, 1, OMEGA, CHI, "random"),
-    "c3_ball_m1": (3, 7, 1, None, None, "quadratic"),
-    "c3_ball_m2": (3, 7, 2, None, None, "quadratic"),
-}
-
-
 def solve_counted(monkeypatch, chi, rhs, g):
     """The calls of each nodal method during solve_torus at m = 1 from the
-    constant start, whose one evaluation the counts include; every
-    trial calls G once, and the Jacobian reuses the accepted trial's nodal
-    quantities and slope, so it neither gathers nor calls G.  At m < n the
-    trace bound runs on every trial and some trials are skipped; at m = n
-    every trial is evaluated."""
+    constant start, whose one evaluation the counts include; every trial
+    calls G once and is evaluated, and the Jacobian reuses the accepted
+    trial's nodal quantities and slope, so it neither gathers nor calls G.
+    The report's cone margin takes one more m-sum of the solution."""
     counts = dict.fromkeys(
-        ("rhs", "bound", "evaluate", "hessians", "traces", "jacobian"), 0)
+        ("rhs", "evaluate", "hessians", "traces", "jacobian"), 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -2044,7 +2057,6 @@ def solve_counted(monkeypatch, chi, rhs, g):
 
     for cls, attr, name in (
             (solver._SampledRHS, "__call__", "rhs"),
-            (_FmOperator, "residual_lower_bound", "bound"),
             (_FmOperator, "evaluate", "evaluate"),
             (_FmOperator, "hessians", "hessians"),
             (_FmOperator, "traces", "traces"),
@@ -2054,100 +2066,79 @@ def solve_counted(monkeypatch, chi, rhs, g):
     assert counts["jacobian"] == report.iterations
     # each accepted trial was evaluated
     assert report.iterations <= counts["evaluate"] - 1
-    if g.domain.n == 1:
-        assert counts["bound"] == 0
-        assert counts["rhs"] == counts["evaluate"]
-    else:
-        assert counts["rhs"] == counts["bound"] + 1
-        assert counts["evaluate"] - 1 < counts["bound"]
+    assert counts["rhs"] == counts["evaluate"]
     return counts
 
 
-@functools.lru_cache(maxsize=None)
-def bound_case(name):
-    n, points, m, metric, chi, iterate = BOUND_CASES[name]
-    if chi is None:
-        domain = GridDomain.ball(n, radius=1.0, points_per_axis=points)
-    else:
-        domain = GridDomain.torus(n, points_per_axis=points)
-    g = MetricField(domain, metric) if metric else MetricField.flat(domain)
-    if iterate == "quadratic":
-        u = sqn(domain.coords)
-    else:
-        u = 1e-3 * np.random.default_rng(3).normal(size=domain.node_count)
-    return _FmOperator(domain, g, m, chi), u
+def eigensolves(monkeypatch):
+    """The list of (name, argument shape) of every call from now on to the
+    eigensolvers a solve can reach: ``grids._eigh`` and numpy's ``eigh``
+    and ``eigvalsh``, which ``_eigh`` calls at n >= 3."""
+    calls = []
+    for owner, name in ((grids, "_eigh"), (np.linalg, "eigh"),
+                        (np.linalg, "eigvalsh")):
+        def recorded(H, *args, _name=name, _original=getattr(owner, name),
+                     **kwargs):
+            calls.append((_name, np.shape(H)))
+            return _original(H, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
-class TestTraceBound:
-    @given(case=st.sampled_from(list(BOUND_CASES)),
-           seed=st.integers(0, 2 ** 32 - 1),
-           log_size=st.floats(-8.0, 0.0),
-           log_gap=st.floats(-16.0, 1.0),
-           step=st.sampled_from([2.0 ** -k for k in range(0, 21, 4)]))
-    @settings(max_examples=300, deadline=None)
-    def test_bound_rejects_only_what_the_evaluation_rejects(
-            self, case, seed, log_size, log_gap, step):
-        # every trial in the cone has a residual at least its bound: then
-        # for every residual norm the bound rejects a trial at, so does the
-        # full evaluation.  G is drawn close to (m/n) tr H, where AM-GM is
-        # tight for the quadratic iterates, so the slack carries the test
-        op, u = bound_case(case)
-        assert op.m < op.domain.n
-        rng = np.random.default_rng(seed)
-        delta = 10.0 ** log_size * rng.normal(size=op.nodes.size)
-        trial = solver._damped(u, op.nodes, step, delta)
-        nodal = op.evaluate(trial)
-        trace = np.einsum("kpp->k", op.hessians(trial)).real
-        G = (op.m / op.domain.n * np.abs(trace)
-             * (1.0 + 10.0 ** log_gap * rng.uniform(-1.0, 1.0, trace.size)))
-        bound = op.residual_lower_bound(trial, G)
-        if nodal.margin > 0.0:
-            assert float(np.abs(nodal.fm - G).max()) >= bound
-
-    def test_bound_skips_trials(self):
-        # not vacuous: on the C^2 torus at m = 1 with a large penalty the
-        # bound of the full step, 2.6 times the current residual, reaches
-        # that residual, so _newton skips the step; it stays at or below the
-        # trial's own residual, which lies about 0.9 % above it (the AM-GM
-        # slack of F_1 <= tr H / 2)
-        chi, rhs, g = penalized_torus(40.0, n=2)
-        op = _FmOperator(g.domain, g, 1, chi)
-        assert op.m < op.domain.n
-        u = np.full(g.domain.node_count, float(rhs.reference.flat.min()))
-        J, diag, r = newton_system(op, u, rhs)
-        trial = solver._damped(u, op.nodes, 1.0,
-                               _linear_solve(J, r, diag, ETA_MAX))
-        G, _ = op.rhs_values(trial, sampled(op, rhs))
-        rnorm = float(np.abs(r).max())
-        bound = op.residual_lower_bound(trial, G)
-        assert bound >= rnorm
-        residual = float(np.abs(op.evaluate(trial).fm - G).max())
-        assert bound <= residual
-
+class TestNodalWork:
     def test_each_iterate_is_gathered_once(self, monkeypatch):
         # at m = n (the C^1 torus) an evaluation takes one trace product
-        # and no Hessians, and no trial takes the trace bound
+        # and no Hessians, and the report's margin one more
         counts = solve_counted(monkeypatch, *penalized_torus(40.0))
-        assert counts["traces"] == counts["evaluate"]
+        assert counts["traces"] == counts["evaluate"] + 1
         assert counts["hessians"] == 0
 
     def test_each_iterate_at_m_below_n_is_gathered_once(self, monkeypatch):
         # at m < n (the C^2 torus at m = 1) an evaluation gathers the
-        # Hessians once and takes no trace product; the trace bound of a
-        # trial takes one
+        # Hessians once and takes no trace product, and the report's
+        # margin gathers them once more
         counts = solve_counted(monkeypatch, *torus_c2_problem(5)[:3])
-        assert counts["hessians"] == counts["evaluate"]
-        assert counts["traces"] == counts["bound"]
+        assert counts["hessians"] == counts["evaluate"] + 1
+        assert counts["traces"] == 0
+
+    @pytest.mark.parametrize("problem", ["c2_ball_m1", "c2_torus_m1",
+                                         "c3_ball_m1", "c3_ball_m2"])
+    def test_newton_below_m_equal_n_solves_no_eigenproblem(
+            self, monkeypatch, problem):
+        # F_m, the cone test and M come from D_m(H): a whole solve makes
+        # one eigensolve of its nodes, for the report's cone margin; a
+        # torus solve also solves chi's n x n pencil once, and a ball solve
+        # is given its start, which the subsolution seed tests by m-sums
+        n, m = int(problem[1]), int(problem[-1])
+        if problem.startswith("c2_torus"):
+            chi, rhs, g, _ = torus_c2_problem(5)
+            calls = eigensolves(monkeypatch)
+            report = solve_torus(chi, rhs, g, m)
+            stacks = [call for call in calls if call[1] != (n, n)]
+            assert calls.count(("eigh", (n, n))) == 1
+        else:
+            domain, g, f, rhs = quadratic_setup(n, 9 if n == 2 else 7, m)
+            start = SolverConfig(initial=GridFunction(
+                domain, seed_with_boundary(f, g, m)))
+            calls = eigensolves(monkeypatch)
+            report = solve_dirichlet(f, rhs, g, m, start)
+            stacks = calls
+        assert report.iterations > 1
+        K = report.solution.domain.interior_mask.sum()
+        expected = [("_eigh", (K, n, n))]
+        if n == 3:
+            expected.append(("eigvalsh", (K, n, n)))
+        assert stacks == expected
 
     @pytest.mark.parametrize("problem", ["c1_torus", "c2_torus_m2",
                                          "c2_ball_m2"])
-    def test_semilinear_solve_takes_no_bound_gradient_or_gemm(
+    def test_semilinear_solve_takes_no_derivative_or_gemm(
             self, monkeypatch, problem):
-        # at m = n every trial is evaluated, and the Jacobian is the trace
-        # stencil: neither the trace bound nor the gradient of F_m nor the
-        # Jacobian's GEMM runs in a whole solve
-        calls = spied(monkeypatch, (_FmOperator, "residual_lower_bound"),
-                      (solver, "fm_gradient_from_sums"))
+        # at m = n the Jacobian is the trace stencil: neither the derivative
+        # M of F_m nor the Jacobian's GEMM runs in a whole solve
+        calls = spied(monkeypatch, (solver, "_derivative"),
+                      (solver, "_adjugate"))
         if problem == "c1_torus":
             report = solve_torus(*penalized_torus(40.0), 1)
         elif problem == "c2_torus_m2":
