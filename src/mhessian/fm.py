@@ -4,13 +4,19 @@ For a form T with eigenvalues lambda_1 <= ... <= lambda_n relative to a
 metric, F_m is the C(n,m)-th root of the product of all m-fold eigenvalue
 sums.  The module provides the value, the first derivatives at diagonal
 matrices, the universal lower bound on the product of those derivatives,
-the derivation operator on the m-th exterior power whose determinant
-recovers F_m, the clamped extension F_m^+ that vanishes outside the cone,
-and a segment probe for concavity.
+the derivation operator D_m on the m-th exterior power, the clamped
+extension F_m^+ that vanishes outside the cone, and a segment probe for
+concavity.
+
+The eigenvalues of D_m(H) are the m-fold sums of H's, so F_m is also the
+C(n,m)-th root of det D_m(H): ``determinant_route`` takes it, and the
+cone test, from the Cholesky pivots of D_m(H), for Newton, the
+subsolution seed and ``fm_via_determinant`` alike.
 """
 
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +120,8 @@ def fm_gradient_diagonal(lambdas, m: int) -> np.ndarray:
     ``F_m / C(n,m) * sum over m-index sets J containing p of 1/sigma_J``
     with sigma_J the m-fold sums; off-diagonal derivatives vanish at a
     diagonal matrix and are not returned.  Requires all sigma_J strictly
-    positive (cone interior).
+    positive: a sum at most GRADIENT_BOUNDARY_TOL raises before F_m is
+    formed, and a NaN sum gives NaN.
 
     Accepts a single spectrum (n,) or a batch (..., n); returns the same
     leading shape with a trailing axis of length n.
@@ -122,27 +129,15 @@ def fm_gradient_diagonal(lambdas, m: int) -> np.ndarray:
     lambdas = np.asarray(lambdas, dtype=float)
     n = lambdas.shape[-1]
     _check_m(n, m)
-    return fm_gradient_from_sums(subset_sums(lambdas, m), n, m)
-
-
-def fm_gradient_from_sums(sums: np.ndarray, n: int, m: int,
-                          value=None) -> np.ndarray:
-    """``fm_gradient_diagonal`` from the m-sums (..., C(n,m)) of the
-    spectra, in ``subset_sums`` order, and optionally their F_m ``value``
-    (...), which is computed from the sums when not given.
-
-    Raises ConeBoundaryError, before the value is computed, when a sum is
-    at most GRADIENT_BOUNDARY_TOL.
-    """
+    sums = subset_sums(lambdas, m)
     low = sums.min(initial=np.inf)
     if low <= GRADIENT_BOUNDARY_TOL:
         raise ConeBoundaryError(
             f"eigenvalue sum {low:.6e} is on or outside the cone boundary; "
             f"the gradient requires the open cone"
         )
-    if value is None:
-        # on the open cone the clamp is the identity: the value is F_m itself
-        value = geometric_mean_clamped(sums)
+    # on the open cone the clamp is the identity: the value is F_m itself
+    value = geometric_mean_clamped(sums)
     # membership[J, p] = 1 iff p in J, reusing the subset-sum indicator.
     member = subset_sum_matrix(n, m)
     # value times (1 / sums) @ member, as written: value / sums would round
@@ -174,16 +169,9 @@ def derivation_entries(A: np.ndarray, m: int) -> np.ndarray:
     for a, I in enumerate(idx):
         D[..., a, a] = sum(A[..., i, i] for i in I)
         for b, J in enumerate(idx):
-            if a == b:
-                continue
-            diff_IJ = sets[a] - sets[b]
-            if len(diff_IJ) != 1:
-                continue
-            i = next(iter(diff_IJ))
-            j = next(iter(sets[b] - sets[a]))
-            s = I.index(i)
-            t = idx[b].index(j)
-            D[..., a, b] = (-1) ** (s + t) * A[..., i, j]
+            if len(sets[a] - sets[b]) == 1:  # never at a == b
+                (i,), (j,) = sets[a] - sets[b], sets[b] - sets[a]
+                D[..., a, b] = (-1) ** (I.index(i) + J.index(j)) * A[..., i, j]
     return D
 
 
@@ -202,32 +190,95 @@ def derivation_matrix(A: HermitianMatrix, m: int) -> DerivationMatrix:
     return DerivationMatrix(n=A.dim, m=m, entries=derivation_entries(A.entries, m))
 
 
-def determinant_fm_values(u_entries: np.ndarray, g_entries: np.ndarray,
-                          m: int) -> np.ndarray:
-    """``fm_via_determinant`` for stacks (..., n, n) of Hessians and of
-    metrics; the first member outside the open cone raises."""
-    n = u_entries.shape[-1]
+class DeterminantFm(NamedTuple):
+    """F_m per member and, from ``determinant_route``, each member's scaled
+    D_m(H) and det(D)^(1 / C(n, m)), which the derivative of F_m takes."""
+
+    fm: np.ndarray
+    D: np.ndarray = None
+    root: np.ndarray = None
+
+
+def _derivation(H: np.ndarray, m: int) -> np.ndarray:
+    """D_m(H) of each member of the Hermitian stack H, (K, n, n): (K, N,
+    N), N = C(n, m), whose eigenvalues are the m-fold sums of H's.  H
+    itself at m = 1, the 1 x 1 trace at m = n, tr(H) I - H at m = n - 1,
+    and ``derivation_entries`` in between (n = 4, m = 2)."""
+    n = H.shape[-1]
+    if m == 1:
+        return H
+    trace = np.einsum("kpp->k", H)[:, None, None]
+    if m == n:
+        return trace
+    if m == n - 1:
+        return trace * np.eye(n) - H
+    return derivation_entries(H, m)
+
+
+def _determinant(D: np.ndarray, shift):
+    """det(D - shift I) of each member of the Hermitian stack D, (K, N, N),
+    the product of its Cholesky pivots (ratios of leading minors), or None
+    at the first pivot that is not positive, so exactly when some member
+    is not positive definite.  The Schur complements, held as (N, N, K),
+    keep D's diagonal, and the shift, one per member, comes off each
+    pivot."""
+    S, det = D.transpose(1, 2, 0).copy(), 1.0
+    for j in range(S.shape[0]):
+        p = S[j, j].real - shift
+        if not (p > 0.0).all():
+            return None
+        det = det * p
+        S[j + 1:, j + 1:] -= S[j + 1:, j, None] * S[None, j, j + 1:] / p
+    return det
+
+
+def determinant_route(H: np.ndarray, m: int, floor: float):
+    """The ``DeterminantFm`` of the Hermitian stack H, (K, n, n), already
+    in the metric frame, or None unless every member's least m-fold sum
+    exceeds ``floor``: F_m = det(D)^(1/N), N = C(n, m), D = D_m(H), and the
+    test is that D - floor I is positive definite, by its Cholesky pivots.
+    Each member's D and floor are first scaled by the power of two that
+    brings the largest diagonal entry of that D into [1/2, 1), which in a
+    positive definite D is also the largest real or imaginary part of an
+    entry: the scaling is exact, so F_m of 2^k H is 2^k F_m, a member's
+    F_m does not depend on the rest of the stack, and the pivots and
+    determinants neither overflow nor underflow."""
+    D = _derivation(H, m)
+    # one pass per diagonal slot: a max over each member's few entries
+    # would cost a reduction per member
+    top = np.maximum.reduce([D[:, i, i].real for i in range(D.shape[-1])])
+    top = np.maximum(top, 1e-300)
+    scale = np.ldexp(1.0, -np.frexp(top)[1])
+    D = D * scale[:, None, None]
+    if _determinant(D, floor * scale) is None:
+        return None
+    det, N = _determinant(D, 0.0), D.shape[-1]
+    root = (np.sqrt(det) if N == 2 else np.cbrt(det) if N == 3
+            else det ** (1.0 / N))
+    return DeterminantFm(root / scale, D, root)
+
+
+def determinant_fm_values(frames: np.ndarray, m: int) -> np.ndarray:
+    """F_m of each member of a stack (..., n, n) of forms already reduced
+    to the metric frame, by ``determinant_route`` at floor 0; raises
+    ConeBoundaryError unless every member lies in the open cone."""
+    frames = np.asarray(frames, dtype=complex)
+    n = frames.shape[-1]
     _check_m(n, m)
-    if g_entries.shape[-1] != n:
-        raise DimensionMismatchError("metric dimension does not match the Hessian")
-    A = np.linalg.solve(g_entries, u_entries)
-    det = np.linalg.det(derivation_entries(A, m))
-    bad = ((np.abs(det.imag) > 1e-8 * np.maximum(1.0, np.abs(det.real)))
-           | (det.real <= 0.0))
-    if bad.any():
-        raise ConeBoundaryError(
-            f"derivation determinant {det[bad][0]:.6e} is not positive; "
-            f"spectrum outside the open cone"
-        )
-    # one scalar power per member: numpy's array power may take a SIMD
-    # routine whose last bit differs from the scalar pow
-    exponent = 1.0 / comb(n, m)
-    return np.array([d ** exponent for d in det.real.flat]).reshape(det.shape)
+    route = determinant_route(frames.reshape(-1, n, n), m, 0.0)
+    if route is None:
+        raise ConeBoundaryError("D_m(H) of a member is not positive "
+                                "definite: spectrum outside the open cone")
+    return route.fm.reshape(frames.shape[:-2])
 
 
 def fm_via_determinant(u_hessian: HermitianMatrix, g: MetricMatrix, m: int) -> float:
-    """F_m as the C(n,m)-th root of det of the derivation of g^{-1} u_hessian."""
-    return float(determinant_fm_values(u_hessian.entries, g.entries, m))
+    """F_m as the C(n,m)-th root of det D_m(H), H the form u_hessian in
+    the metric frame of g."""
+    if u_hessian.dim != g.dim:
+        raise DimensionMismatchError("metric dimension does not match the Hessian")
+    return float(determinant_fm_values(
+        metric_frame(u_hessian.entries, g.cholesky), m))
 
 
 def fm_plus(T: HermitianMatrix, omega: MetricMatrix, m: int) -> float:

@@ -4,10 +4,11 @@ Solves ``F_m[discrete complex Hessian of u] = G(z, u)`` on ball grids with
 Dirichlet boundary data and the periodic analogue ``F_m[chi + Hessian] =
 G(z, u)`` on torus grids.  At m < n each node's F_m is the C(n, m)-th root
 of det D_m(H), the derivation of its folded Hessian H on the m-th exterior
-power, whose eigenvalues are the m-fold sums; its cone test is the
-positive definiteness of D_m(H) less the floor, and the Newton
-linearization combines the adjugate of D_m(H) with the finite-difference
-stencil weights, so Newton solves no eigenproblem.  Steps are damped by
+power, whose eigenvalues are the m-fold sums (``fm.determinant_route``);
+its cone test is the positive definiteness of D_m(H) less the floor, and
+the Newton linearization combines the adjugate of D_m(H) with the
+finite-difference stencil weights, so neither Newton nor the subsolution
+seed solves an eigenproblem.  Steps are damped by
 halving until every node's Hessian keeps its minimal m-fold eigenvalue sum
 above the cone floor.  Every Newton step is inexact: Jacobi-preconditioned
 BiCGSTAB solves the linearization only to an Eisenstat-Walker forcing
@@ -33,7 +34,8 @@ from .errors import (
     IllPosedRHS,
     NewtonDiverged,
 )
-from .fm import _check_m, derivation_entries, geometric_mean_clamped
+from .fm import DeterminantFm, _check_m, _derivation, derivation_entries, \
+    determinant_route, geometric_mean_clamped
 from .grids import (
     BALL,
     TORUS,
@@ -187,31 +189,6 @@ class SolveReport:
         }
 
 
-class _Nodal(NamedTuple):
-    """The nodal quantities of an iterate strictly inside the cone at the
-    evaluation nodes."""
-
-    fm: np.ndarray            # F_m per node
-    D: np.ndarray = None      # D_m(H) per node times a power of two, at m < n
-    root: np.ndarray = None   # det(D)^(1 / C(n, m)) per node, at m < n
-
-
-def _determinant(D: np.ndarray, shift: float = 0.0):
-    """det(D - shift I) of each member of the Hermitian stack D, (K, N, N),
-    the product of its Cholesky pivots (ratios of leading minors), or None
-    at the first pivot that is not positive, so exactly when some member
-    is not positive definite.  The Schur complements, held as (N, N, K),
-    keep D's diagonal, and the shift comes off each pivot."""
-    S, det = D.transpose(1, 2, 0).copy(), 1.0
-    for j in range(S.shape[0]):
-        p = S[j, j].real - shift
-        if not (p > 0.0).all():
-            return None
-        det = det * p
-        S[j + 1:, j + 1:] -= S[j + 1:, j, None] * S[None, j, j + 1:] / p
-    return det
-
-
 def _adjugate(D: np.ndarray) -> np.ndarray:
     """The adjugate of each member of the Hermitian stack D, (K, N, N):
     its cofactors in closed form at N <= 3, else det(D) D^-1."""
@@ -237,61 +214,32 @@ def _adjugate(D: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _derivation(H: np.ndarray, m: int) -> np.ndarray:
-    """D_m(H) of each member of the Hermitian stack H, (K, n, n), m < n:
-    (K, N, N), N = C(n, m), whose eigenvalues are the m-fold sums of H's.
-    H itself at m = 1, tr(H) I - H at m = n - 1, and the derivation on the
-    m-th exterior power in between (n = 4, m = 2)."""
-    n = H.shape[-1]
-    if m == 1:
-        return H
-    if m < n - 1:
-        return derivation_entries(H, m)
-    return np.einsum("kpp->k", H)[:, None, None] * np.eye(n) - H
+def _above_floor(op: NodalOperator, u_flat: np.ndarray, floor: float):
+    """The ``DeterminantFm`` of ``u_flat`` at the nodes of ``op``, or None
+    unless every node's least m-fold sum exceeds ``floor``: at m = n F_n
+    is the trace, from the trace rows alone with no Hessian, else
+    ``determinant_route`` of the folded Hessians."""
+    if op.m == op.domain.n:
+        fm = op.traces(u_flat)
+        return DeterminantFm(fm) if fm.min() > floor else None
+    return determinant_route(op.hessians(u_flat), op.m, floor)
 
 
-def _determinant_nodal(H: np.ndarray, m: int):
-    """The nodal quantities of the folded Hessians H, (K, n, n), at m < n,
-    or None unless every node's least m-fold sum exceeds CONE_FLOOR.
-
-    D = D_m(H) has the m-sums for eigenvalues, so F_m = det(D)^(1/N),
-    N = C(n, m), and a node lies above the floor when D - CONE_FLOOR I is
-    positive definite, by its Cholesky pivots; no eigenvalue is formed.
-    D and the floor are first scaled by the power of two that brings the
-    largest real or imaginary part of an entry of D into [1/2, 1), as
-    ``_linear_solve`` scales r: the scaling is exact, so F_m of 2^k H is
-    2^k F_m, and the pivots and determinants of Hessians of that size
-    neither overflow nor underflow.
-    """
-    D = _derivation(H, m)
-    top = max(float(np.abs(D.view(float)).max()), 1e-300)
-    scale = math.ldexp(1.0, -math.frexp(top)[1])
-    D = D * scale
-    if _determinant(D, CONE_FLOOR * scale) is None:
-        return None
-    det, N = _determinant(D), D.shape[-1]
-    root = (np.sqrt(det) if N == 2 else np.cbrt(det) if N == 3
-            else det ** (1.0 / N))
-    return _Nodal(root / scale, D, root)
-
-
-def _derivative(nodal: _Nodal, n: int, m: int) -> np.ndarray:
+def _derivative(nodal: DeterminantFm, n: int, m: int) -> np.ndarray:
     """M per node, (K, n, n), with dF_m = tr(M dH) at the folded Hessians H
     whose nodal quantities at m < n are ``nodal``: the derivative X =
     adj(D) / (N F_m^(N-1)) of F_m in D = D_m(H), pulled back through the
-    linear map D_m, so adj(H) / (2 F_m) at n = 2, m = 1 and tr(X) I - X at
-    m = n - 1.  D and F_m both carry the evaluation's power of two, which
-    cancels."""
+    linear map D_m.  D_m is its own adjoint at m = 1 and m = n - 1, so M
+    is adj(H) / (2 F_m) at n = 2, m = 1 and tr(X) I - X at m = n - 1.  D
+    and F_m both carry the evaluation's power of two, which cancels."""
     N = nodal.D.shape[-1]
     X = _adjugate(nodal.D)
     # a real division of each part: X is complex, the divisor real
     X.view(float)[...] /= (N * nodal.root ** (N - 1))[:, None, None]
-    if m == 1:
-        return X
-    if m < n - 1:
+    if 1 < m < n - 1:
         basis = derivation_entries(np.eye(n * n).reshape(n, n, n, n), m)
         return np.einsum("kba,pqab->kqp", X, basis)
-    return np.einsum("kpp->k", X)[:, None, None] * np.eye(n) - X
+    return _derivation(X, m)
 
 
 class _FmOperator(NodalOperator):
@@ -327,14 +275,8 @@ class _FmOperator(NodalOperator):
 
     def evaluate(self, u_flat: np.ndarray):
         """F_m of ``u_flat`` and what its Jacobian takes, or None unless
-        every node's least m-fold sum exceeds CONE_FLOOR: at m = n the one
-        m-sum is the trace, from the trace rows alone and with no Hessian,
-        and F_n is that trace; else ``_determinant_nodal`` of the folded
-        Hessians."""
-        if self.m == self.domain.n:
-            fm = self.traces(u_flat)
-            return _Nodal(fm) if fm.min() > CONE_FLOOR else None
-        return _determinant_nodal(self.hessians(u_flat), self.m)
+        every node's least m-fold sum exceeds CONE_FLOOR."""
+        return _above_floor(self, u_flat, CONE_FLOOR)
 
     def rhs_values(self, u_flat, rhs: _SampledRHS, homotopy=None):
         """G(z, u) and its slope in u at the evaluation nodes.
@@ -349,7 +291,7 @@ class _FmOperator(NodalOperator):
             dG = t * dG
         return G, dG
 
-    def jacobian(self, nodal: _Nodal, dG):
+    def jacobian(self, nodal: DeterminantFm, dG):
         """The Jacobian in CSR form and its diagonal, the centre entries, at
         the iterate whose nodal quantities, from ``evaluate``, are ``nodal``
         and whose right-hand side slope is ``dG``.
@@ -549,7 +491,8 @@ def _margin(op: _FmOperator, u_flat: np.ndarray) -> float:
     return float(op.sigma(u_flat).min())
 
 
-def _start(op: _FmOperator, u_flat: np.ndarray, where: str = "") -> _Nodal:
+def _start(op: _FmOperator, u_flat: np.ndarray,
+           where: str = "") -> DeterminantFm:
     """The nodal quantities of a solve's start, which must lie strictly
     inside the cone: the right-hand side may be undefined outside it."""
     nodal = op.evaluate(u_flat)
@@ -562,7 +505,7 @@ def _start(op: _FmOperator, u_flat: np.ndarray, where: str = "") -> _Nodal:
 
 
 def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
-            nodal: _Nodal, cfg: SolverConfig, homotopy=None):
+            nodal: DeterminantFm, cfg: SolverConfig, homotopy=None):
     """Damped Newton from ``u0_flat`` and its nodal quantities ``nodal``,
     strictly inside the cone: (u, iterations, residual, nodal quantities
     of u).
@@ -654,7 +597,8 @@ def _report(domain: GridDomain, u_flat, iterations, rnorm, margin,
 
 
 def subsolution_seed(f: GridFunction, g: MetricField, m: int):
-    """Seed C(|z|^2 - r^2) + f, doubling C until strictly in the cone.
+    """Seed C(|z|^2 - r^2) + f, doubling C until ``_above_floor`` finds
+    every least m-fold sum above SEED_MARGIN, as Newton tests iterates.
 
     The cone test sees the seed as built, before ``continuity_path`` writes
     f back onto the boundary layer.  Writing it back changes the Hessians
@@ -671,7 +615,7 @@ def subsolution_seed(f: GridFunction, g: MetricField, m: int):
     C = 1.0
     while C < 2.0 ** 60:
         u = f.flat + C * bump
-        if op.sigma(u).min() > SEED_MARGIN:
+        if _above_floor(op, u, SEED_MARGIN) is not None:
             return GridFunction(domain, u), C
         C *= 2.0
     raise ConeEscape("no doubling of the subsolution constant entered the cone")

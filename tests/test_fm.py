@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from mhessian.fm import (
     derivation_matrix,
     fm_from_lambdas,
     fm_gradient_diagonal,
-    fm_gradient_from_sums,
     fm_plus,
     fm_product_bound,
     fm_value,
@@ -21,7 +22,7 @@ from mhessian.fm import (
 from mhessian.grids import GridDomain, GridFunction, MetricField, cone_field, \
     fm_field
 from mhessian.hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
-from mhessian.multiindex import subset_sums
+from mhessian.multiindex import subset_sum_matrix, subset_sums
 
 from conftest import (
     OMEGA,
@@ -204,33 +205,33 @@ class TestGradient:
             fm_gradient_diagonal([0.0, 1.0], 1)
 
     def test_from_sums_matches_the_spectrum_route(self, rng):
-        # the solver's route at m = n, given the iterate's sums and F_m,
-        # and the route from a spectrum share one formula and its bits
+        # the gradient is F_m / C(n, m) times (1 / sums) @ membership, in
+        # that order: F_m / sums would round once, not twice, and give
+        # other bits
         for n in range(1, 6):
             for m in range(1, n + 1):
                 lam = np.array([random_interior_spectrum(rng, n, m)
                                 for _ in range(20)])
                 sums = subset_sums(lam, m)
                 value = fm.geometric_mean_clamped(sums)
-                expected = fm_gradient_diagonal(lam, m)
-                assert np.array_equal(
-                    fm_gradient_from_sums(sums, n, m, value), expected)
-                assert np.array_equal(fm_gradient_from_sums(sums, n, m),
-                                      expected)
+                expected = value[:, None] / comb(n, m) * (
+                    (1.0 / sums) @ subset_sum_matrix(n, m))
+                assert np.array_equal(fm_gradient_diagonal(lam, m), expected)
 
     @pytest.mark.parametrize("low", [1e-12, 0.0, -1.0, np.nan])
     def test_from_sums_boundary_rejected(self, low):
-        # the boundary test comes first, whether or not F_m is given: a sum
-        # below -CONE_TOL gets the gradient's error, not the geometric
-        # mean's; a NaN sum is no boundary sum and is not rejected
-        sums = np.array([[2.0, 3.0, 4.0], [1.0, low, 5.0]])
-        for value in (None, np.array([3.0, 1.0])):
-            if np.isnan(low):
-                assert np.isnan(fm_gradient_from_sums(sums, 3, 2, value)[1]).all()
-                continue
-            with pytest.raises(ConeBoundaryError,
-                               match="the gradient requires the open cone"):
-                fm_gradient_from_sums(sums, 3, 2, value)
+        # (low/2, low/2, 5) has the 2-sum low, exactly: the boundary test
+        # comes before F_m, so a sum below -CONE_TOL gets the gradient's
+        # error, not the geometric mean's; a NaN sum is no boundary sum and
+        # is not rejected
+        lam = np.array([[1.0, 2.0, 3.0], [low / 2, low / 2, 5.0]])
+        if np.isnan(low):
+            assert np.isnan(fm_gradient_diagonal(lam, 2)[1]).all()
+            return
+        assert subset_sums(lam, 2).min() == low
+        with pytest.raises(ConeBoundaryError,
+                           match="the gradient requires the open cone"):
+            fm_gradient_diagonal(lam, 2)
 
 
 class TestProductBound:
@@ -337,9 +338,17 @@ class TestDeterminantRoute:
             assert abs(a - b) <= 1e-9 * abs(b)
 
     def test_outside_cone_raises(self):
-        g = MetricMatrix.identity(2)
-        with pytest.raises(ConeBoundaryError):
-            fm_via_determinant(HermitianMatrix.diagonal([-1.0, -2.0]), g, 2)
+        # the last two have an even number of negative m-sums and so a
+        # positive determinant: the test is D_m(H)'s positive
+        # definiteness, not det's sign
+        for lam, m in (([-1.0, -2.0], 2), ([-1.0, -2.0], 1),
+                       ([-1.0, -2.0, 3.0], 1)):
+            T = HermitianMatrix.diagonal(lam)
+            g = MetricMatrix.identity(len(lam))
+            with pytest.raises(ConeBoundaryError):
+                fm_value(T, g, m)
+            with pytest.raises(ConeBoundaryError):
+                fm_via_determinant(T, g, m)
 
 
 class TestFmPlus:

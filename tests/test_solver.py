@@ -25,6 +25,8 @@ from mhessian.errors import (
     NewtonDiverged,
 )
 from mhessian.fm import (
+    determinant_fm_values,
+    determinant_route,
     fm_gradient_diagonal,
     fm_value,
     geometric_mean_clamped,
@@ -516,7 +518,7 @@ class TestNodalDeterminant:
         rng = np.random.default_rng(seed)
         H = spectral_stack(rng, n, m, rng.uniform(0.25, 1.0), 64)
         lam, V = np.linalg.eigh(H)
-        nodal = solver._determinant_nodal(H, m)
+        nodal = determinant_route(H, m, solver.CONE_FLOOR)
         M = solver._derivative(nodal, n, m)
         expected = np.einsum("kpi,ki,kqi->kpq", V,
                              fm_gradient_diagonal(lam, m), V.conj())
@@ -537,7 +539,8 @@ class TestNodalDeterminant:
         rng = np.random.default_rng(seed)
         gap = side * 10.0 ** log_gap
         for H in spectral_stack(rng, n, m, solver.CONE_FLOOR + gap, 8):
-            member = solver._determinant_nodal(H[None], m) is not None
+            member = determinant_route(H[None], m,
+                                       solver.CONE_FLOOR) is not None
             if abs(gap) > 64 * EPS * np.linalg.norm(H):
                 assert member == (gap > 0.0)
 
@@ -545,19 +548,22 @@ class TestNodalDeterminant:
            k=st.integers(-500, 500))
     @settings(max_examples=60, deadline=None)
     def test_power_of_two_scaling_is_exact(self, nm, seed, k):
-        # the evaluation scales D by a power of two first: 2^k H gives
+        # the route scales each D by a power of two first: 2^k H gives
         # 2^k F_m and the same M, bit for bit; the floor is absolute, so
         # it is taken at 0 here, where no scale crosses it
         n, m = nm
         rng = np.random.default_rng(seed)
         H = spectral_stack(rng, n, m, rng.uniform(1e-3, 1.0), 16)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "CONE_FLOOR", 0.0)
-            nodal = solver._determinant_nodal(H, m)
-            scaled = solver._determinant_nodal(H * 2.0 ** k, m)
+        nodal = determinant_route(H, m, 0.0)
+        scaled = determinant_route(H * 2.0 ** k, m, 0.0)
         assert np.array_equal(scaled.fm, nodal.fm * 2.0 ** k)
         assert np.array_equal(solver._derivative(scaled, n, m),
                               solver._derivative(nodal, n, m))
+        # the pointwise route, at every n <= 5 and every m
+        for n, m in ((n, m) for n in range(1, 6) for m in range(1, n + 1)):
+            H = spectral_stack(rng, n, m, rng.uniform(1e-3, 1.0), 16)
+            assert np.array_equal(determinant_fm_values(H * 2.0 ** k, m),
+                                  determinant_fm_values(H, m) * 2.0 ** k)
 
 
 # the cases of JACOBIAN_CASES at m = n, whose Jacobians are symmetric
@@ -2103,14 +2109,17 @@ class TestNodalWork:
         assert counts["traces"] == 0
 
     @pytest.mark.parametrize("problem", ["c2_ball_m1", "c2_torus_m1",
-                                         "c3_ball_m1", "c3_ball_m2"])
+                                         "c3_ball_m1", "c3_ball_m2",
+                                         "c2_ball_m1_seeded",
+                                         "c3_ball_m2_seeded"])
     def test_newton_below_m_equal_n_solves_no_eigenproblem(
             self, monkeypatch, problem):
         # F_m, the cone test and M come from D_m(H): a whole solve makes
         # one eigensolve of its nodes, for the report's cone margin; a
         # torus solve also solves chi's n x n pencil once, and a ball solve
-        # is given its start, which the subsolution seed tests by m-sums
-        n, m = int(problem[1]), int(problem[-1])
+        # is given its start or, seeded, builds it by the subsolution seed,
+        # whose cone test is the same determinant route
+        n, m = int(problem[1]), int(problem[problem.index("_m") + 2])
         if problem.startswith("c2_torus"):
             chi, rhs, g, _ = torus_c2_problem(5)
             calls = eigensolves(monkeypatch)
@@ -2119,8 +2128,10 @@ class TestNodalWork:
             assert calls.count(("eigh", (n, n))) == 1
         else:
             domain, g, f, rhs = quadratic_setup(n, 9 if n == 2 else 7, m)
-            start = SolverConfig(initial=GridFunction(
-                domain, seed_with_boundary(f, g, m)))
+            start = SolverConfig()
+            if not problem.endswith("seeded"):
+                start = SolverConfig(initial=GridFunction(
+                    domain, seed_with_boundary(f, g, m)))
             calls = eigensolves(monkeypatch)
             report = solve_dirichlet(f, rhs, g, m, start)
             stacks = calls

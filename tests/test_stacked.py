@@ -149,17 +149,30 @@ class TestCones:
                 assert verdict.witness == tuple(j + 1 for j in J)
 
 
+def check_outside(T, C, metric, bad, m):
+    """The member ``bad`` of the forms T, outside the m-cone of its metric,
+    raises alone and in the stack through both routes."""
+    outside = HermitianMatrix(T[bad])
+    raises_alone_and_in_stack(
+        ConeBoundaryError, lambda: fm_values(relative_lambdas(T, C), m),
+        lambda: fm_value(outside, metric, m))
+    raises_alone_and_in_stack(
+        ConeBoundaryError,
+        lambda: determinant_fm_values(metric_frame(T, C), m),
+        lambda: fm_via_determinant(outside, metric, m))
+
+
 class TestFm:
     @given(stacks())
     @EXAMPLES
     def test_values_and_determinant_route(self, case):
         n, k, rng, _ = case
         forms, metrics, T, C = forms_and_metrics(rng, n, k, positive=True)
-        G = np.stack([g.entries for g in metrics])
         lam = relative_lambdas(T, C)
+        frames = metric_frame(T, C)
         for m in range(1, n + 1):
             values = fm_values(lam, m)
-            routes = determinant_fm_values(T, G, m)
+            routes = determinant_fm_values(frames, m)
             for i in range(k):
                 assert same_bits(values[i],
                                  fm_value(forms[i], metrics[i], m).value)
@@ -171,15 +184,19 @@ class TestFm:
     def test_one_member_outside_the_cone_raises(self, case):
         n, k, rng, bad = case
         forms, metrics, T, C = forms_and_metrics(rng, n, k, positive=True)
-        G = np.stack([g.entries for g in metrics])
-        T[bad] *= -1.0
-        outside = HermitianMatrix(T[bad])
-        raises_alone_and_in_stack(
-            ConeBoundaryError, lambda: fm_values(relative_lambdas(T, C), n),
-            lambda: fm_value(outside, metrics[bad], n))
-        raises_alone_and_in_stack(
-            ConeBoundaryError, lambda: determinant_fm_values(T, G, n),
-            lambda: fm_via_determinant(outside, metrics[bad], n))
+        spoiled = T.copy()
+        spoiled[bad] *= -1.0
+        check_outside(spoiled, C, metrics[bad], bad, n)
+        if n > 1:
+            # two relative eigenvalues negated, so an even number of
+            # negative 1-sums: det D_1 is positive, the member outside
+            frame = metric_frame(T[bad], C[bad])
+            lam, V = np.linalg.eigh(frame)
+            lam[-2:] *= -1.0
+            spoiled = T.copy()
+            spoiled[bad] = C[bad] @ (V * lam) @ V.conj().T @ C[bad].conj().T
+            spoiled[bad] = 0.5 * (spoiled[bad] + spoiled[bad].conj().T)
+            check_outside(spoiled, C, metrics[bad], bad, 1)
 
     @given(stacks(), st.integers(2, 9), st.sampled_from([1e-10, -1.0]))
     @EXAMPLES
