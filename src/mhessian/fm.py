@@ -250,9 +250,11 @@ def determinant_route(H: np.ndarray, m: int, floor: float):
     top = np.maximum(top, 1e-300)
     scale = np.ldexp(1.0, -np.frexp(top)[1])
     D = D * scale[:, None, None]
-    if _determinant(D, floor * scale) is None:
+    det, N = _determinant(D, floor * scale), D.shape[-1]
+    if det is None:
         return None
-    det, N = _determinant(D, 0.0), D.shape[-1]
+    if floor != 0.0:  # at floor 0 the cone test's pivots are det(D)'s
+        det = _determinant(D, 0.0)
     root = (np.sqrt(det) if N == 2 else np.cbrt(det) if N == 3
             else det ** (1.0 / N))
     return DeterminantFm(root / scale, D, root)

@@ -27,18 +27,21 @@ from .multiindex import subset_sums
 BALL = "ball"
 TORUS = "torus"
 
-# Largest grid a domain may have.  Per node, a field evaluation holds a
-# float64 value, 2n coordinates and an int64 neighbour table entry per
-# stencil point (25 on C^2) and per trace row (9 on C^2 with a diagonal
-# metric).  It gathers u as complex from every row and forms the n x n
-# complex Hessian at m < n, and gathers the trace rows alone at m = n.  A
-# solve adds the Jacobian pattern of its stencil rows, an int32 and an int8
-# index per entry, and at m < n an int64 one; the domain keeps one pattern
-# per row set its solves use: all 25 rows at m < n, the 9 trace rows at
-# m = n.  At 2^20 nodes that is about 1.1 GB on C^2 at m < n and 0.5 GB at
-# m = n.
-# Memory sets the bound, not time: a global_regularize run on a 13^4
-# torus, three Newton solves, takes under a second.
+# Largest grid a domain may have.  Memory sets the bound, not time.  A
+# domain builds one int64 neighbour table per set of stencil rows its
+# operators read: the trace rows alone at m = n (9 of 25 on C^2 with a
+# diagonal metric), and every row as well at m < n.  A solve adds the
+# Jacobian pattern of its row set, an int32 and an int8 index per entry,
+# with an int64 gather at m < n and L's float64 data at m = n.  Traced
+# per node on a 19^4 torus (numpy's allocations, coordinates excluded), a
+# C^2 operator at m = n holds about 210 bytes, its construction peaks
+# there too, and a Newton iteration peaks at about 300; at m < n it holds
+# 620, its construction peaks at 840 and an iteration at 1,190, where the
+# complex gather of every row, tensordot's copy of it and the Jacobian
+# entries set the peak.  At 2^20 nodes that is about 0.3 GB on C^2 at
+# m = n and 1.2 GB at m < n; on C^3 at m = 2 an iteration peaks at about
+# 2,700 bytes a node, 1.4 GB on a 9^6 torus.  A global_regularize run on
+# a 13^4 torus, three Newton solves, takes under a second.
 MAX_NODES = 2 ** 20
 
 
@@ -193,18 +196,42 @@ class GridDomain:
         return self._masks[1]
 
     @cached_property
+    def interior_nodes(self) -> np.ndarray:
+        """Flat indices of the interior nodes, ascending and read-only."""
+        nodes = np.flatnonzero(self.interior_mask)
+        nodes.setflags(write=False)
+        return nodes
+
+    @cached_property
+    def _neighbour_tables(self) -> dict:
+        return {}
+
+    def neighbour_table(self, rows) -> np.ndarray:
+        """The flat indices of the neighbours of every interior node at the
+        stencil rows ``rows``, shape (len(rows), K), int64 and read-only,
+        built once per row set, on its first read."""
+        key = tuple(int(s) for s in rows)
+        if key not in self._neighbour_tables:
+            nodes = self.interior_nodes
+            multi = np.array(np.unravel_index(nodes, self.shape))
+            offsets = stencil(self.n)[0]
+            table = np.empty((len(key), nodes.size), dtype=np.int64)
+            for i, s in enumerate(key):
+                # wraps on a torus; an interior ball node's stencil stays
+                # in the box
+                table[i] = np.ravel_multi_index(
+                    multi + offsets[s][:, None], self.shape, mode="wrap")
+            table.setflags(write=False)
+            self._neighbour_tables[key] = table
+        return self._neighbour_tables[key]
+
+    @property
     def interior_neighbors(self):
         """Interior nodes and the flat indices of every stencil neighbour of
-        each, shape (S, len(nodes)), both read-only."""
-        nodes = np.flatnonzero(self.interior_mask)
-        multi = np.array(np.unravel_index(nodes, self.shape))
-        # wraps on a torus; an interior ball node's stencil stays in the box
-        table = np.array([np.ravel_multi_index(multi + d[:, None], self.shape,
-                                               mode="wrap")
-                          for d in stencil(self.n)[0]], dtype=np.int64)
-        nodes.setflags(write=False)
-        table.setflags(write=False)
-        return nodes, table
+        each, shape (S, len(nodes)), both read-only: the table of all S
+        stencil rows, built on the first read."""
+        return (self.interior_nodes,
+                self.neighbour_table(range(len(stencil(self.n)[0]))))
 
     @cached_property
     def _jacobian_patterns(self) -> dict:
@@ -219,22 +246,29 @@ class GridDomain:
         key = tuple(int(s) for s in rows)
         if key in self._jacobian_patterns:
             return self._jacobian_patterns[key]
-        rows = list(key)
-        nodes, table = self.interior_neighbors
+        nodes = self.interior_nodes
         K = nodes.size
         # an interior node's unknown is its rank among the interior nodes
-        unknown = np.full(self.node_count, -1)
-        unknown[nodes] = np.arange(K)
-        cols = unknown[table[rows]].ravel()
-        src = np.flatnonzero(cols >= 0)
-        src = src[np.lexsort((cols[src], src % K))]  # by row, then column
-        keys = src % K * K + cols[src]
+        unknown = np.full(self.node_count, -1, dtype=np.int32)
+        unknown[nodes] = np.arange(K, dtype=np.int32)
+        cols = unknown[self.neighbour_table(key).T]  # (K, len(rows))
+        # each node's row in column order, no unknown (-1) first, sorted in
+        # place in blocks of 2^14 nodes, so that the intp order of argsort
+        # stays small
+        order = np.empty(cols.shape, dtype=np.int8)
+        for i in range(0, K, 2 ** 14):
+            block = cols[i:i + 2 ** 14]
+            order[i:i + 2 ** 14] = sort = np.argsort(block, axis=1)
+            block[...] = np.take_along_axis(block, sort, axis=1)
+        keep = cols >= 0
         # five or more points per axis keep a node's neighbours distinct
-        assert (np.diff(keys) > 0).all(), "two stencil entries share a slot"
-        indices = cols[src].astype(np.int32)
-        indptr = np.searchsorted(keys // K, np.arange(K + 1)).astype(np.int32)
-        slot = (src // K).astype(np.int8)
-        center = np.flatnonzero(~stencil(self.n)[0][rows].any(axis=1))[0]
+        # (a kept entry's right neighbour is kept too)
+        assert (np.diff(cols, axis=1)[keep[:, :-1]] > 0).all(), \
+            "two stencil entries share a slot"
+        indices, slot = cols[keep], order[keep]
+        indptr = np.zeros(K + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        center = np.flatnonzero(~stencil(self.n)[0][list(key)].any(axis=1))[0]
         diagonal = np.flatnonzero(slot == center)
         for array in (indices, indptr, slot, diagonal):
             array.setflags(write=False)
@@ -251,8 +285,9 @@ class GridDomain:
         if key not in self._jacobian_patterns:
             _, indptr, slot, _, _ = self.jacobian_pattern(rows)
             K = indptr.size - 1
-            src = (slot.astype(np.int64) * K
-                   + np.repeat(np.arange(K), np.diff(indptr)))
+            src = slot.astype(np.int64)
+            src *= K
+            src += np.repeat(np.arange(K), np.diff(indptr))
             src.setflags(write=False)
             self._jacobian_patterns[key] = src
         return self._jacobian_patterns[key]
@@ -273,7 +308,7 @@ class GridDomain:
         traces = np.einsum("spp->s", weights).real
         rows = np.flatnonzero(traces)
         fold = Fold(weights, chi, rows, traces[rows],
-                    self.interior_neighbors[1][rows],
+                    self.neighbour_table(rows),
                     0.0 if chi is None else float(np.einsum("pp->", chi).real))
         for array in fold[:5]:
             if array is not None:
@@ -411,8 +446,10 @@ class NodalOperator:
     diagonal metric, every row at n = 1.  At m = n the one m-sum is the
     trace, so ``sigma`` reads it from those rows alone, with no Hessian
     and no eigensolve.
-    The nodes are the interior nodes, whose neighbour table the domain
-    builds once.
+    The nodes are the interior nodes.  The domain builds one neighbour
+    table per row set, on its first read: the trace rows' table with the
+    fold, and the table of every row only when ``hessians`` first runs, so
+    an operator at m = n never builds it.
     """
 
     def __init__(self, domain: GridDomain, g: MetricField, m: int,
@@ -421,10 +458,15 @@ class NodalOperator:
         _check_m(domain.n, m)
         self.domain = domain
         self.m = m
-        self.nodes, self.neighbors = domain.interior_neighbors  # (K,), (S, K)
+        self.nodes = domain.interior_nodes  # (K,)
         (self.weights, self.chi, self.trace_rows, self.trace_weights,
          self.trace_neighbors, self.chi_trace) = domain.fold(
              g.constant.cholesky, None if chi is None else chi.entries)
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        """The neighbour table of every stencil row, (S, K)."""
+        return self.domain.interior_neighbors[1]
 
     def hessians(self, u_flat: np.ndarray) -> np.ndarray:
         """Folded Hessians (plus the folded background form), (K, n, n)."""

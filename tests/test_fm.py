@@ -23,6 +23,7 @@ from mhessian.grids import GridDomain, GridFunction, MetricField, cone_field, \
     fm_field
 from mhessian.hermitian import HermitianMatrix, MetricMatrix, relative_eigenvalues
 from mhessian.multiindex import subset_sum_matrix, subset_sums
+from mhessian.solver import CONE_FLOOR
 
 from conftest import (
     OMEGA,
@@ -349,6 +350,31 @@ class TestDeterminantRoute:
                 fm_value(T, g, m)
             with pytest.raises(ConeBoundaryError):
                 fm_via_determinant(T, g, m)
+
+    def test_one_pivot_pass_at_floor_zero(self, rng, monkeypatch):
+        # at floor 0 the cone test's pivots are det(D)'s, so the route
+        # takes one pass; at Newton's floor it takes a second at 0
+        passes = []
+        pivots = fm._determinant
+
+        def counted(D, shift):
+            passes.append(shift)
+            return pivots(D, shift)
+
+        monkeypatch.setattr(fm, "_determinant", counted)
+        for n in range(1, 5):
+            for m in range(1, n + 1):
+                # forms in the frame of the flat metric, inside the cone
+                H = np.stack([hermitian_from_spectrum(
+                    rng, random_interior_spectrum(rng, n, m),
+                    MetricMatrix.identity(n)).entries for _ in range(5)])
+                passes.clear()
+                at_zero = fm.determinant_route(H, m, 0.0)
+                assert len(passes) == 1
+                at_floor = fm.determinant_route(H, m, CONE_FLOOR)
+                assert len(passes) == 3
+                for a, b in zip(at_zero, at_floor):
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestFmPlus:

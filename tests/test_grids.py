@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -22,7 +24,7 @@ from mhessian.grids import (
     stencil,
 )
 from mhessian.hermitian import HermitianMatrix
-from mhessian.solver import _FmOperator
+from mhessian.solver import RightHandSide, _FmOperator, solve_dirichlet
 
 from conftest import (
     CHI,
@@ -90,14 +92,19 @@ class TestDomain:
         assert not nodes.flags.writeable and not table.flags.writeable
 
     def test_jacobian_pattern_is_built_once(self):
-        for d in (GridDomain.ball(2, radius=1.0, points_per_axis=9),
-                  GridDomain.torus(2, points_per_axis=5)):
+        for d in (GridDomain.ball(1, radius=1.0, points_per_axis=9),
+                  GridDomain.torus(1, points_per_axis=9),
+                  GridDomain.ball(2, radius=1.0, points_per_axis=9),
+                  GridDomain.torus(2, points_per_axis=5),
+                  GridDomain.ball(3, radius=1.0, points_per_axis=7)):
             g = MetricField.flat(d)
             offsets, weights = stencil(d.n)
-            # m = 1 holds every stencil row, m = n only the trace rows
+            # m < n holds every stencil row, m = n only the trace rows; on
+            # C^1 they are the same five
             trace_rows = np.flatnonzero(np.einsum("spp->s", weights).real)
-            assert len(offsets) == 25 and len(trace_rows) == 9
-            for m, rows in ((1, np.arange(len(offsets))), (2, trace_rows)):
+            assert (len(offsets), len(trace_rows)) == \
+                {1: (5, 5), 2: (25, 9), 3: (61, 13)}[d.n]
+            for m, rows in ((1, np.arange(len(offsets))), (d.n, trace_rows)):
                 first, second = _FmOperator(d, g, m), _FmOperator(d, g, m)
                 assert np.array_equal(first.rows, rows)
                 indices, indptr, slot, center, diagonal = \
@@ -108,11 +115,13 @@ class TestDomain:
                 # at m = n it holds L's data instead
                 held = (("indices", indices), ("indptr", indptr),
                         ("diagonal", diagonal))
-                if m == 1:
+                if m < d.n:
                     held += (("src", src),)
                 for name, array in held:
                     assert getattr(first, name) is array
                     assert getattr(second, name) is array
+                # the fold reads the trace rows' table, with no copy
+                assert first.trace_neighbors is d.neighbour_table(trace_rows)
                 for array in (indices, indptr, slot, diagonal, src):
                     assert not array.flags.writeable
                 assert indices.dtype == indptr.dtype == np.int32
@@ -150,6 +159,63 @@ class TestDomain:
         assert not hasattr(op, "src")
         assert [array.dtype for pattern in d._jacobian_patterns.values()
                 for array in pattern[:3]] == [np.int32, np.int32, np.int8]
+
+    @pytest.mark.parametrize("kind", ["ball", "torus"])
+    def test_m_equal_n_builds_only_the_trace_table(self, rng, kind):
+        # an m = n operator, cone_field and fm_field read the trace rows
+        # alone, so the table of every stencil row is never built; the
+        # first Hessian builds it
+        d = (GridDomain.ball(2, radius=1.0, points_per_axis=9)
+             if kind == "ball" else GridDomain.torus(2, points_per_axis=5))
+        g = MetricField.flat(d)
+        u = GridFunction(d, 1e-3 * rng.normal(size=d.node_count)
+                         + (squared_norm(d.coords) if kind == "ball" else 0.0))
+        op = _FmOperator(d, g, 2, CHI)
+        assert cone_field(u, g, 2, CHI).all_member
+        assert np.isfinite(fm_field(u, g, 2, CHI).values.ravel()[
+            d.interior_mask]).all()
+        trace_rows = tuple(int(s) for s in op.trace_rows)
+        assert len(trace_rows) == 9
+        assert list(d._neighbour_tables) == [trace_rows]
+        op.hessians(u.flat)
+        assert list(d._neighbour_tables) == [trace_rows, tuple(range(25))]
+
+    def test_shared_tables_do_not_interact(self):
+        # m = 1 and then m = 2 on one domain, which share its read-only
+        # tables and patterns, give the bytes of each on a fresh domain
+        def solve(domain, m):
+            f = GridFunction.from_callable(domain, squared_norm)
+            return solve_dirichlet(f, RightHandSide.manufactured_quadratic(m),
+                                   MetricField(domain, OMEGA), m)
+
+        def fresh():
+            return GridDomain.ball(2, radius=1.0, points_per_axis=9)
+
+        shared = fresh()
+        for m in (1, 2):
+            a, b = solve(shared, m), solve(fresh(), m)
+            assert a.solution.values.tobytes() == b.solution.values.tobytes()
+            assert a.to_json() == b.to_json()
+
+    def test_trace_operator_construction_peak(self):
+        # a fresh m = n operator on a 9^4 torus holds the trace rows'
+        # table, its int32 and int8 pattern and L's float64 data, about 23
+        # bytes per stored entry, and building it peaks at about 30 (72
+        # with a table of every stencil row and a whole-pattern lexsort)
+        d = GridDomain.torus(2, points_per_axis=9)
+        d.interior_mask
+        g = MetricField.flat(d)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            op = _FmOperator(d, g, 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 40 * op.indices.size
 
     def test_ball_masks_partition(self):
         d = GridDomain.ball(1, radius=1.0, points_per_axis=17)

@@ -12,13 +12,15 @@ against a second computation of the same discrete operator.
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhessian.fm import fm_value
-from mhessian.grids import GridDomain, MetricField
+from mhessian.grids import GridDomain, GridFunction, MetricField
 from mhessian.hermitian import HermitianMatrix, complex_hessian_point
-from mhessian.solver import RightHandSide, _FmOperator
+from mhessian.solver import RightHandSide, SolverConfig, _FmOperator, \
+    continuity_path, solve_dirichlet, solve_torus
 
 from conftest import random_hermitian, random_metric
 
@@ -126,3 +128,44 @@ def test_jacobian_is_the_derivative_of_the_reference(n, kind, m, seed):
     expected = (residual(1.0) - residual(-1.0)) / (2.0 * eps)
     got = (J @ v)[rows]
     assert np.abs(got - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("solve", ["solve_dirichlet", "continuity_path",
+                                   "solve_torus"])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+def test_solutions_solve_the_reference_equation(n, m, solve):
+    # a converged solve's output satisfies the reference's equation to the
+    # Newton tolerance, plus the reference's rounding (within 1e-13 of F_m,
+    # see test_evaluate_matches_the_reference); the metric is random, and
+    # so is chi on the torus
+    rng = np.random.default_rng(10 * n + m)
+    omega = random_metric(rng, n)
+    chi = None
+    tolerance = SolverConfig().tolerance
+    if solve == "solve_torus":
+        domain = GridDomain.torus(n, points_per_axis=9 if n == 1 else 5)
+        chi = HermitianMatrix(random_hermitian(rng, n, 0.2).entries
+                              + 3.0 * omega.entries)
+        f = GridFunction(domain, -2.0 + 0.05 * np.cos(
+            2 * np.pi * domain.coords[:, 0]))
+        rhs = RightHandSide.penalized_distance(10.0, f)
+        report = solve_torus(chi, rhs, MetricField(domain, omega), m)
+    else:
+        domain = GridDomain.ball(n, radius=1.0, points_per_axis=9)
+
+        def squared_norm(c):
+            return (c ** 2).sum(axis=-1)
+
+        f = GridFunction.from_callable(
+            domain, lambda c: squared_norm(c) + 0.1 * np.sin(np.pi * c[:, 0]))
+        rhs = RightHandSide(lambda c: m * (1.0 + 0.3 * np.cos(np.pi * c[:, -1])),
+                            squared_norm)
+        g = MetricField(domain, omega)
+        report = (solve_dirichlet(f, rhs, g, m) if solve == "solve_dirichlet"
+                  else continuity_path(f, rhs, g, m, t_steps=3))
+    assert report.final_residual <= tolerance
+    nodes = domain.interior_nodes
+    u = report.solution.flat
+    G = rhs.sample(domain, nodes)(u[nodes])[0]
+    residual = reference_fm(domain, u, omega, m, chi, nodes) - G
+    assert np.abs(residual).max() <= tolerance + 1e-13 * np.abs(G).max()
