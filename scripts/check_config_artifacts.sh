@@ -6,13 +6,13 @@
 # Usage: scripts/check_config_artifacts.sh BASE_REF
 #
 # Each tree, the base commit (extracted with git archive) and the working
-# tree, runs from its own src/ with one BLAS thread: its own configs/*.json
-# through mhessian.cli.main at seeds 0 and 7, each configs/regularize_*.json
-# once more at both seeds with schedule.approximants set to "smooth" (no
-# shipped config reaches the smoothing path; the configs so made are written
-# to the work directory), seven generated configs at both seeds, and
-# verify-suite at seeds 0 to 20, all in one Python through mhessian.cli.main,
-# whose printed table is kept as table.txt.
+# tree, runs in one Python from its own src/ with one BLAS thread, every
+# run through mhessian.cli.main as the command line calls it: its own
+# configs/*.json at seeds 0 and 7, each configs/regularize_*.json once more
+# at both seeds with schedule.approximants set to "smooth" (no shipped
+# config reaches the smoothing path; that Python writes the configs so
+# made to the work directory), seven generated configs at both seeds, and
+# verify-suite at seeds 0 to 20, whose printed table is kept as table.txt.
 # Two generated solves, a C^1 torus with the penalized_distance right-hand
 # side and a C^2 ball at m = 2 with scaled_exponential, cover with the
 # shipped configs every right-hand-side kind on both domain kinds; a third,
@@ -20,22 +20,21 @@
 # fourth, that ball solve on C^3 at 7 points per axis, runs m = 2 below
 # m = n, where the 3 x 3 determinant and adjugate of tr(H) I - H give F_m
 # and the Newton derivative, and LAPACK's eigvalsh the reported cone
-# margin; three
-# generated regularize runs, a C^2 ball at m = 2 and a C^2 torus at m = 1
-# and at m = 2, run both pipelines at n = 2, where the shipped configs run
-# them at n = 1, and the torus solves with both Jacobian row sets (every
-# stencil row at m < n, the trace rows at m = n).  They live in the work
-# directory only, since the benchmark runs configs/ whole.
-# The working tree then runs all of it once more with two BLAS threads
-# (OPENBLAS_NUM_THREADS=2).  Every run writes to the same --out paths,
-# since the manifest records them.  The output trees are then compared with
-# diff -r, manifest.json excepted: the base commit's with the working
-# tree's, and the working tree's at one thread with its own at two.  Both
-# comparisons run and are reported; after the raw diff of a comparison that
-# fails comes one line per differing file: the largest change of its
-# numeric values (.bin payloads, .csv cells) or the JSON keys whose values
-# changed.  Exits 0 when every artifact matches in both, 1 when one differs
-# or a run fails.
+# margin; three generated regularize runs, a C^2 ball at m = 2 and a C^2
+# torus at m = 1 and at m = 2, run both pipelines at n = 2, where the
+# shipped configs run them at n = 1, and the torus solves with both
+# Jacobian row sets (every stencil row at m < n, the trace rows at m = n).
+# They live in the work directory only, since the benchmark runs configs/
+# whole.  The working tree then runs all of it once more, in a third
+# Python, with two BLAS threads (OPENBLAS_NUM_THREADS=2).  Every run writes
+# to the same --out paths, since the manifest records them.  The output
+# trees are then compared with diff -r, manifest.json excepted: the base
+# commit's with the working tree's, and the working tree's at one thread
+# with its own at two.  Both comparisons run and are reported; after the
+# raw diff of a comparison that fails comes one line per differing file:
+# the largest change of its numeric values (.bin payloads, .csv cells) or
+# the JSON keys whose values changed.  Exits 0 when every artifact matches
+# in both, 1 when one differs or a run fails.
 set -euo pipefail
 
 base=${1:?usage: $0 BASE_REF}
@@ -45,26 +44,6 @@ trap 'rm -rf "$work"' EXIT
 
 mkdir "$work/base-tree"
 git -C "$repo" archive "$base" src configs | tar -x -C "$work/base-tree"
-
-# smooth TREE: each configs/regularize_*.json of TREE with its schedule set
-# to the "smooth" approximants, written to $work/smooth; the eta keys are
-# unread beside "smooth", and an unread key exits 3, so they are dropped
-smooth() {
-    local config
-    rm -rf "$work/smooth"
-    mkdir "$work/smooth"
-    for config in "$1"/configs/regularize_*.json; do
-        python -c '
-import json, sys
-config = json.load(open(sys.argv[1]))
-schedule = config["schedule"]
-for key in ("eta_start", "eta_decay"):
-    schedule.pop(key, None)
-schedule["approximants"] = "smooth"
-json.dump(config, open(sys.argv[2], "w"), indent=2)
-' "$config" "$work/smooth/$(basename "$config" .json)_smooth.json"
-    done
-}
 
 # the generated configs, the same for both trees
 mkdir "$work/generated"
@@ -123,47 +102,63 @@ cat > "$work/generated/regularize_global_c2_m2.json" <<'EOF'
  "schedule": {"count": 6, "beta_start": 50.0}}
 EOF
 
-# run TREE LABEL THREADS: every config of TREE, its smooth variants and
-# the generated configs at both seeds, with THREADS BLAS threads, outputs
-# to $work/LABEL
+# run TREE LABEL THREADS: one Python from TREE's src/ with THREADS BLAS
+# threads runs every config of TREE, its smooth variants and the generated
+# configs at seeds 0 and 7, then verify-suite at seeds 0 to 20, each
+# through mhessian.cli.main as the command line calls it, outputs to
+# $work/LABEL
 run() {
-    local config name seed
-    export OPENBLAS_NUM_THREADS=$3
-    smooth "$1"
-    for config in "$1"/configs/*.json "$work"/smooth/*.json \
-            "$work"/generated/*.json; do
-        name=$(basename "$config" .json)
-        for seed in 0 7; do
-            # the subcommand is the first word of each config's name
-            if ! PYTHONPATH="$1/src" python -m mhessian.cli "${name%%_*}" \
-                    --config "$config" --seed "$seed" \
-                    --out "$work/out/$name-$seed" --quiet; then
-                echo "$2: $name at seed $seed failed" >&2
-                return 1
-            fi
-        done
-    done
-    # verify-suite at seeds 0 to 20 in one interpreter, each seed through
-    # mhessian.cli.main as the command line calls it, its stdout to
-    # table.txt
-    if ! PYTHONPATH="$1/src" python - "$work/out" <<'PY'
+    if ! PYTHONPATH="$1/src" OPENBLAS_NUM_THREADS=$3 python - "$1" "$work" \
+            <<'PY'
 import contextlib
+import json
+import shutil
 import sys
 from pathlib import Path
 
 from mhessian.cli import main
 
+tree, work = map(Path, sys.argv[1:3])
+out = work / "out"
+
+# each configs/regularize_*.json with its schedule set to the "smooth"
+# approximants, written to $work/smooth; the eta keys are unread beside
+# "smooth", and an unread key exits 3, so they are dropped
+shutil.rmtree(work / "smooth", ignore_errors=True)
+(work / "smooth").mkdir()
+for path in sorted(tree.glob("configs/regularize_*.json")):
+    config = json.loads(path.read_text())
+    schedule = config["schedule"]
+    for key in ("eta_start", "eta_decay"):
+        schedule.pop(key, None)
+    schedule["approximants"] = "smooth"
+    (work / "smooth" / f"{path.stem}_smooth.json").write_text(
+        json.dumps(config, indent=2))
+
+for config in [*sorted(tree.glob("configs/*.json")),
+               *sorted(work.glob("smooth/*.json")),
+               *sorted(work.glob("generated/*.json"))]:
+    for seed in (0, 7):
+        # the subcommand is the first word of each config's name
+        code = main([config.stem.split("_")[0], "--config", str(config),
+                     "--seed", str(seed),
+                     "--out", str(out / f"{config.stem}-{seed}"), "--quiet"])
+        if code:
+            sys.exit(f"{config.stem} at seed {seed} exited {code}")
+
+# the printed table of each verify-suite seed is kept as table.txt
 for seed in range(21):
-    out = Path(sys.argv[1]) / f"suite-{seed}"
-    out.mkdir(parents=True)
-    with open(out / "table.txt", "w") as table, \
+    suite = out / f"suite-{seed}"
+    suite.mkdir(parents=True)
+    with open(suite / "table.txt", "w") as table, \
             contextlib.redirect_stdout(table):
-        code = main(["verify-suite", "--seed", str(seed), "--out", str(out)])
+        code = main(["verify-suite", "--seed", str(seed),
+                     "--out", str(suite)])
     if code:
         sys.exit(f"verify-suite at seed {seed} exited {code}")
 PY
     then
-        echo "$2: verify-suite failed" >&2
+        echo "$2: a run failed" >&2
         return 1
     fi
     mv "$work/out" "$work/$2"

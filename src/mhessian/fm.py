@@ -11,7 +11,9 @@ concavity.
 The eigenvalues of D_m(H) are the m-fold sums of H's, so F_m is also the
 C(n,m)-th root of det D_m(H): ``determinant_route`` takes it, and the
 cone test, from the Cholesky pivots of D_m(H), for Newton, the
-subsolution seed and ``fm_via_determinant`` alike.
+subsolution seed and ``fm_via_determinant`` alike, and
+``determinant_derivative`` Newton's derivative from the adjugate of that
+D_m(H).
 """
 
 from dataclasses import dataclass
@@ -192,7 +194,8 @@ def derivation_matrix(A: HermitianMatrix, m: int) -> DerivationMatrix:
 
 class DeterminantFm(NamedTuple):
     """F_m per member and, from ``determinant_route``, each member's scaled
-    D_m(H) and det(D)^(1 / C(n, m)), which the derivative of F_m takes."""
+    D_m(H) and det(D)^(1 / C(n, m)), which ``determinant_derivative``
+    takes."""
 
     fm: np.ndarray
     D: np.ndarray = None
@@ -258,6 +261,50 @@ def determinant_route(H: np.ndarray, m: int, floor: float):
     root = (np.sqrt(det) if N == 2 else np.cbrt(det) if N == 3
             else det ** (1.0 / N))
     return DeterminantFm(root / scale, D, root)
+
+
+def _adjugate(D: np.ndarray) -> np.ndarray:
+    """The adjugate of each member of the Hermitian stack D, (K, N, N):
+    its cofactors in closed form at N <= 3, else det(D) D^-1."""
+    N = D.shape[-1]
+    if N > 3:
+        return np.linalg.det(D)[:, None, None] * np.linalg.inv(D)
+    adj = np.empty_like(D)
+    if N == 2:
+        adj[:, 0, 0], adj[:, 1, 1] = D[:, 1, 1], D[:, 0, 0]
+        adj[:, 0, 1], adj[:, 1, 0] = -D[:, 0, 1], -D[:, 1, 0]
+        return adj
+    a, d, f = D[:, 0, 0].real, D[:, 1, 1].real, D[:, 2, 2].real
+    b, c, e = D[:, 0, 1], D[:, 0, 2], D[:, 1, 2]
+    adj[:, 0, 0] = d * f - (e * e.conj()).real
+    adj[:, 1, 1] = a * f - (c * c.conj()).real
+    adj[:, 2, 2] = a * d - (b * b.conj()).real
+    adj[:, 0, 1] = c * e.conj() - b * f
+    adj[:, 0, 2] = b * e - c * d
+    adj[:, 1, 2] = c * b.conj() - a * e
+    # Hermitian: the lower triangle mirrors the upper one
+    for i, j in ((1, 0), (2, 0), (2, 1)):
+        adj[:, i, j] = adj[:, j, i].conj()
+    return adj
+
+
+def determinant_derivative(nodal: DeterminantFm, n: int,
+                           m: int) -> np.ndarray:
+    """M per member, (K, n, n), with dF_m = tr(M dH) at the stack H whose
+    ``determinant_route`` at m < n is ``nodal``: the derivative X =
+    adj(D) / (N F_m^(N-1)) of F_m in D = D_m(H), pulled back through the
+    linear map D_m.  D_m is its own adjoint at m = 1 and m = n - 1, so M
+    is adj(H) / (2 F_m) at n = 2, m = 1 and tr(X) I - X at m = n - 1.
+    ``nodal``'s D and root both carry its member's power of two, which
+    cancels."""
+    N = nodal.D.shape[-1]
+    X = _adjugate(nodal.D)
+    # a real division of each part: X is complex, the divisor real
+    X.view(float)[...] /= (N * nodal.root ** (N - 1))[:, None, None]
+    if 1 < m < n - 1:
+        basis = derivation_entries(np.eye(n * n).reshape(n, n, n, n), m)
+        return np.einsum("kba,pqab->kqp", X, basis)
+    return _derivation(X, m)
 
 
 def determinant_fm_values(frames: np.ndarray, m: int) -> np.ndarray:

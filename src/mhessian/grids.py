@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, StencilError
-from .fm import _check_m, cone_member, fm_plus_from_sums
+from .fm import DeterminantFm, _check_m, cone_member, \
+    determinant_route, fm_plus_from_sums
 from .hermitian import HermitianMatrix, MetricMatrix, complex_hessian_point, \
     metric_frame
 from .multiindex import subset_sums
@@ -224,14 +225,6 @@ class GridDomain:
             table.setflags(write=False)
             self._neighbour_tables[key] = table
         return self._neighbour_tables[key]
-
-    @property
-    def interior_neighbors(self):
-        """Interior nodes and the flat indices of every stencil neighbour of
-        each, shape (S, len(nodes)), both read-only: the table of all S
-        stencil rows, built on the first read."""
-        return (self.interior_nodes,
-                self.neighbour_table(range(len(stencil(self.n)[0]))))
 
     @cached_property
     def _jacobian_patterns(self) -> dict:
@@ -445,7 +438,9 @@ class NodalOperator:
     whose folded weight has a nonzero trace: 9 of 25 at n = 2 with a
     diagonal metric, every row at n = 1.  At m = n the one m-sum is the
     trace, so ``sigma`` reads it from those rows alone, with no Hessian
-    and no eigensolve.
+    and no eigensolve.  ``evaluate`` takes F_m and the cone test against a
+    floor for Newton and the subsolution seed: the trace at m = n, else
+    ``fm.determinant_route`` of the Hessians, with no eigensolve either.
     The nodes are the interior nodes.  The domain builds one neighbour
     table per row set, on its first read: the trace rows' table with the
     fold, and the table of every row only when ``hessians`` first runs, so
@@ -466,7 +461,7 @@ class NodalOperator:
     @property
     def neighbors(self) -> np.ndarray:
         """The neighbour table of every stencil row, (S, K)."""
-        return self.domain.interior_neighbors[1]
+        return self.domain.neighbour_table(range(len(self.weights)))
 
     def hessians(self, u_flat: np.ndarray) -> np.ndarray:
         """Folded Hessians (plus the folded background form), (K, n, n)."""
@@ -490,13 +485,22 @@ class NodalOperator:
             return self.traces(u_flat)[:, None]
         return subset_sums(_eigh(self.hessians(u_flat)), self.m)
 
+    def evaluate(self, u_flat: np.ndarray, floor: float):
+        """The ``DeterminantFm`` of ``u_flat`` at the nodes, or None unless
+        every node's least m-fold sum exceeds ``floor``: at m = n F_n is
+        the trace, from the trace rows alone with no Hessian, else
+        ``determinant_route`` of the folded Hessians."""
+        if self.m == self.domain.n:
+            fm = self.traces(u_flat)
+            return DeterminantFm(fm) if fm.min() > floor else None
+        return determinant_route(self.hessians(u_flat), self.m, floor)
 
-def hessian_stack(u: GridFunction, flat_nodes: np.ndarray,
-                  chi: HermitianMatrix = None) -> np.ndarray:
-    """Discrete complex Hessians (plus an optional constant shift) at
-    interior nodes, given by flat index; any other node raises."""
+
+def hessian_stack(u: GridFunction, flat_nodes: np.ndarray) -> np.ndarray:
+    """Discrete complex Hessians at interior nodes, given by flat index;
+    any other node raises."""
     # the order m plays no part in the Hessians themselves
-    op = NodalOperator(u.domain, MetricField.flat(u.domain), 1, chi)
+    op = NodalOperator(u.domain, MetricField.flat(u.domain), 1)
     # a node's row is its rank among the (sorted) interior nodes
     rank = np.minimum(np.searchsorted(op.nodes, flat_nodes), op.nodes.size - 1)
     missing = op.nodes[rank] != flat_nodes

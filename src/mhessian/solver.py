@@ -34,8 +34,8 @@ from .errors import (
     IllPosedRHS,
     NewtonDiverged,
 )
-from .fm import DeterminantFm, _check_m, _derivation, derivation_entries, \
-    determinant_route, geometric_mean_clamped
+from .fm import DeterminantFm, _check_m, determinant_derivative, \
+    geometric_mean_clamped
 from .grids import (
     BALL,
     TORUS,
@@ -189,59 +189,6 @@ class SolveReport:
         }
 
 
-def _adjugate(D: np.ndarray) -> np.ndarray:
-    """The adjugate of each member of the Hermitian stack D, (K, N, N):
-    its cofactors in closed form at N <= 3, else det(D) D^-1."""
-    N = D.shape[-1]
-    if N > 3:
-        return np.linalg.det(D)[:, None, None] * np.linalg.inv(D)
-    adj = np.empty_like(D)
-    if N == 2:
-        adj[:, 0, 0], adj[:, 1, 1] = D[:, 1, 1], D[:, 0, 0]
-        adj[:, 0, 1], adj[:, 1, 0] = -D[:, 0, 1], -D[:, 1, 0]
-        return adj
-    a, d, f = D[:, 0, 0].real, D[:, 1, 1].real, D[:, 2, 2].real
-    b, c, e = D[:, 0, 1], D[:, 0, 2], D[:, 1, 2]
-    adj[:, 0, 0] = d * f - (e * e.conj()).real
-    adj[:, 1, 1] = a * f - (c * c.conj()).real
-    adj[:, 2, 2] = a * d - (b * b.conj()).real
-    adj[:, 0, 1] = c * e.conj() - b * f
-    adj[:, 0, 2] = b * e - c * d
-    adj[:, 1, 2] = c * b.conj() - a * e
-    # Hermitian: the lower triangle mirrors the upper one
-    for i, j in ((1, 0), (2, 0), (2, 1)):
-        adj[:, i, j] = adj[:, j, i].conj()
-    return adj
-
-
-def _above_floor(op: NodalOperator, u_flat: np.ndarray, floor: float):
-    """The ``DeterminantFm`` of ``u_flat`` at the nodes of ``op``, or None
-    unless every node's least m-fold sum exceeds ``floor``: at m = n F_n
-    is the trace, from the trace rows alone with no Hessian, else
-    ``determinant_route`` of the folded Hessians."""
-    if op.m == op.domain.n:
-        fm = op.traces(u_flat)
-        return DeterminantFm(fm) if fm.min() > floor else None
-    return determinant_route(op.hessians(u_flat), op.m, floor)
-
-
-def _derivative(nodal: DeterminantFm, n: int, m: int) -> np.ndarray:
-    """M per node, (K, n, n), with dF_m = tr(M dH) at the folded Hessians H
-    whose nodal quantities at m < n are ``nodal``: the derivative X =
-    adj(D) / (N F_m^(N-1)) of F_m in D = D_m(H), pulled back through the
-    linear map D_m.  D_m is its own adjoint at m = 1 and m = n - 1, so M
-    is adj(H) / (2 F_m) at n = 2, m = 1 and tr(X) I - X at m = n - 1.  D
-    and F_m both carry the evaluation's power of two, which cancels."""
-    N = nodal.D.shape[-1]
-    X = _adjugate(nodal.D)
-    # a real division of each part: X is complex, the divisor real
-    X.view(float)[...] /= (N * nodal.root ** (N - 1))[:, None, None]
-    if 1 < m < n - 1:
-        basis = derivation_entries(np.eye(n * n).reshape(n, n, n, n), m)
-        return np.einsum("kba,pqab->kqp", X, basis)
-    return _derivation(X, m)
-
-
 class _FmOperator(NodalOperator):
     """Vectorized residual/Jacobian assembly over the evaluation nodes."""
 
@@ -273,11 +220,6 @@ class _FmOperator(NodalOperator):
         else:
             self.src = domain.jacobian_gather(self.rows)
 
-    def evaluate(self, u_flat: np.ndarray):
-        """F_m of ``u_flat`` and what its Jacobian takes, or None unless
-        every node's least m-fold sum exceeds CONE_FLOOR."""
-        return _above_floor(self, u_flat, CONE_FLOOR)
-
     def rhs_values(self, u_flat, rhs: _SampledRHS, homotopy=None):
         """G(z, u) and its slope in u at the evaluation nodes.
 
@@ -298,9 +240,9 @@ class _FmOperator(NodalOperator):
 
         Node k's row holds the entries Re tr(W_s M_k) - [s = 0] dG_k over
         the operator's stencil rows s, with M_k the derivative of F_m at
-        H_k, dF_m = tr(M_k dH).  At m < n, M_k is ``_derivative``'s, from
-        the adjugate of the iterate's own D_m(H_k) and its F_m, with no
-        eigenvector.  At m = n, F_n = tr H is linear in u: M_k = I, the
+        H_k, dF_m = tr(M_k dH).  At m < n, M_k is
+        ``fm.determinant_derivative``'s, from the adjugate of the
+        iterate's own D_m(H_k) and its F_m, with no eigenvector.  At m = n, F_n = tr H is linear in u: M_k = I, the
         entries are tr W_s, the same at every iterate, and J is the trace
         stencil L - diag(dG), exactly symmetric since W_{-s} = W_s.  The
         rows whose folded weight has zero trace hold only zeros and are
@@ -316,7 +258,7 @@ class _FmOperator(NodalOperator):
             self.stencil[self.diagonal] = diag
             return scipy.sparse.csr_matrix(
                 (self.stencil, self.indices, self.indptr), shape=(K, K)), diag
-        M = _derivative(nodal, self.domain.n, self.m)
+        M = determinant_derivative(nodal, self.domain.n, self.m)
         # entry (i, k) is Re sum_pq W_s[q, p] M_k[p, q], s = rows[i]: the
         # real dot product of the Hermitian W_s with M_k, one real GEMM
         entries = self.row_weights @ M.reshape(K, -1).view(float).T
@@ -495,7 +437,7 @@ def _start(op: _FmOperator, u_flat: np.ndarray,
            where: str = "") -> DeterminantFm:
     """The nodal quantities of a solve's start, which must lie strictly
     inside the cone: the right-hand side may be undefined outside it."""
-    nodal = op.evaluate(u_flat)
+    nodal = op.evaluate(u_flat, CONE_FLOOR)
     if nodal is None:
         raise ConeEscape(
             f"initial iterate has cone margin {_margin(op, u_flat):.3e}, "
@@ -548,7 +490,7 @@ def _newton(op: _FmOperator, rhs: _SampledRHS, u0_flat: np.ndarray,
             trial = u.copy()
             trial[op.nodes] += step * delta_unknown
             G_trial, dG_trial = op.rhs_values(trial, rhs, homotopy)
-            trial_nodal = op.evaluate(trial)
+            trial_nodal = op.evaluate(trial, CONE_FLOOR)
             if trial_nodal is not None:
                 cone_blocked = False
                 r_trial = trial_nodal.fm - G_trial
@@ -597,8 +539,9 @@ def _report(domain: GridDomain, u_flat, iterations, rnorm, margin,
 
 
 def subsolution_seed(f: GridFunction, g: MetricField, m: int):
-    """Seed C(|z|^2 - r^2) + f, doubling C until ``_above_floor`` finds
-    every least m-fold sum above SEED_MARGIN, as Newton tests iterates.
+    """Seed C(|z|^2 - r^2) + f, doubling C until ``NodalOperator.evaluate``
+    finds every least m-fold sum above SEED_MARGIN, as Newton tests
+    iterates.
 
     The cone test sees the seed as built, before ``continuity_path`` writes
     f back onto the boundary layer.  Writing it back changes the Hessians
@@ -615,7 +558,7 @@ def subsolution_seed(f: GridFunction, g: MetricField, m: int):
     C = 1.0
     while C < 2.0 ** 60:
         u = f.flat + C * bump
-        if _above_floor(op, u, SEED_MARGIN) is not None:
+        if op.evaluate(u, SEED_MARGIN) is not None:
             return GridFunction(domain, u), C
         C *= 2.0
     raise ConeEscape("no doubling of the subsolution constant entered the cone")
@@ -657,7 +600,7 @@ def _torus_start(op: _FmOperator, rhs: RightHandSide, sampled: _SampledRHS,
     u0 = sampled.root(fm_chi)  # every torus node is an unknown, in order
     if np.isfinite(u0).all():
         with np.errstate(all="ignore"):
-            nodal = op.evaluate(u0)
+            nodal = op.evaluate(u0, CONE_FLOOR)
         if nodal is not None:
             return u0, nodal
     u0 = np.full(op.domain.node_count, 0.0 if rhs.reference is None

@@ -377,6 +377,85 @@ class TestDeterminantRoute:
                     assert a.tobytes() == b.tobytes()
 
 
+def spectral_stack(rng, n, m, least, count):
+    """``count`` random Hermitian matrices U diag(lambda) U^H, U unitary,
+    each spectrum drawn on [-1, 2) and shifted so that its least m-fold sum
+    is ``least``."""
+    lam = rng.uniform(-1.0, 2.0, size=(count, n))
+    lam += (least - subset_sums(lam, m).min(axis=-1))[:, None] / m
+    U = np.linalg.qr(rng.normal(size=(count, n, n))
+                     + 1j * rng.normal(size=(count, n, n)))[0]
+    H = (U * lam[:, None, :]) @ U.conj().swapaxes(-1, -2)
+    return 0.5 * (H + H.conj().swapaxes(-1, -2))
+
+
+# (n, m) of every order below m = n that a grid can take, n <= 4
+BELOW_N = [(n, m) for n in (2, 3, 4) for m in range(1, n)]
+EPS = np.finfo(float).eps
+
+
+class TestNodalDeterminant:
+    """At m < n, F_m, the cone test and the derivative M of F_m come from
+    D_m(H) with no eigenvalue; the eigenvalue route is the reference."""
+
+    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_eigenvalue_route(self, nm, seed):
+        # inside the cone, each least m-sum at least a quarter of the
+        # spectral scale: F within a few eps |H|, M within a few eps |M|;
+        # n = 4 takes numpy's determinant and inverse
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        H = spectral_stack(rng, n, m, rng.uniform(0.25, 1.0), 64)
+        lam, V = np.linalg.eigh(H)
+        nodal = fm.determinant_route(H, m, CONE_FLOOR)
+        M = fm.determinant_derivative(nodal, n, m)
+        expected = np.einsum("kpi,ki,kqi->kpq", V,
+                             fm_gradient_diagonal(lam, m), V.conj())
+        value = fm.geometric_mean_clamped(subset_sums(lam, m))
+        size = np.linalg.norm(H, axis=(1, 2))
+        assert (np.abs(nodal.fm - value) <= 16 * EPS * size).all()
+        assert (np.abs(M - expected).max(axis=(1, 2))
+                <= 32 * EPS * np.abs(expected).max(axis=(1, 2))).all()
+
+    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1),
+           log_gap=st.floats(-16.0, 0.0), side=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_membership_is_the_least_sum_above_the_floor(self, nm, seed,
+                                                         log_gap, side):
+        # the least m-sum drawn at CONE_FLOOR +- 10^log_gap: every matrix
+        # farther than 64 eps |H| from the floor is judged by its side
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        gap = side * 10.0 ** log_gap
+        for H in spectral_stack(rng, n, m, CONE_FLOOR + gap, 8):
+            member = fm.determinant_route(H[None], m,
+                                          CONE_FLOOR) is not None
+            if abs(gap) > 64 * EPS * np.linalg.norm(H):
+                assert member == (gap > 0.0)
+
+    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1),
+           k=st.integers(-500, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, nm, seed, k):
+        # the route scales each D by a power of two first: 2^k H gives
+        # 2^k F_m and the same M, bit for bit; the floor is absolute, so
+        # it is taken at 0 here, where no scale crosses it
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        H = spectral_stack(rng, n, m, rng.uniform(1e-3, 1.0), 16)
+        nodal = fm.determinant_route(H, m, 0.0)
+        scaled = fm.determinant_route(H * 2.0 ** k, m, 0.0)
+        assert np.array_equal(scaled.fm, nodal.fm * 2.0 ** k)
+        assert np.array_equal(fm.determinant_derivative(scaled, n, m),
+                              fm.determinant_derivative(nodal, n, m))
+        # the pointwise route, at every n <= 5 and every m
+        for n, m in ((n, m) for n in range(1, 6) for m in range(1, n + 1)):
+            H = spectral_stack(rng, n, m, rng.uniform(1e-3, 1.0), 16)
+            assert np.array_equal(fm.determinant_fm_values(H * 2.0 ** k, m),
+                                  fm.determinant_fm_values(H, m) * 2.0 ** k)
+
+
 class TestFmPlus:
     def test_outside_cone_is_zero(self):
         T = HermitianMatrix.diagonal([-1.0, 0.0, 0.0])

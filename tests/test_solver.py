@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhessian
-from mhessian import grids, regularize, solver
+from mhessian import fm, grids, regularize, solver
 from mhessian.errors import (
     ChiNotPositive,
     ConeEscape,
@@ -24,16 +24,9 @@ from mhessian.errors import (
     IllPosedRHS,
     NewtonDiverged,
 )
-from mhessian.fm import (
-    determinant_fm_values,
-    determinant_route,
-    fm_gradient_diagonal,
-    fm_value,
-    geometric_mean_clamped,
-)
+from mhessian.fm import fm_gradient_diagonal, fm_value
 from mhessian.grids import GridDomain, GridFunction, MetricField, fm_field
 from mhessian.hermitian import HermitianMatrix, MetricMatrix
-from mhessian.multiindex import subset_sums
 from mhessian.solver import (
     ETA_MAX,
     RightHandSide,
@@ -89,7 +82,7 @@ def sampled(op, rhs):
 def newton_system(op, u, rhs):
     """The Jacobian at u, its diagonal and the residual, as _newton forms
     them."""
-    nodal = op.evaluate(u)
+    nodal = op.evaluate(u, solver.CONE_FLOOR)
     G, dG = op.rhs_values(u, sampled(op, rhs))
     return (*op.jacobian(nodal, dG), nodal.fm - G)
 
@@ -487,85 +480,6 @@ class TestLinearSolve:
                                    atol=1e-14 * np.abs(expected).max())
 
 
-def spectral_stack(rng, n, m, least, count):
-    """``count`` random Hermitian matrices U diag(lambda) U^H, U unitary,
-    each spectrum drawn on [-1, 2) and shifted so that its least m-fold sum
-    is ``least``."""
-    lam = rng.uniform(-1.0, 2.0, size=(count, n))
-    lam += (least - subset_sums(lam, m).min(axis=-1))[:, None] / m
-    U = np.linalg.qr(rng.normal(size=(count, n, n))
-                     + 1j * rng.normal(size=(count, n, n)))[0]
-    H = (U * lam[:, None, :]) @ U.conj().swapaxes(-1, -2)
-    return 0.5 * (H + H.conj().swapaxes(-1, -2))
-
-
-# (n, m) of every order below m = n that a grid can take, n <= 4
-BELOW_N = [(n, m) for n in (2, 3, 4) for m in range(1, n)]
-EPS = np.finfo(float).eps
-
-
-class TestNodalDeterminant:
-    """At m < n, F_m, the cone test and the derivative M of F_m come from
-    D_m(H) with no eigenvalue; the eigenvalue route is the reference."""
-
-    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_the_eigenvalue_route(self, nm, seed):
-        # inside the cone, each least m-sum at least a quarter of the
-        # spectral scale: F within a few eps |H|, M within a few eps |M|;
-        # n = 4 takes numpy's determinant and inverse
-        n, m = nm
-        rng = np.random.default_rng(seed)
-        H = spectral_stack(rng, n, m, rng.uniform(0.25, 1.0), 64)
-        lam, V = np.linalg.eigh(H)
-        nodal = determinant_route(H, m, solver.CONE_FLOOR)
-        M = solver._derivative(nodal, n, m)
-        expected = np.einsum("kpi,ki,kqi->kpq", V,
-                             fm_gradient_diagonal(lam, m), V.conj())
-        fm = geometric_mean_clamped(subset_sums(lam, m))
-        size = np.linalg.norm(H, axis=(1, 2))
-        assert (np.abs(nodal.fm - fm) <= 16 * EPS * size).all()
-        assert (np.abs(M - expected).max(axis=(1, 2))
-                <= 32 * EPS * np.abs(expected).max(axis=(1, 2))).all()
-
-    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1),
-           log_gap=st.floats(-16.0, 0.0), side=st.sampled_from([-1.0, 1.0]))
-    @settings(max_examples=200, deadline=None)
-    def test_membership_is_the_least_sum_above_the_floor(self, nm, seed,
-                                                         log_gap, side):
-        # the least m-sum drawn at CONE_FLOOR +- 10^log_gap: every matrix
-        # farther than 64 eps |H| from the floor is judged by its side
-        n, m = nm
-        rng = np.random.default_rng(seed)
-        gap = side * 10.0 ** log_gap
-        for H in spectral_stack(rng, n, m, solver.CONE_FLOOR + gap, 8):
-            member = determinant_route(H[None], m,
-                                       solver.CONE_FLOOR) is not None
-            if abs(gap) > 64 * EPS * np.linalg.norm(H):
-                assert member == (gap > 0.0)
-
-    @given(nm=st.sampled_from(BELOW_N), seed=st.integers(0, 2 ** 32 - 1),
-           k=st.integers(-500, 500))
-    @settings(max_examples=60, deadline=None)
-    def test_power_of_two_scaling_is_exact(self, nm, seed, k):
-        # the route scales each D by a power of two first: 2^k H gives
-        # 2^k F_m and the same M, bit for bit; the floor is absolute, so
-        # it is taken at 0 here, where no scale crosses it
-        n, m = nm
-        rng = np.random.default_rng(seed)
-        H = spectral_stack(rng, n, m, rng.uniform(1e-3, 1.0), 16)
-        nodal = determinant_route(H, m, 0.0)
-        scaled = determinant_route(H * 2.0 ** k, m, 0.0)
-        assert np.array_equal(scaled.fm, nodal.fm * 2.0 ** k)
-        assert np.array_equal(solver._derivative(scaled, n, m),
-                              solver._derivative(nodal, n, m))
-        # the pointwise route, at every n <= 5 and every m
-        for n, m in ((n, m) for n in range(1, 6) for m in range(1, n + 1)):
-            H = spectral_stack(rng, n, m, rng.uniform(1e-3, 1.0), 16)
-            assert np.array_equal(determinant_fm_values(H * 2.0 ** k, m),
-                                  determinant_fm_values(H, m) * 2.0 ** k)
-
-
 # the cases of JACOBIAN_CASES at m = n, whose Jacobians are symmetric
 SYMMETRIC_CASES = [case for case, (n, _, m, _, _) in JACOBIAN_CASES.items()
                    if m == n]
@@ -622,7 +536,7 @@ class TestTraceStencil:
         assert op.m == n
         # a non-diagonal metric gives every folded weight a nonzero trace
         assert (len(op.rows) == 25) == (case == "c2_ball_omega_m2")
-        nodal = op.evaluate(u)
+        nodal = op.evaluate(u, solver.CONE_FLOOR)
         G, dG = op.rhs_values(u, sampled(op, rhs))
         J, diag = op.jacobian(nodal, dG)
         # the derivative of F_n = tr H is M = I at every node, contracted
@@ -659,14 +573,16 @@ class TestTraceStencil:
         assert op.m == op.domain.n
         _, dG = op.rhs_values(u, sampled(op, rhs))
         other = op.evaluate(
-            u + 1e-4 * np.random.default_rng(9).normal(size=u.size))
+            u + 1e-4 * np.random.default_rng(9).normal(size=u.size),
+            solver.CONE_FLOOR)
         # a copy: both Jacobians live on the operator's held data
         expected, expected_diag = op.jacobian(other, dG)
         expected = expected.copy()
-        nodal = op.evaluate(u)
+        nodal = op.evaluate(u, solver.CONE_FLOOR)
         assert not np.array_equal(nodal.fm, other.fm)
         calls = spied(monkeypatch, (grids, "_eigh"),
-                      (solver, "_derivative"), (_FmOperator, "hessians"))
+                      (solver, "determinant_derivative"),
+                      (_FmOperator, "hessians"))
         J, diag = op.jacobian(nodal, dG)
         assert calls == []
         for name in ("data", "indices", "indptr"):
@@ -737,7 +653,7 @@ class TestTraceStencil:
                             lambda *args, **kwargs: calls.append("_eigh"))
         monkeypatch.setattr(_FmOperator, "hessians",
                             lambda *args: calls.append("hessians"))
-        nodal = op.evaluate(u)
+        nodal = op.evaluate(u, solver.CONE_FLOOR)
         assert calls == []
         assert nodal.D is None
         assert np.array_equal(nodal.fm, expected)
@@ -1463,9 +1379,9 @@ class TestContinuityPath:
 
         op = _FmOperator(domain, g, 1)
         u = seed_with_boundary(f, g)
-        base = op.evaluate(u).fm
+        base = op.evaluate(u, solver.CONE_FLOOR).fm
         G, _ = op.rhs_values(u, sampled(op, rhs), homotopy=(0.0, base))
-        assert np.abs(op.evaluate(u).fm - G).max() == 0.0
+        assert np.abs(op.evaluate(u, solver.CONE_FLOOR).fm - G).max() == 0.0
 
     def test_path_matches_direct(self):
         domain, g, f, rhs, ustar = TestManufacturedNonQuadratic.setup(17)
@@ -1944,9 +1860,9 @@ class TestFailureModes:
         evaluated = []
         evaluate = _FmOperator.evaluate
 
-        def counted(op, u):
+        def counted(op, u, floor):
             evaluated.append(1)
-            return evaluate(op, u)
+            return evaluate(op, u, floor)
 
         monkeypatch.setattr(_FmOperator, "evaluate", counted)
         with pytest.raises((ConeEscape, NewtonDiverged)) as info:
@@ -2148,8 +2064,8 @@ class TestNodalWork:
             self, monkeypatch, problem):
         # at m = n the Jacobian is the trace stencil: neither the derivative
         # M of F_m nor the Jacobian's GEMM runs in a whole solve
-        calls = spied(monkeypatch, (solver, "_derivative"),
-                      (solver, "_adjugate"))
+        calls = spied(monkeypatch, (solver, "determinant_derivative"),
+                      (fm, "_adjugate"))
         if problem == "c1_torus":
             report = solve_torus(*penalized_torus(40.0), 1)
         elif problem == "c2_torus_m2":
@@ -2167,8 +2083,8 @@ class TestNodalWork:
         evaluated, jacobians = [], []
         evaluate, jacobian = _FmOperator.evaluate, _FmOperator.jacobian
 
-        def recorded_evaluate(op, u):
-            nodal = evaluate(op, u)
+        def recorded_evaluate(op, u, floor):
+            nodal = evaluate(op, u, floor)
             evaluated.append((u.copy(), nodal))
             return nodal
 
